@@ -1,7 +1,7 @@
 # Tier-1 gate: everything a PR must keep green.
-.PHONY: check fmt build vet test race race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test docs-lint bench bench-json
+.PHONY: check fmt build vet test race race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test docs-lint bench-build bench bench-gate microbench
 
-check: fmt build vet test race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test docs-lint
+check: fmt build vet test race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test docs-lint bench-build
 
 # gofmt -l prints nothing (and exits 0) on a clean tree; any output fails
 # the gate via the grep.
@@ -110,16 +110,24 @@ adapt-test:
 docs-lint:
 	go test -count=1 -run TestDocLinks .
 
-# Table/figure benchmarks plus the kernel-engine micro-benchmarks.
+# The benchmark is its own module (bench/), which `go build ./...` skips:
+# build it and run its unit tests here, so an API change that breaks
+# bench/adapter.go fails locally instead of as a run_failed verdict.
+bench-build:
+	GOWORK=off GOFLAGS= go build -C bench -o /dev/null .
+	cd bench && GOWORK=off go test ./...
+
+# The repo's one benchmark (BENCHMARK.json; see bench/README.md).
 bench:
+	bash bench/run.sh
+
+# Advisory: a fresh run compared against the committed baseline.
+bench-gate:
+	bash bench/run.sh --out .bench_build/new.json
+	bash bench/run.sh compare bench/baseline/HEAD.json .bench_build/new.json
+
+# Table/figure benchmarks plus the kernel-engine micro-benchmarks
+# (go test -bench; not the benchmark the driver runs).
+microbench:
 	go test -bench . -benchtime 3x -run '^$$' .
 	go test -bench 'BenchmarkGEMM' -benchtime 20x -run '^$$' ./internal/cmat
-
-# Machine-readable benchmark snapshot for this PR: uniform-vs-adaptive
-# converged Born solves on two zoo devices (energy points solved + wall
-# time — the convergence-vs-cost record in EXPERIMENTS.md), concatenated
-# into one record.
-bench-json:
-	go test -bench 'BenchmarkAdapt' -benchtime 3x -run '^$$' ./internal/core \
-	  | go run ./cmd/benchjson -out BENCH_10.json
-	@echo wrote BENCH_10.json

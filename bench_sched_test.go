@@ -1,4 +1,4 @@
-// Tuned-vs-default schedule benchmarks (BENCH_6.json): the same GEMM, SSE
+// Tuned-vs-default schedule benchmarks (make microbench): the same GEMM, SSE
 // and end-to-end workloads run under the compile-time kernel blocking and
 // under a schedule found by a short internal/tune search on this host. The
 // two configurations are interleaved inside one benchmark — default, tuned,

@@ -354,12 +354,6 @@ func main() {
 			if lerr != nil {
 				log.Fatal(lerr)
 			}
-			if cerr := ck.Compatible(cfg.Device); cerr != nil {
-				log.Fatal(cerr)
-			}
-			if cerr := ck.CompatibleGrid(cfg.AdaptEnabled()); cerr != nil {
-				log.Fatal(cerr)
-			}
 			resume = ck
 			fmt.Printf("resuming from %s (iteration %d)\n", *checkpoint, ck.Iterations)
 		} else if !os.IsNotExist(err) {
@@ -398,28 +392,41 @@ func main() {
 	if *peers != "" && !distributed {
 		log.Fatal("-peers requires a distributed run (-dist/-space or \"dist\"/\"space\" in the config)")
 	}
+	if cfg.MixerOverridden() {
+		log.Printf("note: mixer %q is ignored under dist/space — distributed placements currently mix linearly (docs/API.md)", cfg.Mixer)
+	}
 
-	start := time.Now()
-	var res *core.Result
-	adaptCfg, adaptive := cfg.AdaptConfig()
-	switch {
-	case adaptive:
-		adaptCfg.Resume = resume
-		if distributed {
-			if *peers != "" {
-				log.Fatal("-adapt does not compose with -peers (the grid controller must run in a single process)")
-			}
-			distCfg.Fault = faultPlan
-			distCfg.FaultIter = faultIter
-			distCfg.CheckpointPath = *checkpoint
-			adaptCfg.Dist = &distCfg
+	// Only a clustered run persists CheckpointPath every iteration; a serial
+	// Born run writes its converged state once, after Execute.
+	plan := core.Plan{Config: cfg, Place: core.DistConfig{
+		Resume: resume, Fault: faultPlan, FaultIter: faultIter, CheckpointPath: *checkpoint}}
+	if *peers != "" {
+		// Reject what Execute would before dialling anyone.
+		list := strings.Split(*peers, ",")
+		if cfg.AdaptEnabled() {
+			log.Fatal("-adapt does not compose with -peers (the grid controller must run in a single process)")
 		}
-		r, bytes, err := sim.RunAdaptive(adaptCfg)
+		if err := distCfg.CheckRanks(len(list)); err != nil {
+			log.Fatal(err)
+		}
+		cl, err := comm.NewClusterTCP(context.Background(), *peerRank, list)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res = r
-		a := res.Adapt
+		defer cl.Close()
+		plan.Place.Cluster = cl
+		fmt.Printf("peer %d of %d, TCP cluster over %s\n", *peerRank, len(list), *peers)
+	}
+
+	start := time.Now()
+	out, err := sim.Execute(context.Background(), plan)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := out.Result
+	recoveries := fmt.Sprintf("%d recover%s", res.Recoveries, map[bool]string{true: "y", false: "ies"}[res.Recoveries == 1])
+	switch a := res.Adapt; {
+	case a != nil:
 		fmt.Printf("\nadaptive grid: %d/%d energy points after %d rounds (%s), %d refined, %d coarsened\n",
 			a.PointsActive, a.PointsFine, a.Rounds, a.Reason, a.Refined, a.Coarsened)
 		fmt.Printf("RGF solves: %d of %d uniform-grid equivalent (%.0f%% saved)",
@@ -429,89 +436,22 @@ func main() {
 		}
 		fmt.Println()
 		if distributed {
-			fmt.Printf("distributed rounds exchanged %.2f MiB\n", float64(bytes)/(1<<20))
-		} else if *checkpoint != "" {
-			f, err := os.Create(*checkpoint)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := core.CheckpointOf(cfg.Device, res).Save(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("checkpoint written to %s\n", *checkpoint)
+			fmt.Printf("distributed rounds exchanged %.2f MiB\n", float64(out.WireBytes)/(1<<20))
 		}
+	case distCfg.TE > 0:
+		fmt.Printf("\ndistributed SSE on %dx%d ranks: %.2f MiB exchanged, %s\n",
+			distCfg.TE, distCfg.TA, float64(out.WireBytes)/(1<<20), recoveries)
 	case distributed:
-		distCfg.Fault = faultPlan
-		distCfg.FaultIter = faultIter
-		distCfg.CheckpointPath = *checkpoint
-		distCfg.Resume = resume
-		if *peers != "" {
-			list := strings.Split(*peers, ",")
-			procs := distCfg.TE * distCfg.TA
-			if procs == 0 {
-				procs = distCfg.Space
-			}
-			if procs != len(list) {
-				if distCfg.TE > 0 {
-					log.Fatalf("dist grid %dx%d needs %d peers, got %d", distCfg.TE, distCfg.TA, procs, len(list))
-				}
-				log.Fatalf("spatial split over %d ranks needs %d peers, got %d", distCfg.Space, procs, len(list))
-			}
-			cl, err := comm.NewClusterTCP(context.Background(), *peerRank, list)
-			if err != nil {
-				log.Fatal(err)
-			}
-			defer cl.Close()
-			distCfg.Cluster = cl
-			fmt.Printf("peer %d of %d, TCP cluster over %s\n", *peerRank, len(list), *peers)
-		}
-		r, bytes, err := sim.RunDistributedFT(distCfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if distCfg.TE > 0 {
-			fmt.Printf("\ndistributed SSE on %dx%d ranks: %.2f MiB exchanged, %d recover%s\n",
-				distCfg.TE, distCfg.TA, float64(bytes)/(1<<20), r.Recoveries,
-				map[bool]string{true: "y", false: "ies"}[r.Recoveries == 1])
-		} else {
-			fmt.Printf("\nspatially partitioned GF on %d ranks: %.2f MiB exchanged, %d recover%s\n",
-				distCfg.Space, float64(bytes)/(1<<20), r.Recoveries,
-				map[bool]string{true: "y", false: "ies"}[r.Recoveries == 1])
-		}
-		res = r
+		fmt.Printf("\nspatially partitioned GF on %d ranks: %.2f MiB exchanged, %s\n",
+			distCfg.Space, float64(out.WireBytes)/(1<<20), recoveries)
 	case cfg.Gate != nil:
-		es, err := sim.RunWithPoisson(*cfg.Gate)
-		if err != nil {
+		fmt.Printf("\nGummel: %d outer iterations (converged: %v)\n", out.GummelOuter, out.GummelConverged)
+	}
+	if *checkpoint != "" && !distributed && cfg.Gate == nil {
+		if err := core.CheckpointOf(cfg.Device, res).SaveFile(*checkpoint); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("\nGummel: %d outer iterations (converged: %v)\n", es.OuterIterations, es.GummelConverged)
-		res = es.Result
-	default:
-		var err error
-		if resume != nil {
-			res, err = sim.RunFrom(resume)
-		} else {
-			res, err = sim.Run()
-		}
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *checkpoint != "" {
-			f, err := os.Create(*checkpoint)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := core.CheckpointOf(cfg.Device, res).Save(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("checkpoint written to %s\n", *checkpoint)
-		}
+		fmt.Printf("checkpoint written to %s\n", *checkpoint)
 	}
 	wall := time.Since(start)
 

@@ -72,15 +72,12 @@ func runPeer(rank int, peersCSV, cfgPath, resultOut string, dieAfter int) error 
 	if !distributed {
 		return fmt.Errorf("peer mode needs a distributed run: set \"dist\" (e.g. \"2x1\") or \"space\" in %s", cfgPath)
 	}
-	procs := distCfg.TE * distCfg.TA
-	if procs == 0 {
-		procs = distCfg.Space
+	// Reject what Execute would before dialling anyone.
+	if cfg.AdaptEnabled() {
+		return fmt.Errorf("peer mode does not run \"adapt\" configs (the grid controller must run in a single process): %s", cfgPath)
 	}
-	if procs != len(peers) {
-		if distCfg.TE > 0 {
-			return fmt.Errorf("dist grid %dx%d needs %d peers, got %d", distCfg.TE, distCfg.TA, procs, len(peers))
-		}
-		return fmt.Errorf("spatial split over %d ranks needs %d peers, got %d", distCfg.Space, procs, len(peers))
+	if err := distCfg.CheckRanks(len(peers)); err != nil {
+		return err
 	}
 	opts, err := cfg.Options()
 	if err != nil {
@@ -106,17 +103,20 @@ func runPeer(rank int, peersCSV, cfgPath, resultOut string, dieAfter int) error 
 		return err
 	}
 	defer cluster.Close()
-	distCfg.Cluster = cluster
 
 	if distCfg.TE > 0 {
 		log.Printf("peer %d/%d up, dist %dx%d, peers %s", rank, len(peers), distCfg.TE, distCfg.TA, peersCSV)
 	} else {
 		log.Printf("peer %d/%d up, spatial split over %d ranks, peers %s", rank, len(peers), distCfg.Space, peersCSV)
 	}
-	res, bytes, err := sim.RunDistributedFTCtx(context.Background(), distCfg)
+	if cfg.MixerOverridden() {
+		log.Printf("peer %d: mixer %q is ignored under dist/space — distributed placements currently mix linearly (docs/API.md)", rank, cfg.Mixer)
+	}
+	run, err := sim.Execute(context.Background(), core.Plan{Config: cfg, Place: core.DistConfig{Cluster: cluster}})
 	if err != nil {
 		return err
 	}
+	res, bytes := run.Result, run.WireBytes
 	log.Printf("peer %d done: %d iterations (converged %v), %.2f MiB exchanged locally, %d recoveries",
 		rank, res.Iterations, res.Converged, float64(bytes)/(1<<20), res.Recoveries)
 	out := peerResult{

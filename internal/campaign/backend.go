@@ -62,31 +62,29 @@ func (b LocalBackend) RunPoint(ctx context.Context, cfg core.RunConfig, warm *co
 	if err != nil {
 		return nil, err
 	}
-	var res *core.Result
-	if ac, adaptive := cfg.AdaptConfig(); adaptive {
-		// Adaptive ladder points chain the whole grid state: the previous
-		// bias point's checkpoint seeds both the Born loop (Σ≷/Π≷) and the
-		// refinement controller (its active point set), so each point
-		// resumes refinement from the neighbor's resolved grid instead of
-		// the coarse seed.
-		ac.Resume = warm
-		res, _, err = sim.RunAdaptiveCtx(ctx, ac)
-	} else if warm != nil {
-		res, err = sim.RunFromCtx(ctx, warm)
-	} else {
-		res, err = sim.RunCtx(ctx)
-	}
+	// The previous bias point's checkpoint seeds the Born loop (Σ≷/Π≷) and,
+	// on adaptive ladders, the refinement controller too (its active point
+	// set), so each point resumes refinement from the neighbor's resolved
+	// grid instead of the coarse seed.
+	out, err := sim.Execute(ctx, core.Plan{Config: cfg, Place: core.DistConfig{Resume: warm}})
 	if err != nil {
 		return nil, err
 	}
+	return outcomeOf("", cfg, out.Result, warm), nil
+}
+
+// outcomeOf packages a converged run of cfg as a ladder point, with its
+// checkpoint for the next point's warm start.
+func outcomeOf(jobID string, cfg core.RunConfig, res *core.Result, warm *core.Checkpoint) *PointOutcome {
 	return &PointOutcome{
+		JobID:       jobID,
 		Iterations:  res.Iterations,
 		Converged:   res.Converged,
 		Residuals:   res.Residuals,
 		Obs:         res.Obs,
 		Checkpoint:  core.CheckpointOf(cfg.Device, res),
 		WarmStarted: warm != nil,
-	}, nil
+	}
 }
 
 // ServeBackend fans points out through a qtsimd scheduler, warm-starting
@@ -132,15 +130,7 @@ func (b ServeBackend) RunPoint(ctx context.Context, cfg core.RunConfig, warm *co
 		st := j.Status()
 		return nil, fmt.Errorf("campaign: point job %s %s: %s", j.ID(), st.State, st.Error)
 	}
-	return &PointOutcome{
-		JobID:       j.ID(),
-		Iterations:  res.Iterations,
-		Converged:   res.Converged,
-		Residuals:   res.Residuals,
-		Obs:         res.Obs,
-		Checkpoint:  core.CheckpointOf(cfg.Device, res),
-		WarmStarted: warm != nil,
-	}, nil
+	return outcomeOf(j.ID(), cfg, res, warm), nil
 }
 
 // FrontBackend runs points through the sharded front tier. The explicit

@@ -45,13 +45,12 @@ type AdaptConfig struct {
 	// controller resumes from that active set instead of the coarse
 	// seed — the campaign warm-chaining path.
 	Resume *Checkpoint
-	// Dist, when non-nil, runs every round's Born loop under the
-	// fault-tolerant distributed runner with this configuration (its
-	// Resume field is overwritten per round). The GF energy ownership
-	// rebalances to the active point set each round. Multi-process peer
-	// clusters are rejected: the refinement decisions must be taken by
-	// exactly one controller.
-	Dist *DistConfig
+	// Dist is the placement every round's Born loop runs under (the zero
+	// value is serial; its Resume field is overwritten per round). The GF
+	// energy ownership rebalances to the active point set each round.
+	// Multi-process peer clusters are rejected: the refinement decisions
+	// must be taken by exactly one controller.
+	Dist DistConfig
 }
 
 // AdaptReport summarizes an adaptive run: the grid the controller
@@ -98,19 +97,14 @@ func (s *Simulator) RunAdaptive(ac AdaptConfig) (*Result, int64, error) {
 // grid.
 func (s *Simulator) RunAdaptiveCtx(ctx context.Context, ac AdaptConfig) (*Result, int64, error) {
 	p := s.Dev.P
-	if ac.Dist != nil && ac.Dist.Cluster != nil && ac.Dist.Cluster.MultiProcess() {
+	if ac.Dist.Cluster != nil && ac.Dist.Cluster.MultiProcess() {
 		return nil, 0, fmt.Errorf("core: adaptive refinement is not supported on multi-process clusters (the grid controller must be singular)")
 	}
 	cfg := egrid.Config{TolCurrent: ac.Tol, MinNE: ac.MinNE, MaxNE: ac.MaxNE, MaxRounds: ac.MaxRounds}
 
 	var ctrl *egrid.Controller
 	var err error
-	seed := ac.Resume
-	if seed != nil {
-		if cerr := seed.CompatibleDevice(s.Dev); cerr != nil {
-			return nil, 0, cerr
-		}
-	}
+	seed := ac.Resume // born holds it against the device before round 0 runs
 	if seed != nil && seed.EGrid != nil {
 		ctrl, err = egrid.ResumeController(seed.EGrid, cfg)
 	} else {
@@ -134,24 +128,19 @@ func (s *Simulator) RunAdaptiveCtx(ctx context.Context, ac AdaptConfig) (*Result
 
 	report := &AdaptReport{PointsFine: p.NE}
 	var totalBytes int64
-	solve := func(ctx context.Context, grid *egrid.Grid, seed *Checkpoint) (*Result, error) {
+	// solve converges one round: the Born loop on grid under the run's
+	// placement, seeded from seed.
+	pl := ac.Dist
+	solve := func(grid *egrid.Grid, seed *Checkpoint) (*Result, error) {
 		if err := s.SetGrid(grid); err != nil {
 			return nil, err
 		}
 		obsPointsActive.Set(int64(grid.NumActive()))
-		var res *Result
-		var err error
-		if ac.Dist != nil {
-			dc := *ac.Dist
-			dc.Resume = seed
-			var bytes int64
-			res, bytes, err = s.RunDistributedFTCtx(ctx, dc)
-			totalBytes += bytes
-		} else {
-			res, err = s.run(ctx, seed)
-		}
+		pl.Resume = seed
+		res, bytes, err := s.born(ctx, pl)
+		totalBytes += bytes
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: adaptive round %d: %w", report.Rounds+1, err)
 		}
 		report.Rounds++
 		report.Iterations += res.Iterations
@@ -160,17 +149,12 @@ func (s *Simulator) RunAdaptiveCtx(ctx context.Context, ac AdaptConfig) (*Result
 		return res, nil
 	}
 	chain := func(res *Result) *Checkpoint {
-		return &Checkpoint{
-			Params: p, Kind: s.Dev.Kind, DevFP: s.Dev.Fingerprint(),
-			Iterations: res.Iterations,
-			SigmaLess:  res.SigmaLess, SigmaGtr: res.SigmaGtr,
-			PiLess: res.PiLess, PiGtr: res.PiGtr,
-		}
+		return s.checkpointOf(res.Iterations, res.SigmaLess, res.SigmaGtr, res.PiLess, res.PiGtr)
 	}
 	for {
 		grid := ctrl.Grid()
 		s.Opts.Tol = scoutTol
-		res, err := solve(ctx, grid, seed)
+		res, err := solve(grid, seed)
 		if err != nil {
 			return nil, totalBytes, err
 		}
@@ -196,7 +180,7 @@ func (s *Simulator) RunAdaptiveCtx(ctx context.Context, ac AdaptConfig) (*Result
 				// mode — the scout state is this run's own, not another
 				// round's approximation.
 				s.Opts.Tol = origTol
-				res, err = solve(ctx, final, chain(res))
+				res, err = solve(final, chain(res))
 				if err != nil {
 					return nil, totalBytes, err
 				}

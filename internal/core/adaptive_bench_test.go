@@ -7,7 +7,8 @@ import (
 	"negfsim/internal/device"
 )
 
-// Uniform-vs-adaptive benchmarks on two zoo devices (BENCH_10.json): the
+// Uniform-vs-adaptive benchmarks on two zoo devices (make microbench; the
+// numbers in EXPERIMENTS.md): the
 // same converged Born solve on the full fine grid and under the
 // refinement loop. The "points" metric is the energy points actually
 // solved (final active count for the adaptive runs); wall time is the

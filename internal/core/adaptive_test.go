@@ -261,7 +261,7 @@ func TestAdaptiveDistributedMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	ac, _ := cfg.AdaptConfig()
-	ac.Dist = &DistConfig{TE: 2, TA: 2}
+	ac.Dist = DistConfig{TE: 2, TA: 2}
 	dist, bytes, err := sim.RunAdaptiveCtx(context.Background(), ac)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"context"
 	"encoding/gob"
 	"fmt"
 	"io"
+	"os"
 
 	"negfsim/internal/device"
 	"negfsim/internal/egrid"
@@ -58,6 +58,29 @@ func (c *Checkpoint) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(c)
 }
 
+// SaveFile writes the checkpoint to a gob file atomically (temp file +
+// rename), so a crash mid-write never corrupts the previous checkpoint.
+func (c *Checkpoint) SaveFile(path string) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return fmt.Errorf("core: checkpoint: %w", err)
+	}
+	if err := c.Save(f); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return err
+	}
+	if err := f.Close(); err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("core: checkpoint: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("core: checkpoint: %w", err)
+	}
+	return nil
+}
+
 // LoadCheckpoint reads a checkpoint written by Save.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var c Checkpoint
@@ -93,32 +116,16 @@ func (c *Checkpoint) CompatibleDevice(d *device.Device) error {
 }
 
 // CompatibleGrid reports whether the checkpoint's energy-grid state can
-// seed a run whose adaptation is on (adaptive true) or off. A nil or
-// full grid state seeds anything; a partial grid — Σ≷ converged with
+// seed a run whose adaptation is on (adaptive true) or off. No checkpoint,
+// or a nil or full grid state, seeds anything; a partial grid — Σ≷ converged with
 // interpolation-filled gaps — can only seed a run that itself adapts,
 // where the controller resumes from the saved active set. The device
 // fine-grid identity (NE, window) is already pinned by Params equality
 // in Compatible/CompatibleDevice.
 func (c *Checkpoint) CompatibleGrid(adaptive bool) error {
-	if c.EGrid == nil || c.EGrid.IsFull() || adaptive {
+	if c == nil || c.EGrid == nil || c.EGrid.IsFull() || adaptive {
 		return nil
 	}
 	return fmt.Errorf("core: checkpoint grid has %d of %d energy points active; a non-adaptive run needs a full-grid (or pre-adaptive) checkpoint",
 		len(c.EGrid.Active), c.EGrid.NE)
-}
-
-// RunFrom resumes the Born loop from a checkpoint's self-energies. The
-// first GF phase immediately uses the saved Σ/Π, so a resumed run continues
-// where the saved one stopped (up to the mixing state, which restarts).
-func (s *Simulator) RunFrom(ck *Checkpoint) (*Result, error) {
-	return s.RunFromCtx(context.Background(), ck)
-}
-
-// RunFromCtx is RunFrom bound to a context, with RunCtx's cancellation
-// semantics (checked at iteration boundaries and per GF grid point).
-func (s *Simulator) RunFromCtx(ctx context.Context, ck *Checkpoint) (*Result, error) {
-	if err := ck.CompatibleDevice(s.Dev); err != nil {
-		return nil, err
-	}
-	return s.run(ctx, ck)
 }

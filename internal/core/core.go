@@ -5,11 +5,20 @@
 // phase of Eqs. (3)–(5), in any of the three kernel variants (naive
 // reference, OMEN-style, DaCe-transformed), plus the communication-avoiding
 // distributed execution of the SSE phase on the simulated cluster.
+//
+// There is one Born loop (born, in born.go) and one dispatch onto it,
+// Simulator.Execute(ctx, Plan). Every way of running the physics is that
+// loop under a placement (DistConfig: SSE phase shared-memory or on a TE×TA
+// cluster, GF electron solves local or on a spatial split, per-iteration or
+// persistent fabric, cold or checkpoint seed, fault policy), optionally
+// inside the adaptive energy-grid rounds (RunAdaptiveCtx) or the Gummel
+// NEGF–Poisson iteration (RunWithPoissonCtx). The Run* methods are
+// argument-translating callers of the same loop, kept for the tests and
+// the benchmark's adapter; frontends call Execute.
 package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -18,6 +27,7 @@ import (
 	"time"
 
 	"negfsim/internal/cmat"
+	"negfsim/internal/comm"
 	"negfsim/internal/device"
 	"negfsim/internal/egrid"
 	"negfsim/internal/obs"
@@ -356,10 +366,18 @@ func (s *Simulator) extractPhonon(qz, w int, res *rgf.PhononResult, dl, dg *tens
 }
 
 // gfPhase runs the full GF phase: all (kz, E) electron points and all
-// (qz, ω) phonon points, dynamically scheduled over the persistent worker
-// pool (at most Workers concurrent points). It returns fresh Green's
-// function tensors and accumulated contact observables.
-func (s *Simulator) gfPhase(ctx context.Context, sigR, sigL, sigG *tensor.GTensor, piR, piL, piG *tensor.DTensor) (
+// (qz, ω) phonon points. The electron-point solver is the only part that
+// varies with the placement: with a nil cluster every point is one local
+// RGF solve and electron and phonon points share the persistent worker
+// pool (at most Workers concurrent points); with a spatial cluster every
+// electron retarded solve is partitioned across its ranks
+// (solveElectronOn), so the electron points run one at a time — each
+// already spreads its block elimination over every rank — and only the
+// phonon points, whose small systems are not worth the exchange latency,
+// use the pool. It returns fresh Green's function tensors and accumulated
+// contact observables; a failed point surfaces its error (including
+// comm.ErrRankDead from the cluster) wrapped with its grid coordinates.
+func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfEnergy) (
 	gl, gg *tensor.GTensor, dl, dg *tensor.DTensor, o Observables, err error) {
 	p := s.Dev.P
 	gl = tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb)
@@ -367,6 +385,13 @@ func (s *Simulator) gfPhase(ctx context.Context, sigR, sigL, sigG *tensor.GTenso
 	dl = tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
 	dg = tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
 	o.CurrentPerEnergy = make([]float64, p.NE)
+
+	solveElectron := func(kz, e int, scat rgf.Scattering) (*rgf.ElectronResult, error) {
+		return rgf.SolveElectron(s.h[kz], s.s[kz], p.Energy(e), scat, s.Opts.Contacts, s.Opts.Eta)
+	}
+	if spatial != nil {
+		solveElectron = s.solveElectronOn(spatial)
+	}
 
 	// The electron points come from the active energy grid — the full
 	// fine grid unless the adaptive runner installed a subset — with
@@ -377,7 +402,8 @@ func (s *Simulator) gfPhase(ctx context.Context, sigR, sigL, sigG *tensor.GTenso
 	grid := s.grid
 	activeE := grid.Active()
 	type job struct{ kz, e, qz, w int } // e < 0 marks a phonon job
-	jobs := make([]job, 0, p.Nkz*len(activeE)+p.Nqz*p.Nw)
+	nElectron := p.Nkz * len(activeE)
+	jobs := make([]job, 0, nElectron+p.Nqz*p.Nw)
 	for kz := 0; kz < p.Nkz; kz++ {
 		for _, e := range activeE {
 			jobs = append(jobs, job{kz: kz, e: e})
@@ -388,84 +414,94 @@ func (s *Simulator) gfPhase(ctx context.Context, sigR, sigL, sigG *tensor.GTenso
 			jobs = append(jobs, job{kz: 0, e: -1, qz: qz, w: w})
 		}
 	}
-	var next atomic.Int64
-	var mu sync.Mutex
+	var once sync.Once
 	var firstErr error
-	eWeight := p.EStep() / float64(p.Nkz)
-	run := func(j job) {
-		if j.e >= 0 {
-			scat := s.scatteringBlocks(j.kz, j.e, sigR, sigL, sigG)
-			res, e := rgf.SolveElectron(s.h[j.kz], s.s[j.kz], p.Energy(j.e), scat, s.Opts.Contacts, s.Opts.Eta)
+	var failed atomic.Bool // set with firstErr; stops every sweep task
+	fail := func(e error) {
+		once.Do(func() { firstErr = e })
+		failed.Store(true)
+	}
+	// Every point leaves its contact terms (left, right) in its own slot;
+	// they are summed in job order after the sweep, so the observables do not
+	// depend on the order the pool completes the points in.
+	terms := make([][2]float64, len(jobs))
+	run := func(idx int) {
+		if j := jobs[idx]; j.e >= 0 {
+			scat := s.scatteringBlocks(j.kz, j.e, se.sigR, se.sigL, se.sigG)
+			res, e := solveElectron(j.kz, j.e, scat)
 			scat.Release()
 			if e != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("electron point (kz=%d, E=%d): %w", j.kz, j.e, e)
-				}
-				mu.Unlock()
+				fail(fmt.Errorf("electron point (kz=%d, E=%d): %w", j.kz, j.e, e))
 				return
 			}
 			s.extractElectron(j.kz, j.e, res, gl, gg)
 			res.Release()
-			we := grid.Weight(j.e) / float64(p.Nkz)
-			mu.Lock()
-			o.CurrentL += res.CurrentL * we
-			o.CurrentR += res.CurrentR * we
-			o.EnergyCurrentL += p.Energy(j.e) * res.CurrentL * we
-			o.EnergyCurrentR += p.Energy(j.e) * res.CurrentR * we
-			o.CurrentPerEnergy[j.e] += res.CurrentL
-			mu.Unlock()
+			terms[idx] = [2]float64{res.CurrentL, res.CurrentR}
 		} else {
-			scat := s.phononScatteringBlocks(j.qz, j.w, piR, piL, piG)
+			scat := s.phononScatteringBlocks(j.qz, j.w, se.piR, se.piL, se.piG)
 			hw := float64(p.PhononShift(j.w)) * p.EStep()
 			res, e := rgf.SolvePhonon(s.phi[j.qz], hw, scat,
 				rgf.PhononContacts{KTL: s.Opts.PhononKTL, KTR: s.Opts.PhononKTR}, s.Opts.Eta)
 			scat.Release()
 			if e != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("phonon point (qz=%d, ω=%d): %w", j.qz, j.w, e)
-				}
-				mu.Unlock()
+				fail(fmt.Errorf("phonon point (qz=%d, ω=%d): %w", j.qz, j.w, e))
 				return
 			}
 			s.extractPhonon(j.qz, j.w, res, dl, dg)
 			res.Release()
-			mu.Lock()
-			o.HeatL += res.HeatL * eWeight
-			o.HeatR += res.HeatR * eWeight
-			mu.Unlock()
+			terms[idx] = [2]float64{res.HeatL, res.HeatR}
 		}
 	}
-	workers := s.Opts.Workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	tasks := make([]pool.Task, workers)
-	for i := range tasks {
-		tasks[i] = func() {
-			for {
-				idx := int(next.Add(1)) - 1
-				if idx >= len(jobs) {
-					return
-				}
-				// Cancellation is checked per grid point, so a cancelled run
-				// drains within one RGF solve rather than one full phase.
-				if cerr := ctx.Err(); cerr != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("core: GF phase cancelled: %w", cerr)
+	// sweep runs jobs[lo:hi] dynamically scheduled over at most workers pool
+	// tasks and reports whether every one of them succeeded.
+	sweep := func(lo, hi, workers int) bool {
+		if workers > hi-lo {
+			workers = hi - lo
+		}
+		var next atomic.Int64
+		next.Store(int64(lo))
+		tasks := make([]pool.Task, workers)
+		for i := range tasks {
+			tasks[i] = func() {
+				for {
+					idx := int(next.Add(1)) - 1
+					if idx >= hi || failed.Load() {
+						return
 					}
-					mu.Unlock()
-					return
+					// Cancellation is checked per grid point, so a cancelled run
+					// drains within one RGF solve rather than one full phase.
+					if cerr := ctx.Err(); cerr != nil {
+						fail(fmt.Errorf("core: GF phase cancelled: %w", cerr))
+						return
+					}
+					run(idx)
 				}
-				run(jobs[idx])
 			}
 		}
+		pool.Do(tasks...)
+		return !failed.Load()
 	}
-	pool.Do(tasks...)
+	if spatial == nil {
+		sweep(0, len(jobs), s.Opts.Workers)
+	} else if sweep(0, nElectron, 1) {
+		sweep(nElectron, len(jobs), s.Opts.Workers)
+	}
 	if firstErr != nil {
 		return nil, nil, nil, nil, o, firstErr
+	}
+	eWeight := p.EStep() / float64(p.Nkz)
+	for idx, j := range jobs {
+		if t := terms[idx]; j.e >= 0 {
+			we := grid.Weight(j.e) / float64(p.Nkz)
+			o.CurrentL += t[0] * we
+			o.CurrentR += t[1] * we
+			o.EnergyCurrentL += p.Energy(j.e) * t[0] * we
+			o.EnergyCurrentR += p.Energy(j.e) * t[1] * we
+			o.CurrentPerEnergy[j.e] += t[0]
+		} else {
+			o.HeatL += t[0] * eWeight
+			o.HeatR += t[1] * eWeight
+		}
 	}
 	// On a partial grid, fill the skipped energies of G^≷ (and of the
 	// spectral current, for reporting) by linear interpolation between
@@ -480,133 +516,29 @@ func (s *Simulator) gfPhase(ctx context.Context, sigR, sigL, sigG *tensor.GTenso
 	return gl, gg, dl, dg, o, nil
 }
 
-// Run executes the self-consistent Born loop: Σ = Π = 0, GF phase, SSE
-// phase, mix, repeat until the Green's functions stop changing (§2). It is
-// RunCtx under context.Background() — uncancellable, for batch callers.
-func (s *Simulator) Run() (*Result, error) { return s.RunCtx(context.Background()) }
-
-// RunCtx is Run bound to a context. Cancellation is observed at every Born
-// iteration boundary and inside the GF phase's per-grid-point loop, so a
-// cancelled run returns (with an error wrapping ctx.Err()) well within one
-// Born iteration. The partially computed result is discarded; callers that
-// need restartability should checkpoint via OnIteration or use the
-// fault-tolerant distributed runner.
-func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) { return s.run(ctx, nil) }
-
-// run is the Born loop, optionally seeded with checkpointed self-energies.
-func (s *Simulator) run(ctx context.Context, ck *Checkpoint) (*Result, error) {
-	res := &Result{}
-	var sigR, sigL, sigG *tensor.GTensor
-	var piR, piL, piG *tensor.DTensor
-	var prevL, prevG *tensor.GTensor
-	if ck != nil {
-		sigL, sigG = ck.SigmaLess.Clone(), ck.SigmaGtr.Clone()
-		piL, piG = ck.PiLess.Clone(), ck.PiGtr.Clone()
-		sigR = sse.Retarded(sigL, sigG)
-		piR = sse.RetardedD(piL, piG)
-	}
-	var anderson *andersonState
-	if s.Opts.Mixer == Anderson {
-		h := s.Opts.AndersonHistory
-		if h <= 0 {
-			h = 3
-		}
-		anderson = newAndersonState(h)
-	}
-
-	for iter := 0; iter < s.Opts.MaxIter; iter++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("core: run cancelled before iteration %d: %w", iter+1, cerr)
-		}
-		st := IterStats{Iter: iter + 1, Residual: math.NaN()}
-		var snap []obs.TimerStat
-		if s.Opts.OnIteration != nil && obs.Enabled() {
-			snap = obs.TimerStats()
-		}
-		t0 := time.Now()
-		gl, gg, dl, dg, o, err := s.gfPhase(ctx, sigR, sigL, sigG, piR, piL, piG)
-		if err != nil {
-			return nil, err
-		}
-		st.GF = time.Since(t0)
-		res.Timings.GF += st.GF
-		obsSpanGF.Observe(st.GF)
-		res.GLess, res.GGtr, res.DLess, res.DGtr = gl, gg, dl, dg
-		res.Obs = o
-		res.Iterations = iter + 1
-
-		if prevL != nil {
-			r := relChange(prevL, gl)
-			if rg := relChange(prevG, gg); rg > r {
-				r = rg
+// solveElectronOn returns the GF phase's electron-point solver for a
+// spatial cluster: the retarded solve of the point is partitioned across
+// the cluster's ranks (rgf.DistributedRetarded) — the device-dimension
+// split of OMEN's momentum/energy/space hierarchy — and the Keldysh closure
+// runs on the replicated diagonal. In-process exactly rank 0 closes each
+// point, while each process of a multi-process cluster closes every point
+// on its own replica, so every process accumulates the full observables
+// and tensors (bit-identical across peers) exactly once. The caller reads
+// the cluster's byte counters around the phase.
+func (s *Simulator) solveElectronOn(cluster *comm.Cluster) func(kz, e int, scat rgf.Scattering) (*rgf.ElectronResult, error) {
+	multi := cluster.MultiProcess()
+	return func(kz, e int, scat rgf.Scattering) (*rgf.ElectronResult, error) {
+		var res *rgf.ElectronResult
+		err := cluster.Run(func(r *comm.Rank) error {
+			pt, err := rgf.SolveElectronSpatial(r, multi || r.ID == 0, s.h[kz], s.s[kz],
+				s.Dev.P.Energy(e), scat, s.Opts.Contacts, s.Opts.Eta)
+			if pt != nil {
+				res = pt
 			}
-			if math.IsNaN(r) || math.IsInf(r, 0) {
-				return res, errors.New("core: Born iteration diverged (non-finite Green's functions)")
-			}
-			res.Residuals = append(res.Residuals, r)
-			st.Residual = r
-			if r < s.Opts.Tol {
-				res.Converged = true
-				st.Converged = true
-				s.emitIterStats(&st, t0, snap)
-				break
-			}
-		}
-		prevL, prevG = gl, gg
-
-		t1 := time.Now()
-		out := s.Kernel.ComputePhaseParallel(sse.PhaseInput{GLess: gl, GGtr: gg, DLess: dl, DGtr: dg}, s.Opts.Variant, s.Opts.Workers)
-		st.SSE = time.Since(t1)
-		res.Timings.SSE += st.SSE
-		obsSpanSSE.Observe(st.SSE)
-		t2 := time.Now()
-		sse.AntiHermitize(out.SigmaLess)
-		sse.AntiHermitize(out.SigmaGtr)
-		switch {
-		case anderson != nil:
-			if sigL == nil {
-				sigL = tensor.NewGTensor(gl.Nkz, gl.NE, gl.NA, gl.Norb)
-				sigG = tensor.NewGTensor(gl.Nkz, gl.NE, gl.NA, gl.Norb)
-				piL = tensor.NewDTensor(dl.Nqz, dl.Nw, dl.NA, dl.NB, dl.N3D)
-				piG = tensor.NewDTensor(dl.Nqz, dl.Nw, dl.NA, dl.NB, dl.N3D)
-			}
-			x := concatSelfEnergies(sigL, sigG, piL, piG)
-			g := concatSelfEnergies(out.SigmaLess, out.SigmaGtr, out.PiLess, out.PiGtr)
-			scatterSelfEnergies(anderson.update(x, g, s.Opts.Mixing), sigL, sigG, piL, piG)
-		case sigL == nil:
-			sigL, sigG = out.SigmaLess, out.SigmaGtr
-			piL, piG = out.PiLess, out.PiGtr
-		default:
-			mixG(sigL, out.SigmaLess, s.Opts.Mixing)
-			mixG(sigG, out.SigmaGtr, s.Opts.Mixing)
-			mixD(piL, out.PiLess, s.Opts.Mixing)
-			mixD(piG, out.PiGtr, s.Opts.Mixing)
-		}
-		sigR = sse.Retarded(sigL, sigG)
-		piR = sse.RetardedD(piL, piG)
-		st.Mix = time.Since(t2)
-		obsSpanMix.Observe(st.Mix)
-		res.SigmaLess, res.SigmaGtr = sigL, sigG
-		res.PiLess, res.PiGtr = piL, piG
-		s.emitIterStats(&st, t0, snap)
+			return err
+		})
+		return res, err
 	}
-	res.Obs.DissipationPerAtom, res.Obs.EnergyDissipationPerAtom = s.dissipationPerAtom(res)
-	return res, nil
-}
-
-// emitIterStats completes an iteration's stats (wall time, span deltas) and
-// delivers them to the OnIteration hook, if any. iterStart is the instant
-// the iteration began; snap is the obs timer snapshot taken then (nil when
-// obs recording was off or no hook is set).
-func (s *Simulator) emitIterStats(st *IterStats, iterStart time.Time, snap []obs.TimerStat) {
-	if s.Opts.OnIteration == nil {
-		return
-	}
-	st.Wall = time.Since(iterStart)
-	if snap != nil {
-		st.Spans = obs.TimerDelta(snap)
-	}
-	s.Opts.OnIteration(*st)
 }
 
 // relChange returns max|a−b| / (1 + max|b|).
@@ -624,17 +556,11 @@ func maxAbsG(g *tensor.GTensor) float64 {
 	return m
 }
 
-func mixG(dst, fresh *tensor.GTensor, mix float64) {
+// mixInto damps fresh self-energy data into dst: dst ← (1−mix)·dst + mix·fresh.
+func mixInto(dst, fresh []complex128, mix float64) {
 	c := complex(mix, 0)
-	for i := range dst.Data {
-		dst.Data[i] = (1-c)*dst.Data[i] + c*fresh.Data[i]
-	}
-}
-
-func mixD(dst, fresh *tensor.DTensor, mix float64) {
-	c := complex(mix, 0)
-	for i := range dst.Data {
-		dst.Data[i] = (1-c)*dst.Data[i] + c*fresh.Data[i]
+	for i := range dst {
+		dst[i] = (1-c)*dst[i] + c*fresh[i]
 	}
 }
 

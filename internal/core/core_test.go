@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"negfsim/internal/comm"
@@ -135,7 +137,7 @@ func TestHeatCurrentsFlowFromHotContact(t *testing.T) {
 func TestDistributedSSEMatchesSerial(t *testing.T) {
 	opts := DefaultOptions()
 	s := miniSim(t, opts)
-	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, nil, nil, nil, nil, nil)
+	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, selfEnergy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +166,7 @@ func TestDistributedSSEMatchesSerial(t *testing.T) {
 func TestDistributedSSETrafficNearModel(t *testing.T) {
 	opts := DefaultOptions()
 	s := miniSim(t, opts)
-	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, nil, nil, nil, nil, nil)
+	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, selfEnergy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestDistributedSSETrafficNearModel(t *testing.T) {
 
 func TestDistributedSSEErrors(t *testing.T) {
 	s := miniSim(t, DefaultOptions())
-	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, nil, nil, nil, nil, nil)
+	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, selfEnergy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,12 +210,60 @@ func TestSearchTilesIntegration(t *testing.T) {
 	if best.TE*best.TA != 4 {
 		t.Fatalf("search returned %d×%d", best.TE, best.TA)
 	}
-	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, nil, nil, nil, nil, nil)
+	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, selfEnergy{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := sse.PhaseInput{GLess: gl, GGtr: gg, DLess: dl, DGtr: dg}
 	if _, err := s.DistributedSSE(in, best.TE, best.TA); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDivergedRunReturnsErrDiverged poisons the loop with a NaN and requires
+// the one typed terminal error from every way into the one loop: a NaN
+// reservoir temperature makes the first contact currents non-finite on the
+// serial, clustered and adaptive paths alike.
+func TestDivergedRunReturnsErrDiverged(t *testing.T) {
+	opts := DefaultOptions()
+	opts.MaxIter = 3
+	opts.Contacts.KT = math.NaN()
+	for name, run := range map[string]func(*Simulator) error{
+		"serial":   func(s *Simulator) error { _, err := s.Run(); return err },
+		"dist":     func(s *Simulator) error { _, _, err := s.RunDistributed(2, 1); return err },
+		"adaptive": func(s *Simulator) error { _, _, err := s.RunAdaptive(AdaptConfig{}); return err },
+	} {
+		err := run(miniSim(t, opts))
+		if !errors.Is(err, ErrDiverged) {
+			t.Errorf("%s: err = %v, want ErrDiverged", name, err)
+		}
+		if name == "adaptive" && (err == nil || !strings.Contains(err.Error(), "round 1")) {
+			t.Errorf("adaptive: err = %v, want the refinement round named", err)
+		}
+	}
+}
+
+// The GF phase sums its observables in grid-point order, not in the order
+// the pool completes the points: every worker count gives the Workers=1
+// numbers bit for bit.
+func TestGFPhaseScheduleIndependent(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Workers = 1
+	_, _, _, _, want, err := miniSim(t, opts).gfPhase(context.Background(), nil, selfEnergy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Workers = 4
+	s := miniSim(t, opts)
+	for rep := 0; rep < 20; rep++ {
+		_, _, _, _, got, err := s.gfPhase(context.Background(), nil, selfEnergy{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.CurrentL != want.CurrentL || got.CurrentR != want.CurrentR ||
+			got.EnergyCurrentL != want.EnergyCurrentL || got.EnergyCurrentR != want.EnergyCurrentR ||
+			got.HeatL != want.HeatL || got.HeatR != want.HeatR {
+			t.Fatalf("rep %d: 4-worker observables %+v differ from the 1-worker %+v", rep, got, want)
+		}
 	}
 }

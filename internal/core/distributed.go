@@ -204,7 +204,7 @@ func (s *Simulator) phononPointsOwnedBy(rank, procs int) [][2]int {
 // rank.
 func (s *Simulator) checkGrid(te, ta int) error {
 	procs := te * ta
-	if procs < 2 {
+	if te < 1 || ta < 1 || procs < 2 {
 		return fmt.Errorf("core: distributed SSE needs ≥ 2 ranks, got %d", procs)
 	}
 	if s.Dev.P.NE < procs {

@@ -9,7 +9,7 @@ import (
 
 func TestDistributedOMENMatchesSerial(t *testing.T) {
 	s := miniSim(t, DefaultOptions())
-	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, nil, nil, nil, nil, nil)
+	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, selfEnergy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestOMENDistributedMovesMoreThanCA(t *testing.T) {
 	// original decomposition transfers far more bytes than the CA one for
 	// the same result.
 	s := miniSim(t, DefaultOptions())
-	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, nil, nil, nil, nil, nil)
+	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, selfEnergy{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -367,6 +367,16 @@ func (c *RunConfig) mixerKind() (MixerKind, error) {
 	return 0, fmt.Errorf("core: run config: unknown mixer %q (want linear or anderson)", c.Mixer)
 }
 
+// MixerOverridden reports whether the run will mix linearly although the
+// config asks for another mixer: clustered placements (dist and/or space)
+// currently ignore "mixer" — see DistConfig.mixesLinearly for why the
+// defect is kept. Frontends log it so the drift is visible per run.
+func (c *RunConfig) MixerOverridden() bool {
+	kind, kerr := c.mixerKind()
+	pl, _, derr := c.DistConfig()
+	return kerr == nil && derr == nil && kind != Linear && pl.mixesLinearly()
+}
+
 // DistGrid parses the "TExTA" distributed grid spec; (0, 0) when the config
 // does not request a distributed run.
 func (c *RunConfig) DistGrid() (te, ta int, err error) {
@@ -406,24 +416,16 @@ func (c *RunConfig) Options() (Options, error) {
 }
 
 // DistConfig translates the config's distributed section (the Dist grid
-// and/or the Space split) into the fault-tolerant runner's configuration;
-// the zero DistConfig (and false) when the config requests neither axis.
+// and/or the Space split) into the Born loop's placement, and reports
+// whether that placement uses a cluster (false: the config requests neither
+// axis and the run is serial).
 func (c *RunConfig) DistConfig() (DistConfig, bool, error) {
 	te, ta, err := c.DistGrid()
 	if err != nil {
 		return DistConfig{}, false, err
 	}
-	space := c.Space
-	if space < 2 {
-		space = 0
-	}
-	if te == 0 && space == 0 {
-		return DistConfig{}, false, nil
-	}
-	return DistConfig{
-		TE: te, TA: ta, Space: space,
-		CommTimeout: time.Duration(c.CommTimeoutMs) * time.Millisecond,
-	}, true, nil
+	pl := DistConfig{TE: te, TA: ta, Space: c.Space, CommTimeout: time.Duration(c.CommTimeoutMs) * time.Millisecond}
+	return pl, pl.clustered(), nil
 }
 
 // NewSimulator builds the device and simulator the config describes.

@@ -2,33 +2,17 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"math"
-	"os"
 	"time"
 
 	"negfsim/internal/comm"
-	"negfsim/internal/obs"
-	"negfsim/internal/sse"
-	"negfsim/internal/tensor"
 )
 
-// Fault-tolerance telemetry of the distributed Born loop (see
-// docs/OBSERVABILITY.md): recovery events and latency, and checkpoint
-// traffic. The counters are global and cumulative, like every obs
-// instrument.
-var (
-	obsRecoveries   = obs.GetCounter("core.recoveries")
-	obsCkptSaves    = obs.GetCounter("core.checkpoint_saves")
-	obsCkptRestores = obs.GetCounter("core.checkpoint_restores")
-	obsSpanRecovery = obs.GetTimer("core.recovery")
-)
-
-// DistConfig configures a fault-tolerant distributed Born run
-// (RunDistributedFT). The zero value of every optional field keeps the
-// documented default, so DistConfig{TE: te, TA: ta} reproduces the plain
-// RunDistributed behavior.
+// DistConfig is the placement of a Born run: where its two phases execute,
+// on which fabric, from which seed, and what happens when a rank dies. The
+// zero value is the serial shared-memory run from Σ = Π = 0; the zero value
+// of every optional field keeps the documented default, so
+// DistConfig{TE: te, TA: ta} reproduces the plain RunDistributed behavior.
 type DistConfig struct {
 	// TE, TA are the initial energy×atom rank grid of the SSE phase.
 	TE, TA int
@@ -86,16 +70,6 @@ type DistConfig struct {
 	Cluster *comm.Cluster
 }
 
-// memCheckpoint is the in-memory restart state the fault-tolerant loop
-// snapshots after every completed iteration: deep copies of the mixed
-// self-energies plus enough bookkeeping to rewind the result.
-type memCheckpoint struct {
-	iterations int
-	nResiduals int
-	sigL, sigG *tensor.GTensor
-	piL, piG   *tensor.DTensor
-}
-
 // RunDistributed executes the full self-consistent Born loop with the SSE
 // phase running under the communication-avoiding decomposition on the
 // simulated TE×TA cluster (the GF phase stays shared-memory parallel, as
@@ -108,297 +82,59 @@ func (s *Simulator) RunDistributed(te, ta int) (*Result, int64, error) {
 	return s.RunDistributedFT(DistConfig{TE: te, TA: ta})
 }
 
-// RunDistributedFT is RunDistributed with fault tolerance: it checkpoints
-// the mixed self-energies after every iteration, and when a rank dies
-// mid-SSE (promptly surfaced as comm.ErrRankDead by the cluster's
-// cancellation channel) it rebuilds a cluster over the surviving rank
-// count, re-derives the volume-minimizing TE×TA decomposition for it, and
-// resumes the Born loop from the last checkpoint — bounded by
-// MaxRecoveries attempts with linear backoff. When the survivors can no
-// longer feed a ≥2-rank grid, the loop degrades to the shared-memory SSE
-// kernels instead of dying, so a run always either completes or reports a
-// non-transient error.
+// RunDistributedFT is RunDistributed with fault tolerance: the Born loop
+// under a clustered placement checkpoints the mixed self-energies after
+// every iteration, and when a rank dies mid-collective (promptly surfaced
+// as comm.ErrRankDead by the cluster's cancellation channel) it shrinks the
+// placement over the survivors — down to the shared-memory kernels — and
+// resumes from the last checkpoint, bounded by MaxRecoveries attempts with
+// linear backoff; so a run either completes or reports a non-transient
+// error.
 func (s *Simulator) RunDistributedFT(cfg DistConfig) (*Result, int64, error) {
 	return s.RunDistributedFTCtx(context.Background(), cfg)
 }
 
 // RunDistributedFTCtx is RunDistributedFT bound to a context. Cancellation
 // is observed at Born iteration boundaries, per GF grid point, and inside
-// every blocked Send/Recv of the simulated cluster (the per-iteration
-// cluster is built with NewClusterCtx), so a cancelled run releases all of
-// its rank goroutines within microseconds of the cancel. A cancelled run is
-// terminal — it is never treated as a rank failure to recover from — and it
-// unregisters the abandoned cluster's per-rank byte gauges so scrapes do not
-// keep reporting a dead instance.
+// every blocked Send/Recv of the simulated cluster, so a cancelled run
+// releases its rank goroutines within microseconds. It is terminal — never
+// a rank failure to recover from — and unregisters the abandoned cluster's
+// per-rank byte gauges.
 func (s *Simulator) RunDistributedFTCtx(ctx context.Context, cfg DistConfig) (*Result, int64, error) {
-	te, ta := cfg.TE, cfg.TA
-	space := cfg.Space
-	if space < 2 {
-		space = 0
+	if !cfg.clustered() { // the zero placement is the serial run; this entry point names a grid
+		return nil, 0, s.checkGrid(cfg.TE, cfg.TA)
 	}
-	if space > 0 && s.Dev.P.Bnum < 2*space-1 {
-		return nil, 0, fmt.Errorf("core: %d device blocks cannot be partitioned across %d spatial ranks",
-			s.Dev.P.Bnum, space)
-	}
-	// A spatial-only run needs no SSE grid; anything else must name one.
-	if te > 0 || space == 0 {
-		if err := s.checkGrid(te, ta); err != nil {
-			return nil, 0, err
-		}
-	}
-	if cfg.Cluster != nil {
-		if te > 0 && cfg.Cluster.Size() != te*ta {
-			return nil, 0, fmt.Errorf("core: cluster of %d ranks cannot carry a %d×%d grid",
-				cfg.Cluster.Size(), te, ta)
-		}
-		if space > 0 && cfg.Cluster.Size() != space {
-			return nil, 0, fmt.Errorf("core: cluster of %d ranks cannot carry a %d-way spatial split",
-				cfg.Cluster.Size(), space)
-		}
-	}
-	maxRec := cfg.MaxRecoveries
-	if maxRec == 0 {
-		maxRec = 2
-	}
-	backoff := cfg.RetryBackoff
-	if backoff == 0 {
-		backoff = 10 * time.Millisecond
-	}
+	return s.born(ctx, cfg)
+}
 
-	res := &Result{}
-	var sigR, sigL, sigG *tensor.GTensor
-	var piR, piL, piG *tensor.DTensor
-	var prevL, prevG *tensor.GTensor
-	var totalBytes int64
-	var ck *memCheckpoint
-	faultArmed := cfg.Fault != nil
-	// lastCluster is the most recent per-iteration cluster, the current
-	// owner of the per-rank byte gauges. Every cancelled return unregisters
-	// it so scrapes stop reporting the abandoned run; normal completions
-	// keep the series live for post-run scraping.
-	var lastCluster *comm.Cluster
-	unregister := func() {
-		if lastCluster != nil {
-			lastCluster.Unregister()
-		}
+// clustered reports whether the placement puts a phase of the Born
+// iteration on a cluster: the SSE phase on a TE×TA grid, or the GF electron
+// solves on a spatial split.
+func (c DistConfig) clustered() bool { return c.TE > 0 || c.Space >= 2 }
+
+// mixesLinearly reports whether a run under this placement mixes the
+// self-energies linearly whatever Options.Mixer says. It is true for every
+// clustered placement — a KNOWN DEFECT, kept on purpose: the historical
+// distributed loop never looked at the mixer, and bench/golden.json pins
+// the resulting trajectory (sse_wire_dist, "mixer": "anderson", converges
+// in 11 linearly mixed iterations where the serial sse_wire needs 8). A
+// change here changes that golden answer, so it belongs to the
+// benchmark-only PR that re-records it (CHANGES.md, stage (ii) of ROADMAP
+// item 5). RunConfig.MixerOverridden surfaces the rule to the frontends.
+func (c DistConfig) mixesLinearly() bool { return c.clustered() }
+
+// CheckRanks reports whether a persistent cluster of n ranks can carry the
+// placement: one cluster serves both phases, so n must equal TE·TA and
+// Space alike. Peer frontends call it before they bootstrap the TCP mesh;
+// the Born loop repeats it as the backstop.
+func (c DistConfig) CheckRanks(n int) error {
+	if c.TE > 0 && n != c.TE*c.TA {
+		return fmt.Errorf("core: cluster of %d ranks cannot carry a %d×%d grid", n, c.TE, c.TA)
 	}
-	if cfg.Resume != nil {
-		if err := cfg.Resume.CompatibleDevice(s.Dev); err != nil {
-			return nil, 0, err
-		}
-		sigL, sigG = cfg.Resume.SigmaLess.Clone(), cfg.Resume.SigmaGtr.Clone()
-		piL, piG = cfg.Resume.PiLess.Clone(), cfg.Resume.PiGtr.Clone()
-		sigR = sse.Retarded(sigL, sigG)
-		piR = sse.RetardedD(piL, piG)
+	if c.Space >= 2 && n != c.Space {
+		return fmt.Errorf("core: cluster of %d ranks cannot carry a %d-way spatial split", n, c.Space)
 	}
-
-	for iter := 0; iter < s.Opts.MaxIter; iter++ {
-		if cerr := ctx.Err(); cerr != nil {
-			unregister()
-			return nil, totalBytes, fmt.Errorf("core: distributed run cancelled before iteration %d: %w", iter+1, cerr)
-		}
-		st := IterStats{Iter: iter + 1, Residual: math.NaN()}
-		var snap []obs.TimerStat
-		if s.Opts.OnIteration != nil && obs.Enabled() {
-			snap = obs.TimerStats()
-		}
-		t0 := time.Now()
-		var gl, gg *tensor.GTensor
-		var dl, dg *tensor.DTensor
-		var o Observables
-		var err error
-		if space > 0 {
-			// Spatial GF phase on its own cluster (the persistent one when
-			// provided — it serves both phases). The fault plan arms here:
-			// the spatial exchange is the first collective of the iteration.
-			var plan *comm.FaultPlan
-			if faultArmed && iter == cfg.FaultIter {
-				plan = cfg.Fault
-				faultArmed = false
-			}
-			cluster := cfg.Cluster
-			persistent := cluster != nil
-			if !persistent {
-				cluster = comm.NewClusterCtx(ctx, space)
-				lastCluster = cluster
-			}
-			if cfg.CommTimeout > 0 {
-				cluster.SetTimeout(cfg.CommTimeout)
-			}
-			if plan != nil {
-				cluster.InjectFaults(plan)
-			}
-			before := cluster.TotalBytes()
-			gl, gg, dl, dg, o, err = s.gfPhaseSpatial(ctx, cluster, sigR, sigL, sigG, piR, piL, piG)
-			totalBytes += cluster.TotalBytes() - before // traffic even of a failed attempt
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					if !persistent {
-						cluster.Unregister()
-					}
-					return nil, totalBytes,
-						fmt.Errorf("core: distributed run cancelled during iteration %d: %w", iter+1, cerr)
-				}
-				if !errors.Is(err, comm.ErrRankDead) {
-					return nil, totalBytes, err
-				}
-				if res.Recoveries >= maxRec {
-					return nil, totalBytes, fmt.Errorf("core: giving up after %d recoveries: %w", res.Recoveries, err)
-				}
-				res.Recoveries++
-				obsRecoveries.Inc()
-				sp := obsSpanRecovery.Start()
-				time.Sleep(backoff * time.Duration(res.Recoveries))
-				if persistent {
-					// A dead peer process leaves no spatial cluster to rebuild
-					// and no SSE grid either: finish fully local.
-					space = 0
-					te, ta = 0, 0
-				} else if space--; space < 2 {
-					space = 0
-				}
-				iter = s.restoreCheckpoint(ck, res, &sigR, &sigL, &sigG, &piR, &piL, &piG)
-				prevL, prevG = nil, nil
-				sp.End()
-				continue
-			}
-		} else {
-			gl, gg, dl, dg, o, err = s.gfPhase(ctx, sigR, sigL, sigG, piR, piL, piG)
-			if err != nil {
-				if ctx.Err() != nil {
-					unregister()
-				}
-				return nil, totalBytes, err
-			}
-		}
-		st.GF = time.Since(t0)
-		res.Timings.GF += st.GF
-		obsSpanGF.Observe(st.GF)
-		res.GLess, res.GGtr, res.DLess, res.DGtr = gl, gg, dl, dg
-		res.Obs = o
-		res.Iterations = iter + 1
-
-		if prevL != nil {
-			r := relChange(prevL, gl)
-			if rg := relChange(prevG, gg); rg > r {
-				r = rg
-			}
-			if math.IsNaN(r) || math.IsInf(r, 0) {
-				return res, totalBytes, errors.New("core: distributed Born iteration diverged")
-			}
-			res.Residuals = append(res.Residuals, r)
-			st.Residual = r
-			if r < s.Opts.Tol {
-				res.Converged = true
-				st.Converged = true
-				s.emitIterStats(&st, t0, snap)
-				break
-			}
-		}
-		prevL, prevG = gl, gg
-
-		t1 := time.Now()
-		in := sse.PhaseInput{GLess: gl, GGtr: gg, DLess: dl, DGtr: dg}
-		var dist *DistributedResult
-		if te > 0 {
-			var plan *comm.FaultPlan
-			if faultArmed && iter == cfg.FaultIter {
-				plan = cfg.Fault
-				faultArmed = false
-			}
-			cluster := cfg.Cluster
-			persistent := cluster != nil
-			if !persistent {
-				cluster = comm.NewClusterCtx(ctx, te*ta)
-				lastCluster = cluster
-			}
-			if cfg.CommTimeout > 0 {
-				cluster.SetTimeout(cfg.CommTimeout)
-			}
-			if plan != nil {
-				cluster.InjectFaults(plan)
-			}
-			before := cluster.TotalBytes()
-			dist, err = s.distributedSSEOn(cluster, in, te, ta)
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					// Cancellation, not a rank failure: release the abandoned
-					// cluster's gauge series (the caller owns a persistent
-					// one) and return without recovering.
-					if !persistent {
-						cluster.Unregister()
-					}
-					return nil, totalBytes + cluster.TotalBytes() - before,
-						fmt.Errorf("core: distributed run cancelled during iteration %d: %w", iter+1, cerr)
-				}
-				if !errors.Is(err, comm.ErrRankDead) {
-					return nil, totalBytes, err
-				}
-				totalBytes += cluster.TotalBytes() - before // traffic of the failed attempt
-				if res.Recoveries >= maxRec {
-					return nil, totalBytes, fmt.Errorf("core: giving up after %d recoveries: %w", res.Recoveries, err)
-				}
-				res.Recoveries++
-				obsRecoveries.Inc()
-				sp := obsSpanRecovery.Start()
-				time.Sleep(backoff * time.Duration(res.Recoveries))
-				if persistent {
-					// A dead peer process cannot be re-gridded from here:
-					// finish on the local shared-memory kernels instead.
-					te, ta = 0, 0
-				} else {
-					te, ta = s.deriveGrid(te*ta - 1)
-				}
-				iter = s.restoreCheckpoint(ck, res, &sigR, &sigL, &sigG, &piR, &piL, &piG)
-				prevL, prevG = nil, nil
-				sp.End()
-				continue
-			}
-		} else {
-			// Degraded mode: too few survivors for a distributed grid; the
-			// SSE phase runs on the shared-memory kernels (zero traffic).
-			out := s.Kernel.ComputePhaseParallel(in, sse.DaCe, s.Opts.Workers)
-			dist = &DistributedResult{SigmaLess: out.SigmaLess, SigmaGtr: out.SigmaGtr,
-				PiLess: out.PiLess, PiGtr: out.PiGtr}
-		}
-		st.SSE = time.Since(t1)
-		res.Timings.SSE += st.SSE
-		obsSpanSSE.Observe(st.SSE)
-		totalBytes += dist.MeasuredBytes
-		t2 := time.Now()
-		sse.AntiHermitize(dist.SigmaLess)
-		sse.AntiHermitize(dist.SigmaGtr)
-		if sigL == nil {
-			sigL, sigG = dist.SigmaLess, dist.SigmaGtr
-			piL, piG = dist.PiLess, dist.PiGtr
-		} else {
-			mixG(sigL, dist.SigmaLess, s.Opts.Mixing)
-			mixG(sigG, dist.SigmaGtr, s.Opts.Mixing)
-			mixD(piL, dist.PiLess, s.Opts.Mixing)
-			mixD(piG, dist.PiGtr, s.Opts.Mixing)
-		}
-		sigR = sse.Retarded(sigL, sigG)
-		piR = sse.RetardedD(piL, piG)
-		st.Mix = time.Since(t2)
-		obsSpanMix.Observe(st.Mix)
-		res.SigmaLess, res.SigmaGtr = sigL, sigG
-		res.PiLess, res.PiGtr = piL, piG
-
-		ck = &memCheckpoint{
-			iterations: iter + 1, nResiduals: len(res.Residuals),
-			sigL: sigL.Clone(), sigG: sigG.Clone(),
-			piL: piL.Clone(), piG: piG.Clone(),
-		}
-		obsCkptSaves.Inc()
-		if cfg.CheckpointPath != "" {
-			if err := s.saveCheckpointFile(cfg.CheckpointPath, ck); err != nil {
-				return nil, totalBytes, err
-			}
-		}
-		s.emitIterStats(&st, t0, snap)
-	}
-	res.Obs.DissipationPerAtom, res.Obs.EnergyDissipationPerAtom = s.dissipationPerAtom(res)
-	return res, totalBytes, nil
+	return nil
 }
 
 // deriveGrid picks the TE×TA decomposition for a surviving rank count: the
@@ -414,60 +150,4 @@ func (s *Simulator) deriveGrid(procs int) (te, ta int) {
 		return 0, 0
 	}
 	return best.TE, best.TA
-}
-
-// restoreCheckpoint rewinds the loop state to the last completed iteration:
-// it re-points the self-energy tensors at deep copies of the checkpoint
-// (nil when the failure predates the first checkpoint — the run restarts
-// from Σ = Π = 0), truncates the residual history, and returns the loop
-// index to continue from (the for-loop increment lands on the first
-// unfinished iteration).
-func (s *Simulator) restoreCheckpoint(ck *memCheckpoint, res *Result,
-	sigR, sigL, sigG **tensor.GTensor, piR, piL, piG **tensor.DTensor) int {
-	obsCkptRestores.Inc()
-	if ck == nil {
-		*sigR, *sigL, *sigG = nil, nil, nil
-		*piR, *piL, *piG = nil, nil, nil
-		res.Residuals = res.Residuals[:0]
-		return -1
-	}
-	*sigL, *sigG = ck.sigL.Clone(), ck.sigG.Clone()
-	*piL, *piG = ck.piL.Clone(), ck.piG.Clone()
-	*sigR = sse.Retarded(*sigL, *sigG)
-	*piR = sse.RetardedD(*piL, *piG)
-	res.Residuals = res.Residuals[:ck.nResiduals]
-	return ck.iterations - 1
-}
-
-// saveCheckpointFile persists an in-memory checkpoint as a gob file,
-// written atomically (temp file + rename) so a crash mid-write never
-// corrupts the previous checkpoint.
-func (s *Simulator) saveCheckpointFile(path string, ck *memCheckpoint) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	full := &Checkpoint{
-		Params: s.Dev.P, Kind: s.Dev.Kind, DevFP: s.Dev.Fingerprint(),
-		Iterations: ck.iterations,
-		SigmaLess:  ck.sigL, SigmaGtr: ck.sigG,
-		PiLess: ck.piL, PiGtr: ck.piG,
-	}
-	if !s.grid.Full() {
-		full.EGrid = s.grid.State()
-	}
-	if err := full.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("core: checkpoint: %w", err)
-	}
-	return nil
 }

@@ -17,7 +17,7 @@ import (
 // Spectral-concentration fractions per device kind: the fraction of the
 // energy window carrying structure the controller must resolve at
 // tolerance (resonances plus the bias-window edges). Calibrated against
-// the adaptive-vs-uniform runs recorded in BENCH_10.json / EXPERIMENTS.md:
+// the adaptive-vs-uniform runs recorded in EXPERIMENTS.md:
 // quasi-1D kinds with few propagating modes (chain, cnt) concentrate
 // current in narrow resonances; wider structures (nanowire, gnr) spread
 // it over more of the window.
@@ -34,7 +34,7 @@ const defaultSpectralFraction = 0.5
 // adaptRoundOverhead is the Born-solve multiplier of the refinement loop
 // relative to a single uniform solve: early rounds run on small grids,
 // so the round ladder costs roughly this factor in re-solved points
-// (measured ≈1.3–1.6 across the BENCH_10 devices; Σ-chained rounds
+// (measured ≈1.3–1.6 across the EXPERIMENTS.md devices; Σ-chained rounds
 // converge in fewer Born iterations, landing at the low end).
 const adaptRoundOverhead = 1.45
 

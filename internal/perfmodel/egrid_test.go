@@ -33,7 +33,7 @@ func TestAdaptPointsSavedBounds(t *testing.T) {
 }
 
 // The ISSUE's acceptance target: on resonance-dominated devices the model
-// must predict the measured ≥50% point saving (BENCH_10.json records the
+// must predict the measured ≥50% point saving (EXPERIMENTS.md records the
 // measured runs), and the window-spanning kinds still a material one.
 func TestAdaptPointsSavedPredictsHalving(t *testing.T) {
 	p := paperGrid()

@@ -7,10 +7,9 @@
 // solver. A job is one core.RunConfig — the same versioned document qtsim
 // consumes — and its lifecycle is queued → running → succeeded | failed |
 // cancelled. Running jobs execute under a per-job context.Context threaded
-// through the context-aware core entrypoints (RunCtx, RunDistributedFTCtx,
-// RunWithPoissonCtx), so a cancel request lands within one Born iteration:
-// the GF phase checks the context per grid point and the simulated
-// cluster's Send/Recv unblock on it directly.
+// through core's one dispatch (Simulator.Execute), so a cancel request
+// lands within one Born iteration: the GF phase checks the context per grid
+// point and the simulated cluster's Send/Recv unblock on it directly.
 //
 // Capacity discipline: the scheduler runs at most MaxConcurrent jobs at
 // once and grants each a Workers share of the pool budget
@@ -163,9 +162,7 @@ type Job struct {
 
 	state    JobState
 	err      string
-	result   *core.Result
-	bytes    int64 // distributed exchange traffic
-	gummel   int   // Gummel outer iterations (gated runs only)
+	out      *core.Outcome // nil until the run succeeds
 	iters    []IterRecord
 	queued   time.Time
 	started  time.Time
@@ -221,8 +218,8 @@ func (j *Job) Status() Status {
 		t := j.finished
 		st.Finished = &t
 	}
-	if j.result != nil {
-		st.Converged = j.result.Converged
+	if j.out != nil {
+		st.Converged = j.out.Result.Converged
 	}
 	return st
 }
@@ -232,10 +229,10 @@ func (j *Job) Status() Status {
 func (j *Job) Result() (*core.Result, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != Succeeded || j.result == nil {
+	if j.state != Succeeded || j.out == nil {
 		return nil, false
 	}
-	return j.result, true
+	return j.out.Result, true
 }
 
 // Bytes returns the distributed exchange traffic of a finished distributed
@@ -243,7 +240,10 @@ func (j *Job) Result() (*core.Result, bool) {
 func (j *Job) Bytes() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.bytes
+	if j.out == nil {
+		return 0
+	}
+	return j.out.WireBytes
 }
 
 // Done reports whether the job has reached a terminal state.
@@ -369,9 +369,9 @@ func (s *Scheduler) Submit(cfg core.RunConfig) (*Job, error) {
 }
 
 // SubmitFrom is Submit with an optional warm-start checkpoint: a non-nil ck
-// seeds the Born loop with the saved Σ≷/Π≷ instead of zeros (the same
-// continuation RunFromCtx performs), which lets a front tier start a run
-// from an adjacent bias point's converged state. The checkpoint must match
+// seeds the Born loop with the saved Σ≷/Π≷ instead of zeros (it becomes
+// the core.Plan's Seed), which lets a front tier start a run from an
+// adjacent bias point's converged state. The checkpoint must match
 // the config's device exactly and the run must be a plain serial one —
 // distributed and Gummel-coupled runs manage their own checkpointing.
 func (s *Scheduler) SubmitFrom(cfg core.RunConfig, ck *core.Checkpoint) (*Job, error) {
@@ -579,14 +579,12 @@ func (s *Scheduler) execute(j *Job) {
 	j.cond.Broadcast()
 	j.mu.Unlock()
 
-	res, bytes, gummel, err := s.runConfigured(ctx, j)
+	out, err := s.runConfigured(ctx, j)
 
 	j.mu.Lock()
 	j.cancel = nil
 	j.finished = time.Now()
-	j.result = res
-	j.bytes = bytes
-	j.gummel = gummel
+	j.out = out
 	switch {
 	case err == nil:
 		j.state = Succeeded
@@ -612,13 +610,13 @@ func (s *Scheduler) execute(j *Job) {
 	}
 }
 
-// runConfigured dispatches a job to the execution mode its config selects:
-// adaptive-grid (optionally over the distributed runner), distributed
-// fault-tolerant, Gummel-coupled, or plain serial.
-func (s *Scheduler) runConfigured(ctx context.Context, j *Job) (res *core.Result, bytes int64, gummel int, err error) {
+// runConfigured builds the job's simulator — its worker share and the
+// iteration hook are what the scheduler adds to the config — and hands the
+// job to core's one dispatch.
+func (s *Scheduler) runConfigured(ctx context.Context, j *Job) (*core.Outcome, error) {
 	opts, err := j.cfg.Options()
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
 	if opts.Workers <= 0 || opts.Workers > s.cfg.WorkerBudget {
 		opts.Workers = s.PerJobWorkers()
@@ -626,37 +624,9 @@ func (s *Scheduler) runConfigured(ctx context.Context, j *Job) (res *core.Result
 	opts.OnIteration = j.recordIteration
 	sim, err := j.cfg.NewSimulatorWith(opts)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, err
 	}
-	if ac, adaptive := j.cfg.AdaptConfig(); adaptive {
-		ac.Resume = j.ck
-		if dc, distributed, derr := j.cfg.DistConfig(); derr != nil {
-			return nil, 0, 0, derr
-		} else if distributed {
-			ac.Dist = &dc
-		}
-		res, bytes, err = sim.RunAdaptiveCtx(ctx, ac)
-		return res, bytes, 0, err
-	}
-	if dc, distributed, derr := j.cfg.DistConfig(); derr != nil {
-		return nil, 0, 0, derr
-	} else if distributed {
-		res, bytes, err = sim.RunDistributedFTCtx(ctx, dc)
-		return res, bytes, 0, err
-	}
-	if j.cfg.Gate != nil {
-		es, gerr := sim.RunWithPoissonCtx(ctx, *j.cfg.Gate)
-		if gerr != nil {
-			return nil, 0, 0, gerr
-		}
-		return es.Result, 0, es.OuterIterations, nil
-	}
-	if j.ck != nil {
-		res, err = sim.RunFromCtx(ctx, j.ck)
-		return res, 0, 0, err
-	}
-	res, err = sim.RunCtx(ctx)
-	return res, 0, 0, err
+	return sim.Execute(ctx, core.Plan{Config: j.cfg, Place: core.DistConfig{Resume: j.ck}})
 }
 
 // noteFinished appends a terminal job to the retention ring and evicts the

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -367,5 +368,34 @@ func TestWaitIterReplaysFromAnyIndex(t *testing.T) {
 	cancel()
 	if _, ok := j.WaitIter(expired, n+1); ok {
 		t.Errorf("WaitIter with cancelled context returned a record")
+	}
+}
+
+// TestDivergedJobFailsWithErrDiverged seeds a job with a NaN-poisoned
+// checkpoint: the Born loop's typed terminal error must surface as the
+// Failed state with its message, and as core.ErrDiverged to errors.Is.
+func TestDivergedJobFailsWithErrDiverged(t *testing.T) {
+	s := New(Config{MaxConcurrent: 1})
+	defer closeSched(t, s)
+	cfg := testConfig(5, 3)
+	cold, err := s.Submit(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, cold, Succeeded, 30*time.Second)
+	res, _ := cold.Result()
+	ck := core.CheckpointOf(cfg.Device, res)
+	ck.SigmaLess.Data[0] = complex(math.NaN(), 0)
+
+	j, err := s.SubmitFrom(cfg, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, j, Failed, 30*time.Second)
+	if msg := j.Status().Error; !strings.Contains(msg, core.ErrDiverged.Error()) {
+		t.Errorf("failed job error %q does not carry %q", msg, core.ErrDiverged)
+	}
+	if _, err := s.runConfigured(context.Background(), j); !errors.Is(err, core.ErrDiverged) {
+		t.Errorf("runConfigured err = %v, want core.ErrDiverged", err)
 	}
 }
