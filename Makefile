@@ -55,7 +55,9 @@ peer-test:
 	go test -count=1 -run TestPeerModeEndToEnd ./cmd/qtsimd
 
 # Spatial-split suite under the race detector: the Schur-complement
-# partitioned solver pinned against the sequential recursion, the
+# partitioned solver (per-segment elimination by the sequential recursion on
+# a segment view, one shared reduced-system assembly) pinned against the
+# sequential recursion, the
 # distributed device-partitioned solve on in-process clusters with exact
 # byte accounting, and core's spatial GF phase including rank-death
 # recovery. The TCP half of the conformance pin runs under transport-test.

@@ -70,6 +70,76 @@ func TestOneExecutionPath(t *testing.T) {
 	}
 }
 
+// inverseHomes are the only internal/rgf functions allowed to invert a block:
+// the forward elimination every solver shares, the boundary decimation and
+// the dense oracle.
+var inverseHomes = map[string]bool{"forwardGL": true, "surfaceGFInto": true, "DenseReference": true}
+
+// TestOneRGFElimination keeps internal/rgf on one open-system point solve and
+// one elimination: in its non-test files BoundarySelfEnergies is called
+// exactly once, SolveKeldysh from exactly one function, and
+// cmat.Inverse/InverseInto appear in exactly the inverseHomes.
+func TestOneRGFElimination(t *testing.T) {
+	files, err := filepath.Glob("internal/rgf/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundaryCalls := 0
+	keldyshCallers := map[string]bool{}
+	inverters := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch v := n.(type) {
+				case *ast.CallExpr:
+					switch callee := v.Fun.(type) {
+					case *ast.Ident:
+						if callee.Name == "BoundarySelfEnergies" {
+							boundaryCalls++
+						}
+					case *ast.SelectorExpr:
+						if callee.Sel.Name == "SolveKeldysh" {
+							keldyshCallers[fn.Name.Name] = true
+						}
+					}
+				case *ast.SelectorExpr:
+					if x, ok := v.X.(*ast.Ident); ok && x.Name == "cmat" && (v.Sel.Name == "Inverse" || v.Sel.Name == "InverseInto") {
+						inverters[fn.Name.Name] = true
+						if !inverseHomes[fn.Name.Name] {
+							t.Errorf("%s: %s inverts a block with cmat.%s — eliminate through forwardGL instead",
+								fset.Position(v.Pos()), fn.Name.Name, v.Sel.Name)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	if boundaryCalls != 1 {
+		t.Errorf("internal/rgf calls BoundarySelfEnergies %d times, want once (in the shared point solve)", boundaryCalls)
+	}
+	if len(keldyshCallers) != 1 {
+		t.Errorf("SolveKeldysh is called from %d functions %v, want exactly one", len(keldyshCallers), keldyshCallers)
+	}
+	for home := range inverseHomes {
+		if !inverters[home] {
+			t.Errorf("%s no longer calls cmat.Inverse/InverseInto — update inverseHomes", home)
+		}
+	}
+}
+
 // mentionsOptsMaxIter reports whether an expression reads <x>.Opts.MaxIter.
 func mentionsOptsMaxIter(e ast.Expr) bool {
 	found := false

@@ -40,12 +40,7 @@ func DistributedRetarded(r *comm.Rank, a *cmat.BlockTri) ([]*cmat.Dense, error) 
 	p := r.Size()
 	n, bs := a.N, a.Bs
 	if p <= 1 {
-		ret, err := SolveRetarded(a)
-		if err != nil {
-			return nil, err
-		}
-		ret.releaseGL()
-		return ret.Diag, nil
+		return retardedDiag(a)
 	}
 	if n < 2*p-1 {
 		return nil, fmt.Errorf("rgf: %d blocks cannot be partitioned across %d ranks", n, p)
@@ -60,46 +55,45 @@ func DistributedRetarded(r *comm.Rank, a *cmat.BlockTri) ([]*cmat.Dense, error) 
 	}
 
 	// Phase 2a: gather Schur-complement contributions at rank 0. Segment k
-	// contributes [toL?, toR?, up?, lo?] — the subset is determined by the
-	// rank id alone, so the wire format needs no headers.
-	toL, toR, up, lo := sg.schurContribution(a)
+	// sends the slots it fills, concatenated; rank 0 knows which from the
+	// segment layout alone, so the wire format needs no headers.
+	own := sg.schurContribution(a)
 	if r.ID == 0 {
-		red := cmat.NewBlockTri(len(seps), bs)
 		contribs := make([][4]*cmat.Dense, p)
-		contribs[0] = [4]*cmat.Dense{toL, toR, up, lo}
+		contribs[0] = own
 		for k := 1; k < p; k++ {
 			buf, err := r.Recv(k)
 			if err != nil {
 				return nil, fmt.Errorf("rgf: gathering separator contributions from rank %d: %w", k, err)
 			}
-			var c [4]*cmat.Dense
+			has := segs[k].slots()
 			want := 0
-			for slot := 0; slot < 4; slot++ {
-				if !contribPresent(k, p, slot) {
-					continue
+			for _, ok := range has {
+				if ok {
+					want++
 				}
-				c[slot] = cmat.DenseFromSlice(bs, bs, buf[want*bs*bs:(want+1)*bs*bs])
-				want++
 			}
 			if len(buf) != want*bs*bs {
 				return nil, fmt.Errorf("rgf: rank %d sent %d values, want %d contribution blocks", k, len(buf), want)
 			}
-			contribs[k] = c
+			for slot, ok := range has {
+				if ok {
+					contribs[k][slot] = cmat.DenseFromSlice(bs, bs, buf[:bs*bs])
+					buf = buf[bs*bs:]
+				}
+			}
 		}
-		assembleReduced(red, a, seps, contribs)
-		ret, err := SolveRetarded(red)
+		sol, err := solveReduced(a, seps, segs, contribs)
 		if err != nil {
-			return nil, fmt.Errorf("rgf: reduced separator system: %w", err)
+			return nil, err
 		}
-		sol := solutionOf(ret)
-		ret.releaseGL()
 		if _, err := r.Bcast(0, packSolution(sol, bs)); err != nil {
 			return nil, fmt.Errorf("rgf: broadcasting separator solution: %w", err)
 		}
 		return finishDistributed(r, a, seps, segs, sg, sol)
 	}
 	buf := make([]complex128, 0, 4*bs*bs)
-	for _, b := range []*cmat.Dense{toL, toR, up, lo} {
+	for _, b := range own {
 		if b != nil {
 			buf = append(buf, b.Data...)
 		}
@@ -117,57 +111,6 @@ func DistributedRetarded(r *comm.Rank, a *cmat.BlockTri) ([]*cmat.Dense, error) 
 		return nil, err
 	}
 	return finishDistributed(r, a, seps, segs, sg, sol)
-}
-
-// contribPresent reports whether segment k of p contributes the given slot
-// (0 = toL, 1 = toR, 2 = up, 3 = lo) — the shared wire-format contract.
-func contribPresent(k, p, slot int) bool {
-	switch slot {
-	case 0:
-		return k > 0
-	default:
-		return k < p-1 && (slot == 1 || k > 0)
-	}
-}
-
-// schurContribution computes the segment's additions to the reduced system:
-// toL/toR fold into the diagonal of the left/right separator, up/lo are the
-// couplings between them through this interior.
-func (sg *segment) schurContribution(a *cmat.BlockTri) (toL, toR, up, lo *cmat.Dense) {
-	m := sg.hi - sg.lo + 1
-	if sg.sepL >= 0 {
-		s := sg.sepL
-		toL = a.Upper[s].Mul(sg.diag[0]).Mul(a.Lower[s])
-	}
-	if sg.sepR >= 0 {
-		s := sg.sepR
-		toR = a.Lower[s-1].Mul(sg.diag[m-1]).Mul(a.Upper[s-1])
-	}
-	if sg.sepL >= 0 && sg.sepR >= 0 {
-		up = a.Upper[sg.sepL].Mul(sg.colLast[0]).Mul(a.Upper[sg.sepR-1]).Scale(-1)
-		lo = a.Lower[sg.sepR-1].Mul(sg.colFirst[m-1]).Mul(a.Lower[sg.sepL]).Scale(-1)
-	}
-	return toL, toR, up, lo
-}
-
-// assembleReduced builds the reduced separator system from the gathered
-// per-segment contributions. Segment k sits between separators k−1 and k,
-// so separator j collects toR from segment j and toL from segment j+1, and
-// the couplings of segment j+1 land at off-diagonal index j.
-func assembleReduced(red, a *cmat.BlockTri, seps []int, contribs [][4]*cmat.Dense) {
-	for j, s := range seps {
-		red.Diag[j] = a.Diag[s].Clone()
-		if toR := contribs[j][1]; toR != nil {
-			red.Diag[j].SubInPlace(toR)
-		}
-		if toL := contribs[j+1][0]; toL != nil {
-			red.Diag[j].SubInPlace(toL)
-		}
-		if j+1 < len(seps) {
-			red.Upper[j] = contribs[j+1][2]
-			red.Lower[j] = contribs[j+1][3]
-		}
-	}
 }
 
 // packSolution flattens the separator solution as k diag blocks, then k−1
@@ -221,16 +164,8 @@ func unpackSolution(buf []complex128, k, bs int) (*sepSolution, error) {
 // separator solution, then allgather every segment's interior diagonal so
 // all ranks return the full replicated diagonal.
 func finishDistributed(r *comm.Rank, a *cmat.BlockTri, seps []int, segs []*segment, sg *segment, sol *sepSolution) ([]*cmat.Dense, error) {
-	n, bs := a.N, a.Bs
-	out := make([]*cmat.Dense, n)
-	sepIdx := map[int]int{}
-	for j, s := range seps {
-		out[s] = sol.diag[j]
-		sepIdx[s] = j
-	}
-	if err := sg.recover(a, sol, sepIdx, out); err != nil {
-		return nil, err
-	}
+	bs := a.Bs
+	out := recoverDiag(a, seps, sol, []*segment{sg}, 1)
 	for k, src := range segs {
 		m := src.hi - src.lo + 1
 		var payload []complex128

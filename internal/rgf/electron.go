@@ -18,9 +18,10 @@ var (
 )
 
 // Scattering carries the per-RGF-block scattering self-energy matrices for
-// one (E, kz) point. Entries may be nil (treated as zero): the first GF pass
-// of the Born iteration runs with Σ = 0. Only the diagonal blocks of Σ^S are
-// retained, as in the paper (§2).
+// one (E, kz) point — or, as PhononScattering, Π^R, Π^≷ for one (ω, qz)
+// point. Entries may be nil (treated as zero): the first GF pass of the Born
+// iteration runs with Σ = 0. Only the diagonal blocks of Σ^S are retained, as
+// in the paper (§2).
 type Scattering struct {
 	R, Less, Gtr []*cmat.Dense
 }
@@ -74,7 +75,7 @@ func (r *ElectronResult) Release() {
 // the arena before the function exits. The result blocks are pooled too —
 // call (*ElectronResult).Release once their contents have been consumed.
 func SolveElectron(h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64) (*ElectronResult, error) {
-	return solveElectron(nil, true, h, s, energy, scat, c, eta)
+	return solveElectron(nil, true, h, s, energy, scat, c, eta, nil)
 }
 
 // SolveElectronSpatial is SolveElectron with the retarded solve partitioned
@@ -86,110 +87,24 @@ func SolveElectron(h, s *cmat.BlockTri, energy float64, scat Scattering, c Conta
 // get a result, so a caller accumulating observables must pick closure
 // ranks that cover each grid point exactly once per process.
 func SolveElectronSpatial(r *comm.Rank, closure bool, h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64) (*ElectronResult, error) {
-	return solveElectron(r, closure, h, s, energy, scat, c, eta)
+	return solveElectron(r, closure, h, s, energy, scat, c, eta, nil)
 }
 
-func solveElectron(rank *comm.Rank, closure bool, h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64) (*ElectronResult, error) {
+func solveElectron(rank *comm.Rank, closure bool, h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64, trans *float64) (*ElectronResult, error) {
 	if h.N != s.N || h.Bs != s.Bs {
 		return nil, fmt.Errorf("rgf: H and S shapes differ: (%d,%d) vs (%d,%d)", h.N, h.Bs, s.N, s.Bs)
 	}
 	sp := obsSpanElectron.Start()
 	defer sp.End()
-	n, bs := h.N, h.Bs
+	n := h.N
 	// A = (E + iη)·S − H, before scattering: the leads are ballistic.
-	a := cmat.GetBlockTri(n, bs)
+	a := cmat.GetBlockTri(n, h.Bs)
 	defer cmat.PutBlockTri(a)
 	h.ShiftDiagInto(a, complex(energy, eta), s)
-	spb := obsSpanBoundary.Start()
-	sigL, sigR, err := BoundarySelfEnergies(a, 1e-10)
-	spb.End()
-	if err != nil {
+	res, err := solveOpen(rank, closure, a, scat, FermiDirac(energy, c.MuL, c.KT), FermiDirac(energy, c.MuR, c.KT), trans)
+	if res == nil {
 		return nil, err
 	}
-	gamL := cmat.GetDense(bs, bs)
-	gamR := cmat.GetDense(bs, bs)
-	broadeningInto(gamL, sigL)
-	broadeningInto(gamR, sigR)
-
-	// Fold boundary and scattering retarded parts into the device operator.
-	a.Diag[0].SubInPlace(sigL)
-	a.Diag[n-1].SubInPlace(sigR)
-	cmat.PutAll(sigL, sigR)
-	if scat.R != nil {
-		for i := 0; i < n; i++ {
-			if scat.R[i] != nil {
-				a.Diag[i].SubInPlace(scat.R[i])
-			}
-		}
-	}
-
-	var ret *Retarded
-	if rank == nil {
-		ret, err = SolveRetarded(a)
-		if err != nil {
-			cmat.PutAll(gamL, gamR)
-			return nil, err
-		}
-	} else {
-		// Spatial split: the diagonal comes out of the distributed solve
-		// (replicated on every rank); the closure rank rebuilds the
-		// left-connected gL it needs for the Keldysh pass locally.
-		diag, derr := DistributedRetarded(rank, a)
-		if derr != nil {
-			cmat.PutAll(gamL, gamR)
-			return nil, derr
-		}
-		if !closure {
-			cmat.PutAll(gamL, gamR)
-			return nil, nil
-		}
-		gl, gerr := forwardGL(a)
-		if gerr != nil {
-			cmat.PutAll(gamL, gamR)
-			return nil, gerr
-		}
-		ret = &Retarded{Diag: diag, gL: gl, a: a}
-	}
-
-	fL := FermiDirac(energy, c.MuL, c.KT)
-	fR := FermiDirac(energy, c.MuR, c.KT)
-	// Σ^< = i·f·Γ and Σ^> = i·(f−1)·Γ at the contacts.
-	sigLessBlocks := make([]*cmat.Dense, n)
-	sigGtrBlocks := make([]*cmat.Dense, n)
-	for i := 0; i < n; i++ {
-		less := cmat.GetDense(bs, bs)
-		gtr := cmat.GetDense(bs, bs)
-		if scat.Less != nil && scat.Less[i] != nil {
-			less.AddInPlace(scat.Less[i])
-		}
-		if scat.Gtr != nil && scat.Gtr[i] != nil {
-			gtr.AddInPlace(scat.Gtr[i])
-		}
-		sigLessBlocks[i] = less
-		sigGtrBlocks[i] = gtr
-	}
-	sigLessBlocks[0].AddScaledInPlace(complex(0, fL), gamL)
-	sigGtrBlocks[0].AddScaledInPlace(complex(0, fL-1), gamL)
-	sigLessBlocks[n-1].AddScaledInPlace(complex(0, fR), gamR)
-	sigGtrBlocks[n-1].AddScaledInPlace(complex(0, fR-1), gamR)
-
-	res := &ElectronResult{GR: ret.Diag}
-	res.GLess = ret.SolveKeldysh(sigLessBlocks)
-	res.GGtr = ret.SolveKeldysh(sigGtrBlocks)
-	ret.releaseGL()
-	cmat.PutAll(sigLessBlocks...)
-	cmat.PutAll(sigGtrBlocks...)
-
-	// Meir-Wingreen contact currents, via O(bs²) trace products:
-	// Tr[Σ^<_c·G^> − Σ^>_c·G^<] with Σ^≷_c = i·f·Γ / i·(f−1)·Γ.
-	tL := gamL.TraceMul(res.GGtr[0])
-	uL := gamL.TraceMul(res.GLess[0])
-	res.CurrentL = real(complex(0, fL)*tL - complex(0, fL-1)*uL)
-	tR := gamR.TraceMul(res.GGtr[n-1])
-	uR := gamR.TraceMul(res.GLess[n-1])
-	res.CurrentR = real(complex(0, fR)*tR - complex(0, fR-1)*uR)
-	cmat.PutAll(gamL, gamR)
-
 	res.DissipationPerBlock = make([]float64, n)
 	if scat.Less != nil && scat.Gtr != nil {
 		for i := 0; i < n; i++ {
@@ -200,6 +115,97 @@ func solveElectron(rank *comm.Rank, closure bool, h, s *cmat.BlockTri, energy fl
 				scat.Gtr[i].TraceMul(res.GLess[i]))
 		}
 	}
+	return res, nil
+}
+
+// solveOpen is the one open-system point solve behind every public solver,
+// electron and phonon alike. On the pristine operator a (mutated in place) it
+// computes the boundary self-energies Σ_L/Σ_R and their broadenings Γ, folds
+// Σ_L, Σ_R and scat.R into a, runs the retarded pass, and runs both Keldysh
+// passes with the contact blocks Σ^< = i·occ·Γ and Σ^> = i·(occ−1)·Γ. occ is
+// the Fermi occupation for electrons and −N for phonons, where the same two
+// lines give Π^< = −i·N·Γ and Π^> = −i·(N+1)·Γ exactly (IEEE negation is
+// exact). CurrentL/CurrentR receive the contact trace terms
+// Tr[Σ^<_c·G^> − Σ^>_c·G^<]; DissipationPerBlock is left to the caller.
+//
+// With rank nil the retarded pass is SolveRetarded. Otherwise it is the
+// collective DistributedRetarded, after which closure ranks rebuild gL
+// locally and continue, and the other ranks return (nil, nil). A non-nil
+// trans receives the Caroli transmission of the same retarded solve.
+func solveOpen(rank *comm.Rank, closure bool, a *cmat.BlockTri, scat Scattering, occL, occR float64, trans *float64) (*ElectronResult, error) {
+	n, bs := a.N, a.Bs
+	spb := obsSpanBoundary.Start()
+	sigL, sigR, err := BoundarySelfEnergies(a, 1e-10)
+	spb.End()
+	if err != nil {
+		return nil, err
+	}
+	gamL := cmat.GetDense(bs, bs)
+	gamR := cmat.GetDense(bs, bs)
+	defer cmat.PutAll(gamL, gamR)
+	broadeningInto(gamL, sigL)
+	broadeningInto(gamR, sigR)
+
+	// Fold boundary and scattering retarded parts into the device operator.
+	a.Diag[0].SubInPlace(sigL)
+	a.Diag[n-1].SubInPlace(sigR)
+	cmat.PutAll(sigL, sigR)
+	for i, r := range scat.R {
+		if r != nil {
+			a.Diag[i].SubInPlace(r)
+		}
+	}
+
+	var ret *Retarded
+	if rank == nil {
+		ret, err = SolveRetarded(a)
+	} else if diag, derr := DistributedRetarded(rank, a); derr != nil || !closure {
+		return nil, derr
+	} else {
+		// The diagonal is replicated on every rank; the Keldysh pass needs
+		// the left-connected gL too.
+		var gl []*cmat.Dense
+		gl, err = forwardGL(a)
+		ret = &Retarded{Diag: diag, gL: gl, a: a}
+	}
+	if err != nil {
+		return nil, err
+	}
+
+	less := make([]*cmat.Dense, n)
+	gtr := make([]*cmat.Dense, n)
+	for i := 0; i < n; i++ {
+		less[i] = cmat.GetDense(bs, bs)
+		gtr[i] = cmat.GetDense(bs, bs)
+		if scat.Less != nil && scat.Less[i] != nil {
+			less[i].AddInPlace(scat.Less[i])
+		}
+		if scat.Gtr != nil && scat.Gtr[i] != nil {
+			gtr[i].AddInPlace(scat.Gtr[i])
+		}
+	}
+	less[0].AddScaledInPlace(complex(0, occL), gamL)
+	gtr[0].AddScaledInPlace(complex(0, occL-1), gamL)
+	less[n-1].AddScaledInPlace(complex(0, occR), gamR)
+	gtr[n-1].AddScaledInPlace(complex(0, occR-1), gamR)
+
+	res := &ElectronResult{GR: ret.Diag}
+	res.GLess = ret.SolveKeldysh(less)
+	res.GGtr = ret.SolveKeldysh(gtr)
+	if trans != nil {
+		*trans = ret.Transmission(gamL, gamR)
+	}
+	ret.releaseGL()
+	cmat.PutAll(less...)
+	cmat.PutAll(gtr...)
+
+	// Contact trace terms via O(bs²) trace products.
+	tL := gamL.TraceMul(res.GGtr[0])
+	uL := gamL.TraceMul(res.GLess[0])
+	res.CurrentL = real(complex(0, occL)*tL - complex(0, occL-1)*uL)
+	tR := gamR.TraceMul(res.GGtr[n-1])
+	uR := gamR.TraceMul(res.GLess[n-1])
+	res.CurrentR = real(complex(0, occR)*tR - complex(0, occR-1)*uR)
 	return res, nil
 }
 

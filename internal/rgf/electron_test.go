@@ -2,6 +2,7 @@ package rgf
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"negfsim/internal/cmat"
@@ -188,6 +189,69 @@ func TestSolvePhononHotterLeadHeatsColder(t *testing.T) {
 	}
 	if net == 0 {
 		t.Fatal("temperature difference should drive heat flow")
+	}
+}
+
+// The phonon point solve against the independent dense oracle: on the
+// boundary-folded operator (ω² + iη)·I − Φ − Π_L − Π_R − Π^R_S, with contact
+// blocks Π^< = −i·N·Γ and Π^> = −i·(N+1)·Γ plus random scattering Π^≷_S,
+// DenseReference's D^R, D^< and D^> must match SolvePhonon's to 1e-9 relative.
+func TestSolvePhononKeldyshMatchesDense(t *testing.T) {
+	d := miniDevice(t)
+	phi := d.Dynamical(1)
+	n, bs := phi.N, phi.Bs
+	const hw, eta = 0.05, 1e-6
+	c := PhononContacts{KTL: 0.03, KTR: 0.02}
+	rng := rand.New(rand.NewSource(17))
+	scat := PhononScattering{R: make([]*cmat.Dense, n), Less: make([]*cmat.Dense, n), Gtr: make([]*cmat.Dense, n)}
+	for i := 0; i < n; i++ {
+		scat.Less[i] = cmat.RandomHermitian(rng, bs, 0).Scale(complex(0, -1e-5))
+		scat.Gtr[i] = cmat.RandomHermitian(rng, bs, 0).Scale(complex(0, -1e-5))
+		scat.R[i] = scat.Gtr[i].Sub(scat.Less[i]).Scale(0.5)
+	}
+	res, err := SolvePhonon(phi, hw, scat, c, eta)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	a := cmat.NewBlockTri(n, bs)
+	phi.ShiftIdentityInto(a, complex(hw*hw, eta))
+	sigL, sigR, err := BoundarySelfEnergies(a, 1e-10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gamL, gamR := Broadening(sigL), Broadening(sigR)
+	a.Diag[0].SubInPlace(sigL)
+	a.Diag[n-1].SubInPlace(sigR)
+	less := make([]*cmat.Dense, n)
+	gtr := make([]*cmat.Dense, n)
+	for i := 0; i < n; i++ {
+		a.Diag[i].SubInPlace(scat.R[i])
+		less[i] = scat.Less[i].Clone()
+		gtr[i] = scat.Gtr[i].Clone()
+	}
+	nL, nR := BoseEinstein(hw, c.KTL), BoseEinstein(hw, c.KTR)
+	less[0].AddScaledInPlace(complex(0, -nL), gamL)
+	gtr[0].AddScaledInPlace(complex(0, -(nL+1)), gamL)
+	less[n-1].AddScaledInPlace(complex(0, -nR), gamR)
+	gtr[n-1].AddScaledInPlace(complex(0, -(nR+1)), gamR)
+	wantR, wantLess, err := DenseReference(a, less)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wantGtr, err := DenseReference(a, gtr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []struct {
+		name      string
+		got, want []*cmat.Dense
+	}{{"D^R", res.DR, wantR}, {"D^<", res.DLess, wantLess}, {"D^>", res.DGtr, wantGtr}} {
+		for i := range q.want {
+			if diff := q.got[i].MaxAbsDiff(q.want[i]); diff > 1e-9*q.want[i].MaxAbs() {
+				t.Errorf("%s block %d: RGF vs dense diff %g (scale %g)", q.name, i, diff, q.want[i].MaxAbs())
+			}
+		}
 	}
 }
 

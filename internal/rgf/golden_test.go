@@ -26,15 +26,34 @@ func uniformChain(blocks int, t float64) (*cmat.BlockTri, *cmat.BlockTri) {
 	return h, s
 }
 
+// biasedContacts drives a current through the chains below, so the Landauer
+// cross-check has something to compare.
+var biasedContacts = Contacts{MuL: 0.1, MuR: -0.1, KT: 0.025}
+
+// checkLandauer asserts the Landauer picture of a ballistic solve: the
+// Meir-Wingreen contact current equals T(E)·(f_L − f_R), and what flows in on
+// the left flows out on the right, both to 1e-9 relative.
+func checkLandauer(t *testing.T, e float64, res *ElectronResult, trans float64, c Contacts) {
+	t.Helper()
+	want := trans * (FermiDirac(e, c.MuL, c.KT) - FermiDirac(e, c.MuR, c.KT))
+	if math.Abs(res.CurrentL-want) > 1e-9*math.Abs(want) {
+		t.Errorf("E=%g: Meir-Wingreen I_L = %g, Landauer T·(f_L−f_R) = %g", e, res.CurrentL, want)
+	}
+	if math.Abs(res.CurrentR+res.CurrentL) > 1e-9*math.Abs(res.CurrentL) {
+		t.Errorf("E=%g: I_R = %g, want −I_L = %g", e, res.CurrentR, -res.CurrentL)
+	}
+}
+
 func TestPerfectChainUnitTransmission(t *testing.T) {
 	// A homogeneous chain between matched leads is reflectionless: T(E) = 1
 	// for every energy inside the band (−2t, 2t), and T = 0 outside.
 	h, s := uniformChain(6, 0.5)
 	for _, e := range []float64{-0.8, -0.3, 0.0, 0.4, 0.9} {
-		_, trans, err := SolveElectronBallistic(h, s, e, Contacts{MuL: 0.1, MuR: -0.1, KT: 0.025}, 1e-6)
+		res, trans, err := SolveElectronBallistic(h, s, e, biasedContacts, 1e-6)
 		if err != nil {
 			t.Fatalf("E=%g: %v", e, err)
 		}
+		checkLandauer(t, e, res, trans, biasedContacts)
 		if math.Abs(e) < 1.0 { // inside the band (half-width 2t = 1)
 			if math.Abs(trans-1) > 1e-3 {
 				t.Fatalf("E=%g: perfect chain should transmit T=1, got %g", e, trans)
@@ -57,10 +76,11 @@ func TestChainWithBarrierAnalytic(t *testing.T) {
 	h, s := uniformChain(6, hop)
 	h.Diag[2].Set(0, 0, complex(eps, 0)) // barrier in the middle
 	for _, e := range []float64{-0.6, -0.2, 0.0, 0.3, 0.7} {
-		_, trans, err := SolveElectronBallistic(h, s, e, Contacts{}, 1e-6)
+		res, trans, err := SolveElectronBallistic(h, s, e, biasedContacts, 1e-6)
 		if err != nil {
 			t.Fatalf("E=%g: %v", e, err)
 		}
+		checkLandauer(t, e, res, trans, biasedContacts)
 		ka := math.Acos(-e / (2 * hop))
 		v := 2 * hop * math.Sin(ka) // group velocity factor
 		want := 1 / (1 + (eps/v)*(eps/v))

@@ -2,6 +2,7 @@ package rgf
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"negfsim/internal/cmat"
@@ -11,8 +12,9 @@ import (
 // OMEN's momentum/energy/space MPI hierarchy (§2.1). The block-tridiagonal
 // chain is split at separator blocks into independent segments:
 //
-//  1. every segment eliminates its interior in parallel (local two-sided
-//     RGF), producing its Schur-complement contribution to the separators;
+//  1. every segment eliminates its interior in parallel (the sequential
+//     solver on the segment, plus one reversed forward pass), producing its
+//     Schur-complement contribution to the separators;
 //  2. the reduced block-tridiagonal system over the separators is solved
 //     with the ordinary RGF;
 //  3. every segment recovers its interior diagonal Green's function blocks
@@ -37,48 +39,36 @@ type segment struct {
 	rowFirst, rowLast []*cmat.Dense // M[0,i], M[m−1,i]
 }
 
-// localInverse runs the two-sided recursion on the segment's blocks and
-// fills the diagonal and border strips of M = B⁻¹.
+// localInverse eliminates the segment's interior, filling the diagonal and
+// border strips of M = B⁻¹ for the segment's own blocks B. It is the
+// sequential solver on a zero-copy view of the segment — M's diagonal and the
+// left-connected gL are SolveRetarded's — plus one forward pass over the
+// reversed view (Diag reversed, Upper and Lower swapped), whose left-connected
+// blocks are the right-connected gR[i] = (B[i,i] − B[i,i+1]·gR[i+1]·B[i+1,i])⁻¹.
 func (sg *segment) localInverse(a *cmat.BlockTri) error {
 	m := sg.hi - sg.lo + 1
-	up := func(i int) *cmat.Dense { return a.Upper[sg.lo+i] } // A[i, i+1]
-	lo := func(i int) *cmat.Dense { return a.Lower[sg.lo+i] } // A[i+1, i]
-	dg := func(i int) *cmat.Dense { return a.Diag[sg.lo+i] }
+	view := &cmat.BlockTri{N: m, Bs: a.Bs,
+		Diag: a.Diag[sg.lo : sg.hi+1], Upper: a.Upper[sg.lo:sg.hi], Lower: a.Lower[sg.lo:sg.hi]}
+	ret, err := SolveRetarded(view)
+	if err != nil {
+		return fmt.Errorf("rgf: segment [%d,%d]: %w", sg.lo, sg.hi, err)
+	}
+	defer ret.releaseGL()
+	rev := &cmat.BlockTri{N: m, Bs: a.Bs,
+		Diag: slices.Clone(view.Diag), Upper: slices.Clone(view.Lower), Lower: slices.Clone(view.Upper)}
+	slices.Reverse(rev.Diag)
+	slices.Reverse(rev.Upper)
+	slices.Reverse(rev.Lower)
+	gR, err := forwardGL(rev)
+	if err != nil {
+		ret.Release()
+		return fmt.Errorf("rgf: segment [%d,%d] reversed: %w", sg.lo, sg.hi, err)
+	}
+	defer cmat.PutAll(gR...)
+	slices.Reverse(gR)
+	sg.diag = ret.Diag
+	gL, up, lo := ret.gL, view.Upper, view.Lower
 
-	gL := make([]*cmat.Dense, m)
-	gR := make([]*cmat.Dense, m)
-	var err error
-	if gL[0], err = cmat.Inverse(dg(0)); err != nil {
-		return fmt.Errorf("rgf: segment [%d,%d] forward block 0: %w", sg.lo, sg.hi, err)
-	}
-	for i := 1; i < m; i++ {
-		t := dg(i).Sub(lo(i - 1).Mul(gL[i-1]).Mul(up(i - 1)))
-		if gL[i], err = cmat.Inverse(t); err != nil {
-			return fmt.Errorf("rgf: segment [%d,%d] forward block %d: %w", sg.lo, sg.hi, i, err)
-		}
-	}
-	if gR[m-1], err = cmat.Inverse(dg(m - 1)); err != nil {
-		return fmt.Errorf("rgf: segment [%d,%d] backward block %d: %w", sg.lo, sg.hi, m-1, err)
-	}
-	for i := m - 2; i >= 0; i-- {
-		t := dg(i).Sub(up(i).Mul(gR[i+1]).Mul(lo(i)))
-		if gR[i], err = cmat.Inverse(t); err != nil {
-			return fmt.Errorf("rgf: segment [%d,%d] backward block %d: %w", sg.lo, sg.hi, i, err)
-		}
-	}
-	sg.diag = make([]*cmat.Dense, m)
-	for i := 0; i < m; i++ {
-		t := dg(i).Clone()
-		if i > 0 {
-			t = t.Sub(lo(i - 1).Mul(gL[i-1]).Mul(up(i - 1)))
-		}
-		if i < m-1 {
-			t = t.Sub(up(i).Mul(gR[i+1]).Mul(lo(i)))
-		}
-		if sg.diag[i], err = cmat.Inverse(t); err != nil {
-			return fmt.Errorf("rgf: segment [%d,%d] diagonal block %d: %w", sg.lo, sg.hi, i, err)
-		}
-	}
 	// Border strips by running products:
 	//   M[i,0]   = M[i,i]·R_i,  R_i = (−A[i,i−1]·gL[i−1])·R_{i−1}
 	//   M[0,i]   = L_i·M[i,i],  L_i = L_{i−1}·(−gL[i−1]·A[i−1,i])
@@ -93,8 +83,8 @@ func (sg *segment) localInverse(a *cmat.BlockTri) error {
 	l := cmat.Identity(bs)
 	for i := 0; i < m; i++ {
 		if i > 0 {
-			r = lo(i - 1).Mul(gL[i-1]).Scale(-1).Mul(r)
-			l = l.Mul(gL[i-1].Mul(up(i - 1)).Scale(-1))
+			r = lo[i-1].Mul(gL[i-1]).Scale(-1).Mul(r)
+			l = l.Mul(gL[i-1].Mul(up[i-1]).Scale(-1))
 		}
 		sg.colFirst[i] = sg.diag[i].Mul(r)
 		sg.rowFirst[i] = l.Mul(sg.diag[i])
@@ -103,8 +93,8 @@ func (sg *segment) localInverse(a *cmat.BlockTri) error {
 	k := cmat.Identity(bs)
 	for i := m - 1; i >= 0; i-- {
 		if i < m-1 {
-			q = up(i).Mul(gR[i+1]).Scale(-1).Mul(q)
-			k = k.Mul(gR[i+1].Mul(lo(i)).Scale(-1))
+			q = up[i].Mul(gR[i+1]).Scale(-1).Mul(q)
+			k = k.Mul(gR[i+1].Mul(lo[i]).Scale(-1))
 		}
 		sg.colLast[i] = sg.diag[i].Mul(q)
 		sg.rowLast[i] = k.Mul(sg.diag[i])
@@ -112,9 +102,76 @@ func (sg *segment) localInverse(a *cmat.BlockTri) error {
 	return nil
 }
 
-// OffDiagUpper returns G^R[n, n+1] = −gL[n]·A[n,n+1]·G^R[n+1,n+1].
-func (r *Retarded) OffDiagUpper(n int) *cmat.Dense {
-	return r.gL[n].Mul(r.a.Upper[n]).Mul(r.Diag[n+1]).Scale(-1)
+// slots reports which of the four Schur-contribution slots [toL, toR, up, lo]
+// the segment fills. They follow from its separators alone, which is why the
+// distributed solver's wire format needs no headers.
+func (sg *segment) slots() [4]bool {
+	l, r := sg.sepL >= 0, sg.sepR >= 0
+	return [4]bool{l, r, l && r, l && r}
+}
+
+// schurContribution computes the segment's additions to the reduced system
+// in slot order: toL/toR fold into the diagonal of the left/right separator,
+// up/lo are the couplings between them through this interior. Slots the
+// segment does not fill are nil.
+func (sg *segment) schurContribution(a *cmat.BlockTri) (c [4]*cmat.Dense) {
+	m := sg.hi - sg.lo + 1
+	has := sg.slots()
+	if has[0] {
+		c[0] = a.Upper[sg.sepL].Mul(sg.diag[0]).Mul(a.Lower[sg.sepL])
+	}
+	if has[1] {
+		c[1] = a.Lower[sg.sepR-1].Mul(sg.diag[m-1]).Mul(a.Upper[sg.sepR-1])
+	}
+	if has[2] {
+		// S[L,R] = −A[L,first]·M[first,last]·A[last,R] and the mirrored
+		// S[R,L] through the same segment.
+		c[2] = a.Upper[sg.sepL].Mul(sg.colLast[0]).Mul(a.Upper[sg.sepR-1]).Scale(-1)
+		c[3] = a.Lower[sg.sepR-1].Mul(sg.colFirst[m-1]).Mul(a.Lower[sg.sepL]).Scale(-1)
+	}
+	return c
+}
+
+// assembleReduced builds the Schur complement over the separators from the
+// segments' contributions (contribs[k] belongs to segs[k]): S[s,s] = A[s,s]
+// minus the contributions of the segments on either side, and S[s,s']
+// between neighboring separators through the segment between them, or A
+// itself when they are adjacent.
+func assembleReduced(a *cmat.BlockTri, seps []int, segs []*segment, contribs [][4]*cmat.Dense) *cmat.BlockTri {
+	k := len(seps)
+	red := &cmat.BlockTri{N: k, Bs: a.Bs,
+		Diag: make([]*cmat.Dense, k), Upper: make([]*cmat.Dense, k-1), Lower: make([]*cmat.Dense, k-1)}
+	idx := sepIndex(seps)
+	for j, s := range seps {
+		red.Diag[j] = a.Diag[s].Clone()
+		if j+1 < k && seps[j+1] == s+1 {
+			red.Upper[j], red.Lower[j] = a.Upper[s], a.Lower[s]
+		}
+	}
+	// Segments run left to right, so each separator loses its left
+	// neighbor's toR before its right neighbor's toL.
+	for i, sg := range segs {
+		c := contribs[i]
+		if c[0] != nil {
+			red.Diag[idx[sg.sepL]].SubInPlace(c[0])
+		}
+		if c[1] != nil {
+			red.Diag[idx[sg.sepR]].SubInPlace(c[1])
+		}
+		if c[2] != nil {
+			red.Upper[idx[sg.sepL]], red.Lower[idx[sg.sepL]] = c[2], c[3]
+		}
+	}
+	return red
+}
+
+// sepIndex maps each separator block index to its position in seps.
+func sepIndex(seps []int) map[int]int {
+	idx := make(map[int]int, len(seps))
+	for j, s := range seps {
+		idx[s] = j
+	}
+	return idx
 }
 
 // evenSeps returns the even-spread separator placement splitting n blocks
@@ -158,27 +215,80 @@ func buildSegments(n int, seps []int) []*segment {
 // sepSolution is the solved reduced separator system in the form the
 // interior recovery needs: the separator diagonal blocks plus the
 // off-diagonal blocks between adjacent separators. The single-process solver
-// fills it from the reduced Retarded directly; the distributed solver
-// unpacks it from the root's broadcast.
+// and the distributed root fill it from solveReduced; the other ranks unpack
+// it from the root's broadcast.
 type sepSolution struct {
 	diag []*cmat.Dense // G[s_j, s_j]
 	up   []*cmat.Dense // G[s_j, s_{j+1}]
 	lo   []*cmat.Dense // G[s_{j+1}, s_j]
 }
 
-// solutionOf extracts a sepSolution from the solved reduced system.
-func solutionOf(ret *Retarded) *sepSolution {
-	k := len(ret.Diag)
-	sol := &sepSolution{
-		diag: ret.Diag,
-		up:   make([]*cmat.Dense, k-1),
-		lo:   make([]*cmat.Dense, k-1),
+// solveReduced assembles the reduced separator system and solves it with the
+// sequential recursion.
+func solveReduced(a *cmat.BlockTri, seps []int, segs []*segment, contribs [][4]*cmat.Dense) (*sepSolution, error) {
+	ret, err := SolveRetarded(assembleReduced(a, seps, segs, contribs))
+	if err != nil {
+		return nil, fmt.Errorf("rgf: reduced separator system: %w", err)
 	}
+	k := len(seps)
+	sol := &sepSolution{diag: ret.Diag, up: make([]*cmat.Dense, k-1), lo: make([]*cmat.Dense, k-1)}
 	for j := 0; j < k-1; j++ {
 		sol.up[j] = ret.OffDiagUpper(j)
 		sol.lo[j] = ret.OffDiagLower(j)
 	}
-	return sol
+	ret.releaseGL()
+	return sol, nil
+}
+
+// recoverDiag places the separator solution into a fresh n-block diagonal
+// and recovers the interiors of segs into it on up to workers goroutines.
+// The segments' own M diagonals become the interior blocks in place.
+func recoverDiag(a *cmat.BlockTri, seps []int, sol *sepSolution, segs []*segment, workers int) []*cmat.Dense {
+	out := make([]*cmat.Dense, a.N)
+	for j, s := range seps {
+		out[s] = sol.diag[j]
+	}
+	idx := sepIndex(seps)
+	eachSegment(len(segs), workers, func(k int) error {
+		segs[k].recover(a, sol, idx, out)
+		return nil
+	})
+	return out
+}
+
+// eachSegment runs f(0..n−1) on up to workers goroutines and returns the
+// first error in index order.
+func eachSegment(n, workers int, f func(k int) error) error {
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	sem := make(chan struct{}, workers)
+	for k := 0; k < n; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			sem <- struct{}{}
+			defer func() { <-sem }()
+			errs[k] = f(k)
+		}(k)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// retardedDiag is the sequential solve's diagonal alone, the degenerate
+// one-segment case of both spatial solvers.
+func retardedDiag(a *cmat.BlockTri) ([]*cmat.Dense, error) {
+	ret, err := SolveRetarded(a)
+	if err != nil {
+		return nil, err
+	}
+	ret.releaseGL()
+	return ret.Diag, nil
 }
 
 // PartitionedRetarded computes the diagonal blocks of A⁻¹ by the
@@ -189,12 +299,7 @@ func solutionOf(ret *Retarded) *sepSolution {
 func PartitionedRetarded(a *cmat.BlockTri, segments, workers int) ([]*cmat.Dense, error) {
 	n := a.N
 	if segments <= 1 {
-		ret, err := SolveRetarded(a)
-		if err != nil {
-			return nil, err
-		}
-		ret.releaseGL()
-		return ret.Diag, nil
+		return retardedDiag(a)
 	}
 	// segments segments need segments−1 separators and at least one block
 	// per segment: N ≥ 2·segments − 1.
@@ -228,112 +333,28 @@ func PartitionedRetardedAt(a *cmat.BlockTri, seps []int, workers int) ([]*cmat.D
 	}
 	segs := buildSegments(n, seps)
 
-	// Phase 1: parallel interior elimination.
-	var wg sync.WaitGroup
-	errs := make([]error, len(segs))
-	sem := make(chan struct{}, workers)
-	for i, sg := range segs {
-		wg.Add(1)
-		go func(i int, sg *segment) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = sg.localInverse(a)
-		}(i, sg)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	// Phase 1: parallel interior elimination and Schur contributions.
+	contribs := make([][4]*cmat.Dense, len(segs))
+	if err := eachSegment(len(segs), workers, func(k int) error {
+		if err := segs[k].localInverse(a); err != nil {
+			return err
 		}
+		contribs[k] = segs[k].schurContribution(a)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-
-	// Phase 2: reduced block-tridiagonal system over the separators.
-	red := reducedSystem(a, seps, segs)
-	ret, err := SolveRetarded(red)
+	// Phase 2: the reduced system; phase 3: parallel interior recovery.
+	sol, err := solveReduced(a, seps, segs, contribs)
 	if err != nil {
-		return nil, fmt.Errorf("rgf: reduced separator system: %w", err)
+		return nil, err
 	}
-	sol := solutionOf(ret)
-	ret.releaseGL()
-	out := make([]*cmat.Dense, n)
-	sepIdx := map[int]int{}
-	for j, s := range seps {
-		out[s] = sol.diag[j]
-		sepIdx[s] = j
-	}
-
-	// Phase 3: parallel interior recovery.
-	for i, sg := range segs {
-		wg.Add(1)
-		go func(i int, sg *segment) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = sg.recover(a, sol, sepIdx, out)
-		}(i, sg)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return recoverDiag(a, seps, sol, segs, workers), nil
 }
 
-// reducedSystem assembles the Schur complement over the separators from the
-// segments' eliminated interiors: S[s,s] = A[s,s] − Σ couplings through the
-// adjacent segments, S[s,s'] between neighboring separators through the
-// segment between them (or A itself when they are adjacent).
-func reducedSystem(a *cmat.BlockTri, seps []int, segs []*segment) *cmat.BlockTri {
-	red := cmat.NewBlockTri(len(seps), a.Bs)
-	segOf := map[int]*segment{} // keyed by left separator of the segment
-	for _, sg := range segs {
-		segOf[sg.sepL] = sg
-	}
-	for j, s := range seps {
-		red.Diag[j] = a.Diag[s].Clone()
-		// Contribution of the segment left of s (its sepR == s).
-		if sg := segmentWithRightSep(segs, s); sg != nil {
-			m := sg.hi - sg.lo + 1
-			red.Diag[j] = red.Diag[j].Sub(
-				a.Lower[s-1].Mul(sg.diag[m-1]).Mul(a.Upper[s-1]))
-		}
-		// Contribution of the segment right of s.
-		if sg := segOf[s]; sg != nil {
-			red.Diag[j] = red.Diag[j].Sub(
-				a.Upper[s].Mul(sg.diag[0]).Mul(a.Lower[s]))
-		}
-		if j+1 < len(seps) {
-			s2 := seps[j+1]
-			if sg := segOf[s]; sg != nil && sg.sepR == s2 {
-				m := sg.hi - sg.lo + 1
-				// S[s,s2] = −A[s,first]·M[first,last]·A[last,s2] and the
-				// mirrored S[s2,s] through the same segment.
-				red.Upper[j] = a.Upper[s].Mul(sg.colLast[0]).Mul(a.Upper[s2-1]).Scale(-1)
-				red.Lower[j] = a.Lower[s2-1].Mul(sg.colFirst[m-1]).Mul(a.Lower[s]).Scale(-1)
-			} else if s2 == s+1 {
-				// Adjacent separators couple directly.
-				red.Upper[j] = a.Upper[s].Clone()
-				red.Lower[j] = a.Lower[s].Clone()
-			}
-		}
-	}
-	return red
-}
-
-func segmentWithRightSep(segs []*segment, s int) *segment {
-	for _, sg := range segs {
-		if sg.sepR == s {
-			return sg
-		}
-	}
-	return nil
-}
-
-// recover applies G_II = M + M·A_IS·G_SS·A_SI·M for one segment.
-func (sg *segment) recover(a *cmat.BlockTri, sol *sepSolution, sepIdx map[int]int, out []*cmat.Dense) error {
+// recover applies G_II = M + M·A_IS·G_SS·A_SI·M for one segment, writing the
+// interior blocks into out.
+func (sg *segment) recover(a *cmat.BlockTri, sol *sepSolution, sepIdx map[int]int, out []*cmat.Dense) {
 	m := sg.hi - sg.lo + 1
 	hasL := sg.sepL >= 0
 	hasR := sg.sepR >= 0
@@ -362,7 +383,7 @@ func (sg *segment) recover(a *cmat.BlockTri, sol *sepSolution, sepIdx map[int]in
 		gRL = sol.lo[j] // G[R, L]
 	}
 	for i := 0; i < m; i++ {
-		g := sg.diag[i].Clone()
+		g := sg.diag[i]
 		// Left factor pieces: u_L = M[i,0]·A[first,L], u_R = M[i,m−1]·A[last,R];
 		// right pieces: v_L = A[L,first]·M[0,i], v_R = A[R,last]·M[m−1,i].
 		var uL, uR, vL, vR *cmat.Dense
@@ -386,5 +407,4 @@ func (sg *segment) recover(a *cmat.BlockTri, sol *sepSolution, sepIdx map[int]in
 		}
 		out[sg.lo+i] = g
 	}
-	return nil
 }

@@ -8,17 +8,7 @@ import (
 
 // PhononScattering carries the per-RGF-block phonon self-energy matrices
 // Π^R, Π^≷ for one (ω, qz) point; entries may be nil.
-type PhononScattering struct {
-	R, Less, Gtr []*cmat.Dense
-}
-
-// Release returns arena-backed scattering blocks to the workspace arena,
-// for callers that assembled them with cmat.GetDense.
-func (s PhononScattering) Release() {
-	cmat.PutAll(s.R...)
-	cmat.PutAll(s.Less...)
-	cmat.PutAll(s.Gtr...)
-}
+type PhononScattering = Scattering
 
 // PhononContacts sets the lattice temperature of the two contacts via their
 // Bose occupations.
@@ -59,77 +49,15 @@ func SolvePhonon(phi *cmat.BlockTri, hw float64, scat PhononScattering, c Phonon
 	}
 	sp := obsSpanPhonon.Start()
 	defer sp.End()
-	n, bs := phi.N, phi.Bs
 	// A = (ω² + iη)·I − Φ.
-	a := cmat.GetBlockTri(n, bs)
+	a := cmat.GetBlockTri(phi.N, phi.Bs)
 	defer cmat.PutBlockTri(a)
 	phi.ShiftIdentityInto(a, complex(hw*hw, eta))
-	spb := obsSpanBoundary.Start()
-	sigL, sigR, err := BoundarySelfEnergies(a, 1e-10)
-	spb.End()
+	// occ = −N makes the contact blocks Π^< = −i·N·Γ and Π^> = −i·(N+1)·Γ,
+	// so that Π^> − Π^< = −i·Γ = Π^R − Π^A holds.
+	res, err := solveOpen(nil, true, a, scat, -BoseEinstein(hw, c.KTL), -BoseEinstein(hw, c.KTR), nil)
 	if err != nil {
 		return nil, err
 	}
-	gamL := cmat.GetDense(bs, bs)
-	gamR := cmat.GetDense(bs, bs)
-	broadeningInto(gamL, sigL)
-	broadeningInto(gamR, sigR)
-
-	a.Diag[0].SubInPlace(sigL)
-	a.Diag[n-1].SubInPlace(sigR)
-	cmat.PutAll(sigL, sigR)
-	if scat.R != nil {
-		for i := 0; i < n; i++ {
-			if scat.R[i] != nil {
-				a.Diag[i].SubInPlace(scat.R[i])
-			}
-		}
-	}
-
-	ret, err := SolveRetarded(a)
-	if err != nil {
-		cmat.PutAll(gamL, gamR)
-		return nil, err
-	}
-
-	nL := BoseEinstein(hw, c.KTL)
-	nR := BoseEinstein(hw, c.KTR)
-	// Π^< = −i·N·Γ and Π^> = −i·(N+1)·Γ at the contacts, so that
-	// Π^> − Π^< = −i·Γ = Π^R − Π^A holds.
-	piLess := make([]*cmat.Dense, n)
-	piGtr := make([]*cmat.Dense, n)
-	for i := 0; i < n; i++ {
-		less := cmat.GetDense(bs, bs)
-		gtr := cmat.GetDense(bs, bs)
-		if scat.Less != nil && scat.Less[i] != nil {
-			less.AddInPlace(scat.Less[i])
-		}
-		if scat.Gtr != nil && scat.Gtr[i] != nil {
-			gtr.AddInPlace(scat.Gtr[i])
-		}
-		piLess[i] = less
-		piGtr[i] = gtr
-	}
-	piLess[0].AddScaledInPlace(complex(0, -nL), gamL)
-	piGtr[0].AddScaledInPlace(complex(0, -(nL+1)), gamL)
-	piLess[n-1].AddScaledInPlace(complex(0, -nR), gamR)
-	piGtr[n-1].AddScaledInPlace(complex(0, -(nR+1)), gamR)
-
-	res := &PhononResult{DR: ret.Diag}
-	res.DLess = ret.SolveKeldysh(piLess)
-	res.DGtr = ret.SolveKeldysh(piGtr)
-	ret.releaseGL()
-	cmat.PutAll(piLess...)
-	cmat.PutAll(piGtr...)
-
-	// Contact heat currents via trace products, no matrix intermediates:
-	// Tr[Π^<_c·D^> − Π^>_c·D^<] with Π^<_c = −i·N·Γ, Π^>_c = −i·(N+1)·Γ.
-	tL := gamL.TraceMul(res.DGtr[0])
-	uL := gamL.TraceMul(res.DLess[0])
-	res.HeatL = real(complex(0, -nL)*tL - complex(0, -(nL+1))*uL)
-	tR := gamR.TraceMul(res.DGtr[n-1])
-	uR := gamR.TraceMul(res.DLess[n-1])
-	res.HeatR = real(complex(0, -nR)*tR - complex(0, -(nR+1))*uR)
-	cmat.PutAll(gamL, gamR)
-	return res, nil
+	return &PhononResult{DR: res.GR, DLess: res.GLess, DGtr: res.GGtr, HeatL: res.CurrentL, HeatR: res.CurrentR}, nil
 }

@@ -111,6 +111,11 @@ func (r *Retarded) OffDiagLower(n int) *cmat.Dense {
 	return r.Diag[n+1].Mul(r.a.Lower[n]).Mul(r.gL[n]).Scale(-1)
 }
 
+// OffDiagUpper returns G^R[n, n+1] = −gL[n]·A[n,n+1]·G^R[n+1,n+1].
+func (r *Retarded) OffDiagUpper(n int) *cmat.Dense {
+	return r.gL[n].Mul(r.a.Upper[n]).Mul(r.Diag[n+1]).Scale(-1)
+}
+
 // SolveKeldysh computes the diagonal blocks of G^≷ = G^R·Σ^≷·G^A for a
 // block-diagonal Σ^≷ (per-RGF-block matrices; contact Σ^≷ is folded into the
 // corner blocks by the caller). The recursion is
