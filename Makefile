@@ -26,11 +26,12 @@ race:
 	go test -race -short ./internal/cmat ./internal/pool ./internal/sse ./internal/core
 
 # Race pass over the fault-tolerance surface, gating `check`: the simulated
-# cluster's cancellation/deadline paths and core's recovery loop. -short
+# cluster's cancellation/deadline paths, core's recovery loop and the shared
+# job lifecycle (internal/jobs) the service tiers wait on. -short
 # skips the long self-consistent physics runs, keeping the race gate on the
 # concurrency-heavy tests.
 race-ft:
-	go test -race -short ./internal/comm ./internal/core ./internal/serve
+	go test -race -short ./internal/comm ./internal/core ./internal/serve ./internal/jobs
 
 # End-to-end smoke test of the qtsimd daemon: builds the real binary,
 # starts it on an ephemeral port, submits a job over HTTP, streams its

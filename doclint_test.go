@@ -25,6 +25,7 @@ var doclintPackages = []string{
 	"internal/device",
 	"internal/campaign",
 	"internal/egrid",
+	"internal/jobs",
 }
 
 // exportedRecv reports whether a method receiver names an exported type

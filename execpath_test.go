@@ -70,6 +70,118 @@ func TestOneExecutionPath(t *testing.T) {
 	}
 }
 
+// lifecycleHelpers are the HTTP helpers internal/jobs owns; no other
+// package under internal/ may declare its own.
+var lifecycleHelpers = map[string]bool{"writeJSON": true, "writeError": true, "writeErr": true}
+
+// TestOneJobLifecycle keeps the service tiers on the one job lifecycle of
+// internal/jobs. In non-test files under internal/ outside it: no
+// lifecycle HTTP helper is declared; a function named WaitIter or Wait does
+// no waiting of its own (no loop, no cond wait — a forwarder to a jobs
+// record is fine); context.AfterFunc is not called; no string constant
+// spells the lifecycle state "succeeded"; the only struct holding a
+// sync.Cond is serve's Scheduler (its run queue, not a job); and serve,
+// front and campaign each keep their jobs in a jobs.Store.
+func TestOneJobLifecycle(t *testing.T) {
+	stores := map[string]int{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		if d.IsDir() || dir == "internal/jobs" || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch v := n.(type) {
+			case *ast.FuncDecl:
+				name := v.Name.Name
+				if lifecycleHelpers[name] {
+					t.Errorf("%s: declares %s — use jobs.WriteJSON/WriteError", fset.Position(v.Pos()), name)
+				}
+				if (name == "WaitIter" || name == "Wait") && v.Body != nil && waitsItself(v.Body) {
+					t.Errorf("%s: %s waits itself — forward to a jobs.Record", fset.Position(v.Pos()), name)
+				}
+			case *ast.CallExpr:
+				fun := v.Fun
+				if inst, ok := fun.(*ast.IndexExpr); ok { // jobs.NewStore[*T](…)
+					fun = inst.X
+				}
+				if sel, ok := fun.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "context" && sel.Sel.Name == "AfterFunc" {
+						t.Errorf("%s: calls context.AfterFunc — wait on a jobs.Record instead", fset.Position(v.Pos()))
+					}
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "jobs" && sel.Sel.Name == "NewStore" {
+						stores[dir]++
+					}
+				}
+			case *ast.ValueSpec:
+				for _, val := range v.Values {
+					if lit, ok := val.(*ast.BasicLit); ok && lit.Value == `"succeeded"` {
+						t.Errorf("%s: spells the lifecycle state \"succeeded\" — alias jobs.Succeeded", fset.Position(lit.Pos()))
+					}
+				}
+			case *ast.TypeSpec:
+				st, ok := v.Type.(*ast.StructType)
+				if !ok || (dir == "internal/serve" && v.Name.Name == "Scheduler") {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					if isSyncCond(field.Type) {
+						t.Errorf("%s: %s holds a sync.Cond — embed a jobs.Record", fset.Position(field.Pos()), v.Name.Name)
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tier := range []string{"internal/serve", "internal/front", "internal/campaign"} {
+		if stores[tier] != 1 {
+			t.Errorf("%s calls jobs.NewStore %d times, want once", tier, stores[tier])
+		}
+	}
+}
+
+// waitsItself reports whether a function body loops or calls a method
+// named Wait (a sync.Cond wait).
+func waitsItself(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.ForStmt, *ast.RangeStmt:
+			found = true
+		case *ast.CallExpr:
+			if sel, ok := v.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// isSyncCond reports whether a field type is sync.Cond or *sync.Cond.
+func isSyncCond(e ast.Expr) bool {
+	if star, ok := e.(*ast.StarExpr); ok {
+		e = star.X
+	}
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	x, ok := sel.X.(*ast.Ident)
+	return ok && x.Name == "sync" && sel.Sel.Name == "Cond"
+}
+
 // inverseHomes are the only internal/rgf functions allowed to invert a block:
 // the forward elimination every solver shares, the boundary decimation and
 // the dense oracle.

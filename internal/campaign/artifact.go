@@ -59,11 +59,11 @@ func fermi(e, mu, kt float64) float64 {
 // available once the campaign has succeeded — a partial curve would be
 // indistinguishable from a complete one downstream.
 func (c *Campaign) Artifact() (*ArtifactDoc, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.state != StateSucceeded {
-		return nil, fmt.Errorf("campaign: %s has no artifact (state %s)", c.id, c.state)
+	if s := c.Snapshot(); s.State != StateSucceeded {
+		return nil, fmt.Errorf("campaign: %s has no artifact (state %s)", c.id, s.State)
 	}
+	c.Lock()
+	defer c.Unlock()
 	doc := &ArtifactDoc{ID: c.id, Kind: c.req.Kind}
 	switch c.req.Kind {
 	case IV:

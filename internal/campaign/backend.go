@@ -87,6 +87,18 @@ func outcomeOf(jobID string, cfg core.RunConfig, res *core.Result, warm *core.Ch
 	}
 }
 
+// follow reports each record of a point's iteration log to onIter (may be
+// nil) as wait(i) yields it, until the log ends; it returns ctx's error,
+// non-nil when the log ended because the campaign was cancelled.
+func follow(ctx context.Context, wait func(i int) bool, onIter func(n int)) error {
+	for i := 0; wait(i); i++ {
+		if onIter != nil {
+			onIter(i + 1)
+		}
+	}
+	return ctx.Err()
+}
+
 // ServeBackend fans points out through a qtsimd scheduler, warm-starting
 // via SubmitFrom — the in-process equivalent of the HTTP submit envelope.
 type ServeBackend struct {
@@ -113,17 +125,9 @@ func (b ServeBackend) RunPoint(ctx context.Context, cfg core.RunConfig, warm *co
 		case <-time.After(50 * time.Millisecond):
 		}
 	}
-	for i := 0; ; i++ {
-		if _, ok := j.WaitIter(ctx, i); !ok {
-			break
-		}
-		if onIter != nil {
-			onIter(i + 1)
-		}
-	}
-	if ctx.Err() != nil {
+	if err := follow(ctx, func(i int) bool { _, ok := j.WaitIter(ctx, i); return ok }, onIter); err != nil {
 		_, _ = b.S.Cancel(j.ID())
-		return nil, ctx.Err()
+		return nil, err
 	}
 	res, ok := j.Result()
 	if !ok {
@@ -153,17 +157,9 @@ func (b FrontBackend) RunPoint(ctx context.Context, cfg core.RunConfig, warm *co
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; ; i++ {
-		if _, ok := b.F.WaitIter(ctx, st.ID, i); !ok {
-			break
-		}
-		if onIter != nil {
-			onIter(i + 1)
-		}
-	}
-	if ctx.Err() != nil {
+	if err := follow(ctx, func(i int) bool { _, ok := b.F.WaitIter(ctx, st.ID, i); return ok }, onIter); err != nil {
 		_, _ = b.F.Cancel(st.ID)
-		return nil, ctx.Err()
+		return nil, err
 	}
 	doc, _, err := b.F.Result(st.ID)
 	if err != nil {

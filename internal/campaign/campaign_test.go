@@ -3,6 +3,8 @@ package campaign
 import (
 	"context"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -384,5 +386,81 @@ func TestCancelAndClose(t *testing.T) {
 	}
 	if _, err := m.Start(ivRequest()); err != ErrClosed {
 		t.Fatalf("Start after Close = %v, want ErrClosed", err)
+	}
+}
+
+// stubBackend answers every point at once with a checkpoint-carrying
+// outcome and records which points arrived with a warm seed.
+type stubBackend struct{ seeded chan bool }
+
+func (b stubBackend) RunPoint(ctx context.Context, cfg core.RunConfig, warm *core.Checkpoint, onIter func(n int)) (*PointOutcome, error) {
+	b.seeded <- warm != nil
+	return &PointOutcome{
+		Iterations:  1,
+		Converged:   true,
+		Obs:         core.Observables{CurrentL: cfg.Bias},
+		Checkpoint:  &core.Checkpoint{},
+		WarmStarted: warm != nil,
+	}, nil
+}
+
+// TestCampaignRetention: finished campaigns live in the same retention ring
+// as jobs — past retain of them the oldest answers 404 — and a finished
+// campaign has dropped its points' checkpoints while the warm chain still
+// handed each point its predecessor's.
+func TestCampaignRetention(t *testing.T) {
+	b := stubBackend{seeded: make(chan bool, 1024)}
+	m := NewManager(b, 0)
+	srv := httptest.NewServer(NewAPI(m).Handler())
+	defer srv.Close()
+
+	req := ivRequest()
+	req.BiasPoints = 2
+	var last *Campaign
+	for i := 0; i < retain+1; i++ {
+		c, err := m.Start(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if state, _ := c.Wait(context.Background()); state != StateSucceeded {
+			t.Fatalf("campaign %s finished %s", c.ID(), state)
+		}
+		last = c
+	}
+	// Retirement follows the terminal transition Wait returns on; Close
+	// waits for the campaign goroutines, so the ring is settled after it.
+	if err := m.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-b.seeded; got {
+		t.Error("first ladder point arrived warm-seeded")
+	}
+	if got := <-b.seeded; !got {
+		t.Error("second ladder point lost its predecessor's checkpoint")
+	}
+
+	get := func(id string) int {
+		resp, err := http.Get(srv.URL + "/v1/campaigns/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := get("c1"); code != http.StatusNotFound {
+		t.Errorf("oldest campaign past retention: HTTP %d, want 404", code)
+	}
+	if code := get("c2"); code != http.StatusOK {
+		t.Errorf("retained campaign: HTTP %d, want 200", code)
+	}
+	if n := len(m.store.List()); n != retain {
+		t.Errorf("manager lists %d campaigns, want %d", n, retain)
+	}
+	last.Lock()
+	defer last.Unlock()
+	for i, out := range last.outcomes {
+		if out == nil || out.Checkpoint != nil {
+			t.Errorf("point %d of a finished campaign: outcome %+v, want one without a checkpoint", i, out)
+		}
 	}
 }

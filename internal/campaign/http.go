@@ -3,8 +3,9 @@ package campaign
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
+
+	"negfsim/internal/jobs"
 )
 
 // API is the campaign HTTP surface, mounted next to the job API of
@@ -26,12 +27,16 @@ func NewAPI(m *Manager) *API { return &API{m: m} }
 // Register mounts the campaign routes on mux, so a host daemon can
 // compose them with its own job API under one server.
 func (a *API) Register(mux *http.ServeMux) {
+	surf := jobs.Surface[*Campaign]{
+		Store:  a.m.store,
+		Noun:   "campaign",
+		Status: func(c *Campaign) any { return c.Status() },
+		Cancel: func(c *Campaign) { c.Cancel("") },
+	}
+	surf.Register(mux, "/v1/campaigns")
 	mux.HandleFunc("POST /v1/campaigns", a.submit)
-	mux.HandleFunc("GET /v1/campaigns", a.list)
-	mux.HandleFunc("GET /v1/campaigns/{id}", a.status)
-	mux.HandleFunc("POST /v1/campaigns/{id}/cancel", a.cancel)
-	mux.HandleFunc("GET /v1/campaigns/{id}/artifact.csv", a.artifactCSV)
-	mux.HandleFunc("GET /v1/campaigns/{id}/artifact.json", a.artifactJSON)
+	mux.HandleFunc("GET /v1/campaigns/{id}/artifact.csv", surf.Handle(artifact("text/csv", (*Campaign).CSV)))
+	mux.HandleFunc("GET /v1/campaigns/{id}/artifact.json", surf.Handle(artifact("application/json", (*Campaign).JSON)))
 }
 
 // Handler returns a standalone routed handler (tests mostly; daemons use
@@ -42,95 +47,35 @@ func (a *API) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
 	dec.DisallowUnknownFields()
 	var req Request
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding campaign request: %v", err)
+		jobs.WriteError(w, http.StatusBadRequest, "decoding campaign request: %v", err)
 		return
 	}
 	c, err := a.m.Start(req)
 	switch {
 	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		jobs.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	case err != nil:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		jobs.WriteError(w, http.StatusBadRequest, "%v", err)
 	default:
-		writeJSON(w, http.StatusAccepted, c.Status())
+		jobs.WriteJSON(w, http.StatusAccepted, c.Status())
 	}
-}
-
-func (a *API) list(w http.ResponseWriter, r *http.Request) {
-	cs := a.m.List()
-	out := make([]StatusDoc, len(cs))
-	for i, c := range cs {
-		out[i] = c.Status()
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// campaign resolves the {id} path value, writing a 404 when unknown.
-func (a *API) campaign(w http.ResponseWriter, r *http.Request) (*Campaign, bool) {
-	id := r.PathValue("id")
-	c, ok := a.m.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such campaign %q", id)
-		return nil, false
-	}
-	return c, true
-}
-
-func (a *API) status(w http.ResponseWriter, r *http.Request) {
-	if c, ok := a.campaign(w, r); ok {
-		writeJSON(w, http.StatusOK, c.Status())
-	}
-}
-
-func (a *API) cancel(w http.ResponseWriter, r *http.Request) {
-	c, ok := a.campaign(w, r)
-	if !ok {
-		return
-	}
-	if _, err := a.m.Cancel(c.ID()); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, c.Status())
 }
 
 // artifact serves one artifact rendering; render is CSV or JSON.
-func (a *API) artifact(w http.ResponseWriter, r *http.Request, contentType string, render func(*Campaign) ([]byte, error)) {
-	c, ok := a.campaign(w, r)
-	if !ok {
-		return
+func artifact(contentType string, render func(*Campaign) ([]byte, error)) func(http.ResponseWriter, *http.Request, *Campaign) {
+	return func(w http.ResponseWriter, r *http.Request, c *Campaign) {
+		body, err := render(c)
+		if err != nil {
+			jobs.WriteError(w, http.StatusConflict, "%v", err)
+			return
+		}
+		w.Header().Set("Content-Type", contentType)
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body)
 	}
-	body, err := render(c)
-	if err != nil {
-		writeError(w, http.StatusConflict, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", contentType)
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
-}
-
-func (a *API) artifactCSV(w http.ResponseWriter, r *http.Request) {
-	a.artifact(w, r, "text/csv", (*Campaign).CSV)
-}
-
-func (a *API) artifactJSON(w http.ResponseWriter, r *http.Request) {
-	a.artifact(w, r, "application/json", (*Campaign).JSON)
 }

@@ -3,27 +3,24 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"strconv"
 	"sync"
 	"time"
 
 	"negfsim/internal/core"
+	"negfsim/internal/jobs"
 )
 
-// State is a campaign's lifecycle phase.
-type State string
+// State is a campaign's lifecycle phase (the shared jobs.State).
+type State = jobs.State
 
-// The campaign lifecycle: Running until every point is terminal.
+// The campaign lifecycle: Running until every point is terminal, then
+// Succeeded (every point converged), Failed (a point failed; a warm chain
+// stops there, its later seeds missing) or Cancelled (cancel or shutdown).
 const (
-	// StateRunning: points are executing (or waiting their turn).
-	StateRunning State = "running"
-	// StateSucceeded: every point converged to a result.
-	StateSucceeded State = "succeeded"
-	// StateFailed: at least one point failed; a warm-chained campaign
-	// stops at the first failure since later seeds would be missing.
-	StateFailed State = "failed"
-	// StateCancelled: stopped by a cancel request or manager shutdown.
-	StateCancelled State = "cancelled"
+	StateRunning   = jobs.Running
+	StateSucceeded = jobs.Succeeded
+	StateFailed    = jobs.Failed
+	StateCancelled = jobs.Cancelled
 )
 
 // PointState is one ladder point's lifecycle phase.
@@ -59,22 +56,16 @@ type Point struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Campaign is one accepted sweep. All fields behind mu; accessors return
-// snapshots.
+// Campaign is one accepted sweep: its lifecycle record plus the per-rung
+// progress, which lives behind the record's mutex.
 type Campaign struct {
+	jobs.Record[struct{}]
+
 	id  string
 	req Request
 
-	mu   sync.Mutex
-	cond *sync.Cond // broadcast on point progress and state change
-
-	state    State
 	points   []Point
 	outcomes []*PointOutcome // parallel to points, nil until done
-	errmsg   string
-	created  time.Time
-	finished time.Time
-	cancel   context.CancelFunc
 }
 
 // ID returns the campaign's identifier.
@@ -100,55 +91,31 @@ type StatusDoc struct {
 
 // Status returns the campaign's current snapshot.
 func (c *Campaign) Status() StatusDoc {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	doc := StatusDoc{
+	s := c.Snapshot()
+	c.Lock()
+	defer c.Unlock()
+	return StatusDoc{
 		ID:        c.id,
 		Kind:      c.req.Kind,
-		State:     c.state,
+		State:     s.State,
 		WarmStart: c.req.Warm(),
 		Points:    append([]Point(nil), c.points...),
-		Created:   c.created,
-		Error:     c.errmsg,
+		Created:   s.Queued,
+		Finished:  s.Finished,
+		Error:     s.Err,
 	}
-	if !c.finished.IsZero() {
-		t := c.finished
-		doc.Finished = &t
-	}
-	return doc
 }
 
-// Wait blocks until the campaign is terminal or ctx fires, returning the
-// final state.
-func (c *Campaign) Wait(ctx context.Context) (State, error) {
-	stop := context.AfterFunc(ctx, func() {
-		c.mu.Lock()
-		c.cond.Broadcast()
-		c.mu.Unlock()
-	})
-	defer stop()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for c.state == StateRunning {
-		if ctx.Err() != nil {
-			return c.state, ctx.Err()
-		}
-		c.cond.Wait()
-	}
-	return c.state, nil
-}
-
-// setPoint mutates one rung under the lock and wakes waiters.
+// setPoint mutates one rung under the lock.
 func (c *Campaign) setPoint(i int, f func(p *Point)) {
-	c.mu.Lock()
+	c.Lock()
 	f(&c.points[i])
-	c.cond.Broadcast()
-	c.mu.Unlock()
+	c.Unlock()
 }
 
 // pointDone records a finished rung's outcome.
 func (c *Campaign) pointDone(i int, out *PointOutcome) {
-	c.mu.Lock()
+	c.Lock()
 	c.outcomes[i] = out
 	p := &c.points[i]
 	p.State = PointDone
@@ -158,14 +125,14 @@ func (c *Campaign) pointDone(i int, out *PointOutcome) {
 	p.WarmStarted = out.WarmStarted
 	p.CurrentL = out.Obs.CurrentL
 	p.CurrentR = out.Obs.CurrentR
-	c.cond.Broadcast()
-	c.mu.Unlock()
+	c.Unlock()
 }
 
 // finish settles the campaign into the terminal state its points imply:
-// any failure wins, then any cancellation, else success.
+// any failure wins, then any cancellation, else success. The points'
+// warm-start checkpoints are dropped: the artifacts never read them.
 func (c *Campaign) finish() {
-	c.mu.Lock()
+	c.Lock()
 	state := StateSucceeded
 	msg := ""
 	for i := range c.points {
@@ -183,13 +150,18 @@ func (c *Campaign) finish() {
 			break
 		}
 	}
-	c.state = state
-	c.errmsg = msg
-	c.finished = time.Now()
-	c.cancel = nil
-	c.cond.Broadcast()
-	c.mu.Unlock()
+	for _, out := range c.outcomes {
+		if out != nil {
+			out.Checkpoint = nil
+		}
+	}
+	c.Unlock()
+	c.Finish(state, msg)
 }
+
+// retain is how many finished campaigns stay queryable before the oldest
+// is evicted — the same bound as qtsimd's default job retention.
+const retain = 64
 
 // Manager owns the campaign store and drives each accepted request to a
 // terminal state on the configured backend. Create one with NewManager;
@@ -197,16 +169,7 @@ func (c *Campaign) finish() {
 type Manager struct {
 	backend     Backend
 	maxParallel int
-
-	baseCtx context.Context
-	stop    context.CancelFunc
-	wg      sync.WaitGroup
-
-	mu        sync.Mutex
-	campaigns map[string]*Campaign
-	order     []string
-	nextID    int
-	closed    bool
+	store       *jobs.Store[*Campaign]
 }
 
 // NewManager builds a manager over backend. maxParallel bounds the
@@ -215,13 +178,11 @@ func NewManager(backend Backend, maxParallel int) *Manager {
 	if maxParallel <= 0 {
 		maxParallel = 4
 	}
-	m := &Manager{
+	return &Manager{
 		backend:     backend,
 		maxParallel: maxParallel,
-		campaigns:   make(map[string]*Campaign),
+		store:       jobs.NewStore[*Campaign]("c", retain, nil),
 	}
-	m.baseCtx, m.stop = context.WithCancel(context.Background())
-	return m
 }
 
 // ErrClosed is returned by Start after Close has begun.
@@ -234,34 +195,26 @@ func (m *Manager) Start(req Request) (*Campaign, error) {
 		return nil, err
 	}
 	ladder := req.Ladder()
-	c := &Campaign{
-		req:      req,
-		state:    StateRunning,
-		points:   make([]Point, len(ladder)),
-		outcomes: make([]*PointOutcome, len(ladder)),
-		created:  time.Now(),
-	}
-	c.cond = sync.NewCond(&c.mu)
-	for i, b := range ladder {
-		c.points[i] = Point{Bias: b, State: PointPending}
-	}
-
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	ctx, cancel := context.WithCancel(m.store.Context())
+	c, ok := m.store.Add(func(id string) *Campaign {
+		c := &Campaign{
+			id:       id,
+			req:      req,
+			points:   make([]Point, len(ladder)),
+			outcomes: make([]*PointOutcome, len(ladder)),
+		}
+		for i, b := range ladder {
+			c.points[i] = Point{Bias: b, State: PointPending}
+		}
+		c.Begin()
+		c.Start(cancel)
+		return c
+	})
+	if !ok {
+		cancel()
 		return nil, ErrClosed
 	}
-	m.nextID++
-	c.id = "c" + strconv.Itoa(m.nextID)
-	ctx, cancel := context.WithCancel(m.baseCtx)
-	c.cancel = cancel
-	m.campaigns[c.id] = c
-	m.order = append(m.order, c.id)
-	m.wg.Add(1)
-	m.mu.Unlock()
-
-	go func() {
-		defer m.wg.Done()
+	m.store.Go(func() {
 		defer cancel()
 		if c.req.Warm() {
 			m.runWarm(ctx, c)
@@ -269,28 +222,13 @@ func (m *Manager) Start(req Request) (*Campaign, error) {
 			m.runCold(ctx, c)
 		}
 		c.finish()
-	}()
+		m.store.Retire(c.id)
+	})
 	return c, nil
 }
 
-// Get returns the campaign with the given id.
-func (m *Manager) Get(id string) (*Campaign, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.campaigns[id]
-	return c, ok
-}
-
-// List returns the stored campaigns in submission order.
-func (m *Manager) List() []*Campaign {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]*Campaign, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.campaigns[id])
-	}
-	return out
-}
+// Get returns the campaign with the given id, if it is still retained.
+func (m *Manager) Get(id string) (*Campaign, bool) { return m.store.Get(id) }
 
 // Cancel stops a running campaign: the active point's context is
 // cancelled and pending points never start. Cancelling a finished
@@ -300,35 +238,13 @@ func (m *Manager) Cancel(id string) (*Campaign, error) {
 	if !ok {
 		return nil, fmt.Errorf("campaign: no such campaign %q", id)
 	}
-	c.mu.Lock()
-	cancel := c.cancel
-	c.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
+	c.Cancel("")
 	return c, nil
 }
 
 // Close shuts the manager down: no new campaigns, running ones are
 // cancelled, and Close blocks until they drain or ctx expires.
-func (m *Manager) Close(ctx context.Context) error {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil
-	}
-	m.closed = true
-	m.mu.Unlock()
-	m.stop()
-	done := make(chan struct{})
-	go func() { m.wg.Wait(); close(done) }()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("campaign: shutdown timed out: %w", ctx.Err())
-	}
-}
+func (m *Manager) Close(ctx context.Context) error { return m.store.Close(ctx, nil) }
 
 // runWarm executes the ladder sequentially, chaining each point from the
 // previous point's checkpoint. A failed point aborts the tail: its warm
@@ -398,12 +314,11 @@ func (m *Manager) runOne(ctx context.Context, c *Campaign, i int, warm *core.Che
 
 // cancelFrom marks every pending point from index i on as cancelled.
 func (m *Manager) cancelFrom(c *Campaign, i int) {
-	c.mu.Lock()
+	c.Lock()
 	for ; i < len(c.points); i++ {
 		if c.points[i].State == PointPending {
 			c.points[i].State = PointCancelled
 		}
 	}
-	c.cond.Broadcast()
-	c.mu.Unlock()
+	c.Unlock()
 }

@@ -52,7 +52,7 @@ func (c *cache) touch(id string) {
 // the bound. Only succeeded runs are cached: failures and cancellations must
 // re-execute, not poison the address.
 func (c *cache) put(r *run) {
-	if r.state != RunSucceeded {
+	if r.Snapshot().State != RunSucceeded {
 		return
 	}
 	c.mu.Lock()

@@ -39,11 +39,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
 	"negfsim/internal/core"
+	"negfsim/internal/jobs"
 	"negfsim/internal/obs"
 	"negfsim/internal/serve"
 )
@@ -135,11 +135,11 @@ const (
 
 // job is one accepted submission: a thin handle onto a shared run.
 type job struct {
-	id      string
-	tenant  string
-	source  Source
-	r       *run
-	created time.Time
+	id       string
+	tenant   string
+	source   Source
+	r        *run
+	detached bool // cancelled by its tenant; behind Front.mu
 }
 
 // Front is the scheduler/router tier. Create one with New; it is safe for
@@ -150,18 +150,10 @@ type Front struct {
 	registry *registry
 	quotas   *quotas
 	cache    *cache
-
-	baseCtx context.Context
-	stop    context.CancelFunc
-	wg      sync.WaitGroup
+	store    *jobs.Store[*job]
 
 	mu       sync.Mutex
 	inflight map[string]*run // Key.ID → in-flight run (singleflight table)
-	jobs     map[string]*job
-	order    []string // submission order, for listing
-	doneRing []string // finished job ids, for handle eviction
-	nextID   int
-	closed   bool
 }
 
 // New builds a Front over the configured worker fleet and starts its health
@@ -174,10 +166,9 @@ func New(cfg Config) *Front {
 		registry: newRegistry(cfg.Workers),
 		quotas:   newQuotas(cfg.QuotaRate, cfg.QuotaBurst),
 		cache:    newCache(cfg.CacheMax),
+		store:    jobs.NewStore[*job]("f", cfg.Retain, nil),
 		inflight: make(map[string]*run),
-		jobs:     make(map[string]*job),
 	}
-	f.baseCtx, f.stop = context.WithCancel(context.Background())
 	obs.RegisterGaugeFunc("front.workers_alive", f.registry.aliveCount)
 	obs.RegisterGaugeFunc("front.runs_inflight", func() int64 {
 		f.mu.Lock()
@@ -185,30 +176,15 @@ func New(cfg Config) *Front {
 		return int64(len(f.inflight))
 	})
 	obs.RegisterGaugeFunc("front.cache_entries", f.cache.len)
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		f.registry.healthLoop(f.baseCtx, f.client, f.cfg.HealthInterval, f.cfg.HealthTimeout, f.reroute)
-	}()
+	f.store.Go(func() {
+		f.registry.healthLoop(f.store.Context(), f.client, f.cfg.HealthInterval, f.cfg.HealthTimeout)
+	})
 	return f
 }
 
 // Close stops the health loop, cancels every in-flight run and waits for the
 // relay goroutines to drain or ctx to expire.
-func (f *Front) Close(ctx context.Context) error {
-	f.mu.Lock()
-	f.closed = true
-	f.mu.Unlock()
-	f.stop()
-	done := make(chan struct{})
-	go func() { f.wg.Wait(); close(done) }()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("front: shutdown timed out: %w", ctx.Err())
-	}
-}
+func (f *Front) Close(ctx context.Context) error { return f.store.Close(ctx, nil) }
 
 // ErrQuota is returned by Submit when the tenant's token bucket is dry; the
 // HTTP layer maps it to 429 with Retry-After.
@@ -252,78 +228,51 @@ func (f *Front) Submit(tenant string, cfg core.RunConfig) (*Status, error) {
 
 	sp := obsCacheSpan.Start()
 	f.mu.Lock()
-	if f.closed {
+	var r *run
+	var ctx context.Context
+	source := SourceRun
+	if inflight, ok := f.inflight[key.ID]; ok {
+		r, source = inflight, SourceJoined
+	} else if cached, ok := f.cache.get(key.ID); ok {
+		r, source = cached, SourceCache
+	} else {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithCancel(f.store.Context())
+		r = newRun(key)
+		r.Start(cancel)
+	}
+	j, ok := f.store.Add(func(id string) *job {
+		return &job{id: id, tenant: tenant, source: source, r: r}
+	})
+	if !ok {
 		f.mu.Unlock()
 		sp.End()
 		return nil, ErrClosed
 	}
-	var r *run
-	source := SourceRun
-	if inflight, ok := f.inflight[key.ID]; ok {
-		r, source = inflight, SourceJoined
-		obsDedupJoins.Inc()
-	} else if cached, ok := f.cache.get(key.ID); ok {
-		r, source = cached, SourceCache
-		obsCacheHits.Inc()
-	} else {
-		r = newRun(key)
+	r.attached++
+	switch source {
+	case SourceRun:
 		f.inflight[key.ID] = r
 		obsRunsStarted.Inc()
+	case SourceJoined:
+		obsDedupJoins.Inc()
+	case SourceCache:
+		obsCacheHits.Inc()
 	}
-	j := f.addJobLocked(tenant, source, r)
+	if source == SourceCache {
+		f.store.Retire(j.id) // already finished
+	} else {
+		r.handles = append(r.handles, j.id)
+	}
 	f.mu.Unlock()
 	sp.End()
 
-	r.attach()
 	obsSubmitted.Inc()
 	if source == SourceRun {
 		warm := f.warmCandidate(key, cfg)
-		ctx, cancel := context.WithCancel(f.baseCtx)
-		r.mu.Lock()
-		r.cancel = cancel
-		r.mu.Unlock()
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			f.execute(ctx, r, cfg, warm)
-		}()
+		f.store.Go(func() { f.execute(ctx, r, cfg, warm) })
 	}
 	return f.status(j), nil
-}
-
-// addJobLocked mints a job handle; caller holds f.mu.
-func (f *Front) addJobLocked(tenant string, source Source, r *run) *job {
-	f.nextID++
-	j := &job{
-		id:      "f" + strconv.Itoa(f.nextID),
-		tenant:  tenant,
-		source:  source,
-		r:       r,
-		created: time.Now(),
-	}
-	f.jobs[j.id] = j
-	f.order = append(f.order, j.id)
-	return j
-}
-
-// noteJobDone retires a finished handle into the retention ring, evicting
-// the oldest past Retain (the cached runs they point to live on in the
-// cache).
-func (f *Front) noteJobDone(id string) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.doneRing = append(f.doneRing, id)
-	for len(f.doneRing) > f.cfg.Retain {
-		victim := f.doneRing[0]
-		f.doneRing = f.doneRing[1:]
-		delete(f.jobs, victim)
-		for i, oid := range f.order {
-			if oid == victim {
-				f.order = append(f.order[:i:i], f.order[i+1:]...)
-				break
-			}
-		}
-	}
 }
 
 // warmCandidate looks up the nearest cached checkpoint in cfg's family.
@@ -339,46 +288,32 @@ func (f *Front) warmCandidate(key Key, cfg core.RunConfig) *run {
 
 // Get returns the job's status, if the handle is still retained.
 func (f *Front) Get(id string) (*Status, bool) {
-	f.mu.Lock()
-	j, ok := f.jobs[id]
-	f.mu.Unlock()
+	j, ok := f.store.Get(id)
 	if !ok {
 		return nil, false
 	}
 	return f.status(j), true
 }
 
-// Jobs returns the retained jobs' statuses in submission order.
-func (f *Front) Jobs() []*Status {
-	f.mu.Lock()
-	ids := append([]string(nil), f.order...)
-	f.mu.Unlock()
-	out := make([]*Status, 0, len(ids))
-	for _, id := range ids {
-		if st, ok := f.Get(id); ok {
-			out = append(out, st)
-		}
-	}
-	return out
-}
-
 // Cancel detaches the job from its run; the underlying worker job is
 // cancelled only when the last attached submission lets go — cancelling one
 // tenant's handle never tears down a computation other tenants still watch.
+// A handle detaches once: repeating the request changes nothing.
 func (f *Front) Cancel(id string) (*Status, error) {
-	f.mu.Lock()
-	j, ok := f.jobs[id]
-	f.mu.Unlock()
+	j, ok := f.store.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("front: no such job %q", id)
 	}
-	if j.r.detach() {
-		j.r.mu.Lock()
-		cancel := j.r.cancel
-		j.r.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
+	f.mu.Lock()
+	last := false
+	if !j.detached {
+		j.detached = true
+		j.r.attached--
+		last = j.r.attached == 0
+	}
+	f.mu.Unlock()
+	if last {
+		j.r.Cancel("")
 	}
 	return f.status(j), nil
 }
@@ -410,19 +345,20 @@ type Status struct {
 
 // status snapshots a job handle.
 func (f *Front) status(j *job) *Status {
-	state, iters, workerURL, warmBias, reroutes, errmsg := j.r.snapshot()
-	return &Status{
-		ID:            j.id,
-		Tenant:        j.tenant,
-		State:         state,
-		Source:        j.source,
-		Key:           j.r.key.ID,
-		Worker:        workerURL,
-		Iterations:    iters,
-		WarmStartBias: warmBias,
-		Reroutes:      reroutes,
-		Error:         errmsg,
+	s := j.r.Snapshot()
+	st := &Status{
+		ID:         j.id,
+		Tenant:     j.tenant,
+		State:      s.State,
+		Source:     j.source,
+		Key:        j.r.key.ID,
+		Iterations: s.Iters,
+		Error:      s.Err,
 	}
+	j.r.Lock()
+	st.Worker, st.WarmStartBias, st.Reroutes = j.r.worker, j.r.warmBias, j.r.reroutes
+	j.r.Unlock()
+	return st
 }
 
 // Workers returns the registry snapshot.
@@ -433,9 +369,7 @@ func (f *Front) Workers() []WorkerStatus { return f.registry.statuses() }
 // terminal, or ctx fires — the same replay-from-any-index contract the
 // streaming endpoint offers over HTTP.
 func (f *Front) WaitIter(ctx context.Context, id string, i int) (serve.IterRecord, bool) {
-	f.mu.Lock()
-	j, ok := f.jobs[id]
-	f.mu.Unlock()
+	j, ok := f.store.Get(id)
 	if !ok {
 		return serve.IterRecord{}, false
 	}
@@ -446,24 +380,20 @@ func (f *Front) WaitIter(ctx context.Context, id string, i int) (serve.IterRecor
 // the front job id, as the HTTP endpoint does) and the gob checkpoint
 // bytes of the finished run.
 func (f *Front) Result(id string) (*serve.ResultDoc, []byte, error) {
-	f.mu.Lock()
-	j, ok := f.jobs[id]
-	f.mu.Unlock()
+	j, ok := f.store.Get(id)
 	if !ok {
 		return nil, nil, fmt.Errorf("front: no such job %q", id)
 	}
-	j.r.mu.Lock()
-	state, doc, ck, errmsg := j.r.state, j.r.result, j.r.checkpoint, j.r.errmsg
-	j.r.mu.Unlock()
-	if state != RunSucceeded || doc == nil {
-		if errmsg == "" {
-			errmsg = string(state)
+	s := j.r.Snapshot()
+	if s.State != RunSucceeded {
+		if s.Err == "" {
+			s.Err = string(s.State)
 		}
-		return nil, nil, fmt.Errorf("front: job %s has no result: %s", id, errmsg)
+		return nil, nil, fmt.Errorf("front: job %s has no result: %s", j.id, s.Err)
 	}
-	out := *doc
-	out.ID = id
-	return &out, ck, nil
+	out := *j.r.result
+	out.ID = j.id
+	return &out, j.r.checkpoint, nil
 }
 
 // permanentError marks a failure that re-placement cannot fix (the solver
@@ -481,9 +411,9 @@ func (f *Front) execute(ctx context.Context, r *run, cfg core.RunConfig, warm *r
 	defer sp.End()
 	if warm != nil {
 		bias := warm.key.Bias
-		r.mu.Lock()
+		r.Lock()
 		r.warmBias = &bias
-		r.mu.Unlock()
+		r.Unlock()
 		obsWarmStarts.Inc()
 	}
 	var lastErr error
@@ -499,12 +429,12 @@ func (f *Front) execute(ctx context.Context, r *run, cfg core.RunConfig, warm *r
 			lastErr = errors.New("no healthy workers")
 			break
 		}
-		r.mu.Lock()
+		r.Lock()
 		r.worker = w.url
 		if attempt > 0 {
 			r.reroutes++
 		}
-		r.mu.Unlock()
+		r.Unlock()
 		if attempt > 0 {
 			obsReroutes.Inc()
 		}
@@ -535,21 +465,21 @@ func (f *Front) execute(ctx context.Context, r *run, cfg core.RunConfig, warm *r
 	f.settle(r, RunFailed, msg)
 }
 
-// settle finishes a run, removes it from the singleflight table and, on
-// success, publishes it to the content-addressed cache.
+// settle finishes a run, removes it from the singleflight table, retires
+// its handles into the store's ring and, on success, publishes it to the
+// content-addressed cache.
 func (f *Front) settle(r *run, state RunState, errmsg string) {
-	r.finish(state, errmsg)
+	r.Finish(state, errmsg)
 	f.mu.Lock()
 	delete(f.inflight, r.key.ID)
+	handles := r.handles
+	r.handles = nil
 	f.mu.Unlock()
+	for _, id := range handles {
+		f.store.Retire(id)
+	}
 	f.cache.put(r)
 }
-
-// reroute is the health loop's eviction callback: nothing to do eagerly —
-// the relay goroutine of every run on the dead worker observes its broken
-// stream and re-places itself — but the hook is where a future
-// checkpoint-forwarding reroute would go.
-func (f *Front) reroute(w *worker) {}
 
 // runOn executes one placement attempt against a worker: submit (optionally
 // with the warm-start checkpoint envelope), relay the NDJSON iteration
@@ -616,10 +546,7 @@ func (f *Front) runOn(ctx context.Context, r *run, workerURL string, cfg core.Ru
 	if err != nil {
 		return err
 	}
-	r.mu.Lock()
-	r.result = &doc
-	r.checkpoint = ck
-	r.mu.Unlock()
+	r.result, r.checkpoint = &doc, ck
 	return nil
 }
 

@@ -718,6 +718,68 @@ func TestCancelDetach(t *testing.T) {
 	}
 }
 
+// TestRepeatedCancelDetachesOnce: a tenant that retries its cancel detaches
+// its handle once; the other tenant joined to the same run still gets a
+// succeeded job and its full iteration stream.
+func TestRepeatedCancelDetachesOnce(t *testing.T) {
+	worker := newWorker(t, serve.Config{})
+	f := newFront(t, Config{Workers: []string{worker.URL}})
+	api := httptest.NewServer(NewAPI(f).Handler())
+	defer api.Close()
+
+	cfg := testConfig(43, 60)
+	cfg.Tol = 1e-300 // runs all MaxIter iterations, then succeeds
+
+	stA, err := f.Submit("a", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		cur, _ := f.Get(stA.ID)
+		if cur.Iterations >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("run never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	stB, err := f.Submit("b", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stB.Source != SourceJoined {
+		t.Fatalf("second submission source %q, want joined", stB.Source)
+	}
+
+	for i := 0; i < 2; i++ {
+		resp, err := http.Post(api.URL+"/v1/jobs/"+stA.ID+"/cancel", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("cancel %d: HTTP %d", i+1, resp.StatusCode)
+		}
+	}
+	if cur, _ := f.Get(stB.ID); cur.State != RunRunning {
+		t.Fatalf("run state %q right after the cancels; enlarge the config", cur.State)
+	}
+
+	waitFrontState(t, f, stB.ID, RunSucceeded, 120*time.Second)
+	lines := bytes.Split(bytes.TrimSpace(streamAll(t, api.URL, stB.ID)), []byte("\n"))
+	if len(lines) != cfg.MaxIter {
+		t.Fatalf("stream holds %d records, want %d", len(lines), cfg.MaxIter)
+	}
+	for i, line := range lines {
+		var rec serve.IterRecord
+		if err := json.Unmarshal(line, &rec); err != nil || rec.Iter != i+1 {
+			t.Fatalf("record %d = %s (err %v), want iteration %d", i, line, err, i+1)
+		}
+	}
+}
+
 // TestCacheLRUAndNearest: the cache holds its bound, evicts least recently
 // used first, and nearest picks the closest bias within a family.
 func TestCacheLRUAndNearest(t *testing.T) {
@@ -730,7 +792,7 @@ func TestCacheLRUAndNearest(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := newRun(key)
-		r.state = RunSucceeded
+		r.Finish(RunSucceeded, "")
 		r.checkpoint = []byte{1}
 		return r
 	}
@@ -758,7 +820,8 @@ func TestCacheLRUAndNearest(t *testing.T) {
 
 	// Failed runs are never cached.
 	rf := mk(0.9)
-	rf.state = RunFailed
+	rf = newRun(rf.key)
+	rf.Finish(RunFailed, "")
 	c.put(rf)
 	if _, ok := c.get(rf.key.ID); ok {
 		t.Error("failed run was cached")

@@ -1,15 +1,13 @@
 package front
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"negfsim/internal/core"
+	"negfsim/internal/jobs"
 	"negfsim/internal/obs"
 )
 
@@ -38,27 +36,21 @@ func NewAPI(f *Front) *API { return &API{f: f} }
 // Handler returns the routed HTTP handler.
 func (a *API) Handler() http.Handler {
 	mux := http.NewServeMux()
+	surf := jobs.Surface[*job]{
+		Store:  a.f.store,
+		Noun:   "job",
+		Status: func(j *job) any { return a.f.status(j) },
+		Cancel: func(j *job) { _, _ = a.f.Cancel(j.id) },
+		Log:    func(j *job) jobs.Streamer { return j.r },
+	}
+	surf.Register(mux, "/v1/jobs")
 	mux.HandleFunc("POST /v1/jobs", a.submit)
-	mux.HandleFunc("GET /v1/jobs", a.list)
-	mux.HandleFunc("GET /v1/jobs/{id}", a.status)
-	mux.HandleFunc("GET /v1/jobs/{id}/stream", a.stream)
-	mux.HandleFunc("POST /v1/jobs/{id}/cancel", a.cancel)
-	mux.HandleFunc("GET /v1/jobs/{id}/result", a.result)
-	mux.HandleFunc("GET /v1/jobs/{id}/checkpoint", a.checkpoint)
+	mux.HandleFunc("GET /v1/jobs/{id}/result", surf.Handle(a.result))
+	mux.HandleFunc("GET /v1/jobs/{id}/checkpoint", surf.Handle(a.checkpoint))
 	mux.HandleFunc("GET /v1/workers", a.workers)
 	mux.HandleFunc("GET /healthz", a.healthz)
 	mux.Handle("GET /metrics", obs.Handler())
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
@@ -66,11 +58,11 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 	dec.DisallowUnknownFields()
 	var cfg core.RunConfig
 	if err := dec.Decode(&cfg); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad run config: %v", err)
+		jobs.WriteError(w, http.StatusBadRequest, "bad run config: %v", err)
 		return
 	}
 	if cfg.Version != 0 && !core.VersionSupported(cfg.Version) {
-		writeErr(w, http.StatusBadRequest, "unsupported config version %d (want %d, or legacy %d)",
+		jobs.WriteError(w, http.StatusBadRequest, "unsupported config version %d (want %d, or legacy %d)",
 			cfg.Version, core.RunConfigVersion, core.RunConfigLegacyVersion)
 		return
 	}
@@ -81,120 +73,31 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 		case errors.As(err, &qe):
 			secs := int(qe.RetryAfter.Seconds()) + 1
 			w.Header().Set("Retry-After", strconv.Itoa(secs))
-			writeErr(w, http.StatusTooManyRequests, "%v", err)
+			jobs.WriteError(w, http.StatusTooManyRequests, "%v", err)
 		case errors.Is(err, ErrClosed):
-			writeErr(w, http.StatusServiceUnavailable, "%v", err)
+			jobs.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		default:
-			writeErr(w, http.StatusBadRequest, "%v", err)
+			jobs.WriteError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, st)
-}
-
-func (a *API) list(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, a.f.Jobs())
-}
-
-func (a *API) status(w http.ResponseWriter, r *http.Request) {
-	st, ok := a.f.Get(r.PathValue("id"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
-}
-
-// stream replays the shared iteration log as NDJSON from ?from= (default 0)
-// and follows it live until the run is terminal. Every attached client of a
-// deduplicated run streams the same log, so their streams are
-// byte-identical for the same ?from=.
-func (a *API) stream(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	a.f.mu.Lock()
-	j, ok := a.f.jobs[id]
-	a.f.mu.Unlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no such job %q", id)
-		return
-	}
-	from := 0
-	if s := r.URL.Query().Get("from"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			writeErr(w, http.StatusBadRequest, "bad from=%q", s)
-			return
-		}
-		from = v
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for i := from; ; i++ {
-		rec, ok := j.r.WaitIter(r.Context(), i)
-		if !ok {
-			return
-		}
-		if err := enc.Encode(rec); err != nil {
-			return
-		}
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-}
-
-func (a *API) cancel(w http.ResponseWriter, r *http.Request) {
-	st, err := a.f.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, st)
+	jobs.WriteJSON(w, http.StatusAccepted, st)
 }
 
 // result serves the finished run's result document with the document ID
 // rewritten to the front job id, so a client never sees worker-internal ids.
-func (a *API) result(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	a.f.mu.Lock()
-	j, ok := a.f.jobs[id]
-	a.f.mu.Unlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no such job %q", id)
-		return
-	}
-	j.r.mu.Lock()
-	state, doc := j.r.state, j.r.result
-	errmsg := j.r.errmsg
-	j.r.mu.Unlock()
-	switch state {
-	case RunRunning:
-		writeErr(w, http.StatusConflict, "job %s still running", id)
-	case RunSucceeded:
-		out := *doc
-		out.ID = id
-		writeJSON(w, http.StatusOK, out)
-	default:
-		writeErr(w, http.StatusConflict, "job %s %s: %s", id, state, errmsg)
+func (a *API) result(w http.ResponseWriter, r *http.Request, j *job) {
+	if doc, _, err := a.f.Result(j.id); err != nil {
+		jobs.WriteError(w, http.StatusConflict, "%v", err)
+	} else {
+		jobs.WriteJSON(w, http.StatusOK, doc)
 	}
 }
 
-func (a *API) checkpoint(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	a.f.mu.Lock()
-	j, ok := a.f.jobs[id]
-	a.f.mu.Unlock()
-	if !ok {
-		writeErr(w, http.StatusNotFound, "no such job %q", id)
-		return
-	}
-	j.r.mu.Lock()
-	state, ck := j.r.state, j.r.checkpoint
-	j.r.mu.Unlock()
-	if state != RunSucceeded {
-		writeErr(w, http.StatusConflict, "job %s not succeeded (state %s)", id, state)
+func (a *API) checkpoint(w http.ResponseWriter, r *http.Request, j *job) {
+	_, ck, err := a.f.Result(j.id)
+	if err != nil {
+		jobs.WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -203,34 +106,17 @@ func (a *API) checkpoint(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) workers(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, a.f.Workers())
+	jobs.WriteJSON(w, http.StatusOK, a.f.Workers())
 }
 
 func (a *API) healthz(w http.ResponseWriter, r *http.Request) {
 	a.f.mu.Lock()
 	inflight := len(a.f.inflight)
 	a.f.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{
+	jobs.WriteJSON(w, http.StatusOK, map[string]any{
 		"ok":            true,
 		"workers_alive": a.f.registry.aliveCount(),
 		"runs_inflight": inflight,
 		"cache_entries": a.f.cache.len(),
 	})
-}
-
-// Serve runs the API on addr until ctx is cancelled, then drains with a
-// bounded shutdown. It mirrors serve.Serve for symmetry between the tiers.
-func Serve(ctx context.Context, addr string, f *Front) error {
-	srv := &http.Server{Addr: addr, Handler: NewAPI(f).Handler()}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(sctx)
-	return f.Close(sctx)
 }

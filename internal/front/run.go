@@ -1,139 +1,67 @@
 package front
 
 import (
-	"context"
-	"sync"
-
+	"negfsim/internal/jobs"
 	"negfsim/internal/serve"
 )
 
-// RunState is the lifecycle phase of a deduplicated run.
-type RunState string
+// RunState is the lifecycle phase of a deduplicated run (the shared
+// jobs.State).
+type RunState = jobs.State
 
 // The run lifecycle: Running until the worker-side job reaches a terminal
 // state (possibly across re-placements), then one of the three terminal
-// states.
+// states — failed permanently (solver error, or no healthy workers), or
+// cancelled after its last attached submission cancelled.
 const (
-	// RunRunning: placed (or being placed) on a worker.
-	RunRunning RunState = "running"
-	// RunSucceeded: completed with a result and checkpoint in hand.
-	RunSucceeded RunState = "succeeded"
-	// RunFailed: failed permanently (solver error, or no healthy workers).
-	RunFailed RunState = "failed"
-	// RunCancelled: cancelled after its last attached submission cancelled.
-	RunCancelled RunState = "cancelled"
+	RunRunning   = jobs.Running
+	RunSucceeded = jobs.Succeeded
+	RunFailed    = jobs.Failed
+	RunCancelled = jobs.Cancelled
 )
 
 // run is one deduplicated execution: the single in-flight (or cached)
-// computation behind any number of front jobs with the same Key. The
-// iteration log, result and checkpoint accumulate here; front jobs are thin
-// handles that read it. All fields behind mu.
+// computation behind any number of front jobs with the same Key. Its record
+// holds the shared iteration log; front jobs are thin handles that read it.
 type run struct {
+	jobs.Record[serve.IterRecord]
+
 	key Key
 
-	mu   sync.Mutex
-	cond *sync.Cond // broadcast on iteration append and state change
-
-	state      RunState
-	iters      []serve.IterRecord
+	// result and checkpoint are written once, before the terminal
+	// transition, and read only after a snapshot showed RunSucceeded.
 	result     *serve.ResultDoc // worker's result document (ID is the worker job id)
 	checkpoint []byte           // gob checkpoint bytes fetched after success
-	errmsg     string
 
+	// Behind the record's mutex:
 	worker   string   // URL of the worker currently (or last) executing it
 	warmBias *float64 // bias of the cached checkpoint that seeded it, if any
 	reroutes int      // worker deaths survived by re-placement
 
-	attached int                // submissions attached; last detach cancels
-	cancel   context.CancelFunc // non-nil while the relay goroutine lives
+	// Behind Front.mu:
+	attached int      // handles not yet detached; the last detach cancels
+	handles  []string // front job ids to retire when the run settles
+
+	lastIter int // highest Born iteration logged; relay goroutine only
 }
 
+// newRun returns a queued run; Submit starts it before any handle can see it.
 func newRun(key Key) *run {
-	r := &run{key: key, state: RunRunning}
-	r.cond = sync.NewCond(&r.mu)
+	r := &run{key: key}
+	r.Begin()
 	return r
-}
-
-// WaitIter blocks until iteration record i exists, the run is terminal, or
-// ctx fires — the same replay-from-any-index contract as serve.Job.WaitIter,
-// one tier up: every attached client streams the one shared log, so
-// deduplicated submissions observe byte-identical iteration sequences.
-func (r *run) WaitIter(ctx context.Context, i int) (serve.IterRecord, bool) {
-	stop := context.AfterFunc(ctx, func() {
-		r.mu.Lock()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	})
-	defer stop()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		if i < len(r.iters) {
-			return r.iters[i], true
-		}
-		if ctx.Err() != nil || r.state != RunRunning {
-			return serve.IterRecord{}, false
-		}
-		r.cond.Wait()
-	}
 }
 
 // appendIter appends a worker iteration record, suppressing replays: after a
 // re-placement the new worker re-executes the deterministic Born iterations
 // the log already holds, so records at or below the high-water mark are
 // dropped and the stream continues from the first unseen iteration — the
-// HTTP-tier analogue of the checkpoint replay RunDistributedFT performs
-// after an ErrRankDead recovery.
+// HTTP-tier analogue of the checkpoint replay core's fault-tolerant loop
+// performs after an ErrRankDead recovery.
 func (r *run) appendIter(rec serve.IterRecord) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.iters) > 0 && rec.Iter <= r.iters[len(r.iters)-1].Iter {
+	if rec.Iter <= r.lastIter {
 		return
 	}
-	r.iters = append(r.iters, rec)
-	r.cond.Broadcast()
-}
-
-// lastIter returns the highest Born iteration index logged so far.
-func (r *run) lastIter() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.iters) == 0 {
-		return 0
-	}
-	return r.iters[len(r.iters)-1].Iter
-}
-
-// finish moves the run to a terminal state and wakes every waiter.
-func (r *run) finish(state RunState, errmsg string) {
-	r.mu.Lock()
-	r.state = state
-	r.errmsg = errmsg
-	r.cancel = nil
-	r.cond.Broadcast()
-	r.mu.Unlock()
-}
-
-// snapshot returns the fields a Status needs under one lock acquisition.
-func (r *run) snapshot() (state RunState, iters int, worker string, warmBias *float64, reroutes int, errmsg string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state, len(r.iters), r.worker, r.warmBias, r.reroutes, r.errmsg
-}
-
-// attach registers one more submission reading this run.
-func (r *run) attach() {
-	r.mu.Lock()
-	r.attached++
-	r.mu.Unlock()
-}
-
-// detach unregisters a submission; it returns true when this was the last
-// one and the run is still in flight — the caller should then cancel the
-// underlying worker job, since nobody is left to read its result.
-func (r *run) detach() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.attached--
-	return r.attached <= 0 && r.state == RunRunning
+	r.lastIter = rec.Iter
+	r.Append(rec)
 }

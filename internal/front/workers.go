@@ -138,7 +138,7 @@ func (r *registry) evict(w *worker) bool {
 // failThreshold consecutive misses evict; one success revives. Probes use a
 // short per-request timeout so one hung worker never delays the sweep of the
 // others past interval + timeout.
-func (r *registry) healthLoop(ctx context.Context, client *http.Client, interval, timeout time.Duration, onEvict func(*worker)) {
+func (r *registry) healthLoop(ctx context.Context, client *http.Client, interval, timeout time.Duration) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
@@ -164,7 +164,6 @@ func (r *registry) healthLoop(ctx context.Context, client *http.Client, interval
 			w.mu.Unlock()
 			if dead && r.evict(w) {
 				obsWorkerEvictions.Inc()
-				onEvict(w)
 			}
 		}
 	}

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"negfsim/internal/core"
+	"negfsim/internal/jobs"
 	"negfsim/internal/obs"
 )
 
@@ -38,13 +37,17 @@ type API struct {
 // NewAPI wraps a scheduler in its HTTP handler.
 func NewAPI(s *Scheduler) *API {
 	a := &API{s: s, mux: http.NewServeMux()}
+	surf := jobs.Surface[*Job]{
+		Store:  s.store,
+		Noun:   "job",
+		Status: func(j *Job) any { return j.Status() },
+		Cancel: func(j *Job) { _, _ = s.Cancel(j.id) },
+		Log:    func(j *Job) jobs.Streamer { return j },
+	}
+	surf.Register(a.mux, "/v1/jobs")
 	a.mux.HandleFunc("POST /v1/jobs", a.submit)
-	a.mux.HandleFunc("GET /v1/jobs", a.list)
-	a.mux.HandleFunc("GET /v1/jobs/{id}", a.status)
-	a.mux.HandleFunc("POST /v1/jobs/{id}/cancel", a.cancel)
-	a.mux.HandleFunc("GET /v1/jobs/{id}/stream", a.stream)
-	a.mux.HandleFunc("GET /v1/jobs/{id}/result", a.result)
-	a.mux.HandleFunc("GET /v1/jobs/{id}/checkpoint", a.checkpoint)
+	a.mux.HandleFunc("GET /v1/jobs/{id}/result", surf.Handle(a.result))
+	a.mux.HandleFunc("GET /v1/jobs/{id}/checkpoint", surf.Handle(a.checkpoint))
 	a.mux.HandleFunc("GET /healthz", a.healthz)
 	a.mux.Handle("GET /metrics", obs.Handler())
 	return a
@@ -52,35 +55,6 @@ func NewAPI(s *Scheduler) *API {
 
 // ServeHTTP implements http.Handler.
 func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) { a.mux.ServeHTTP(w, r) }
-
-// apiError is the JSON error envelope every non-2xx response carries.
-type apiError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, apiError{Error: fmt.Sprintf(format, args...)})
-}
-
-// job resolves the {id} path value, writing a 404 when it is gone (never
-// submitted, or evicted by retention).
-func (a *API) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
-	id := r.PathValue("id")
-	j, ok := a.s.Get(id)
-	if !ok {
-		writeError(w, http.StatusNotFound, "no such job %q", id)
-		return nil, false
-	}
-	return j, true
-}
 
 // submitEnvelope is the warm-start submission body: the run config plus a
 // gob checkpoint (base64 in JSON) whose Σ≷/Π≷ seed the Born loop. A plain
@@ -98,7 +72,7 @@ type submitEnvelope struct {
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		jobs.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
 	cfgRaw := raw
@@ -111,7 +85,7 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 		if len(env.Checkpoint) > 0 {
 			ck, err = core.LoadCheckpoint(bytes.NewReader(env.Checkpoint))
 			if err != nil {
-				writeError(w, http.StatusBadRequest, "%v", err)
+				jobs.WriteError(w, http.StatusBadRequest, "%v", err)
 				return
 			}
 		}
@@ -120,14 +94,14 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(bytes.NewReader(cfgRaw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cfg); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding run config: %v", err)
+		jobs.WriteError(w, http.StatusBadRequest, "decoding run config: %v", err)
 		return
 	}
 	if cfg.Version == 0 {
 		cfg.Version = core.RunConfigVersion
 	}
 	if !core.VersionSupported(cfg.Version) {
-		writeError(w, http.StatusBadRequest,
+		jobs.WriteError(w, http.StatusBadRequest,
 			"run config version %d not supported (this build speaks version %d and still accepts %d)",
 			cfg.Version, core.RunConfigVersion, core.RunConfigLegacyVersion)
 		return
@@ -135,77 +109,13 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 	j, err := a.s.SubmitFrom(cfg, ck)
 	switch {
 	case errors.Is(err, ErrQueueFull):
-		writeError(w, http.StatusTooManyRequests, "%v", err)
+		jobs.WriteError(w, http.StatusTooManyRequests, "%v", err)
 	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, "%v", err)
+		jobs.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	case err != nil:
-		writeError(w, http.StatusBadRequest, "%v", err)
+		jobs.WriteError(w, http.StatusBadRequest, "%v", err)
 	default:
-		writeJSON(w, http.StatusAccepted, j.Status())
-	}
-}
-
-func (a *API) list(w http.ResponseWriter, r *http.Request) {
-	jobs := a.s.Jobs()
-	out := make([]Status, len(jobs))
-	for i, j := range jobs {
-		out[i] = j.Status()
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (a *API) status(w http.ResponseWriter, r *http.Request) {
-	if j, ok := a.job(w, r); ok {
-		writeJSON(w, http.StatusOK, j.Status())
-	}
-}
-
-func (a *API) cancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := a.job(w, r)
-	if !ok {
-		return
-	}
-	if _, err := a.s.Cancel(j.ID()); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, j.Status())
-}
-
-// stream writes the job's iteration records as NDJSON, one object per
-// line, starting at ?from= (default 0) and following live until the job
-// reaches a terminal state or the client disconnects. Records are replayed
-// from the job's log, so a client connecting late sees every iteration —
-// there is no subscription window to miss.
-func (a *API) stream(w http.ResponseWriter, r *http.Request) {
-	j, ok := a.job(w, r)
-	if !ok {
-		return
-	}
-	from := 0
-	if s := r.URL.Query().Get("from"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "from must be a non-negative integer, got %q", s)
-			return
-		}
-		from = v
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for i := from; ; i++ {
-		rec, more := j.WaitIter(r.Context(), i)
-		if !more {
-			return
-		}
-		if err := enc.Encode(rec); err != nil {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		jobs.WriteJSON(w, http.StatusAccepted, j.Status())
 	}
 }
 
@@ -229,24 +139,21 @@ type ResultDoc struct {
 	Adapt *core.AdaptReport `json:"adapt,omitempty"`
 }
 
-func (a *API) result(w http.ResponseWriter, r *http.Request) {
-	j, ok := a.job(w, r)
-	if !ok {
-		return
-	}
+func (a *API) result(w http.ResponseWriter, r *http.Request, j *Job) {
 	res, ok := j.Result()
 	if !ok {
-		writeError(w, http.StatusConflict, "job %q has no result (state %q)", j.ID(), j.Status().State)
+		jobs.WriteError(w, http.StatusConflict, "job %q has no result (state %q)", j.ID(), j.Status().State)
 		return
 	}
-	writeJSON(w, http.StatusOK, ResultDoc{
+	// j.out is set: Result saw the job succeed.
+	jobs.WriteJSON(w, http.StatusOK, ResultDoc{
 		ID:          j.ID(),
 		Iterations:  res.Iterations,
 		Converged:   res.Converged,
 		Recoveries:  res.Recoveries,
 		Residuals:   res.Residuals,
 		Observables: res.Obs,
-		Bytes:       j.Bytes(),
+		Bytes:       j.out.WireBytes,
 		Adapt:       res.Adapt,
 	})
 }
@@ -254,17 +161,13 @@ func (a *API) result(w http.ResponseWriter, r *http.Request) {
 // checkpoint serves the succeeded job's converged self-energies as a gob
 // checkpoint — the same format qtsim's -checkpoint flag writes, so a
 // service result can seed a local RunFrom continuation.
-func (a *API) checkpoint(w http.ResponseWriter, r *http.Request) {
-	j, ok := a.job(w, r)
-	if !ok {
-		return
-	}
+func (a *API) checkpoint(w http.ResponseWriter, r *http.Request, j *Job) {
 	res, ok := j.Result()
 	if !ok {
-		writeError(w, http.StatusConflict, "job %q has no result (state %q)", j.ID(), j.Status().State)
+		jobs.WriteError(w, http.StatusConflict, "job %q has no result (state %q)", j.ID(), j.Status().State)
 		return
 	}
-	ck := core.CheckpointOf(j.Config().Device, res)
+	ck := core.CheckpointOf(j.cfg.Device, res)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := ck.Save(w); err != nil {
 		// Headers are out; the broken body is the best signal left.
@@ -285,5 +188,5 @@ func (a *API) healthz(w http.ResponseWriter, r *http.Request) {
 	a.s.mu.Lock()
 	doc := healthDoc{OK: true, Queued: len(a.s.pending), Running: a.s.running}
 	a.s.mu.Unlock()
-	writeJSON(w, http.StatusOK, doc)
+	jobs.WriteJSON(w, http.StatusOK, doc)
 }

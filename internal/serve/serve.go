@@ -33,11 +33,11 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strconv"
 	"sync"
 	"time"
 
 	"negfsim/internal/core"
+	"negfsim/internal/jobs"
 	"negfsim/internal/obs"
 )
 
@@ -46,10 +46,13 @@ import (
 var (
 	obsSubmitted = obs.GetCounter("serve.jobs_submitted")
 	obsRejected  = obs.GetCounter("serve.jobs_rejected")
-	obsSucceeded = obs.GetCounter("serve.jobs_succeeded")
-	obsFailed    = obs.GetCounter("serve.jobs_failed")
-	obsCancelled = obs.GetCounter("serve.jobs_cancelled")
 	obsJobSpan   = obs.GetTimer("serve.job")
+	// obsFinished counts jobs by terminal state.
+	obsFinished = map[JobState]*obs.Counter{
+		Succeeded: obs.GetCounter("serve.jobs_succeeded"),
+		Failed:    obs.GetCounter("serve.jobs_failed"),
+		Cancelled: obs.GetCounter("serve.jobs_cancelled"),
+	}
 )
 
 // ErrQueueFull is returned by Submit when the waiting queue is at
@@ -99,39 +102,20 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// JobState is a job's lifecycle phase.
-type JobState string
+// JobState is a job's lifecycle phase (the shared jobs.State).
+type JobState = jobs.State
 
 // The job lifecycle: Queued → Running → one of the three terminal states.
 const (
-	// Queued: admitted, waiting for a runner slot.
-	Queued JobState = "queued"
-	// Running: executing on a runner.
-	Running JobState = "running"
-	// Succeeded: finished with a result.
-	Succeeded JobState = "succeeded"
-	// Failed: finished with an error that was not a cancellation.
-	Failed JobState = "failed"
-	// Cancelled: stopped by a cancel request (or scheduler shutdown).
-	Cancelled JobState = "cancelled"
+	Queued    = jobs.Queued
+	Running   = jobs.Running
+	Succeeded = jobs.Succeeded
+	Failed    = jobs.Failed
+	Cancelled = jobs.Cancelled
 )
 
 // stateCode is the numeric encoding of the serve.job_state gauge.
-func stateCode(s JobState) int64 {
-	switch s {
-	case Queued:
-		return 0
-	case Running:
-		return 1
-	case Succeeded:
-		return 2
-	case Failed:
-		return 3
-	case Cancelled:
-		return 4
-	}
-	return -1
-}
+var stateCode = map[JobState]int64{Queued: 0, Running: 1, Succeeded: 2, Failed: 3, Cancelled: 4}
 
 // IterRecord is one Born iteration of a job as streamed to clients —
 // the service-side shape of core.IterStats (qtsim's trace line schema).
@@ -150,33 +134,23 @@ type IterRecord struct {
 	Converged bool `json:"converged"`
 }
 
-// Job is one submitted simulation. All fields behind mu; accessors return
-// snapshots.
+// Job is one submitted simulation: its lifecycle record (whose log is the
+// Born iteration stream) plus the run's inputs and outcome.
 type Job struct {
+	jobs.Record[IterRecord]
+
 	id  string
 	cfg core.RunConfig
 	ck  *core.Checkpoint // warm-start seed, nil for cold runs
-
-	mu   sync.Mutex
-	cond *sync.Cond // broadcast on every iteration append and state change
-
-	state    JobState
-	err      string
-	out      *core.Outcome // nil until the run succeeds
-	iters    []IterRecord
-	queued   time.Time
-	started  time.Time
-	finished time.Time
-	cancel   context.CancelFunc // non-nil while running
+	// out is written once by the runner before the terminal transition and
+	// read only by whoever has seen the job succeed.
+	out *core.Outcome
 
 	obsIters *obs.Counter // serve.job_iterations{job="id"}
 }
 
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
-
-// Config returns the job's run configuration.
-func (j *Job) Config() core.RunConfig { return j.cfg }
 
 // Status is a point-in-time public snapshot of a job.
 type Status struct {
@@ -200,25 +174,18 @@ type Status struct {
 
 // Status returns the job's current snapshot.
 func (j *Job) Status() Status {
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	s := j.Snapshot()
 	st := Status{
 		ID:         j.id,
-		State:      j.state,
-		Queued:     j.queued,
-		Iterations: len(j.iters),
+		State:      s.State,
+		Queued:     s.Queued,
+		Started:    s.Started,
+		Finished:   s.Finished,
+		Iterations: s.Iters,
 		WarmStart:  j.ck != nil,
-		Error:      j.err,
+		Error:      s.Err,
 	}
-	if !j.started.IsZero() {
-		t := j.started
-		st.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		st.Finished = &t
-	}
-	if j.out != nil {
+	if s.State == Succeeded {
 		st.Converged = j.out.Result.Converged
 	}
 	return st
@@ -227,58 +194,10 @@ func (j *Job) Status() Status {
 // Result returns the job's result once it has succeeded, and whether it is
 // available.
 func (j *Job) Result() (*core.Result, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.state != Succeeded || j.out == nil {
+	if j.Snapshot().State != Succeeded {
 		return nil, false
 	}
 	return j.out.Result, true
-}
-
-// Bytes returns the distributed exchange traffic of a finished distributed
-// job (zero for serial jobs).
-func (j *Job) Bytes() int64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.out == nil {
-		return 0
-	}
-	return j.out.WireBytes
-}
-
-// Done reports whether the job has reached a terminal state.
-func (j *Job) Done() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state == Succeeded || j.state == Failed || j.state == Cancelled
-}
-
-// WaitIter blocks until iteration record i exists, the job reaches a
-// terminal state, or ctx is cancelled. It returns the record and true when
-// available; false means no more records will come (terminal and i is past
-// the end, or ctx fired). This is the pull side of the streaming endpoint:
-// every consumer replays from any index with no per-subscriber buffers and
-// no dropped records.
-func (j *Job) WaitIter(ctx context.Context, i int) (IterRecord, bool) {
-	// A cond has no context integration; a watcher goroutine per WaitIter
-	// call would leak on abandoned streams, so poke the cond when ctx dies.
-	stop := context.AfterFunc(ctx, func() {
-		j.mu.Lock()
-		j.cond.Broadcast()
-		j.mu.Unlock()
-	})
-	defer stop()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for {
-		if i < len(j.iters) {
-			return j.iters[i], true
-		}
-		if ctx.Err() != nil || j.state == Succeeded || j.state == Failed || j.state == Cancelled {
-			return IterRecord{}, false
-		}
-		j.cond.Wait()
-	}
 }
 
 // recordIteration is the job's core.Options.OnIteration hook. It runs on
@@ -297,10 +216,7 @@ func (j *Job) recordIteration(st core.IterStats) {
 		rec.Residual = &r
 	}
 	j.obsIters.Inc()
-	j.mu.Lock()
-	j.iters = append(j.iters, rec)
-	j.cond.Broadcast()
-	j.mu.Unlock()
+	j.Append(rec)
 }
 
 // metricNames returns the job's labelled series, registered at submit and
@@ -313,27 +229,24 @@ func (j *Job) metricNames() (iters, state string) {
 // Scheduler owns the job store, the admission-controlled queue and the
 // runner goroutines. Create one with New; it is safe for concurrent use.
 type Scheduler struct {
-	cfg     Config
-	baseCtx context.Context
-	stop    context.CancelFunc
-	wg      sync.WaitGroup
+	cfg   Config
+	store *jobs.Store[*Job]
 
-	mu       sync.Mutex
-	cond     *sync.Cond // signals runners that pending has work (or closed)
-	pending  []*Job
-	jobs     map[string]*Job
-	order    []string // submission order, for listing
-	doneRing []string // finished ids in completion order, for eviction
-	running  int
-	closed   bool
-	nextID   int
+	mu      sync.Mutex
+	cond    *sync.Cond // signals runners that pending has work (or shutdown)
+	pending []*Job
+	running int
 }
 
 // New builds a scheduler and starts its MaxConcurrent runner goroutines.
 func New(cfg Config) *Scheduler {
-	s := &Scheduler{cfg: cfg.withDefaults(), jobs: map[string]*Job{}}
+	s := &Scheduler{cfg: cfg.withDefaults()}
+	s.store = jobs.NewStore("j", s.cfg.Retain, func(j *Job) {
+		itersName, stateName := j.metricNames()
+		obs.Unregister(itersName)
+		obs.Unregister(stateName)
+	})
 	s.cond = sync.NewCond(&s.mu)
-	s.baseCtx, s.stop = context.WithCancel(context.Background())
 	obs.RegisterGaugeFunc("serve.queue_depth", func() int64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -345,8 +258,7 @@ func New(cfg Config) *Scheduler {
 		return int64(s.running)
 	})
 	for i := 0; i < s.cfg.MaxConcurrent; i++ {
-		s.wg.Add(1)
-		go s.runner()
+		s.store.Go(s.runner)
 	}
 	return s
 }
@@ -396,31 +308,21 @@ func (s *Scheduler) SubmitFrom(cfg core.RunConfig, ck *core.Checkpoint) (*Job, e
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
 	if len(s.pending) >= s.cfg.QueueDepth {
 		obsRejected.Inc()
 		return nil, ErrQueueFull
 	}
-	s.nextID++
-	j := &Job{
-		id:     "j" + strconv.Itoa(s.nextID),
-		cfg:    cfg,
-		ck:     ck,
-		state:  Queued,
-		queued: time.Now(),
+	j, ok := s.store.Add(func(id string) *Job {
+		j := &Job{id: id, cfg: cfg, ck: ck}
+		j.Begin()
+		return j
+	})
+	if !ok {
+		return nil, ErrClosed
 	}
-	j.cond = sync.NewCond(&j.mu)
 	itersName, stateName := j.metricNames()
 	j.obsIters = obs.GetCounter(itersName)
-	obs.RegisterGaugeFunc(stateName, func() int64 {
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		return stateCode(j.state)
-	})
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	obs.RegisterGaugeFunc(stateName, func() int64 { return stateCode[j.Snapshot().State] })
 	s.pending = append(s.pending, j)
 	obsSubmitted.Inc()
 	s.cond.Signal()
@@ -428,124 +330,64 @@ func (s *Scheduler) SubmitFrom(cfg core.RunConfig, ck *core.Checkpoint) (*Job, e
 }
 
 // Get returns the job with the given id, if it is still in the store.
-func (s *Scheduler) Get(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
-}
+func (s *Scheduler) Get(id string) (*Job, bool) { return s.store.Get(id) }
 
 // Jobs returns the stored jobs in submission order.
-func (s *Scheduler) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		if j, ok := s.jobs[id]; ok {
-			out = append(out, j)
-		}
-	}
-	return out
-}
+func (s *Scheduler) Jobs() []*Job { return s.store.List() }
 
 // Cancel stops the job with the given id: a queued job leaves the queue
 // immediately (freeing its admission slot), a running job has its context
 // cancelled and drains within one Born iteration. Cancelling a finished job
 // is a no-op. The returned state is the job's state after the request.
 func (s *Scheduler) Cancel(id string) (JobState, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
+	j, ok := s.store.Get(id)
 	if !ok {
-		s.mu.Unlock()
 		return "", fmt.Errorf("serve: no such job %q", id)
 	}
-	// Remove from pending under the scheduler lock so a runner cannot pick
-	// it up concurrently with the state change below. If a runner popped it
-	// already (removed stays false), the runner owns the completion
-	// accounting: its execute sees the Cancelled state and returns.
-	removed := false
+	// The queue removal happens under the scheduler lock, so a runner cannot
+	// pick the job up concurrently; a runner that popped it already finds it
+	// Cancelled and skips it.
+	s.mu.Lock()
 	for i, p := range s.pending {
 		if p == j {
 			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			removed = true
 			break
 		}
 	}
 	s.mu.Unlock()
-
-	j.mu.Lock()
-	switch j.state {
-	case Queued:
-		j.state = Cancelled
-		j.err = "cancelled while queued"
-		j.finished = time.Now()
-		j.cond.Broadcast()
-		j.mu.Unlock()
-		obsCancelled.Inc()
-		if removed {
-			s.noteFinished(j)
-		}
-		return Cancelled, nil
-	case Running:
-		cancel := j.cancel
-		st := j.state
-		j.mu.Unlock()
-		if cancel != nil {
-			cancel()
-		}
-		return st, nil
-	default:
-		st := j.state
-		j.mu.Unlock()
-		return st, nil
+	if j.Cancel("cancelled while queued") {
+		s.settled(j, Cancelled)
 	}
+	return j.Snapshot().State, nil
 }
 
-// Close shuts the scheduler down: no new admissions, queued jobs are
-// cancelled, running jobs have their contexts cancelled, and Close blocks
+// Close shuts the scheduler down: no new admissions, running jobs have
+// their contexts cancelled, queued jobs are cancelled, and Close blocks
 // until every runner has drained or ctx expires.
 func (s *Scheduler) Close(ctx context.Context) error {
-	s.mu.Lock()
-	if s.closed {
+	return s.store.Close(ctx, func() {
+		s.mu.Lock()
+		pending := s.pending
+		s.pending = nil
+		s.cond.Broadcast()
 		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	pending := s.pending
-	s.pending = nil
-	s.cond.Broadcast()
-	s.mu.Unlock()
-
-	for _, j := range pending {
-		j.mu.Lock()
-		j.state = Cancelled
-		j.err = "scheduler shut down"
-		j.finished = time.Now()
-		j.cond.Broadcast()
-		j.mu.Unlock()
-		obsCancelled.Inc()
-	}
-	s.stop() // cancels every running job's context
-
-	done := make(chan struct{})
-	go func() { s.wg.Wait(); close(done) }()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("serve: shutdown timed out: %w", ctx.Err())
-	}
+		for _, j := range pending {
+			if j.Cancel("scheduler shut down") {
+				s.settled(j, Cancelled)
+			}
+		}
+	})
 }
 
-// runner is one concurrency slot: pop, execute, account, repeat.
+// runner is one concurrency slot: pop, execute, repeat until shutdown.
 func (s *Scheduler) runner() {
-	defer s.wg.Done()
+	ctx := s.store.Context()
 	for {
 		s.mu.Lock()
-		for len(s.pending) == 0 && !s.closed {
+		for len(s.pending) == 0 && ctx.Err() == nil {
 			s.cond.Wait()
 		}
-		if s.closed {
+		if ctx.Err() != nil {
 			s.mu.Unlock()
 			return
 		}
@@ -559,55 +401,39 @@ func (s *Scheduler) runner() {
 		s.mu.Lock()
 		s.running--
 		s.mu.Unlock()
-		s.noteFinished(j)
 	}
 }
 
 // execute runs one job start to finish on the calling runner goroutine.
 func (s *Scheduler) execute(j *Job) {
-	ctx, cancel := context.WithCancel(s.baseCtx)
+	ctx, cancel := context.WithCancel(s.store.Context())
 	defer cancel()
-
-	j.mu.Lock()
-	if j.state != Queued { // cancelled between pop and start
-		j.mu.Unlock()
+	if !j.Start(cancel) { // cancelled between pop and start
 		return
 	}
-	j.state = Running
-	j.started = time.Now()
-	j.cancel = cancel
-	j.cond.Broadcast()
-	j.mu.Unlock()
-
+	t0 := time.Now()
 	out, err := s.runConfigured(ctx, j)
-
-	j.mu.Lock()
-	j.cancel = nil
-	j.finished = time.Now()
-	j.out = out
+	state, msg := Succeeded, ""
 	switch {
 	case err == nil:
-		j.state = Succeeded
+		j.out = out
 	case ctx.Err() != nil || errors.Is(err, context.Canceled):
-		j.state = Cancelled
-		j.err = err.Error()
+		state, msg = Cancelled, err.Error()
 	default:
-		j.state = Failed
-		j.err = err.Error()
+		state, msg = Failed, err.Error()
 	}
-	state := j.state
-	obsJobSpan.Observe(j.finished.Sub(j.started))
-	j.cond.Broadcast()
-	j.mu.Unlock()
+	j.Finish(state, msg)
+	obsJobSpan.Observe(time.Since(t0))
+	s.settled(j, state)
+}
 
-	switch state {
-	case Succeeded:
-		obsSucceeded.Inc()
-	case Cancelled:
-		obsCancelled.Inc()
-	default:
-		obsFailed.Inc()
-	}
+// settled does a job's accounting after its terminal transition, whichever
+// path took it there: the outcome counter, then retirement into the
+// store's ring, which evicts the oldest finished jobs past Retain and
+// unregisters their per-job metrics.
+func (s *Scheduler) settled(j *Job, state JobState) {
+	obsFinished[state].Inc()
+	s.store.Retire(j.id)
 }
 
 // runConfigured builds the job's simulator — its worker share and the
@@ -627,31 +453,4 @@ func (s *Scheduler) runConfigured(ctx context.Context, j *Job) (*core.Outcome, e
 		return nil, err
 	}
 	return sim.Execute(ctx, core.Plan{Config: j.cfg, Place: core.DistConfig{Resume: j.ck}})
-}
-
-// noteFinished appends a terminal job to the retention ring and evicts the
-// oldest finished jobs past Retain, unregistering their per-job metrics so
-// the registry stays bounded in a long-lived daemon.
-func (s *Scheduler) noteFinished(j *Job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.doneRing = append(s.doneRing, j.id)
-	for len(s.doneRing) > s.cfg.Retain {
-		id := s.doneRing[0]
-		s.doneRing = s.doneRing[1:]
-		old, ok := s.jobs[id]
-		if !ok {
-			continue
-		}
-		delete(s.jobs, id)
-		for i, oid := range s.order {
-			if oid == id {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				break
-			}
-		}
-		itersName, stateName := old.metricNames()
-		obs.Unregister(itersName)
-		obs.Unregister(stateName)
-	}
 }
