@@ -1,7 +1,7 @@
 # Tier-1 gate: everything a PR must keep green.
-.PHONY: check fmt build vet test race race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test docs-lint bench-build bench bench-gate microbench
+.PHONY: check fmt build vet test race race-ft serve-test transport-test peer-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build bench bench-gate microbench
 
-check: fmt build vet test race-ft serve-test transport-test peer-test partition-test tune-test front-test device-test campaign-test adapt-test docs-lint bench-build
+check: fmt build vet test race-ft serve-test transport-test peer-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build
 
 # gofmt -l prints nothing (and exits 0) on a clean tree; any output fails
 # the gate via the grep.
@@ -65,14 +65,6 @@ peer-test:
 partition-test:
 	go test -race -count=1 -run 'Partitioned|Distributed' ./internal/rgf
 	go test -race -count=1 -run 'Spatial' ./internal/core
-
-# Autotuner gate under the race detector: the search over a fixed probe
-# table must be deterministic (same schedule, same probe count, twice), and
-# the schedule cache must fall back cleanly on corrupt/stale files. A short
-# genuinely-measured search runs too (TestTunerRealProbesSmall) to keep the
-# probe kernels honest.
-tune-test:
-	go test -race -count=1 ./internal/tune
 
 # Front-tier suite under the race detector: content-address
 # canonicalization, singleflight dedup with byte-identical streams,

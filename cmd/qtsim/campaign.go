@@ -14,7 +14,7 @@ import (
 // execute its bias ladder in-process (warm-chaining by default), print a
 // per-point summary, and emit the artifacts — PREFIX.csv and PREFIX.json
 // when -campaign-out is set, the CSV to stdout otherwise.
-func runCampaign(path, out string, workers int) error {
+func runCampaign(path, out string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -26,7 +26,7 @@ func runCampaign(path, out string, workers int) error {
 		return fmt.Errorf("parsing campaign request %s: %w", path, err)
 	}
 
-	mgr := campaign.NewManager(campaign.LocalBackend{Workers: workers}, 0)
+	mgr := campaign.NewManager(campaign.LocalBackend{}, 0)
 	c, err := mgr.Start(req)
 	if err != nil {
 		return err

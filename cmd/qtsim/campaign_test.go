@@ -67,7 +67,7 @@ func TestRunCampaignWritesArtifacts(t *testing.T) {
 	}
 
 	out := filepath.Join(dir, "iv")
-	if err := runCampaign(path, out, 0); err != nil {
+	if err := runCampaign(path, out); err != nil {
 		t.Fatal(err)
 	}
 

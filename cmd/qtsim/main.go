@@ -19,21 +19,14 @@
 // breakdown). Either flag enables the observability layer and an
 // end-of-run summary table. See docs/OBSERVABILITY.md.
 //
-// The kernels run under a tuned schedule when one is available: -tune
-// selects the source (off = compile-time defaults, cached = the per-host
-// schedule cache written by an earlier -tune=force, force = run a budgeted
-// probe search now and cache it), and -schedule loads an explicit schedule
-// JSON file — for example the fragment tilesearch -json emits. See the
-// autotuner section of ARCHITECTURE.md.
-//
 // With -dist TExTA (or "dist" in the config) the SSE phase runs on a
 // simulated rank grid with fault tolerance; -dist N with a plain process
-// count lets the schedule (or the §4.1 model search) pick the TE×TA
-// factorization. Fault tolerance: -checkpoint persists a
-// restartable snapshot every iteration, -comm-timeout bounds failure
-// detection, and -inject-fault ITER:RANK[:OP] kills a rank mid-run to
-// demonstrate checkpointed recovery (the run rebuilds a smaller cluster and
-// still converges to the fault-free observables).
+// count lets the §4.1 model search pick the TE×TA factorization. Fault
+// tolerance: -checkpoint persists a restartable snapshot every iteration,
+// -comm-timeout bounds failure detection, and -inject-fault ITER:RANK[:OP]
+// kills a rank mid-run to demonstrate checkpointed recovery (the run
+// rebuilds a smaller cluster and still converges to the fault-free
+// observables).
 package main
 
 import (
@@ -55,7 +48,6 @@ import (
 	"negfsim/internal/core"
 	"negfsim/internal/device"
 	"negfsim/internal/obs"
-	"negfsim/internal/tune"
 )
 
 // traceLine is the JSON schema of one -trace-out record. The four phase
@@ -273,9 +265,6 @@ func main() {
 	checkpoint := flag.String("checkpoint", "", "gob checkpoint file: resumed from if present, written after every iteration (distributed) or at the end (serial)")
 	peers := flag.String("peers", "", "comma-separated peer addresses (index = rank): carry the distributed SSE over TCP across real processes, this one hosting -peer-rank")
 	peerRank := flag.Int("peer-rank", 0, "rank this process hosts when -peers is set")
-	tuneMode := flag.String("tune", "cached", "kernel schedule source: off | cached | force (force probes now and caches)")
-	tuneBudget := flag.Duration("tune-budget", tune.DefaultBudget, "probe budget under -tune=force")
-	schedulePath := flag.String("schedule", "", "explicit schedule JSON file (e.g. tilesearch -json output); overrides -tune")
 	flag.Parse()
 
 	cfg := core.DefaultRunConfig()
@@ -298,29 +287,21 @@ func main() {
 		serveMetrics(*metricsAddr)
 	}
 
-	sched, err := tune.Startup(*tuneMode, *schedulePath, *tuneBudget, log.Printf)
-	if err != nil {
-		log.Fatal(err)
-	}
 	if *campaignPath != "" {
-		if err := runCampaign(*campaignPath, *campaignOut, sched.Workers); err != nil {
+		if err := runCampaign(*campaignPath, *campaignOut); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 	if n, aerr := strconv.Atoi(cfg.Dist); aerr == nil && n > 0 {
-		// A plain process count: let the schedule (or the model search)
-		// choose the TE×TA factorization before the config is validated.
-		tl, ok := sched.TileFor(cfg.Device.Grid(), n)
-		if !ok {
-			var serr error
-			if tl, serr = tune.SearchDecomposition(cfg.Device.Grid(), n, 0); serr != nil {
-				log.Fatal(serr)
-			}
+		// A plain process count: let the §4.1 model search choose the TE×TA
+		// factorization before the config is validated.
+		best, feasible := comm.SearchTiles(cfg.Device.Grid(), n, 0)
+		if len(feasible) == 0 {
+			log.Fatalf("no feasible decomposition of %d processes for this device", n)
 		}
-		cfg.Dist = fmt.Sprintf("%dx%d", tl.TE, tl.TA)
-		fmt.Printf("dist: %d processes → %dx%d grid (%s)\n",
-			n, tl.TE, tl.TA, map[bool]string{true: "from schedule", false: "model search"}[ok])
+		cfg.Dist = fmt.Sprintf("%dx%d", best.TE, best.TA)
+		fmt.Printf("dist: %d processes → %dx%d grid (model search)\n", n, best.TE, best.TA)
 	}
 
 	if err := cfg.Validate(); err != nil {
@@ -364,9 +345,6 @@ func main() {
 	opts, err := cfg.Options()
 	if err != nil {
 		log.Fatal(err)
-	}
-	if opts.Workers <= 0 && sched.Workers > 0 {
-		opts.Workers = sched.Workers
 	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)

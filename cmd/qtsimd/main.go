@@ -12,12 +12,6 @@
 //	curl -X POST localhost:8080/v1/jobs/j1/cancel
 //	curl localhost:8080/v1/jobs/j1/result
 //
-// The daemon resolves its kernel schedule at boot exactly like qtsim
-// (-tune=off|cached|force, -schedule FILE): the tuned GEMM blocking is
-// installed once before any job starts, and a tuned worker split becomes
-// the default -worker-budget. Per-job configs only carry per-run knobs, so
-// concurrent tenants never race on kernel configuration.
-//
 // Observability is always on: /metrics exposes the registry (global solver
 // counters plus per-job serve.job_* series) in Prometheus text format, and
 // /healthz reports the queue snapshot. SIGINT/SIGTERM drain gracefully:
@@ -48,7 +42,6 @@ import (
 	"negfsim/internal/core"
 	"negfsim/internal/obs"
 	"negfsim/internal/serve"
-	"negfsim/internal/tune"
 )
 
 func main() {
@@ -63,37 +56,16 @@ func main() {
 	peerConfig := flag.String("peer-config", "", "run config JSON for peer mode (must carry a \"dist\" grid matching the peer count)")
 	resultOut := flag.String("result-out", "", "peer mode: write the run's result JSON here (default stdout)")
 	dieAfterIter := flag.Int("die-after-iter", 0, "peer mode fault drill: SIGKILL self after N completed Born iterations")
-	tuneMode := flag.String("tune", "cached", "kernel schedule source: off | cached | force (force probes now and caches)")
-	tuneBudget := flag.Duration("tune-budget", tune.DefaultBudget, "probe budget under -tune=force")
-	schedulePath := flag.String("schedule", "", "explicit schedule JSON file; overrides -tune")
 	adaptMode := flag.String("adapt", "", "daemon-wide adaptive energy grid for serial jobs without their own \"adapt\" block: off | grid | grid+sigma")
 	adaptTol := flag.Float64("adapt-tol", 1e-6, "refinement tolerance on the integrated current (with -adapt)")
 	flag.Parse()
 
 	obs.Enable()
-	// The tuned GEMM blocking is process-global and installed exactly once,
-	// before any job runs; per-job schedules are restricted to per-run
-	// knobs (worker split), so concurrent jobs never race on it.
-	tuned, err := tune.Startup(*tuneMode, *schedulePath, *tuneBudget, log.Printf)
-	if err != nil {
-		log.Fatalf("qtsimd: %v", err)
-	}
 	if *peers != "" {
 		if err := runPeer(*peerRank, *peers, *peerConfig, *resultOut, *dieAfterIter); err != nil {
 			log.Fatalf("qtsimd: peer: %v", err)
 		}
 		return
-	}
-	// An explicit -worker-budget wins; otherwise a tuned worker split
-	// becomes the pool budget shared across tenants.
-	budgetSet := false
-	flag.Visit(func(fl *flag.Flag) {
-		if fl.Name == "worker-budget" {
-			budgetSet = true
-		}
-	})
-	if !budgetSet && tuned.Workers > 0 {
-		*workerBudget = tuned.Workers
 	}
 	var defaultAdapt *core.AdaptSpec
 	if *adaptMode != "" && *adaptMode != "off" {

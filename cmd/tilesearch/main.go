@@ -1,43 +1,20 @@
 // Command tilesearch runs the exhaustive decomposition search of §4.1:
 // over all feasible (TE, TA) factorizations of the process count, it finds
 // the tiling that minimizes SSE communication volume, optionally under a
-// per-process memory limit.
-//
-// With -json the best decomposition is emitted as a tune.Schedule fragment
-// on stdout — default kernel blocking, no host key, one tile — which qtsim
-// accepts verbatim via -schedule:
-//
-//	tilesearch -na 4864 -nkz 7 -p 1792 -json > sched.json
-//	qtsim -schedule sched.json -dist 1792 ...
+// per-process memory limit. The printed optimum is what qtsim takes as
+// -dist TExTA.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"sort"
 
 	"negfsim/internal/comm"
 	"negfsim/internal/device"
 	"negfsim/internal/perfmodel"
-	"negfsim/internal/tune"
 )
-
-// scheduleFragment renders the volume-minimizing decomposition for (p,
-// procs, memLimit) as a tune.Schedule document. The fragment is
-// deliberately host-independent — compile-time blocking, no host key — so
-// the bytes are reproducible anywhere (the golden test relies on this) and
-// applying it changes only the decomposition.
-func scheduleFragment(p device.Params, procs int, memLimit float64) ([]byte, error) {
-	tl, err := tune.SearchDecomposition(p, procs, memLimit)
-	if err != nil {
-		return nil, err
-	}
-	s := tune.DefaultSchedule()
-	s.AddTile(tl)
-	return s.Marshal()
-}
 
 func main() {
 	log.SetFlags(0)
@@ -47,7 +24,6 @@ func main() {
 	procs := flag.Int("p", 1792, "process count")
 	memGiB := flag.Float64("mem", 0, "per-process memory limit in GiB (0 = unlimited)")
 	top := flag.Int("top", 8, "show the N best decompositions")
-	jsonOut := flag.Bool("json", false, "emit the best decomposition as a tune.Schedule fragment for qtsim -schedule")
 	place := flag.Bool("place", false, "compare the energy-grid and spatial-split axes for -p processes and report the cheaper one")
 	flag.Parse()
 
@@ -76,15 +52,6 @@ func main() {
 			fmt.Printf("spatial split: infeasible (Bnum=%d < %d)\n", p.Bnum, 2**procs-1)
 		}
 		fmt.Printf("placement: %s\n", pl.Mode)
-		return
-	}
-
-	if *jsonOut {
-		out, err := scheduleFragment(p, *procs, *memGiB*(1<<30))
-		if err != nil {
-			log.Fatal(err)
-		}
-		os.Stdout.Write(out)
 		return
 	}
 

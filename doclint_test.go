@@ -11,8 +11,7 @@ import (
 
 // The packages whose exported API the doc-comment lint enforces — the
 // observability layer, the two packages an operator reads first when
-// interpreting its output, the service API that clients program against,
-// and the autotuner whose schedule files operators hand-edit.
+// interpreting its output, and the service API that clients program against.
 var doclintPackages = []string{
 	"internal/obs",
 	"internal/comm",
@@ -20,7 +19,6 @@ var doclintPackages = []string{
 	"internal/serve",
 	"internal/transport",
 	"internal/num",
-	"internal/tune",
 	"internal/front",
 	"internal/device",
 	"internal/campaign",

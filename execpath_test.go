@@ -27,25 +27,8 @@ var legacyEntryPoints = map[string]bool{
 func TestOneExecutionPath(t *testing.T) {
 	bornLoops := 0
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			switch path {
-			case "bench", ".bench_build", "examples", ".git":
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		inCore := filepath.ToSlash(filepath.Dir(path)) == "internal/core"
+	eachNonTestFile(t, fset, []string{"examples"}, func(dir string, f *ast.File) {
+		inCore := dir == "internal/core"
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch v := n.(type) {
 			case *ast.CallExpr:
@@ -60,11 +43,7 @@ func TestOneExecutionPath(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if bornLoops != 1 {
 		t.Errorf("internal/core has %d for-loops bounded by Opts.MaxIter, want exactly one Born loop", bornLoops)
 	}
@@ -250,6 +229,95 @@ func TestOneRGFElimination(t *testing.T) {
 			t.Errorf("%s no longer calls cmat.Inverse/InverseInto — update inverseHomes", home)
 		}
 	}
+}
+
+// TestCompileTimeKernels keeps the kernel configuration compile-time. No
+// non-test file under internal/cmat may declare a package-level
+// atomic.Pointer or an exported Set* function: a process-wide knob swapped at
+// run time changes the summation order of products, so one document would
+// no longer give the same bits on every worker. And no non-test file outside
+// bench/ may call os.UserCacheDir, so no run reads hidden per-host state.
+func TestCompileTimeKernels(t *testing.T) {
+	fset := token.NewFileSet()
+	eachNonTestFile(t, fset, nil, func(dir string, f *ast.File) {
+		if dir == "internal/cmat" {
+			for _, decl := range f.Decls {
+				switch v := decl.(type) {
+				case *ast.FuncDecl:
+					if v.Recv == nil && v.Name.IsExported() && strings.HasPrefix(v.Name.Name, "Set") {
+						t.Errorf("%s: declares %s — the kernel configuration is compile-time", fset.Position(v.Pos()), v.Name.Name)
+					}
+				case *ast.GenDecl:
+					if v.Tok != token.VAR {
+						continue
+					}
+					for _, spec := range v.Specs {
+						vs := spec.(*ast.ValueSpec)
+						if isAtomicPointer(vs.Type) {
+							t.Errorf("%s: package-level atomic.Pointer %s — the kernel configuration is compile-time",
+								fset.Position(vs.Pos()), vs.Names[0].Name)
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "UserCacheDir" {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "os" {
+						t.Errorf("%s: calls os.UserCacheDir — a run must not read hidden per-host state", fset.Position(call.Pos()))
+					}
+				}
+			}
+			return true
+		})
+	})
+}
+
+// eachNonTestFile parses every non-test Go file of the repository outside
+// bench/ (another module), .bench_build, .git and the extra skip directories,
+// and hands it to fn with its slash-separated directory.
+func eachNonTestFile(t *testing.T, fset *token.FileSet, skip []string, fn func(dir string, f *ast.File)) {
+	t.Helper()
+	skip = append([]string{"bench", ".bench_build", ".git"}, skip...)
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			for _, s := range skip {
+				if path == s {
+					return filepath.SkipDir
+				}
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		fn(filepath.ToSlash(filepath.Dir(path)), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// isAtomicPointer reports whether a type expression is atomic.Pointer[T].
+func isAtomicPointer(e ast.Expr) bool {
+	if inst, ok := e.(*ast.IndexExpr); ok {
+		e = inst.X
+	}
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	x, ok := sel.X.(*ast.Ident)
+	return ok && x.Name == "atomic" && sel.Sel.Name == "Pointer"
 }
 
 // mentionsOptsMaxIter reports whether an expression reads <x>.Opts.MaxIter.

@@ -39,21 +39,14 @@ type Backend interface {
 }
 
 // LocalBackend runs points in-process — the qtsim -campaign offline mode.
-type LocalBackend struct {
-	// Workers, when positive, is the pool parallelism granted to configs
-	// that do not pin Workers themselves.
-	Workers int
-}
+type LocalBackend struct{}
 
 // RunPoint builds the simulator and runs the Born loop, seeding it from
 // warm when compatible.
-func (b LocalBackend) RunPoint(ctx context.Context, cfg core.RunConfig, warm *core.Checkpoint, onIter func(n int)) (*PointOutcome, error) {
+func (LocalBackend) RunPoint(ctx context.Context, cfg core.RunConfig, warm *core.Checkpoint, onIter func(n int)) (*PointOutcome, error) {
 	opts, err := cfg.Options()
 	if err != nil {
 		return nil, err
-	}
-	if opts.Workers <= 0 && b.Workers > 0 {
-		opts.Workers = b.Workers
 	}
 	if onIter != nil {
 		opts.OnIteration = func(st core.IterStats) { onIter(st.Iter) }

@@ -8,10 +8,9 @@ type Triple struct {
 	Out, A, B *Dense
 }
 
-// batchSerialWork is the default total R·K·C volume below which a batch
-// runs serially: scheduling a handful of Norb³ products over the pool costs
-// more than the products themselves. The live threshold is
-// Blocking.BatchWork of the installed configuration.
+// batchSerialWork is the total R·K·C volume below which a batch runs
+// serially: scheduling a handful of Norb³ products over the pool costs more
+// than the products themselves.
 const batchSerialWork = 64 * 1024
 
 // BatchMulAddInto performs every product of the batch, accumulating into the
@@ -35,7 +34,7 @@ func BatchMulAddInto(batch []Triple) {
 		}
 		work += t.A.Rows * t.A.Cols * t.B.Cols
 	}
-	if len(batch) <= 1 || work < active.Load().BatchWork {
+	if len(batch) <= 1 || work < batchSerialWork {
 		for _, t := range batch {
 			t.A.MulAddInto(t.Out, t.B)
 		}

@@ -26,9 +26,9 @@ import (
 //     the per-k load/store traffic on the output row that bounds the naive
 //     kernel.
 //
-// These constants are the hand-tuned defaults behind DefaultBlocking; the
-// panel sizes and dispatch thresholds actually used per product come from
-// the installed Blocking (blocking.go), which the autotuner may replace.
+// The panel sizes and dispatch thresholds are compile-time constants, so a
+// product's summation order depends only on its operands, never on the host
+// (EXPERIMENTS.md records why a measured per-host search was dropped).
 const (
 	gemmKC = 192 // K-panel height: one packed strip is gemmKC·gemmNR·16 B
 	gemmNC = 64  // column-panel width: a packed panel is ≤ gemmKC·gemmNC·16 B ≈ 192 KiB
@@ -75,9 +75,7 @@ var (
 )
 
 // gemm computes out += m·n (accumulate) or out = m·n, dispatching between
-// the naive and the blocked kernel on size and left-operand density. The
-// thresholds and panel sizes come from the installed Blocking (one atomic
-// pointer load per product; see SetBlocking).
+// the naive and the blocked kernel on size and left-operand density.
 func (m *Dense) gemm(out, n *Dense, accumulate bool) {
 	R, K, C := m.Rows, m.Cols, n.Cols
 	if K == 0 {
@@ -86,8 +84,7 @@ func (m *Dense) gemm(out, n *Dense, accumulate bool) {
 		}
 		return
 	}
-	b := active.Load()
-	if R*K*C < b.MinWork || C < gemmNR || !denseEnough(m, b.MinDensity) {
+	if R*K*C < blockedMinWork || C < gemmNR || !denseEnough(m, blockedMinDensity) {
 		obsGemmNaive.Inc()
 		if !accumulate {
 			out.Zero()
@@ -96,7 +93,7 @@ func (m *Dense) gemm(out, n *Dense, accumulate bool) {
 		return
 	}
 	obsGemmBlocked.Inc()
-	m.mulBlocked(out, n, accumulate, b.KC, b.NC)
+	m.mulBlocked(out, n, accumulate, gemmKC, gemmNC)
 }
 
 // denseEnough reports whether at least minDensity of m's entries are
@@ -117,7 +114,8 @@ func denseEnough(m *Dense, minDensity float64) bool {
 
 // mulBlocked is the cache-blocked kernel: panel packing of B plus a
 // register-tiled gemmMR×gemmNR micro-kernel. kcMax and ncMax are the
-// K-panel height and column-panel width (Blocking.KC and Blocking.NC).
+// K-panel height and column-panel width (gemmKC and gemmNC on the dispatch
+// path; tests pass other geometries to exercise the panel tails).
 func (m *Dense) mulBlocked(out, n *Dense, accumulate bool, kcMax, ncMax int) {
 	R, K, C := m.Rows, m.Cols, n.Cols
 	if C < ncMax {
