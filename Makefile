@@ -27,11 +27,13 @@ race:
 
 # Race pass over the fault-tolerance surface, gating `check`: the simulated
 # cluster's cancellation/deadline paths, core's recovery loop and the shared
-# job lifecycle (internal/jobs) the service tiers wait on. -short
+# job lifecycle (internal/jobs) the service tiers wait on, and the SSE atom
+# tiles, which write one shared output in place without a lock. -short
 # skips the long self-consistent physics runs, keeping the race gate on the
 # concurrency-heavy tests.
 race-ft:
 	go test -race -short ./internal/comm ./internal/core ./internal/serve ./internal/jobs
+	go test -race -short -run 'Parallel|Tile' ./internal/sse
 
 # End-to-end smoke test of the qtsimd daemon: builds the real binary,
 # starts it on an ephemeral port, submits a job over HTTP, streams its

@@ -274,6 +274,59 @@ func TestCompileTimeKernels(t *testing.T) {
 	})
 }
 
+// sseWrappers are the DaCe entry points of internal/sse that must stay thin
+// wrappers over the one tile kernel body per self-energy.
+var sseWrappers = map[string]bool{
+	"SigmaDaCe": true, "PiDaCe": true, "SigmaDaCeTile": true, "PiDaCeTile": true, "ComputePhase": true,
+}
+
+// TestOneSSEKernel keeps one DaCe loop nest per self-energy: in the non-test
+// files of internal/sse the serial kernels, the exported tile kernels and
+// ComputePhase contain no for statement (they allocate and call the tile
+// body), and no sync.Mutex is declared — tiles write disjoint atoms in
+// place, so nothing needs a lock.
+func TestOneSSEKernel(t *testing.T) {
+	fset := token.NewFileSet()
+	seen := map[string]bool{}
+	eachNonTestFile(t, fset, nil, func(dir string, f *ast.File) {
+		if dir != "internal/sse" {
+			return
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil || !sseWrappers[fd.Name.Name] {
+				continue
+			}
+			seen[fd.Name.Name] = true
+			loops := 0
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n.(type) {
+				case *ast.ForStmt, *ast.RangeStmt:
+					loops++
+				}
+				return true
+			})
+			if loops > 0 {
+				t.Errorf("%s: %s has %d for statements — it must wrap the tile kernel body",
+					fset.Position(fd.Pos()), fd.Name.Name, loops)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Mutex" {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "sync" {
+					t.Errorf("%s: declares a sync.Mutex — tiles write disjoint atoms in place", fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
+	})
+	for name := range sseWrappers {
+		if !seen[name] {
+			t.Errorf("internal/sse no longer declares %s — update sseWrappers", name)
+		}
+	}
+}
+
 // eachNonTestFile parses every non-test Go file of the repository outside
 // bench/ (another module), .bench_build, .git and the extra skip directories,
 // and hands it to fn with its slash-separated directory.

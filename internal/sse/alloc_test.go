@@ -31,6 +31,7 @@ func TestAllocsSigmaVariantsSteadyState(t *testing.T) {
 	}{
 		{"OMEN", func() { k.SigmaOMEN(g, d) }, 60},
 		{"DaCe", func() { k.SigmaDaCe(g, d) }, 120},
+		{"DaCeTile", func() { k.SigmaDaCeTile(g, d, 0, p.NE, 0, p.NA/2) }, 120},
 	} {
 		tc.run() // warm the arena
 		avg := testing.AllocsPerRun(5, tc.run)
@@ -54,6 +55,7 @@ func TestAllocsPiVariantsSteadyState(t *testing.T) {
 	}{
 		{"OMEN", func() { k.PiOMEN(gl, gg) }, 60},
 		{"DaCe", func() { k.PiDaCe(gl, gg) }, 120},
+		{"DaCeTile", func() { k.PiDaCeTile(gl, gg, 0, p.NE, 0, p.NA/2) }, 120},
 	} {
 		tc.run()
 		avg := testing.AllocsPerRun(5, tc.run)

@@ -144,84 +144,8 @@ func (k *Kernel) SigmaOMEN(g *tensor.GTensor, d *PreD) *tensor.GTensor {
 //  4. The j reduction is folded into the ∇H·D^≷ stage, and the accumulation
 //     over ω becomes a windowed fused multiply over an Nω·Norb slab
 //     (Fig. 11), re-fused per (a, b) to bound transient memory (Fig. 12).
+//
+// It is the one-tile case of the tile kernel, covering the whole grid.
 func (k *Kernel) SigmaDaCe(g *tensor.GTensor, d *PreD) *tensor.GTensor {
-	p := k.Dev.P
-	pref := k.sigmaPref()
-	sigma := tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb)
-	am := g.ToAtomMajor() // Fig. 10(c): the data-layout transformation.
-	no := p.Norb
-
-	// Reusable per-bond transients (Fig. 12: three-dimensional, per (a,b)),
-	// all drawn from the workspace arena.
-	dHG := make([]*cmat.Dense, p.N3D)
-	for i := range dHG {
-		dHG[i] = cmat.GetDense(p.Nkz*p.NE*no, no)
-	}
-	dHD := make([][]*cmat.Dense, p.N3D) // [i][qz]: (Nω·Norb) × Norb stacks
-	for i := range dHD {
-		dHD[i] = make([]*cmat.Dense, p.Nqz)
-		for qz := range dHD[i] {
-			dHD[i][qz] = cmat.GetDense(p.Nw*no, no)
-		}
-	}
-
-	var rowBlock, out, vb, cb cmat.Dense // reusable view headers
-	for a := 0; a < p.NA; a++ {
-		for b := 0; b < p.NB; b++ {
-			f := k.Dev.Neigh[a][b]
-			if f < 0 {
-				continue
-			}
-			// Stage 1 (Fig. 10d): one fused GEMM per direction.
-			for i := 0; i < p.N3D; i++ {
-				am.Atom[f].MulInto(dHG[i], k.dH[a][b][i])
-			}
-			// Stage 2: ∇H·D^≷ with the j reduction folded in; the ω blocks
-			// are stacked ascending-energy (descending ω) so stage 3 can
-			// consume a contiguous window. The prefactor is folded in here.
-			for i := 0; i < p.N3D; i++ {
-				for qz := 0; qz < p.Nqz; qz++ {
-					stack := dHD[i][qz]
-					stack.Zero()
-					for w := 0; w < p.Nw; w++ {
-						cmat.ViewInto(&rowBlock, no, no,
-							stack.Data[(p.Nw-1-w)*no*no:(p.Nw-w)*no*no])
-						for j := 0; j < p.N3D; j++ {
-							rowBlock.AddScaledInPlace(pref*d.At(qz, w, a, b, i, j), k.dH[a][b][j])
-						}
-					}
-				}
-			}
-			// Stage 3 (Fig. 11c): windowed fused accumulation over ω.
-			for i := 0; i < p.N3D; i++ {
-				for qz := 0; qz < p.Nqz; qz++ {
-					stack := dHD[i][qz]
-					for kz := 0; kz < p.Nkz; kz++ {
-						k2 := wrapK(kz, qz, p.Nkz)
-						base := k2 * p.NE
-						for e := 1; e < p.NE; e++ {
-							smax := p.Nw
-							if e < smax {
-								smax = e
-							}
-							sigma.BlockInto(&out, kz, e, a)
-							// Slab of ∇H·G^≷ at energies e−smax … e−1 and
-							// the matching ∇H·D^≷ window (shift s = e−e').
-							vlo := (base + e - smax) * no
-							for t := 0; t < smax; t++ {
-								cmat.ViewInto(&vb, no, no, dHG[i].Data[(vlo+t*no)*no:(vlo+(t+1)*no)*no])
-								cmat.ViewInto(&cb, no, no, stack.Data[((p.Nw-smax)+t)*no*no:((p.Nw-smax)+t+1)*no*no])
-								vb.MulAddInto(&out, &cb)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	cmat.PutAll(dHG...)
-	for i := range dHD {
-		cmat.PutAll(dHD[i]...)
-	}
-	return sigma
+	return k.SigmaDaCeTile(g, d, 0, k.Dev.P.NE, 0, k.Dev.P.NA)
 }

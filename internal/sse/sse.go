@@ -12,6 +12,11 @@
 //     whole (kz, E) grid as one fused GEMM), data-layout transformation to
 //     atom-major storage, and fused windowed accumulation over ω.
 //
+// The DaCe variant has one tile kernel per self-energy, restricted to an
+// energy × atom tile of the output: the serial kernels run it as one tile,
+// the shared-memory phase (ComputePhaseParallel) as atom tiles writing in
+// place, and a distributed rank (internal/core) as its TE×TA tile.
+//
 // All variants compute identical values (verified by tests); they differ in
 // data movement and flop count, which is the point of the paper.
 //
@@ -28,6 +33,7 @@ import (
 	"negfsim/internal/cmat"
 	"negfsim/internal/device"
 	"negfsim/internal/obs"
+	"negfsim/internal/pool"
 	"negfsim/internal/tensor"
 )
 
@@ -167,39 +173,72 @@ type PhaseOutput struct {
 }
 
 // ComputePhase evaluates the full SSE phase (Σ^≷ and Π^≷) with the selected
-// variant.
+// variant on one worker.
 func (k *Kernel) ComputePhase(in PhaseInput, v Variant) PhaseOutput {
+	return k.ComputePhaseParallel(in, v, 1)
+}
+
+// ComputePhaseParallel evaluates the full SSE phase with the selected
+// variant. The DaCe variant runs the tile kernels over `workers` atom tiles
+// — the shared-memory counterpart of the distributed decomposition — on the
+// persistent worker pool rather than freshly spawned goroutines. Each tile
+// writes its disjoint atom slice of Σ^≷ and Π^≷ in place, so the result is
+// bitwise independent of workers; one tile covers every atom when workers ≤
+// 1 or NA < 2·workers. Reference and OMEN run serially: their loop nests
+// are Table 7's comparison rows, not tile slices.
+func (k *Kernel) ComputePhaseParallel(in PhaseInput, v Variant, workers int) PhaseOutput {
+	p := k.Dev.P
 	spp := obsSpanPreprocess.Start()
 	preLess := k.PreprocessD(in.DLess)
 	preGtr := k.PreprocessD(in.DGtr)
 	spp.End()
 	var out PhaseOutput
-	sps := obsSpanSigma.Start()
 	switch v {
-	case Reference:
-		out.SigmaLess = k.SigmaReference(in.GLess, preLess)
-		out.SigmaGtr = k.SigmaReference(in.GGtr, preGtr)
-	case OMEN:
-		out.SigmaLess = k.SigmaOMEN(in.GLess, preLess)
-		out.SigmaGtr = k.SigmaOMEN(in.GGtr, preGtr)
+	case Reference, OMEN:
+		sigma, pi := k.SigmaReference, k.PiReference
+		if v == OMEN {
+			sigma, pi = k.SigmaOMEN, k.PiOMEN
+		}
+		sps := obsSpanSigma.Start()
+		out.SigmaLess, out.SigmaGtr = sigma(in.GLess, preLess), sigma(in.GGtr, preGtr)
+		sps.End()
+		spq := obsSpanPi.Start()
+		out.PiLess, out.PiGtr = pi(in.GLess, in.GGtr)
+		spq.End()
 	case DaCe:
-		out.SigmaLess = k.SigmaDaCe(in.GLess, preLess)
-		out.SigmaGtr = k.SigmaDaCe(in.GGtr, preGtr)
+		out = PhaseOutput{k.newSigma(), k.newSigma(), k.newPi(), k.newPi()}
+		if workers <= 1 || p.NA < 2*workers {
+			workers = 1
+		}
+		tasks := make([]pool.Task, workers)
+		for w := range tasks {
+			aLo, aHi := w*p.NA/workers, (w+1)*p.NA/workers
+			tasks[w] = func() {
+				sps := obsSpanSigma.Start()
+				k.sigmaTile(out.SigmaLess, in.GLess, preLess, 0, p.NE, aLo, aHi)
+				k.sigmaTile(out.SigmaGtr, in.GGtr, preGtr, 0, p.NE, aLo, aHi)
+				sps.End()
+				spq := obsSpanPi.Start()
+				k.piTile(out.PiLess, out.PiGtr, in.GLess, in.GGtr, 0, p.NE, aLo, aHi)
+				spq.End()
+			}
+		}
+		pool.Do(tasks...)
 	default:
 		panic("sse: unknown variant")
 	}
-	sps.End()
-	spq := obsSpanPi.Start()
-	switch v {
-	case Reference:
-		out.PiLess, out.PiGtr = k.PiReference(in.GLess, in.GGtr)
-	case OMEN:
-		out.PiLess, out.PiGtr = k.PiOMEN(in.GLess, in.GGtr)
-	case DaCe:
-		out.PiLess, out.PiGtr = k.PiDaCe(in.GLess, in.GGtr)
-	}
-	spq.End()
 	return out
+}
+
+// newSigma and newPi allocate zeroed full-grid Σ^≷ and Π^≷ tensors.
+func (k *Kernel) newSigma() *tensor.GTensor {
+	p := k.Dev.P
+	return tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb)
+}
+
+func (k *Kernel) newPi() *tensor.DTensor {
+	p := k.Dev.P
+	return tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
 }
 
 // Retarded returns the retarded component from the lesser/greater pair via

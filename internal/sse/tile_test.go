@@ -3,6 +3,8 @@ package sse
 import (
 	"math/rand"
 	"testing"
+
+	"negfsim/internal/tensor"
 )
 
 func TestSigmaTilesCoverFullKernel(t *testing.T) {
@@ -129,5 +131,47 @@ func TestSigmaTileUsesOnlyHaloInputs(t *testing.T) {
 	got := k.SigmaDaCeTile(poisoned, pre, eLo, eHi, aLo, aHi)
 	if d := want.MaxAbsDiff(got); d != 0 {
 		t.Fatalf("tile read outside its halo (diff %g)", d)
+	}
+}
+
+func TestPiTileUsesOnlyHaloInputs(t *testing.T) {
+	// Poison G≷ outside the documented halo (energy window [eLo, eHi+Nω),
+	// atoms in the tile's neighbor set); the Π tile must be bit-identical.
+	k := testKernel(t)
+	p := k.Dev.P
+	rng := rand.New(rand.NewSource(15))
+	gl := randomAntiHermG(rng, p)
+	gg := randomAntiHermG(rng, p)
+	eLo, eHi, aLo, aHi := p.NE/4, p.NE/2, p.NA/2, p.NA
+	wantL, wantG := k.PiDaCeTile(gl, gg, eLo, eHi, aLo, aHi)
+
+	halo := map[int]bool{}
+	for a := aLo; a < aHi; a++ {
+		halo[a] = true
+		for _, f := range k.Dev.Neigh[a] {
+			if f >= 0 {
+				halo[f] = true
+			}
+		}
+	}
+	pl, pg := gl.Clone(), gg.Clone()
+	for _, g := range []*tensor.GTensor{pl, pg} {
+		for kz := 0; kz < p.Nkz; kz++ {
+			for e := 0; e < p.NE; e++ {
+				for a := 0; a < p.NA; a++ {
+					if e >= eLo && e < eHi+p.Nw && halo[a] {
+						continue
+					}
+					blk := g.Block(kz, e, a)
+					for i := range blk.Data {
+						blk.Data[i] = complex(1e6, -1e6)
+					}
+				}
+			}
+		}
+	}
+	gotL, gotG := k.PiDaCeTile(pl, pg, eLo, eHi, aLo, aHi)
+	if !sameBits(wantL.Data, gotL.Data) || !sameBits(wantG.Data, gotG.Data) {
+		t.Fatal("Π tile read outside its halo")
 	}
 }
