@@ -102,10 +102,13 @@ adapt-test:
 	go test -race -count=1 -run 'KeyOfAdapt' ./internal/front
 
 # Docs lint: every relative markdown link in README, the root docs and
-# docs/ must resolve to an existing file, so renames can't silently rot the
-# docs suite.
+# docs/ must resolve to an existing file and every `go run ./<dir>` to a
+# package directory, so renames can't silently rot the docs suite; and the
+# paper-ledger tables in EXPERIMENTS.md must equal `qtpaper` output byte
+# for byte, so a model or kernel change that moves a number fails here.
 docs-lint:
 	go test -count=1 -run TestDocLinks .
+	go test -count=1 -run Ledger ./cmd/qtpaper
 
 # The benchmark is its own module (bench/), which `go build ./...` skips:
 # build it and run its unit tests here, so an API change that breaks
@@ -123,8 +126,9 @@ bench-gate:
 	bash bench/run.sh --out .bench_build/new.json
 	bash bench/run.sh compare bench/baseline/HEAD.json .bench_build/new.json
 
-# Table/figure benchmarks plus the kernel-engine micro-benchmarks
-# (go test -bench; not the benchmark the driver runs).
+# Table 6/7, end-to-end and ablation benchmarks plus the kernel-engine
+# micro-benchmarks (go test -bench; not the repo's one benchmark, which is
+# `make bench`).
 microbench:
 	go test -bench . -benchtime 3x -run '^$$' .
 	go test -bench 'BenchmarkGEMM' -benchtime 20x -run '^$$' ./internal/cmat

@@ -24,10 +24,15 @@ var docsLintFiles = []string{
 // scope — the repo's docs use inline links only.
 var mdLink = regexp.MustCompile(`\]\(([^)#\s]+)(#[^)]*)?\)`)
 
+// goRun matches a `go run ./<dir>` command line, capturing the package path
+// relative to the repo root.
+var goRun = regexp.MustCompile(`go run (\./[\w./-]+)`)
+
 // TestDocLinks is the docs lint of the tier-1 gate (`make docs-lint`): every
 // relative link in the repo's markdown must point at a file or directory
-// that exists, so doc rot of the "renamed file, stale link" kind fails CI
-// instead of greeting a reader with a 404.
+// that exists, and every `go run ./<dir>` must name a directory of the repo,
+// so doc rot of the "renamed file, stale link" or "deleted binary, stale
+// command" kind fails CI instead of greeting a reader with a 404.
 func TestDocLinks(t *testing.T) {
 	files := append([]string(nil), docsLintFiles...)
 	globbed, err := filepath.Glob("docs/*.md")
@@ -56,6 +61,12 @@ func TestDocLinks(t *testing.T) {
 			resolved := filepath.Join(filepath.Dir(file), target)
 			if _, err := os.Stat(resolved); err != nil {
 				t.Errorf("%s: broken link %q (resolved %s)", file, target, resolved)
+			}
+			checked++
+		}
+		for _, m := range goRun.FindAllStringSubmatch(string(raw), -1) {
+			if fi, err := os.Stat(m[1]); err != nil || !fi.IsDir() {
+				t.Errorf("%s: %q names no package directory of the repo", file, m[0])
 			}
 			checked++
 		}
