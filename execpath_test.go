@@ -386,3 +386,102 @@ func mentionsOptsMaxIter(e ast.Expr) bool {
 	})
 	return found
 }
+
+// tileKernels are the internal/sse loop nests whose block products must
+// count flops into a local cmat.Tally.
+var tileKernels = map[string]bool{"sigmaTile": true, "piTile": true}
+
+// TestPublishOnceFlops keeps flop accounting off the block-kernel hot path.
+// In the non-test files of internal/cmat no unexported function references
+// Counter: kernel bodies return their flops and only exported wrappers
+// publish them. Every function that references Counter, or calls one that
+// does, is a counted kernel. In internal/sse, sigmaTile and piTile mention
+// neither cmat.Counter nor a counted kernel inside a for statement: their
+// per-block products use the *Tally forms, published once per tile, so
+// concurrent tiles share no cache line per product.
+func TestPublishOnceFlops(t *testing.T) {
+	fset := token.NewFileSet()
+	calls := map[string]map[string]bool{} // cmat function → names it calls
+	counted := map[string]bool{}
+	var tiles []*ast.FuncDecl
+	eachNonTestFile(t, fset, nil, func(dir string, f *ast.File) {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			switch {
+			case dir == "internal/sse" && tileKernels[fd.Name.Name]:
+				tiles = append(tiles, fd)
+			case dir == "internal/cmat":
+				name := fd.Name.Name
+				if calls[name] == nil {
+					calls[name] = map[string]bool{}
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					switch v := n.(type) {
+					case *ast.Ident:
+						if v.Name == "Counter" {
+							counted[name] = true
+							if !fd.Name.IsExported() {
+								t.Errorf("%s: unexported %s references Counter — return the flops and publish them from the exported wrapper",
+									fset.Position(v.Pos()), name)
+							}
+						}
+					case *ast.CallExpr:
+						switch callee := v.Fun.(type) {
+						case *ast.Ident:
+							calls[name][callee.Name] = true
+						case *ast.SelectorExpr:
+							calls[name][callee.Sel.Name] = true
+						}
+					}
+					return true
+				})
+			}
+		}
+	})
+	for grew := true; grew; { // close counted over the call graph
+		grew = false
+		for fn, callees := range calls {
+			for c := range callees {
+				if counted[c] && !counted[fn] {
+					counted[fn], grew = true, true
+				}
+			}
+		}
+	}
+	for _, name := range []string{"MulInto", "MulAddInto", "TraceMul", "Mul"} {
+		if !counted[name] {
+			t.Errorf("cmat.%s is no longer seen as counted — the guard lost track of Counter", name)
+		}
+	}
+	for _, fd := range tiles {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			var body *ast.BlockStmt
+			switch v := n.(type) {
+			case *ast.ForStmt:
+				body = v.Body
+			case *ast.RangeStmt:
+				body = v.Body
+			default:
+				return true
+			}
+			ast.Inspect(body, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "cmat" && sel.Sel.Name == "Counter" || counted[sel.Sel.Name] {
+					t.Errorf("%s: %s reaches cmat.Counter through %s inside a loop — count into its cmat.Tally",
+						fset.Position(sel.Pos()), fd.Name.Name, sel.Sel.Name)
+				}
+				return true
+			})
+			return false
+		})
+	}
+	if len(tiles) != len(tileKernels) {
+		t.Errorf("internal/sse declares %d of the tile kernels %v — update tileKernels", len(tiles), tileKernels)
+	}
+}

@@ -22,7 +22,8 @@ const batchSerialWork = 64 * 1024
 // fuses myriads of tiny Norb×Norb multiplications into batched kernel
 // launches: the SSE and block-tridiagonal RGF stages hand the pool many
 // independent small products at once instead of spawning goroutines (or
-// running serially) per product.
+// running serially) per product. The batch's flops, 8·ΣR·K·C, are
+// published to Counter once, not once per product.
 func BatchMulAddInto(batch []Triple) {
 	work := 0
 	for _, t := range batch {
@@ -36,13 +37,14 @@ func BatchMulAddInto(batch []Triple) {
 	}
 	if len(batch) <= 1 || work < batchSerialWork {
 		for _, t := range batch {
-			t.A.MulAddInto(t.Out, t.B)
+			t.A.mulInto(t.Out, t.B, true)
 		}
-		return
+	} else {
+		pool.ParallelFor(len(batch), pool.Size(), func(lo, hi int) {
+			for _, t := range batch[lo:hi] {
+				t.A.mulInto(t.Out, t.B, true)
+			}
+		})
 	}
-	pool.ParallelFor(len(batch), pool.Size(), func(lo, hi int) {
-		for _, t := range batch[lo:hi] {
-			t.A.MulAddInto(t.Out, t.B)
-		}
-	})
+	Counter.AddFlops(uint64(8 * work))
 }

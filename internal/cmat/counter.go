@@ -8,8 +8,13 @@ import "sync/atomic"
 // quoting Pflop figures for complex arithmetic (64·… byte/flop expressions
 // in §4.3 assume 8 flops per complex MAC).
 //
-// Counting is always on; the overhead is one atomic add per kernel call,
-// which is negligible next to the O(n³) work of the kernels themselves.
+// Counting is always on and exact, under a publish-once contract: kernel
+// bodies are unexported and return the flops they did, and only exported
+// entry points add to Counter. A counted kernel adds once per call. That is
+// one contended cache line per call, which on 2×2 blocks from two workers
+// made the parallel SSE phase slower than the serial one, so loops over
+// many small blocks use the *Tally kernel forms instead: they count into a
+// caller-owned Tally, published once per loop nest.
 type FlopCounter struct {
 	flops atomic.Uint64
 }
@@ -30,3 +35,14 @@ func (c *FlopCounter) Flops() uint64 { return c.flops.Load() }
 
 // Reset zeroes the counter and returns the value it held.
 func (c *FlopCounter) Reset() uint64 { return c.flops.Swap(0) }
+
+// Tally is a caller-owned flop count: a plain integer that one goroutine
+// adds to without synchronisation and publishes to Counter once. The zero
+// value is an empty tally.
+type Tally uint64
+
+// Publish adds the tally to Counter and empties it.
+func (t *Tally) Publish() {
+	Counter.AddFlops(uint64(*t))
+	*t = 0
+}

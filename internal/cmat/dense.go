@@ -4,8 +4,10 @@
 // of the paper (Dense-MM, CSRMM, CSRGEMM).
 //
 // All matrices use complex128 elements and row-major storage. The kernels
-// are pure Go; flop accounting (used to regenerate Table 3) is available
-// through the package-level Counter.
+// are pure Go; flop accounting (used to regenerate Table 3) is exact and
+// publish-once: unexported kernel bodies return their flops, and each
+// exported kernel adds them to the package-level Counter once per call, or
+// to a caller-owned Tally in its *Tally form (see counter.go).
 package cmat
 
 import (
@@ -300,29 +302,33 @@ func (m *Dense) Mul(n *Dense) *Dense {
 // m.Rows × n.Cols; it is overwritten. Large dense products run through the
 // cache-blocked engine of gemm.go, which overwrites directly instead of
 // zeroing first.
-func (m *Dense) MulInto(out, n *Dense) {
-	if m.Cols != n.Rows {
-		panic(fmt.Sprintf("cmat: Mul dimension mismatch %d×%d · %d×%d", m.Rows, m.Cols, n.Rows, n.Cols))
-	}
-	if out.Rows != m.Rows || out.Cols != n.Cols {
-		panic("cmat: MulInto output shape mismatch")
-	}
-	m.gemm(out, n, false)
-	Counter.AddGEMM(m.Rows, m.Cols, n.Cols)
-}
+func (m *Dense) MulInto(out, n *Dense) { Counter.AddFlops(m.mulInto(out, n, false)) }
+
+// MulIntoTally is MulInto counting into the caller's tally t.
+func (m *Dense) MulIntoTally(out, n *Dense, t *Tally) { *t += Tally(m.mulInto(out, n, false)) }
 
 // MulAddInto computes out += m·n without zeroing out first. Small or
 // sparse-ish products take the naive i-k-j loop; large dense ones the
 // cache-blocked engine (see gemm.go for the crossover).
-func (m *Dense) MulAddInto(out, n *Dense) {
+func (m *Dense) MulAddInto(out, n *Dense) { Counter.AddFlops(m.mulInto(out, n, true)) }
+
+// MulAddIntoTally is MulAddInto counting into the caller's tally t.
+func (m *Dense) MulAddIntoTally(out, n *Dense, t *Tally) { *t += Tally(m.mulInto(out, n, true)) }
+
+// mulInto is the body of MulInto (accumulate false) and MulAddInto
+// (accumulate true); it returns the flops of the product.
+func (m *Dense) mulInto(out, n *Dense, accumulate bool) uint64 {
 	if m.Cols != n.Rows {
 		panic(fmt.Sprintf("cmat: Mul dimension mismatch %d×%d · %d×%d", m.Rows, m.Cols, n.Rows, n.Cols))
 	}
 	if out.Rows != m.Rows || out.Cols != n.Cols {
-		panic("cmat: MulAddInto output shape mismatch")
+		if accumulate {
+			panic("cmat: MulAddInto output shape mismatch")
+		}
+		panic("cmat: MulInto output shape mismatch")
 	}
-	m.gemm(out, n, true)
-	Counter.AddGEMM(m.Rows, m.Cols, n.Cols)
+	m.gemm(out, n, accumulate)
+	return uint64(8 * m.Rows * m.Cols * n.Cols)
 }
 
 // MulHerm returns m·n^H as a new matrix without materializing n^H.
@@ -424,6 +430,20 @@ func (m *Dense) TransMulAddInto(out, n *Dense) {
 
 // TraceMul returns tr(m·n) in O(R·C) without forming the product.
 func (m *Dense) TraceMul(n *Dense) complex128 {
+	tr, flops := m.traceMul(n)
+	Counter.AddFlops(flops)
+	return tr
+}
+
+// TraceMulTally is TraceMul counting into the caller's tally t.
+func (m *Dense) TraceMulTally(n *Dense, t *Tally) complex128 {
+	tr, flops := m.traceMul(n)
+	*t += Tally(flops)
+	return tr
+}
+
+// traceMul is the body of TraceMul; it returns the trace and its flops.
+func (m *Dense) traceMul(n *Dense) (complex128, uint64) {
 	if m.Cols != n.Rows || m.Rows != n.Cols {
 		panic("cmat: TraceMul needs m R×C and n C×R")
 	}
@@ -433,6 +453,5 @@ func (m *Dense) TraceMul(n *Dense) complex128 {
 			t += m.Data[i*m.Cols+k] * n.Data[k*n.Cols+i]
 		}
 	}
-	Counter.AddFlops(uint64(8 * m.Rows * m.Cols))
-	return t
+	return t, uint64(8 * m.Rows * m.Cols)
 }

@@ -1,9 +1,6 @@
 package cmat
 
-import (
-	"negfsim/internal/num"
-	"negfsim/internal/obs"
-)
+import "negfsim/internal/num"
 
 // Blocked GEMM engine. The paper wins its single-node speedups by turning
 // myriads of tiny Norb×Norb multiplications into large, well-scheduled GEMMs
@@ -67,13 +64,6 @@ func (m *Dense) mulAddNaive(out, n *Dense) {
 	}
 }
 
-// Dispatch telemetry: how many products took each kernel path, surfaced on
-// the observability registry (near-nops while obs recording is disabled).
-var (
-	obsGemmNaive   = obs.GetCounter("cmat.gemm.naive")
-	obsGemmBlocked = obs.GetCounter("cmat.gemm.blocked")
-)
-
 // gemm computes out += m·n (accumulate) or out = m·n, dispatching between
 // the naive and the blocked kernel on size and left-operand density.
 func (m *Dense) gemm(out, n *Dense, accumulate bool) {
@@ -85,14 +75,12 @@ func (m *Dense) gemm(out, n *Dense, accumulate bool) {
 		return
 	}
 	if R*K*C < blockedMinWork || C < gemmNR || !denseEnough(m, blockedMinDensity) {
-		obsGemmNaive.Inc()
 		if !accumulate {
 			out.Zero()
 		}
 		m.mulAddNaive(out, n)
 		return
 	}
-	obsGemmBlocked.Inc()
 	m.mulBlocked(out, n, accumulate, gemmKC, gemmNC)
 }
 

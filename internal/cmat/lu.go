@@ -22,17 +22,20 @@ type LU struct {
 // factor is no longer needed to return it (otherwise the GC collects it).
 func FactorLU(a *Dense) (*LU, error) {
 	f := new(LU)
-	if err := factorLUInto(f, a); err != nil {
+	flops, err := factorLUInto(f, a)
+	if err != nil {
 		return nil, err
 	}
+	Counter.AddFlops(flops)
 	return f, nil
 }
 
 // factorLUInto factors a into a caller-provided (possibly stack-allocated)
-// LU value, so steady-state callers pay no header allocation.
-func factorLUInto(f *LU, a *Dense) error {
+// LU value, so steady-state callers pay no header allocation. It returns the
+// flops of the factorization.
+func factorLUInto(f *LU, a *Dense) (uint64, error) {
 	if a.Rows != a.Cols {
-		return errors.New("cmat: LU of non-square matrix")
+		return 0, errors.New("cmat: LU of non-square matrix")
 	}
 	n := a.Rows
 	lu := getDenseNoZero(n, n)
@@ -55,7 +58,7 @@ func factorLUInto(f *LU, a *Dense) error {
 		if pmax == 0 {
 			PutDense(lu)
 			putInts(piv)
-			return ErrSingular
+			return 0, ErrSingular
 		}
 		if p != k {
 			for j := 0; j < n; j++ {
@@ -76,9 +79,8 @@ func factorLUInto(f *LU, a *Dense) error {
 			}
 		}
 	}
-	Counter.AddFlops(uint64(8 * n * n * n / 3))
 	f.lu, f.piv, f.sign = lu, piv, sign
-	return nil
+	return uint64(8 * n * n * n / 3), nil
 }
 
 // Release returns the factorization scratch to the workspace arena. The
@@ -111,12 +113,12 @@ func (f *LU) SolveInto(x, b *Dense) {
 	for i := 0; i < n; i++ {
 		copy(x.Data[i*nc:(i+1)*nc], b.Data[f.piv[i]*nc:(f.piv[i]+1)*nc])
 	}
-	f.substitute(x)
+	Counter.AddFlops(f.substitute(x))
 }
 
 // substitute runs the forward and back substitution on the (already
-// permuted) right-hand side x in place.
-func (f *LU) substitute(x *Dense) {
+// permuted) right-hand side x in place and returns its flops.
+func (f *LU) substitute(x *Dense) uint64 {
 	n := f.lu.Rows
 	nc := x.Cols
 	d := f.lu.Data
@@ -152,7 +154,7 @@ func (f *LU) substitute(x *Dense) {
 			xi[j] *= inv
 		}
 	}
-	Counter.AddFlops(uint64(8 * n * n * nc))
+	return uint64(8 * n * n * nc)
 }
 
 // Det returns the determinant of the factored matrix.
@@ -182,7 +184,8 @@ func InverseInto(dst, a *Dense) error {
 		panic("cmat: InverseInto output shape mismatch")
 	}
 	var f LU // stack header; the scratch behind it is arena-backed
-	if err := factorLUInto(&f, a); err != nil {
+	flops, err := factorLUInto(&f, a)
+	if err != nil {
 		return err
 	}
 	// The permuted identity right-hand side: row i of X starts as row piv[i]
@@ -192,8 +195,9 @@ func InverseInto(dst, a *Dense) error {
 	for i := 0; i < n; i++ {
 		dst.Data[i*n+f.piv[i]] = 1
 	}
-	f.substitute(dst)
+	flops += f.substitute(dst)
 	f.Release()
+	Counter.AddFlops(flops)
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"negfsim/internal/cmat"
 	"negfsim/internal/comm"
 	"negfsim/internal/device"
 	"negfsim/internal/sse"
@@ -160,6 +161,36 @@ func TestDistributedSSEMatchesSerial(t *testing.T) {
 	}
 	if d := serial.PiGtr.MaxAbsDiff(dist.PiGtr); d > 1e-9 {
 		t.Fatalf("distributed Π^> differs from serial by %g", d)
+	}
+}
+
+// TestDistributedSSEFlopsMatchSerial pins exact flop accounting across
+// ranks: on a 1×2 grid the two atom tiles do exactly the serial phase's
+// products, and each rank's tiles publish their local tally to cmat.Counter
+// on return, so the counter delta of one distributed phase equals the serial
+// DaCe phase's. A rank whose tally is never published comes up short. The
+// count depends on the structure only; sse's
+// TestComputePhaseParallelMatchesSerial pins the same Mini figure.
+func TestDistributedSSEFlopsMatchSerial(t *testing.T) {
+	const daceFlops = 44305920
+	s := miniSim(t, DefaultOptions())
+	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, selfEnergy{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := sse.PhaseInput{GLess: gl, GGtr: gg, DLess: dl, DGtr: dg}
+	start := cmat.Counter.Flops()
+	s.Kernel.ComputePhase(in, sse.DaCe)
+	mid := cmat.Counter.Flops()
+	if _, err := s.DistributedSSE(in, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	serial, dist := mid-start, cmat.Counter.Flops()-mid
+	if serial != daceFlops {
+		t.Errorf("serial DaCe phase counted %d flops, want %d", serial, daceFlops)
+	}
+	if dist != serial {
+		t.Errorf("distributed 1×2 phase counted %d flops, serial DaCe phase %d", dist, serial)
 	}
 }
 

@@ -19,7 +19,9 @@ import (
 // ComputePhaseParallel as atom tiles writing in place into one shared
 // output, and a distributed rank as its TE×TA tile. A tile writes only its
 // own atoms' output blocks, so tiles over disjoint atoms never write the
-// same element and need no lock.
+// same element and need no lock. Likewise a tile counts its flops into a
+// local cmat.Tally and publishes it to cmat.Counter once, on return, so
+// concurrent tiles share no cache line per block product.
 
 // SigmaDaCeTile computes Σ^≷[kz, E, a] for E ∈ [eLo, eHi) and a ∈ [aLo,
 // aHi) with the DaCe-transformed kernel. The output tensor is full-size
@@ -50,6 +52,8 @@ func (k *Kernel) sigmaTile(dst, g *tensor.GTensor, d *PreD, eLo, eHi, aLo, aHi i
 	pref := k.sigmaPref()
 	am := g.ToAtomMajor() // Fig. 10(c): the data-layout transformation.
 	no := p.Norb
+	var flops cmat.Tally
+	defer flops.Publish()
 
 	// Reusable per-bond transients (Fig. 12: three-dimensional, per (a,b)),
 	// all drawn from the workspace arena.
@@ -74,7 +78,7 @@ func (k *Kernel) sigmaTile(dst, g *tensor.GTensor, d *PreD, eLo, eHi, aLo, aHi i
 			}
 			// Stage 1 (Fig. 10d): one fused GEMM per direction.
 			for i := 0; i < p.N3D; i++ {
-				am.Atom[f].MulInto(dHG[i], k.dH[a][b][i])
+				am.Atom[f].MulIntoTally(dHG[i], k.dH[a][b][i], &flops)
 			}
 			// Stage 2: ∇H·D^≷ with the j reduction folded in; the ω blocks
 			// are stacked ascending-energy (descending ω) so stage 3 can
@@ -108,7 +112,7 @@ func (k *Kernel) sigmaTile(dst, g *tensor.GTensor, d *PreD, eLo, eHi, aLo, aHi i
 							for t := 0; t < smax; t++ {
 								cmat.ViewInto(&vb, no, no, dHG[i].Data[(vlo+t*no)*no:(vlo+(t+1)*no)*no])
 								cmat.ViewInto(&cb, no, no, stack.Data[((p.Nw-smax)+t)*no*no:((p.Nw-smax)+t+1)*no*no])
-								vb.MulAddInto(&out, &cb)
+								vb.MulAddIntoTally(&out, &cb, &flops)
 							}
 						}
 					}
@@ -133,6 +137,8 @@ func (k *Kernel) piTile(dstL, dstG *tensor.DTensor, gLess, gGtr *tensor.GTensor,
 	if eLo >= eHi {
 		return
 	}
+	var flops cmat.Tally
+	defer flops.Publish()
 	p := k.Dev.P
 	pref := complex(0, k.piPref())
 	uLo, uHi := eLo+p.PhononShift(0), min(p.NE, eHi+p.PhononShift(p.Nw-1))
@@ -168,8 +174,8 @@ func (k *Kernel) piTile(dstL, dstG *tensor.DTensor, gLess, gGtr *tensor.GTensor,
 					gLess.BlockInto(&gvL, kz, e, a)
 					gGtr.BlockInto(&gvG, kz, e, a)
 					for i := 0; i < p.N3D; i++ {
-						k.dH[f][r][i].MulInto(uLess[i][idx], &gvL)
-						k.dH[f][r][i].MulInto(uGtr[i][idx], &gvG)
+						k.dH[f][r][i].MulIntoTally(uLess[i][idx], &gvL, &flops)
+						k.dH[f][r][i].MulIntoTally(uGtr[i][idx], &gvG, &flops)
 					}
 				}
 				for e := eLo; e < eHi; e++ {
@@ -177,8 +183,8 @@ func (k *Kernel) piTile(dstL, dstG *tensor.DTensor, gLess, gGtr *tensor.GTensor,
 					gLess.BlockInto(&gvL, kz, e, f)
 					gGtr.BlockInto(&gvG, kz, e, f)
 					for i := 0; i < p.N3D; i++ {
-						k.dH[a][b][i].MulInto(wLess[i][idx], &gvL)
-						k.dH[a][b][i].MulInto(wGtr[i][idx], &gvG)
+						k.dH[a][b][i].MulIntoTally(wLess[i][idx], &gvL, &flops)
+						k.dH[a][b][i].MulIntoTally(wGtr[i][idx], &gvG, &flops)
 					}
 				}
 			}
@@ -192,8 +198,8 @@ func (k *Kernel) piTile(dstL, dstG *tensor.DTensor, gLess, gGtr *tensor.GTensor,
 							sw := kz*nw + e - eLo
 							for i := 0; i < p.N3D; i++ {
 								for j := 0; j < p.N3D; j++ {
-									piAccumulate(dstL, qz, w, a, b, i, j, p.NB, pref*uLess[i][su].TraceMul(wGtr[j][sw]))
-									piAccumulate(dstG, qz, w, a, b, i, j, p.NB, pref*uGtr[i][su].TraceMul(wLess[j][sw]))
+									piAccumulate(dstL, qz, w, a, b, i, j, p.NB, pref*uLess[i][su].TraceMulTally(wGtr[j][sw], &flops))
+									piAccumulate(dstG, qz, w, a, b, i, j, p.NB, pref*uGtr[i][su].TraceMulTally(wLess[j][sw], &flops))
 								}
 							}
 						}
