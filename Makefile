@@ -28,9 +28,11 @@ race:
 # Race pass over the fault-tolerance surface, gating `check`: the simulated
 # cluster's cancellation/deadline paths, core's recovery loop and the shared
 # job lifecycle (internal/jobs) the service tiers wait on, and the SSE atom
-# tiles, which write one shared output in place without a lock. -short
-# skips the long self-consistent physics runs, keeping the race gate on the
-# concurrency-heavy tests.
+# tiles, which write one shared output in place without a lock, and the
+# spatial GF phase's boundary slots, which every rank reads while none
+# writes (TestSpatialBoundaryComputedOncePerPoint is not -short-skipped).
+# -short skips the long self-consistent physics runs, keeping the race gate
+# on the concurrency-heavy tests.
 race-ft:
 	go test -race -short ./internal/comm ./internal/core ./internal/serve ./internal/jobs
 	go test -race -short -run 'Parallel|Tile' ./internal/sse
@@ -63,7 +65,8 @@ peer-test:
 # sequential recursion, the
 # distributed device-partitioned solve on in-process clusters with exact
 # byte accounting, and core's spatial GF phase including rank-death
-# recovery. The TCP half of the conformance pin runs under transport-test.
+# recovery and the boundary slot every rank of a point reads. The TCP half
+# of the conformance pin runs under transport-test.
 partition-test:
 	go test -race -count=1 -run 'Partitioned|Distributed' ./internal/rgf
 	go test -race -count=1 -run 'Spatial' ./internal/core

@@ -485,3 +485,165 @@ func TestPublishOnceFlops(t *testing.T) {
 		t.Errorf("internal/sse declares %d of the tile kernels %v — update tileKernels", len(tiles), tileKernels)
 	}
 }
+
+// pointSolves are the rgf point solves, each with the index of its
+// Scattering argument.
+var pointSolves = map[string]int{"SolveElectron": 3, "SolveElectronSpatial": 5, "SolvePhonon": 2}
+
+// boundaryHomes are the internal/core functions allowed to run rgf point
+// solves: the GF phase and its spatial electron solver.
+var boundaryHomes = map[string]bool{"gfPhase": true, "solveElectronOn": true}
+
+// TestGFPhasePassesBoundary keeps the Born loop from recomputing the open
+// boundaries of a point every iteration. In internal/core's non-test files
+// rgf point solves appear only in boundaryHomes, and each passes a
+// Scattering variable whose Bound is assigned a non-nil value, before the
+// call, in the block or function that declares the variable — so every
+// solve carries the point's boundary slot.
+func TestGFPhasePassesBoundary(t *testing.T) {
+	fset := token.NewFileSet()
+	seen := map[string]int{}
+	eachNonTestFile(t, fset, nil, func(dir string, f *ast.File) {
+		if dir != "internal/core" {
+			return
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			var stack []ast.Node
+			ast.Inspect(fd, func(n ast.Node) bool {
+				if n == nil {
+					stack = stack[:len(stack)-1]
+					return true
+				}
+				stack = append(stack, n)
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				idx, solve := pointSolves[sel.Sel.Name]
+				if x, ok := sel.X.(*ast.Ident); !solve || !ok || x.Name != "rgf" {
+					return true
+				}
+				seen[sel.Sel.Name]++
+				pos := fset.Position(call.Pos())
+				if !boundaryHomes[fd.Name.Name] {
+					t.Errorf("%s: %s calls rgf.%s — point solves belong to the GF phase", pos, fd.Name.Name, sel.Sel.Name)
+					return true
+				}
+				arg, ok := call.Args[idx].(*ast.Ident)
+				if !ok {
+					t.Errorf("%s: rgf.%s gets a Scattering expression — pass a variable whose Bound is set", pos, sel.Sel.Name)
+					return true
+				}
+				scope := declaringScope(stack, arg.Name)
+				if scope == nil || !setsBound(scope, arg.Name, call.Pos()) {
+					t.Errorf("%s: rgf.%s gets %s without setting %s.Bound first — the point's boundary would be recomputed every Born iteration",
+						pos, sel.Sel.Name, arg.Name, arg.Name)
+				}
+				return true
+			})
+		}
+	})
+	for name := range pointSolves {
+		if seen[name] == 0 {
+			t.Errorf("internal/core no longer calls rgf.%s — update pointSolves", name)
+		}
+	}
+}
+
+// declaringScope returns the body of the innermost enclosing function whose
+// parameters include name, or the innermost enclosing block with a direct
+// := or var declaration of name, whichever is nearer; nil if none.
+func declaringScope(stack []ast.Node, name string) *ast.BlockStmt {
+	for i := len(stack) - 1; i >= 0; i-- {
+		switch v := stack[i].(type) {
+		case *ast.FuncLit:
+			if hasParam(v.Type, name) {
+				return v.Body
+			}
+		case *ast.FuncDecl:
+			if hasParam(v.Type, name) {
+				return v.Body
+			}
+		case *ast.BlockStmt:
+			for _, st := range v.List {
+				if declaresName(st, name) {
+					return v
+				}
+			}
+		}
+	}
+	return nil
+}
+
+func hasParam(ft *ast.FuncType, name string) bool {
+	for _, field := range ft.Params.List {
+		for _, id := range field.Names {
+			if id.Name == name {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// declaresName reports whether a statement declares name with := or var.
+func declaresName(st ast.Stmt, name string) bool {
+	switch v := st.(type) {
+	case *ast.AssignStmt:
+		if v.Tok != token.DEFINE {
+			return false
+		}
+		for _, lhs := range v.Lhs {
+			if id, ok := lhs.(*ast.Ident); ok && id.Name == name {
+				return true
+			}
+		}
+	case *ast.DeclStmt:
+		if gd, ok := v.Decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+			for _, spec := range gd.Specs {
+				for _, id := range spec.(*ast.ValueSpec).Names {
+					if id.Name == name {
+						return true
+					}
+				}
+			}
+		}
+	}
+	return false
+}
+
+// setsBound reports whether body assigns a non-nil value to name.Bound
+// before pos, outside nested function literals.
+func setsBound(body *ast.BlockStmt, name string, pos token.Pos) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.AssignStmt:
+			if v.Pos() >= pos || len(v.Lhs) != len(v.Rhs) {
+				return true
+			}
+			for i, lhs := range v.Lhs {
+				sel, ok := lhs.(*ast.SelectorExpr)
+				if !ok || sel.Sel.Name != "Bound" {
+					continue
+				}
+				x, ok := sel.X.(*ast.Ident)
+				if rhs, isIdent := v.Rhs[i].(*ast.Ident); ok && x.Name == name && !(isIdent && rhs.Name == "nil") {
+					found = true
+				}
+			}
+		}
+		return !found
+	})
+	return found
+}

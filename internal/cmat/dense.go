@@ -360,10 +360,19 @@ func (m *Dense) Submatrix(r0, r1, c0, c1 int) *Dense {
 		panic("cmat: Submatrix bounds out of range")
 	}
 	out := NewDense(r1-r0, c1-c0)
-	for i := r0; i < r1; i++ {
-		copy(out.Data[(i-r0)*out.Cols:(i-r0+1)*out.Cols], m.Data[i*m.Cols+c0:i*m.Cols+c1])
-	}
+	m.SubmatrixInto(out, r0, c0)
 	return out
+}
+
+// SubmatrixInto copies the dst-shaped block of m at (r0, c0) into dst: the
+// allocation-free Submatrix for a caller-owned destination.
+func (m *Dense) SubmatrixInto(dst *Dense, r0, c0 int) {
+	if r0 < 0 || c0 < 0 || r0+dst.Rows > m.Rows || c0+dst.Cols > m.Cols {
+		panic("cmat: SubmatrixInto bounds out of range")
+	}
+	for i := 0; i < dst.Rows; i++ {
+		copy(dst.Data[i*dst.Cols:(i+1)*dst.Cols], m.Data[(r0+i)*m.Cols+c0:(r0+i)*m.Cols+c0+dst.Cols])
+	}
 }
 
 // SetSubmatrix writes src into m starting at (r0, c0).

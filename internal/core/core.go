@@ -191,6 +191,14 @@ type Simulator struct {
 	// grid is the active energy grid the GF phase solves on: the full
 	// fine grid unless the adaptive runner installed a subset (SetGrid).
 	grid *egrid.Grid
+
+	// bounds holds one open-boundary slot per fine-grid point: the
+	// electron points (kz, E) at kz·NE+E, then the phonon points (qz, ω).
+	// A slot filled by one GF phase is reused by every later one; it is
+	// valid for the H(kz) or Φ(qz) and the η (boundsEta) it was built
+	// from, so changing either empties it. Allocated by the first GF phase.
+	bounds    []rgf.Boundary
+	boundsEta float64
 }
 
 // New builds a simulator, generating and caching H(kz), S(kz), Φ(qz).
@@ -243,6 +251,37 @@ func (s *Simulator) SetGrid(g *egrid.Grid) error {
 // solves on (the full uniform grid unless SetGrid installed a subset).
 func (s *Simulator) EnergyGrid() *egrid.Grid { return s.grid }
 
+// readyBoundaries allocates the per-point boundary slots on the first GF
+// phase, and empties every slot when Opts.Eta has moved since they were
+// filled.
+func (s *Simulator) readyBoundaries() {
+	p := s.Dev.P
+	if s.bounds == nil || s.boundsEta != s.Opts.Eta {
+		s.bounds = make([]rgf.Boundary, p.Nkz*p.NE+p.Nqz*p.Nw)
+		s.boundsEta = s.Opts.Eta
+	}
+}
+
+// resetElectronBoundaries empties the electron slots after H(kz) changed.
+// The phonon slots depend on Φ(qz) and η only, and stay.
+func (s *Simulator) resetElectronBoundaries() {
+	p := s.Dev.P
+	if s.bounds != nil {
+		clear(s.bounds[:p.Nkz*p.NE])
+	}
+}
+
+// electronBound returns the boundary slot of electron point (kz, E).
+func (s *Simulator) electronBound(kz, e int) *rgf.Boundary {
+	return &s.bounds[kz*s.Dev.P.NE+e]
+}
+
+// phononBound returns the boundary slot of phonon point (qz, ω).
+func (s *Simulator) phononBound(qz, w int) *rgf.Boundary {
+	p := s.Dev.P
+	return &s.bounds[p.Nkz*p.NE+qz*p.Nw+w]
+}
+
 // scatteringBlocks assembles the per-RGF-block electron scattering matrices
 // for one (kz, E) point from the per-atom self-energy tensors (diagonal
 // atom blocks only, as in the paper).
@@ -258,6 +297,7 @@ func (s *Simulator) scatteringBlocks(kz, e int, sigR, sigL, sigG *tensor.GTensor
 		Less: make([]*cmat.Dense, p.Bnum),
 		Gtr:  make([]*cmat.Dense, p.Bnum),
 	}
+	var v cmat.Dense
 	for blk := 0; blk < p.Bnum; blk++ {
 		r := cmat.GetDense(bs, bs)
 		l := cmat.GetDense(bs, bs)
@@ -265,9 +305,12 @@ func (s *Simulator) scatteringBlocks(kz, e int, sigR, sigL, sigG *tensor.GTensor
 		for la := 0; la < apb; la++ {
 			a := blk*apb + la
 			off := la * p.Norb
-			r.SetSubmatrix(off, off, sigR.Block(kz, e, a))
-			l.SetSubmatrix(off, off, sigL.Block(kz, e, a))
-			g.SetSubmatrix(off, off, sigG.Block(kz, e, a))
+			sigR.BlockInto(&v, kz, e, a)
+			r.SetSubmatrix(off, off, &v)
+			sigL.BlockInto(&v, kz, e, a)
+			l.SetSubmatrix(off, off, &v)
+			sigG.BlockInto(&v, kz, e, a)
+			g.SetSubmatrix(off, off, &v)
 		}
 		out.R[blk], out.Less[blk], out.Gtr[blk] = r, l, g
 	}
@@ -296,6 +339,7 @@ func (s *Simulator) phononScatteringBlocks(qz, w int, piR, piL, piG *tensor.DTen
 		out.Less[blk] = cmat.GetDense(bs, bs)
 		out.Gtr[blk] = cmat.GetDense(bs, bs)
 	}
+	var v cmat.Dense
 	place := func(dst []*cmat.Dense, t *tensor.DTensor, a, f, slot int) {
 		blk := s.Dev.BlockOf(a)
 		if s.Dev.BlockOf(f) != blk {
@@ -303,7 +347,8 @@ func (s *Simulator) phononScatteringBlocks(qz, w int, piR, piL, piG *tensor.DTen
 		}
 		ra := (a - blk*apb) * p.N3D
 		rf := (f - blk*apb) * p.N3D
-		dst[blk].SetSubmatrix(ra, rf, t.Block(qz, w, a, slot))
+		t.BlockInto(&v, qz, w, a, slot)
+		dst[blk].SetSubmatrix(ra, rf, &v)
 	}
 	for a := 0; a < p.NA; a++ {
 		place(out.R, piR, a, a, p.NB)
@@ -323,16 +368,20 @@ func (s *Simulator) phononScatteringBlocks(qz, w int, piR, piL, piG *tensor.DTen
 }
 
 // extractElectron copies the per-atom diagonal blocks of an RGF solution
-// into the 5-D tensors at (kz, e).
+// into the 5-D tensors at (kz, e), straight from the RGF blocks into tensor
+// storage.
 func (s *Simulator) extractElectron(kz, e int, res *rgf.ElectronResult, gl, gg *tensor.GTensor) {
 	p := s.Dev.P
 	apb := p.AtomsPerBlock()
+	var dst cmat.Dense
 	for blk := 0; blk < p.Bnum; blk++ {
 		for la := 0; la < apb; la++ {
 			a := blk*apb + la
 			off := la * p.Norb
-			gl.Block(kz, e, a).CopyFrom(res.GLess[blk].Submatrix(off, off+p.Norb, off, off+p.Norb))
-			gg.Block(kz, e, a).CopyFrom(res.GGtr[blk].Submatrix(off, off+p.Norb, off, off+p.Norb))
+			gl.BlockInto(&dst, kz, e, a)
+			res.GLess[blk].SubmatrixInto(&dst, off, off)
+			gg.BlockInto(&dst, kz, e, a)
+			res.GGtr[blk].SubmatrixInto(&dst, off, off)
 		}
 	}
 }
@@ -342,6 +391,7 @@ func (s *Simulator) extractElectron(kz, e int, res *rgf.ElectronResult, gl, gg *
 func (s *Simulator) extractPhonon(qz, w int, res *rgf.PhononResult, dl, dg *tensor.DTensor) {
 	p := s.Dev.P
 	apb := p.AtomsPerBlock()
+	var v cmat.Dense
 	grab := func(src []*cmat.Dense, dst *tensor.DTensor, a, f, slot int) {
 		blk := s.Dev.BlockOf(a)
 		if s.Dev.BlockOf(f) != blk {
@@ -349,7 +399,8 @@ func (s *Simulator) extractPhonon(qz, w int, res *rgf.PhononResult, dl, dg *tens
 		}
 		ra := (a - blk*apb) * p.N3D
 		rf := (f - blk*apb) * p.N3D
-		dst.Block(qz, w, a, slot).CopyFrom(src[blk].Submatrix(ra, ra+p.N3D, rf, rf+p.N3D))
+		dst.BlockInto(&v, qz, w, a, slot)
+		src[blk].SubmatrixInto(&v, ra, rf)
 	}
 	for a := 0; a < p.NA; a++ {
 		grab(res.DLess, dl, a, a, p.NB)
@@ -377,9 +428,14 @@ func (s *Simulator) extractPhonon(qz, w int, res *rgf.PhononResult, dl, dg *tens
 // use the pool. It returns fresh Green's function tensors and accumulated
 // contact observables; a failed point surfaces its error (including
 // comm.ErrRankDead from the cluster) wrapped with its grid coordinates.
+//
+// Every point solve hands the point's boundary slot to rgf (Scattering.Bound),
+// so the Sancho-Rubio boundary self-energies of a point are computed by the
+// first phase that solves it and reused by every later one.
 func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfEnergy) (
 	gl, gg *tensor.GTensor, dl, dg *tensor.DTensor, o Observables, err error) {
 	p := s.Dev.P
+	s.readyBoundaries()
 	gl = tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb)
 	gg = tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb)
 	dl = tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
@@ -387,6 +443,7 @@ func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfE
 	o.CurrentPerEnergy = make([]float64, p.NE)
 
 	solveElectron := func(kz, e int, scat rgf.Scattering) (*rgf.ElectronResult, error) {
+		scat.Bound = s.electronBound(kz, e)
 		return rgf.SolveElectron(s.h[kz], s.s[kz], p.Energy(e), scat, s.Opts.Contacts, s.Opts.Eta)
 	}
 	if spatial != nil {
@@ -439,6 +496,7 @@ func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfE
 			terms[idx] = [2]float64{res.CurrentL, res.CurrentR}
 		} else {
 			scat := s.phononScatteringBlocks(j.qz, j.w, se.piR, se.piL, se.piG)
+			scat.Bound = s.phononBound(j.qz, j.w)
 			hw := float64(p.PhononShift(j.w)) * p.EStep()
 			res, e := rgf.SolvePhonon(s.phi[j.qz], hw, scat,
 				rgf.PhononContacts{KTL: s.Opts.PhononKTL, KTR: s.Opts.PhononKTR}, s.Opts.Eta)
@@ -523,11 +581,17 @@ func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfE
 // runs on the replicated diagonal. In-process exactly rank 0 closes each
 // point, while each process of a multi-process cluster closes every point
 // on its own replica, so every process accumulates the full observables
-// and tensors (bit-identical across peers) exactly once. The caller reads
+// and tensors (bit-identical across peers) exactly once. The point's
+// boundary slot is filled on the calling goroutine before the ranks start
+// (each process fills its own), so the ranks only read it. The caller reads
 // the cluster's byte counters around the phase.
 func (s *Simulator) solveElectronOn(cluster *comm.Cluster) func(kz, e int, scat rgf.Scattering) (*rgf.ElectronResult, error) {
 	multi := cluster.MultiProcess()
 	return func(kz, e int, scat rgf.Scattering) (*rgf.ElectronResult, error) {
+		scat.Bound = s.electronBound(kz, e)
+		if err := scat.Bound.FillElectron(s.h[kz], s.s[kz], s.Dev.P.Energy(e), s.Opts.Eta); err != nil {
+			return nil, err
+		}
 		var res *rgf.ElectronResult
 		err := cluster.Run(func(r *comm.Rank) error {
 			pt, err := rgf.SolveElectronSpatial(r, multi || r.ID == 0, s.h[kz], s.s[kz],

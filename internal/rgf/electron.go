@@ -1,6 +1,7 @@
 package rgf
 
 import (
+	"errors"
 	"fmt"
 
 	"negfsim/internal/cmat"
@@ -22,8 +23,70 @@ var (
 // point. Entries may be nil (treated as zero): the first GF pass of the Born
 // iteration runs with Σ = 0. Only the diagonal blocks of Σ^S are retained, as
 // in the paper (§2).
+//
+// Bound, when non-nil, is the point's boundary slot: an empty one is filled
+// by the solve and kept, a filled one is reused (see Boundary). A nil Bound
+// computes the boundary self-energies and releases them.
 type Scattering struct {
 	R, Less, Gtr []*cmat.Dense
+	Bound        *Boundary
+}
+
+// Boundary holds one grid point's open-boundary self-energies Σ_L and Σ_R.
+// The point solve computes them on the pristine operator A = (E+iη)·S − H
+// (or (ω²+iη)·I − Φ), before any scattering self-energy is folded in, so
+// they depend on the point, η and the lead blocks only — not on the Born
+// iteration. A caller that solves the same point again keeps one Boundary
+// per point and passes it in Scattering.Bound: the first solve fills it,
+// later solves reuse it bit for bit. The zero value is empty. A filled
+// Boundary is only read, so concurrent solves of its point may share it;
+// the caller empties it (back to the zero value) when the operator or η
+// changes.
+type Boundary struct {
+	SigL, SigR *cmat.Dense
+}
+
+// FillElectron fills an empty b with the boundary self-energies
+// SolveElectron computes at the point (energy, eta) of (h, s), and leaves a
+// filled b as it is. Every rank of a SolveElectronSpatial reads the one
+// Boundary of its point, so the caller fills it before the ranks start.
+func (b *Boundary) FillElectron(h, s *cmat.BlockTri, energy, eta float64) error {
+	if b.SigL != nil {
+		return nil
+	}
+	a, err := electronOperator(h, s, energy, eta)
+	if err != nil {
+		return err
+	}
+	defer cmat.PutBlockTri(a)
+	_, _, err = b.selfEnergies(a)
+	return err
+}
+
+// selfEnergies returns Σ_L/Σ_R of the pristine operator a. A filled b hands
+// back its own pair; an empty b is filled with a copy it keeps; a nil b
+// returns the arena-backed pair, which the caller releases. One
+// rgf.boundary span is recorded per computed pair.
+func (b *Boundary) selfEnergies(a *cmat.BlockTri) (sigL, sigR *cmat.Dense, err error) {
+	if b != nil && b.SigL != nil {
+		return b.SigL, b.SigR, nil
+	}
+	sp := obsSpanBoundary.Start()
+	sigL, sigR, err = BoundarySelfEnergies(a, 1e-10)
+	sp.End()
+	if err != nil || b == nil {
+		return sigL, sigR, err
+	}
+	// Keep exact-size copies: the arena rounds capacities up to a power of
+	// two, and its buffers are better returned for the next solve.
+	bs := sigL.Rows
+	data := make([]complex128, 2*bs*bs)
+	b.SigL = cmat.DenseFromSlice(bs, bs, data[:bs*bs])
+	b.SigR = cmat.DenseFromSlice(bs, bs, data[bs*bs:])
+	b.SigL.CopyFrom(sigL)
+	b.SigR.CopyFrom(sigR)
+	cmat.PutAll(sigL, sigR)
+	return b.SigL, b.SigR, nil
 }
 
 // Release returns arena-backed scattering blocks to the workspace arena,
@@ -85,22 +148,34 @@ func SolveElectron(h, s *cmat.BlockTri, energy float64, scat Scattering, c Conta
 // the replicated diagonal and return the full result; the others return
 // (nil, nil) once the collective solve is done. Exactly the closure ranks
 // get a result, so a caller accumulating observables must pick closure
-// ranks that cover each grid point exactly once per process.
+// ranks that cover each grid point exactly once per process. A Bound in
+// scat is shared by the ranks and must be filled (FillElectron) before they
+// start.
 func SolveElectronSpatial(r *comm.Rank, closure bool, h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64) (*ElectronResult, error) {
 	return solveElectron(r, closure, h, s, energy, scat, c, eta, nil)
 }
 
-func solveElectron(rank *comm.Rank, closure bool, h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64, trans *float64) (*ElectronResult, error) {
+// electronOperator assembles the pristine A = (E + iη)·S − H of an electron
+// point into an arena-backed matrix, which the caller releases.
+func electronOperator(h, s *cmat.BlockTri, energy, eta float64) (*cmat.BlockTri, error) {
 	if h.N != s.N || h.Bs != s.Bs {
 		return nil, fmt.Errorf("rgf: H and S shapes differ: (%d,%d) vs (%d,%d)", h.N, h.Bs, s.N, s.Bs)
 	}
+	a := cmat.GetBlockTri(h.N, h.Bs)
+	h.ShiftDiagInto(a, complex(energy, eta), s)
+	return a, nil
+}
+
+func solveElectron(rank *comm.Rank, closure bool, h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64, trans *float64) (*ElectronResult, error) {
 	sp := obsSpanElectron.Start()
 	defer sp.End()
 	n := h.N
 	// A = (E + iη)·S − H, before scattering: the leads are ballistic.
-	a := cmat.GetBlockTri(n, h.Bs)
+	a, err := electronOperator(h, s, energy, eta)
+	if err != nil {
+		return nil, err
+	}
 	defer cmat.PutBlockTri(a)
-	h.ShiftDiagInto(a, complex(energy, eta), s)
 	res, err := solveOpen(rank, closure, a, scat, FermiDirac(energy, c.MuL, c.KT), FermiDirac(energy, c.MuR, c.KT), trans)
 	if res == nil {
 		return nil, err
@@ -120,9 +195,10 @@ func solveElectron(rank *comm.Rank, closure bool, h, s *cmat.BlockTri, energy fl
 
 // solveOpen is the one open-system point solve behind every public solver,
 // electron and phonon alike. On the pristine operator a (mutated in place) it
-// computes the boundary self-energies Σ_L/Σ_R and their broadenings Γ, folds
-// Σ_L, Σ_R and scat.R into a, runs the retarded pass, and runs both Keldysh
-// passes with the contact blocks Σ^< = i·occ·Γ and Σ^> = i·(occ−1)·Γ. occ is
+// takes the boundary self-energies Σ_L/Σ_R (reused from a filled scat.Bound,
+// else computed) and their broadenings Γ, folds Σ_L, Σ_R and scat.R into a,
+// runs the retarded pass, and runs both Keldysh passes with the contact
+// blocks Σ^< = i·occ·Γ and Σ^> = i·(occ−1)·Γ. occ is
 // the Fermi occupation for electrons and −N for phonons, where the same two
 // lines give Π^< = −i·N·Γ and Π^> = −i·(N+1)·Γ exactly (IEEE negation is
 // exact). CurrentL/CurrentR receive the contact trace terms
@@ -134,9 +210,11 @@ func solveElectron(rank *comm.Rank, closure bool, h, s *cmat.BlockTri, energy fl
 // trans receives the Caroli transmission of the same retarded solve.
 func solveOpen(rank *comm.Rank, closure bool, a *cmat.BlockTri, scat Scattering, occL, occR float64, trans *float64) (*ElectronResult, error) {
 	n, bs := a.N, a.Bs
-	spb := obsSpanBoundary.Start()
-	sigL, sigR, err := BoundarySelfEnergies(a, 1e-10)
-	spb.End()
+	if rank != nil && scat.Bound != nil && scat.Bound.SigL == nil {
+		// Every rank would fill the one shared slot at once.
+		return nil, errors.New("rgf: a spatial solve needs its Boundary filled before the ranks start")
+	}
+	sigL, sigR, err := scat.Bound.selfEnergies(a)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +227,9 @@ func solveOpen(rank *comm.Rank, closure bool, a *cmat.BlockTri, scat Scattering,
 	// Fold boundary and scattering retarded parts into the device operator.
 	a.Diag[0].SubInPlace(sigL)
 	a.Diag[n-1].SubInPlace(sigR)
-	cmat.PutAll(sigL, sigR)
+	if scat.Bound == nil {
+		cmat.PutAll(sigL, sigR)
+	}
 	for i, r := range scat.R {
 		if r != nil {
 			a.Diag[i].SubInPlace(r)

@@ -29,6 +29,7 @@ package sse
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 
 	"negfsim/internal/cmat"
 	"negfsim/internal/device"
@@ -263,15 +264,18 @@ func RetardedD(less, gtr *tensor.DTensor) *tensor.DTensor {
 // AntiHermitize projects every diagonal (kz, E, a) block of t onto its
 // anti-Hermitian part, t ← (t − t^H)/2 — the stabilization real NEGF codes
 // apply to scattering self-energies before feeding them back into the GF
-// phase.
+// phase. Each (i, j)/(j, i) pair of a block is updated in place from its two
+// old values, with the arithmetic of (t + (−1)·t^H)·½.
 func AntiHermitize(t *tensor.GTensor) {
-	for kz := 0; kz < t.Nkz; kz++ {
-		for e := 0; e < t.NE; e++ {
-			for a := 0; a < t.NA; a++ {
-				blk := t.Block(kz, e, a)
-				h := blk.ConjTranspose()
-				blk.AddScaledInPlace(-1, h)
-				blk.ScaleInPlace(0.5)
+	const alpha, half = complex(-1, 0), complex(0.5, 0)
+	n := t.Norb
+	for off := 0; off < len(t.Data); off += n * n {
+		b := t.Data[off : off+n*n]
+		for i := 0; i < n; i++ {
+			for j := i; j < n; j++ {
+				bij, bji := b[i*n+j], b[j*n+i]
+				b[i*n+j] = (bij + alpha*cmplx.Conj(bji)) * half
+				b[j*n+i] = (bji + alpha*cmplx.Conj(bij)) * half
 			}
 		}
 	}

@@ -167,6 +167,18 @@ func (d *DTensor) Block(qz, w, a, b int) *cmat.Dense {
 	return cmat.DenseFromSlice(d.N3D, d.N3D, d.Data[off:off+n2])
 }
 
+// BlockInto rebinds dst as the (qz, ω, a, b) view without allocating a
+// header: the steady-state alternative to Block for hot loops. dst shares
+// storage with d afterwards.
+func (d *DTensor) BlockInto(dst *cmat.Dense, qz, w, a, b int) {
+	if qz < 0 || qz >= d.Nqz || w < 0 || w >= d.Nw || a < 0 || a >= d.NA || b < 0 || b > d.NB {
+		panic(fmt.Sprintf("tensor: DTensor.BlockInto(%d,%d,%d,%d) out of range", qz, w, a, b))
+	}
+	n2 := d.N3D * d.N3D
+	off := (((qz*d.Nw+w)*d.NA+a)*(d.NB+1) + b) * n2
+	dst.Rows, dst.Cols, dst.Data = d.N3D, d.N3D, d.Data[off:off+n2]
+}
+
 // AddAt adds v to element (i, j) of the (qz, ω, a, b) block by direct
 // indexing — no block header is materialized, so the Π accumulation loops
 // stay allocation-free.
