@@ -28,9 +28,12 @@ race:
 # Race pass over the fault-tolerance surface, gating `check`: the simulated
 # cluster's cancellation/deadline paths, core's recovery loop and the shared
 # job lifecycle (internal/jobs) the service tiers wait on, and the SSE atom
-# tiles, which write one shared output in place without a lock, and the
+# tiles, which write one shared output in place without a lock, the
 # spatial GF phase's boundary slots, which every rank reads while none
-# writes (TestSpatialBoundaryComputedOncePerPoint is not -short-skipped).
+# writes (TestSpatialBoundaryComputedOncePerPoint is not -short-skipped),
+# and the distributed SSE workspace, whose ranks write disjoint regions of
+# one shared result phase after phase
+# (TestDistributedWorkspaceReuseMatchesFresh is not -short-skipped).
 # -short skips the long self-consistent physics runs, keeping the race gate
 # on the concurrency-heavy tests.
 race-ft:

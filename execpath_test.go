@@ -278,12 +278,13 @@ func TestCompileTimeKernels(t *testing.T) {
 // wrappers over the one tile kernel body per self-energy.
 var sseWrappers = map[string]bool{
 	"SigmaDaCe": true, "PiDaCe": true, "SigmaDaCeTile": true, "PiDaCeTile": true, "ComputePhase": true,
+	"SigmaDaCeTileInto": true, "PiDaCeTileInto": true,
 }
 
 // TestOneSSEKernel keeps one DaCe loop nest per self-energy: in the non-test
-// files of internal/sse the serial kernels, the exported tile kernels and
-// ComputePhase contain no for statement (they allocate and call the tile
-// body), and no sync.Mutex is declared — tiles write disjoint atoms in
+// files of internal/sse the serial kernels, the exported tile kernels, their
+// Into forms and ComputePhase contain no for statement (they allocate or
+// zero, and call the tile body), and no sync.Mutex is declared — tiles write disjoint atoms in
 // place, so nothing needs a lock.
 func TestOneSSEKernel(t *testing.T) {
 	fset := token.NewFileSet()
@@ -324,6 +325,76 @@ func TestOneSSEKernel(t *testing.T) {
 		if !seen[name] {
 			t.Errorf("internal/sse no longer declares %s — update sseWrappers", name)
 		}
+	}
+}
+
+// steadyAllocs are the calls that allocate a full tensor, a block header or
+// a fresh kernel output; steady-state code uses the Into forms and storage
+// kept across iterations instead.
+var steadyAllocs = map[string]bool{
+	"NewGTensor": true, "NewDTensor": true, "Clone": true, "Block": true,
+	"PreprocessD": true, "SigmaDaCeTile": true, "PiDaCeTile": true, "make": true,
+}
+
+// TestSteadyStateAllocatesNothing keeps the distributed SSE phase and the
+// Born loop on storage that outlives an iteration: in internal/core, the
+// rank closure distributedSSEOn hands to Cluster.Run and the body of the
+// Born loop (the for statement bounded by Opts.MaxIter) call none of
+// steadyAllocs. They may call the workspace constructors, which allocate
+// once per run, on first use.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	fset := token.NewFileSet()
+	bodies := map[string]*ast.BlockStmt{}
+	eachNonTestFile(t, fset, nil, func(dir string, f *ast.File) {
+		if dir != "internal/core" {
+			return
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch v := n.(type) {
+				case *ast.CallExpr:
+					if sel, ok := v.Fun.(*ast.SelectorExpr); ok && fd.Name.Name == "distributedSSEOn" && sel.Sel.Name == "Run" && len(v.Args) == 1 {
+						if lit, ok := v.Args[0].(*ast.FuncLit); ok {
+							bodies["distributedSSEOn's rank closure"] = lit.Body
+						}
+					}
+				case *ast.ForStmt:
+					if fd.Name.Name == "born" && v.Cond != nil && mentionsOptsMaxIter(v.Cond) {
+						bodies["the Born loop body"] = v.Body
+					}
+				}
+				return true
+			})
+		}
+	})
+	for _, name := range []string{"distributedSSEOn's rank closure", "the Born loop body"} {
+		body := bodies[name]
+		if body == nil {
+			t.Errorf("internal/core no longer has %s — update the guard", name)
+			continue
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var callee string
+			switch fn := call.Fun.(type) {
+			case *ast.Ident:
+				callee = fn.Name
+			case *ast.SelectorExpr:
+				callee = fn.Sel.Name
+			}
+			if steadyAllocs[callee] {
+				t.Errorf("%s: %s calls %s — allocate in the workspace constructor and reuse the storage",
+					fset.Position(call.Pos()), name, callee)
+			}
+			return true
+		})
 	}
 }
 

@@ -53,6 +53,7 @@ type Cluster struct {
 	tr    transport.Transport // the message plumbing (inproc or TCP)
 	id    string              // gauge-family identity; "" is the legacy unlabeled family
 	local []int               // ranks hosted by this process, ascending
+	ranks []*Rank             // the local ranks' handles, reused by every Run
 	sent  []atomic.Int64      // bytes sent per rank
 	recvd []atomic.Int64      // bytes received per rank (credited at Recv)
 
@@ -201,9 +202,11 @@ func newCluster(ctx context.Context, tr transport.Transport, id string) *Cluster
 		sent: make([]atomic.Int64, n), recvd: make([]atomic.Int64, n),
 		ops: make([]atomic.Int64, n), down: make(chan struct{}), quit: make(chan struct{})}
 	c.deadRank.Store(-1)
+	c.ranks = make([]*Rank, n)
 	for r := 0; r < n; r++ {
 		if tr.Local(r) {
 			c.local = append(c.local, r)
+			c.ranks[r] = &Rank{ID: r, c: c}
 		}
 	}
 	registerGauges(c)
@@ -316,7 +319,7 @@ func (c *Cluster) Run(fn func(r *Rank) error) error {
 					c.markDead(id)
 				}
 			}()
-			errs[i] = fn(&Rank{ID: id, c: c})
+			errs[i] = fn(c.ranks[id])
 		}(i, id)
 	}
 	wg.Wait()
@@ -325,7 +328,8 @@ func (c *Cluster) Run(fn func(r *Rank) error) error {
 
 // Rank is one process of the simulated cluster. Each rank lives on its own
 // goroutine and owns a reusable deadline timer, so blocking operations are
-// allocation-free after the first slow path.
+// allocation-free after the first slow path; the cluster keeps one Rank per
+// local rank across Run calls, so later collectives reuse the timer too.
 type Rank struct {
 	ID    int
 	c     *Cluster

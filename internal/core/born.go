@@ -45,9 +45,34 @@ func seedOf(ck *Checkpoint) selfEnergy {
 		return selfEnergy{}
 	}
 	se := selfEnergy{sigL: ck.SigmaLess.Clone(), sigG: ck.SigmaGtr.Clone(), piL: ck.PiLess.Clone(), piG: ck.PiGtr.Clone()}
-	se.sigR = sse.Retarded(se.sigL, se.sigG)
-	se.piR = sse.RetardedD(se.piL, se.piG)
+	se.sigR = sse.Retarded(nil, se.sigL, se.sigG)
+	se.piR = sse.RetardedD(nil, se.piL, se.piG)
 	return se
+}
+
+// zeroSelfEnergy returns Σ^≷ = Π^≷ = 0 in tensors shaped like a phase
+// output.
+func zeroSelfEnergy(out sse.PhaseOutput) selfEnergy {
+	g, d := out.SigmaLess, out.PiLess
+	return selfEnergy{
+		sigL: tensor.NewGTensor(g.Nkz, g.NE, g.NA, g.Norb), sigG: tensor.NewGTensor(g.Nkz, g.NE, g.NA, g.Norb),
+		piL: tensor.NewDTensor(d.Nqz, d.Nw, d.NA, d.NB, d.N3D), piG: tensor.NewDTensor(d.Nqz, d.Nw, d.NA, d.NB, d.N3D),
+	}
+}
+
+// copyFrom overwrites se's Σ^≷/Π^≷ with the given tensors, allocating them
+// on first use: the Born loop's run-owned copies of a phase output, whose
+// storage the next phase may reuse, and of its restart snapshot.
+func (se *selfEnergy) copyFrom(sigL, sigG *tensor.GTensor, piL, piG *tensor.DTensor) {
+	if se.sigL == nil {
+		se.sigL, se.sigG = sigL.Clone(), sigG.Clone()
+		se.piL, se.piG = piL.Clone(), piG.Clone()
+		return
+	}
+	copy(se.sigL.Data, sigL.Data)
+	copy(se.sigG.Data, sigG.Data)
+	copy(se.piL.Data, piL.Data)
+	copy(se.piG.Data, piG.Data)
 }
 
 // checkpointOf wraps self-energies as a checkpoint of this simulator's
@@ -102,9 +127,9 @@ func (s *Simulator) RunFromCtx(ctx context.Context, ck *Checkpoint) (*Result, er
 // benchmark's golden trajectories pin, all hanging off pl.clustered():
 //
 //   - a clustered placement mixes linearly (DistConfig.mixesLinearly);
-//   - only a clustered placement snapshots a restart checkpoint (four
-//     tensor clones) per iteration — the serial run has no rank to lose and
-//     must not pay the allocation;
+//   - only a clustered placement snapshots a restart checkpoint (a copy of
+//     the four tensors into run-owned storage) per iteration — the serial
+//     run has no rank to lose and must not pay the copy;
 //   - a clustered placement's shared-memory SSE phase (spatial-only, or
 //     degraded after a recovery) runs sse.DaCe, the variant the tiles
 //     compute, where the serial run honours Options.Variant.
@@ -160,9 +185,16 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 	var prevL, prevG *tensor.GTensor
 	var bytes int64
 	// ck is what a recovery rewinds to: the seed, then (clustered placements
-	// only) a deep copy of the mixed self-energies after iteration ckIter,
-	// when the residual history held ckResiduals entries.
+	// only) ckSnap, a copy of the mixed self-energies after iteration ckIter,
+	// when the residual history held ckResiduals entries. ckSnap is run-owned
+	// storage, never the seed's, so a caller's checkpoint stays pristine.
 	ck, ckIter, ckResiduals := pl.Resume, 0, 0
+	var ckSnap selfEnergy
+	// ws is the distributed SSE phase's storage, allocated on the first
+	// clustered phase and reused by every later one of this run; a
+	// recovery that regrids replaces it. It never outlives the run, so a
+	// Result or Checkpoint of an earlier run is never overwritten.
+	var ws *sseWorkspace
 	faultArmed := pl.Fault != nil
 	// last is the most recent per-iteration cluster, owner of the per-rank
 	// byte gauges. Every cancelled return unregisters it so scrapes stop
@@ -289,9 +321,12 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 		in := sse.PhaseInput{GLess: gl, GGtr: gg, DLess: dl, DGtr: dg}
 		var out sse.PhaseOutput
 		if te > 0 {
+			if ws == nil || ws.te != te || ws.ta != ta {
+				ws = s.newSSEWorkspace(te, ta)
+			}
 			cl := open(iter, te*ta)
 			before := cl.TotalBytes()
-			dist, err := s.distributedSSEOn(cl, in, te, ta)
+			dist, err := s.distributedSSEOn(cl, ws, in)
 			bytes += cl.TotalBytes() - before
 			if err != nil {
 				iter, err = recoverFrom(iter, err, func() { te, ta = s.deriveGrid(te*ta - 1) })
@@ -310,35 +345,36 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 		t2 := time.Now()
 		sse.AntiHermitize(out.SigmaLess)
 		sse.AntiHermitize(out.SigmaGtr)
+		// The loop owns se and mixes into it in place. Its first value is
+		// the first phase output: kept as is from the shared-memory kernels,
+		// which return fresh tensors, copied from the distributed
+		// workspace, whose result the next phase overwrites.
 		switch {
 		case anderson != nil:
 			if se.sigL == nil {
-				se.sigL = tensor.NewGTensor(gl.Nkz, gl.NE, gl.NA, gl.Norb)
-				se.sigG = tensor.NewGTensor(gl.Nkz, gl.NE, gl.NA, gl.Norb)
-				se.piL = tensor.NewDTensor(dl.Nqz, dl.Nw, dl.NA, dl.NB, dl.N3D)
-				se.piG = tensor.NewDTensor(dl.Nqz, dl.Nw, dl.NA, dl.NB, dl.N3D)
+				se = zeroSelfEnergy(out)
 			}
-			x := concatSelfEnergies(se.sigL, se.sigG, se.piL, se.piG)
-			g := concatSelfEnergies(out.SigmaLess, out.SigmaGtr, out.PiLess, out.PiGtr)
-			scatterSelfEnergies(anderson.update(x, g, s.Opts.Mixing), se.sigL, se.sigG, se.piL, se.piG)
+			anderson.mix(se, out, s.Opts.Mixing)
+		case se.sigL == nil && te == 0:
+			se.sigL, se.sigG, se.piL, se.piG = out.SigmaLess, out.SigmaGtr, out.PiLess, out.PiGtr
 		case se.sigL == nil:
-			se.sigL, se.sigG = out.SigmaLess, out.SigmaGtr
-			se.piL, se.piG = out.PiLess, out.PiGtr
+			se.copyFrom(out.SigmaLess, out.SigmaGtr, out.PiLess, out.PiGtr)
 		default:
 			mixInto(se.sigL.Data, out.SigmaLess.Data, s.Opts.Mixing)
 			mixInto(se.sigG.Data, out.SigmaGtr.Data, s.Opts.Mixing)
 			mixInto(se.piL.Data, out.PiLess.Data, s.Opts.Mixing)
 			mixInto(se.piG.Data, out.PiGtr.Data, s.Opts.Mixing)
 		}
-		se.sigR = sse.Retarded(se.sigL, se.sigG)
-		se.piR = sse.RetardedD(se.piL, se.piG)
+		se.sigR = sse.Retarded(se.sigR, se.sigL, se.sigG)
+		se.piR = sse.RetardedD(se.piR, se.piL, se.piG)
 		st.Mix = time.Since(t2)
 		obsSpanMix.Observe(st.Mix)
 		res.SigmaLess, res.SigmaGtr = se.sigL, se.sigG
 		res.PiLess, res.PiGtr = se.piL, se.piG
 
 		if clustered {
-			ck = s.checkpointOf(iter+1, se.sigL.Clone(), se.sigG.Clone(), se.piL.Clone(), se.piG.Clone())
+			ckSnap.copyFrom(se.sigL, se.sigG, se.piL, se.piG)
+			ck = s.checkpointOf(iter+1, ckSnap.sigL, ckSnap.sigG, ckSnap.piL, ckSnap.piG)
 			ckIter, ckResiduals = iter+1, len(res.Residuals)
 			obsCkptSaves.Inc()
 			if pl.CheckpointPath != "" {

@@ -104,8 +104,8 @@ func TestBoundaryCacheHitsMatchMisses(t *testing.T) {
 	sse.AntiHermitize(out.SigmaLess)
 	sse.AntiHermitize(out.SigmaGtr)
 	se := selfEnergy{
-		sigL: out.SigmaLess, sigG: out.SigmaGtr, sigR: sse.Retarded(out.SigmaLess, out.SigmaGtr),
-		piL: out.PiLess, piG: out.PiGtr, piR: sse.RetardedD(out.PiLess, out.PiGtr),
+		sigL: out.SigmaLess, sigG: out.SigmaGtr, sigR: sse.Retarded(nil, out.SigmaLess, out.SigmaGtr),
+		piL: out.PiLess, piG: out.PiGtr, piR: sse.RetardedD(nil, out.PiLess, out.PiGtr),
 	}
 
 	spans = boundarySpans(t)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"negfsim/internal/device"
@@ -85,5 +87,76 @@ func TestCheckpointRequiresSelfEnergies(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(bytes.NewReader([]byte("garbage"))); err == nil {
 		t.Fatal("corrupt checkpoint must fail to load")
+	}
+}
+
+// TestClusteredCheckpointIsRunOwned pins the clustered run's restart
+// snapshot, which lives in storage the run reuses every iteration. The
+// checkpoint written after iteration k must hold iteration k's mixed Σ^≷/Π^≷
+// bit for bit (a run stopped at k is the reference), and still does after
+// later iterations; and a run resumed from a checkpoint never writes into
+// it, so the checkpoint encodes byte-identically afterwards.
+func TestClusteredCheckpointIsRunOwned(t *testing.T) {
+	const k = 2
+	place := DistConfig{TE: 1, TA: 2}
+	opts := DefaultOptions()
+	opts.MaxIter = k
+	ref, _, err := miniSim(t, opts).RunDistributedFT(place)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	var atK *Checkpoint
+	opts.MaxIter = k + 2
+	opts.Tol = 0 // run every iteration
+	opts.OnIteration = func(st IterStats) {
+		if st.Iter != k {
+			return
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if atK, err = LoadCheckpoint(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	longer := place
+	longer.CheckpointPath = path
+	if _, _, err := miniSim(t, opts).RunDistributedFT(longer); err != nil {
+		t.Fatal(err)
+	}
+	if atK == nil || atK.Iterations != k {
+		t.Fatalf("no checkpoint of iteration %d was written", k)
+	}
+	for name, pair := range map[string][2][]complex128{
+		"Σ<": {atK.SigmaLess.Data, ref.SigmaLess.Data}, "Σ>": {atK.SigmaGtr.Data, ref.SigmaGtr.Data},
+		"Π<": {atK.PiLess.Data, ref.PiLess.Data}, "Π>": {atK.PiGtr.Data, ref.PiGtr.Data},
+	} {
+		for i := range pair[0] {
+			if pair[0][i] != pair[1][i] {
+				t.Fatalf("checkpoint of iteration %d: %s[%d] = %v, the run stopped there mixed %v", k, name, i, pair[0][i], pair[1][i])
+			}
+		}
+	}
+
+	seed := CheckpointOf(device.WrapParams(device.Mini()), ref)
+	var before, after bytes.Buffer
+	if err := seed.Save(&before); err != nil {
+		t.Fatal(err)
+	}
+	opts.OnIteration = nil
+	resume := place
+	resume.Resume = seed
+	if _, _, err := miniSim(t, opts).RunDistributedFT(resume); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Save(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("a run resumed from a checkpoint changed the checkpoint")
 	}
 }

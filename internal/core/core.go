@@ -629,9 +629,12 @@ func mixInto(dst, fresh []complex128, mix float64) {
 }
 
 // concatSelfEnergies flattens the four self-energy tensors into one vector
-// for the Anderson mixer.
-func concatSelfEnergies(sl, sg *tensor.GTensor, pl, pg *tensor.DTensor) []complex128 {
-	out := make([]complex128, 0, 2*len(sl.Data)+2*len(pl.Data))
+// for the Anderson mixer, reusing dst's storage when it is large enough.
+func concatSelfEnergies(dst []complex128, sl, sg *tensor.GTensor, pl, pg *tensor.DTensor) []complex128 {
+	out := dst[:0]
+	if n := 2*len(sl.Data) + 2*len(pl.Data); cap(out) < n {
+		out = make([]complex128, 0, n)
+	}
 	out = append(out, sl.Data...)
 	out = append(out, sg.Data...)
 	out = append(out, pl.Data...)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"negfsim/internal/comm"
+	"negfsim/internal/device"
 	"negfsim/internal/obs"
 	"negfsim/internal/sse"
 	"negfsim/internal/tensor"
@@ -105,13 +106,7 @@ func (s *Simulator) energyHalo(tE, te int) (lo, hi int) {
 
 // intersect returns the ascending indices of [aLo, aHi) ∩ [bLo, bHi).
 func intersect(aLo, aHi, bLo, bHi int) []int {
-	lo, hi := aLo, aHi
-	if bLo > lo {
-		lo = bLo
-	}
-	if bHi < hi {
-		hi = bHi
-	}
+	lo, hi := max(aLo, bLo), min(aHi, bHi)
 	var out []int
 	for e := lo; e < hi; e++ {
 		out = append(out, e)
@@ -119,69 +114,67 @@ func intersect(aLo, aHi, bLo, bHi int) []int {
 	return out
 }
 
-// packG serializes the G blocks (all kz) at the given energies and atoms.
-func packG(g *tensor.GTensor, energies, atoms []int) []complex128 {
+// packG appends the G blocks (all kz) at energies [eLo, eHi) and the given
+// atoms to buf, copied straight from tensor storage.
+func packG(buf []complex128, g *tensor.GTensor, eLo, eHi int, atoms []int) []complex128 {
 	n2 := g.Norb * g.Norb
-	buf := make([]complex128, 0, len(energies)*len(atoms)*g.Nkz*n2)
-	for _, e := range energies {
+	for e := eLo; e < eHi; e++ {
 		for _, a := range atoms {
 			for kz := 0; kz < g.Nkz; kz++ {
-				buf = append(buf, g.Block(kz, e, a).Data...)
+				off := ((kz*g.NE+e)*g.NA + a) * n2
+				buf = append(buf, g.Data[off:off+n2]...)
 			}
 		}
 	}
 	return buf
 }
 
-// unpackG is the mirror of packG.
-func unpackG(dst *tensor.GTensor, buf []complex128, energies, atoms []int) {
+// unpackG is the mirror of packG; it returns the unread rest of buf.
+func unpackG(dst *tensor.GTensor, buf []complex128, eLo, eHi int, atoms []int) []complex128 {
 	n2 := dst.Norb * dst.Norb
-	pos := 0
-	for _, e := range energies {
+	for e := eLo; e < eHi; e++ {
 		for _, a := range atoms {
 			for kz := 0; kz < dst.Nkz; kz++ {
-				copy(dst.Block(kz, e, a).Data, buf[pos:pos+n2])
-				pos += n2
-			}
-		}
-	}
-}
-
-// packD serializes the D blocks (all NB+1 slots) at the given (qz, ω)
-// points and atoms.
-func packD(d *tensor.DTensor, points [][2]int, atoms []int) []complex128 {
-	n2 := d.N3D * d.N3D
-	buf := make([]complex128, 0, len(points)*len(atoms)*(d.NB+1)*n2)
-	for _, qw := range points {
-		for _, a := range atoms {
-			for slot := 0; slot <= d.NB; slot++ {
-				buf = append(buf, d.Block(qw[0], qw[1], a, slot).Data...)
+				off := ((kz*dst.NE+e)*dst.NA + a) * n2
+				buf = buf[copy(dst.Data[off:off+n2], buf):]
 			}
 		}
 	}
 	return buf
 }
 
-// unpackD mirrors packD; when add is true the payload accumulates (the Π
-// reduction), otherwise it overwrites.
-func unpackD(dst *tensor.DTensor, buf []complex128, points [][2]int, atoms []int, add bool) {
-	n2 := dst.N3D * dst.N3D
-	pos := 0
+// packD appends the D blocks at the given (qz, ω) points and atoms to buf;
+// an atom's NB+1 neighbor slots are contiguous and travel as one run.
+func packD(buf []complex128, d *tensor.DTensor, points [][2]int, atoms []int) []complex128 {
+	run := (d.NB + 1) * d.N3D * d.N3D
 	for _, qw := range points {
 		for _, a := range atoms {
-			for slot := 0; slot <= dst.NB; slot++ {
-				blk := dst.Block(qw[0], qw[1], a, slot)
-				if add {
-					for i := range blk.Data {
-						blk.Data[i] += buf[pos+i]
-					}
-				} else {
-					copy(blk.Data, buf[pos:pos+n2])
-				}
-				pos += n2
-			}
+			off := ((qw[0]*d.Nw+qw[1])*d.NA + a) * run
+			buf = append(buf, d.Data[off:off+run]...)
 		}
 	}
+	return buf
+}
+
+// unpackD mirrors packD and returns the unread rest of buf; when add is
+// true the payload accumulates (the Π reduction), otherwise it overwrites.
+func unpackD(dst *tensor.DTensor, buf []complex128, points [][2]int, atoms []int, add bool) []complex128 {
+	run := (dst.NB + 1) * dst.N3D * dst.N3D
+	for _, qw := range points {
+		for _, a := range atoms {
+			off := ((qw[0]*dst.Nw+qw[1])*dst.NA + a) * run
+			blk := dst.Data[off : off+run]
+			if add {
+				for i := range blk {
+					blk[i] += buf[i]
+				}
+			} else {
+				copy(blk, buf)
+			}
+			buf = buf[run:]
+		}
+	}
+	return buf
 }
 
 // phononPointsOwnedBy lists the (qz, ω) points round-robin-assigned to a
@@ -197,6 +190,171 @@ func (s *Simulator) phononPointsOwnedBy(rank, procs int) [][2]int {
 		}
 	}
 	return out
+}
+
+// share is one message of an SSE exchange: an electron pair (G^≷ or Σ^≷)
+// on energies [eLo, eHi) × atoms, all kz, followed by a phonon pair (D^≷
+// or Π^≷) on points × atoms, all neighbor slots.
+type share struct {
+	eLo, eHi int
+	atoms    []int
+	points   [][2]int
+}
+
+// newShare builds a share on the energy window [eLo, eHi) ∩ [fLo, fHi).
+func newShare(eLo, eHi, fLo, fHi int, atoms []int, points [][2]int) share {
+	lo, hi := max(eLo, fLo), min(eHi, fHi)
+	return share{eLo: lo, eHi: max(lo, hi), atoms: atoms, points: points}
+}
+
+// size is the share's payload in elements.
+func (sh *share) size(p device.Params) int {
+	return len(sh.atoms) * (2*(sh.eHi-sh.eLo)*p.Nkz*p.Norb*p.Norb + 2*len(sh.points)*(p.NB+1)*p.N3D*p.N3D)
+}
+
+// pack appends the share of the four tensors to buf.
+func (sh *share) pack(buf []complex128, gl, gg *tensor.GTensor, dl, dg *tensor.DTensor) []complex128 {
+	buf = packG(buf, gl, sh.eLo, sh.eHi, sh.atoms)
+	buf = packG(buf, gg, sh.eLo, sh.eHi, sh.atoms)
+	buf = packD(buf, dl, sh.points, sh.atoms)
+	return packD(buf, dg, sh.points, sh.atoms)
+}
+
+// unpack mirrors pack; addD accumulates the phonon pair instead of
+// overwriting it.
+func (sh *share) unpack(buf []complex128, gl, gg *tensor.GTensor, dl, dg *tensor.DTensor, addD bool) {
+	buf = unpackG(gl, buf, sh.eLo, sh.eHi, sh.atoms)
+	buf = unpackG(gg, buf, sh.eLo, sh.eHi, sh.atoms)
+	buf = unpackD(dl, buf, sh.points, sh.atoms, addD)
+	unpackD(dg, buf, sh.points, sh.atoms, addD)
+}
+
+// sseWorkspace is the storage plan of the distributed SSE phase on one
+// TE×TA grid: one slot per rank, allocated by that rank on its first phase
+// (so a peer of a multi-process cluster holds only its own), and the
+// assembled result. DistributedSSE builds one per call; the Born loop
+// keeps one for a whole run and rebuilds it only when a recovery regrids,
+// so every later phase allocates nothing.
+type sseWorkspace struct {
+	te, ta int
+	ranks  []*rankSlot
+	out    *DistributedResult
+}
+
+// rankSlot is one rank's storage: its tile, the halo copies of the inputs,
+// the kernel transients and outputs, the send buffers of both exchanges
+// (sized exactly), and the index lists of every message, computed once.
+type rankSlot struct {
+	eLo, eHi, aLo, aHi int
+	// gl, gg, dl, dg hold G^≷/D^≷ on the rank's energy and atom halo;
+	// exchange 1 rewrites that whole region every phase.
+	gl, gg     *tensor.GTensor
+	dl, dg     *tensor.DTensor
+	amL, amG   *tensor.AtomMajor
+	preL, preG *sse.PreD
+	// sigL, sigG are the Σ^≷ tile and piL, piG the Π^≷ partial.
+	sigL, sigG *tensor.GTensor
+	piL, piG   *tensor.DTensor
+	// out1[d]/in1[d] are exchange 1's messages to/from rank d, out2/in2
+	// exchange 2's (or, on a multi-process cluster, the replicated
+	// exchange's, with one message to every peer).
+	out1, in1, out2, in2 []share
+	send1, send2         [][]complex128
+	msgs                 [][]complex128 // exchange's staging of a send list
+}
+
+// exchange runs one alltoallv of the rank's send buffers. The message to
+// itself travels empty, so the collective's op sequence (which a fault
+// plan counts) is unchanged, and is read from its send buffer instead of
+// a copy.
+func (sl *rankSlot) exchange(r *comm.Rank, send [][]complex128) ([][]complex128, error) {
+	copy(sl.msgs, send)
+	sl.msgs[r.ID] = nil
+	recv, err := r.Alltoallv(sl.msgs)
+	if err != nil {
+		return nil, err
+	}
+	recv[r.ID] = send[r.ID]
+	return recv, nil
+}
+
+// newSSEWorkspace returns an empty workspace for a validated te×ta grid.
+func (s *Simulator) newSSEWorkspace(te, ta int) *sseWorkspace {
+	p := s.Dev.P
+	return &sseWorkspace{te: te, ta: ta, ranks: make([]*rankSlot, te*ta), out: &DistributedResult{
+		SigmaLess:  tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb),
+		SigmaGtr:   tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb),
+		PiLess:     tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D),
+		PiGtr:      tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D),
+		ModelBytes: comm.DaCeVolume(p, te, ta),
+	}}
+}
+
+// slot returns rank id's storage, allocating it on the rank's first phase.
+// Each rank touches only its own entry, so concurrent ranks need no lock.
+func (ws *sseWorkspace) slot(s *Simulator, id int, replicated bool) *rankSlot {
+	if ws.ranks[id] == nil {
+		ws.ranks[id] = s.newRankSlot(id, ws.te, ws.ta, replicated)
+	}
+	return ws.ranks[id]
+}
+
+// newRankSlot allocates rank id's storage and plans its messages.
+func (s *Simulator) newRankSlot(id, te, ta int, replicated bool) *rankSlot {
+	p := s.Dev.P
+	procs := te * ta
+	// tile returns rank r's SSE tile and its energy halo window.
+	tile := func(r int) (eLo, eHi, aLo, aHi, hLo, hHi int) {
+		tE, tA := rankGrid(r, ta)
+		eLo, eHi = split(p.NE, te, tE)
+		aLo, aHi = split(p.NA, ta, tA)
+		hLo, hHi = s.energyHalo(tE, te)
+		return
+	}
+	sl := &rankSlot{
+		gl: tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb), gg: tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb),
+		dl: tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D), dg: tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D),
+		amL: tensor.NewAtomMajor(p.Nkz, p.NE, p.NA, p.Norb), amG: tensor.NewAtomMajor(p.Nkz, p.NE, p.NA, p.Norb),
+		sigL: tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb), sigG: tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb),
+		piL: tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D), piG: tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D),
+	}
+	var hLo, hHi int
+	sl.eLo, sl.eHi, sl.aLo, sl.aHi, hLo, hHi = tile(id)
+	sl.preL, sl.preG = s.Kernel.PreprocessDInto(nil, sl.dl), s.Kernel.PreprocessDInto(nil, sl.dg)
+	halo := s.atomHalo(sl.aLo, sl.aHi)
+	myLo, myHi := s.gfChunk(procs, id)
+	myPts := s.phononPointsOwnedBy(id, procs)
+	tileAtoms := intersect(sl.aLo, sl.aHi, 0, p.NA)
+	allPts := s.phononPointsOwnedBy(0, 1) // every (qz, ω) point
+	for d := 0; d < procs; d++ {
+		// Exchange 1, GF layout → SSE layout: my GF energy chunk and my
+		// phonon points go to d restricted to d's energy and atom halo.
+		deLo, deHi, daLo, daHi, dhLo, dhHi := tile(d)
+		dLo, dHi := s.gfChunk(procs, d)
+		dPts := s.phononPointsOwnedBy(d, procs)
+		sl.out1 = append(sl.out1, newShare(myLo, myHi, dhLo, dhHi, s.atomHalo(daLo, daHi), myPts))
+		sl.in1 = append(sl.in1, newShare(dLo, dHi, hLo, hHi, halo, dPts))
+		// Exchange 2: Σ^≷ tiles to the energy owners, Π^≷ partials to the
+		// point owners — or, replicated, every rank's whole tile to all.
+		dAtoms := intersect(daLo, daHi, 0, p.NA)
+		if replicated {
+			sl.in2 = append(sl.in2, newShare(deLo, deHi, 0, p.NE, dAtoms, allPts))
+		} else {
+			sl.out2 = append(sl.out2, newShare(dLo, dHi, sl.eLo, sl.eHi, tileAtoms, dPts))
+			sl.in2 = append(sl.in2, newShare(myLo, myHi, deLo, deHi, dAtoms, myPts))
+		}
+	}
+	if replicated {
+		sl.out2 = []share{newShare(sl.eLo, sl.eHi, 0, p.NE, tileAtoms, allPts)}
+	}
+	sl.send1, sl.send2, sl.msgs = make([][]complex128, procs), make([][]complex128, procs), make([][]complex128, procs)
+	for d := range sl.send1 {
+		sl.send1[d] = make([]complex128, 0, sl.out1[d].size(p))
+	}
+	for d := range sl.out2 {
+		sl.send2[d] = make([]complex128, 0, sl.out2[d].size(p))
+	}
+	return sl
 }
 
 // checkGrid validates a TE×TA decomposition against the device: the
@@ -220,134 +378,81 @@ func (s *Simulator) DistributedSSE(in sse.PhaseInput, te, ta int) (*DistributedR
 	if err := s.checkGrid(te, ta); err != nil {
 		return nil, err
 	}
-	return s.distributedSSEOn(comm.NewCluster(te*ta), in, te, ta)
+	return s.distributedSSEOn(comm.NewCluster(te*ta), s.newSSEWorkspace(te, ta), in)
 }
 
 // distributedSSEOn is DistributedSSE on a caller-provided cluster, which
 // may carry a shorter deadline or an armed fault plan (the fault-tolerant
 // Born loop builds one per iteration), or host only one rank of a
-// multi-process TCP cluster. The grid must already be validated.
+// multi-process TCP cluster, and into a caller-kept workspace of the
+// cluster's grid, whose result it returns: the Born loop passes the same
+// workspace every iteration, so the result is overwritten by the next call.
 //
 // MeasuredBytes reports the traffic of THIS call (the cluster's byte total
 // is snapshotted on entry), so persistent clusters reused across Born
 // iterations account identically to the historical per-iteration ones.
-func (s *Simulator) distributedSSEOn(cluster *comm.Cluster, in sse.PhaseInput, te, ta int) (*DistributedResult, error) {
-	p := s.Dev.P
-	procs := te * ta
+func (s *Simulator) distributedSSEOn(cluster *comm.Cluster, ws *sseWorkspace, in sse.PhaseInput) (*DistributedResult, error) {
 	startBytes := cluster.TotalBytes()
-	out := &DistributedResult{
-		SigmaLess:  tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb),
-		SigmaGtr:   tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb),
-		PiLess:     tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D),
-		PiGtr:      tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D),
-		ModelBytes: comm.DaCeVolume(p, te, ta),
-	}
+	out := ws.out
+	// The Π^≷ partials accumulate into the result; Σ^≷ is overwritten
+	// everywhere.
+	out.PiLess.Zero()
+	out.PiGtr.Zero()
+	replicated := cluster.MultiProcess()
 
 	err := cluster.Run(func(r *comm.Rank) error {
-		tE, tA := rankGrid(r.ID, ta)
-		eLo, eHi := split(p.NE, te, tE)
-		aLo, aHi := split(p.NA, ta, tA)
-		halo := s.atomHalo(aLo, aHi)
-		hLo, hHi := s.energyHalo(tE, te)
+		sl := ws.slot(s, r.ID, replicated)
 
 		// --- Exchange 1: GF layout → SSE layout --------------------------
-		send := make([][]complex128, procs)
-		for d := 0; d < procs; d++ {
-			dtE, dtA := rankGrid(d, ta)
-			daLo, daHi := split(p.NA, ta, dtA)
-			dHalo := s.atomHalo(daLo, daHi)
-			dhLo, dhHi := s.energyHalo(dtE, te)
-			// My GF energy chunk intersected with d's halo window.
-			myLo, myHi := s.gfChunk(procs, r.ID)
-			energies := intersect(myLo, myHi, dhLo, dhHi)
-			var buf []complex128
-			buf = append(buf, packG(in.GLess, energies, dHalo)...)
-			buf = append(buf, packG(in.GGtr, energies, dHalo)...)
-			// My phonon points restricted to d's atom halo.
-			pts := s.phononPointsOwnedBy(r.ID, procs)
-			buf = append(buf, packD(in.DLess, pts, dHalo)...)
-			buf = append(buf, packD(in.DGtr, pts, dHalo)...)
-			send[d] = buf
+		for d, sh := range sl.out1 {
+			sl.send1[d] = sh.pack(sl.send1[d][:0], in.GLess, in.GGtr, in.DLess, in.DGtr)
 		}
-		recv, err := r.Alltoallv(send)
+		recv, err := sl.exchange(r, sl.send1)
 		if err != nil {
 			return fmt.Errorf("rank %d exchange 1: %w", r.ID, err)
 		}
-		gl := tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb)
-		gg := tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb)
-		dl := tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
-		dg := tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
-		for from := 0; from < procs; from++ {
-			fLo, fHi := s.gfChunk(procs, from)
-			energies := intersect(fLo, fHi, hLo, hHi)
-			n2 := p.Norb * p.Norb
-			gLen := len(energies) * len(halo) * p.Nkz * n2
-			buf := recv[from]
-			unpackG(gl, buf[:gLen], energies, halo)
-			unpackG(gg, buf[gLen:2*gLen], energies, halo)
-			pts := s.phononPointsOwnedBy(from, procs)
-			dLen := len(pts) * len(halo) * (p.NB + 1) * p.N3D * p.N3D
-			unpackD(dl, buf[2*gLen:2*gLen+dLen], pts, halo, false)
-			unpackD(dg, buf[2*gLen+dLen:], pts, halo, false)
+		for from, sh := range sl.in1 {
+			sh.unpack(recv[from], sl.gl, sl.gg, sl.dl, sl.dg, false)
 		}
 
 		// --- Tile computation --------------------------------------------
-		preL := s.Kernel.PreprocessD(dl)
-		preG := s.Kernel.PreprocessD(dg)
+		s.Kernel.PreprocessDInto(sl.preL, sl.dl)
+		s.Kernel.PreprocessDInto(sl.preG, sl.dg)
 		sps := obsSpanDistSigma.Start()
-		sigL := s.Kernel.SigmaDaCeTile(gl, preL, eLo, eHi, aLo, aHi)
-		sigG := s.Kernel.SigmaDaCeTile(gg, preG, eLo, eHi, aLo, aHi)
+		s.Kernel.SigmaDaCeTileInto(sl.sigL, sl.gl.ToAtomMajorInto(sl.amL), sl.preL, sl.eLo, sl.eHi, sl.aLo, sl.aHi)
+		s.Kernel.SigmaDaCeTileInto(sl.sigG, sl.gg.ToAtomMajorInto(sl.amG), sl.preG, sl.eLo, sl.eHi, sl.aLo, sl.aHi)
 		sps.End()
 		spq := obsSpanDistPi.Start()
-		piL, piG := s.Kernel.PiDaCeTile(gl, gg, eLo, eHi, aLo, aHi)
+		s.Kernel.PiDaCeTileInto(sl.piL, sl.piG, sl.gl, sl.gg, sl.eLo, sl.eHi, sl.aLo, sl.aHi)
 		spq.End()
 
 		// --- Exchange 2: Σ tiles to energy owners, Π partials to point
 		// owners ------------------------------------------------------------
-		if cluster.MultiProcess() {
-			// Ranks in other OS processes cannot assemble into this process's
-			// shared tensors; replicate instead — every rank sends its full
-			// tile everywhere, and each process assembles the complete result
-			// locally, so the next (replicated) GF phase starts from identical
-			// inputs on every peer.
-			return s.assembleReplicated(r, out, sigL, sigG, piL, piG, eLo, eHi, aLo, aHi, te, ta)
+		// Ranks in other OS processes cannot assemble into this process's
+		// shared tensors; there the exchange replicates instead — every rank
+		// sends its full tile everywhere and each process assembles the
+		// complete result locally, so the next (replicated) GF phase starts
+		// from identical inputs on every peer. That costs more traffic than
+		// the owner-directed exchange (ModelBytes still reports the §4.1
+		// prediction for the owner-directed pattern).
+		for d, sh := range sl.out2 {
+			sl.send2[d] = sh.pack(sl.send2[d][:0], sl.sigL, sl.sigG, sl.piL, sl.piG)
 		}
-		tileAtoms := intersect(aLo, aHi, 0, p.NA)
-		send2 := make([][]complex128, procs)
-		for d := 0; d < procs; d++ {
-			dLo, dHi := s.gfChunk(procs, d)
-			energies := intersect(dLo, dHi, eLo, eHi)
-			var buf []complex128
-			buf = append(buf, packG(sigL, energies, tileAtoms)...)
-			buf = append(buf, packG(sigG, energies, tileAtoms)...)
-			pts := s.phononPointsOwnedBy(d, procs)
-			buf = append(buf, packD(piL, pts, tileAtoms)...)
-			buf = append(buf, packD(piG, pts, tileAtoms)...)
-			send2[d] = buf
+		if replicated {
+			for d := range sl.send2 {
+				sl.send2[d] = sl.send2[0] // Send copies; sharing one payload is safe
+			}
 		}
-		recv2, err := r.Alltoallv(send2)
+		recv, err = sl.exchange(r, sl.send2)
 		if err != nil {
 			return fmt.Errorf("rank %d exchange 2: %w", r.ID, err)
 		}
-		// Assemble the shared result: every rank writes only the regions it
-		// owns after exchange 2 (its GF energy chunk for Σ, its phonon
-		// points for Π), so the writes are disjoint.
-		myLo, myHi := s.gfChunk(procs, r.ID)
-		myPts := s.phononPointsOwnedBy(r.ID, procs)
-		for from := 0; from < procs; from++ {
-			_, ftA := rankGrid(from, ta)
-			faLo, faHi := split(p.NA, ta, ftA)
-			fAtoms := intersect(faLo, faHi, 0, p.NA)
-			fELo, fEHi := split(p.NE, te, from/ta)
-			energies := intersect(myLo, myHi, fELo, fEHi)
-			n2 := p.Norb * p.Norb
-			gLen := len(energies) * len(fAtoms) * p.Nkz * n2
-			buf := recv2[from]
-			unpackG(out.SigmaLess, buf[:gLen], energies, fAtoms)
-			unpackG(out.SigmaGtr, buf[gLen:2*gLen], energies, fAtoms)
-			dLen := len(myPts) * len(fAtoms) * (p.NB + 1) * p.N3D * p.N3D
-			unpackD(out.PiLess, buf[2*gLen:2*gLen+dLen], myPts, fAtoms, true)
-			unpackD(out.PiGtr, buf[2*gLen+dLen:], myPts, fAtoms, true)
+		// Assemble the result. In-process, every rank writes only the
+		// regions it owns after exchange 2 (its GF energy chunk for Σ, its
+		// phonon points for Π), so the writes are disjoint; Σ tiles are
+		// disjoint across the grid and overwrite, Π partials accumulate.
+		for from, sh := range sl.in2 {
+			sh.unpack(recv[from], out.SigmaLess, out.SigmaGtr, out.PiLess, out.PiGtr, true)
 		}
 		return nil
 	})
@@ -356,53 +461,4 @@ func (s *Simulator) distributedSSEOn(cluster *comm.Cluster, in sse.PhaseInput, t
 	}
 	out.MeasuredBytes = cluster.TotalBytes() - startBytes
 	return out, nil
-}
-
-// assembleReplicated is the multi-process variant of exchange 2: one
-// alltoallv in which every rank contributes its full Σ^≷ tile and Π^≷
-// partial to every peer. Receivers overwrite Σ by tile coordinates (tiles
-// are disjoint across the TE×TA grid) and accumulate the Π partials (each
-// covers a disjoint energy window), so every process — not just the owners
-// of an energy chunk or a phonon point — ends with the complete
-// self-energies. That replication costs more traffic than the
-// owner-directed exchange (ModelBytes still reports the §4.1 prediction for
-// the owner-directed pattern), but it is what lets the replicated GF phase
-// of the SPMD peers proceed without a further broadcast.
-func (s *Simulator) assembleReplicated(r *comm.Rank, out *DistributedResult,
-	sigL, sigG *tensor.GTensor, piL, piG *tensor.DTensor,
-	eLo, eHi, aLo, aHi, te, ta int) error {
-	p := s.Dev.P
-	procs := te * ta
-	allPts := s.phononPointsOwnedBy(0, 1) // every (qz, ω) point
-	tileAtoms := intersect(aLo, aHi, 0, p.NA)
-	tileEnergies := intersect(eLo, eHi, 0, p.NE)
-	var buf []complex128
-	buf = append(buf, packG(sigL, tileEnergies, tileAtoms)...)
-	buf = append(buf, packG(sigG, tileEnergies, tileAtoms)...)
-	buf = append(buf, packD(piL, allPts, tileAtoms)...)
-	buf = append(buf, packD(piG, allPts, tileAtoms)...)
-	send := make([][]complex128, procs)
-	for d := range send {
-		send[d] = buf // Send copies; sharing one payload across peers is safe
-	}
-	recv, err := r.Alltoallv(send)
-	if err != nil {
-		return fmt.Errorf("rank %d replicated exchange 2: %w", r.ID, err)
-	}
-	n2 := p.Norb * p.Norb
-	for from := 0; from < procs; from++ {
-		ftE, ftA := rankGrid(from, ta)
-		faLo, faHi := split(p.NA, ta, ftA)
-		fAtoms := intersect(faLo, faHi, 0, p.NA)
-		fELo, fEHi := split(p.NE, te, ftE)
-		fEnergies := intersect(fELo, fEHi, 0, p.NE)
-		gLen := len(fEnergies) * len(fAtoms) * p.Nkz * n2
-		fbuf := recv[from]
-		unpackG(out.SigmaLess, fbuf[:gLen], fEnergies, fAtoms)
-		unpackG(out.SigmaGtr, fbuf[gLen:2*gLen], fEnergies, fAtoms)
-		dLen := len(allPts) * len(fAtoms) * (p.NB + 1) * p.N3D * p.N3D
-		unpackD(out.PiLess, fbuf[2*gLen:2*gLen+dLen], allPts, fAtoms, true)
-		unpackD(out.PiGtr, fbuf[2*gLen+dLen:], allPts, fAtoms, true)
-	}
-	return nil
 }

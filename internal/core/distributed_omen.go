@@ -115,8 +115,8 @@ func (s *Simulator) distributedSSEOMENOn(cluster *comm.Cluster, in sse.PhaseInpu
 				// 1. Broadcast D^≷(ω, qz), all atoms and neighbor slots.
 				var dbuf []complex128
 				if r.ID == owner {
-					dbuf = append(dbuf, packD(in.DLess, [][2]int{{qz, w}}, allAtoms(p.NA))...)
-					dbuf = append(dbuf, packD(in.DGtr, [][2]int{{qz, w}}, allAtoms(p.NA))...)
+					dbuf = packD(dbuf, in.DLess, [][2]int{{qz, w}}, allAtoms(p.NA))
+					dbuf = packD(dbuf, in.DGtr, [][2]int{{qz, w}}, allAtoms(p.NA))
 				}
 				got, err := r.Bcast(owner, dbuf)
 				if err != nil {
@@ -202,9 +202,8 @@ func (s *Simulator) distributedSSEOMENOn(cluster *comm.Cluster, in sse.PhaseInpu
 					}
 				}
 				// 4. Reduce the partials at the round's owner.
-				buf := piBuf[:0]
-				buf = append(buf, packD(piPartL, [][2]int{{0, 0}}, allAtoms(p.NA))...)
-				buf = append(buf, packD(piPartG, [][2]int{{0, 0}}, allAtoms(p.NA))...)
+				buf := packD(piBuf[:0], piPartL, [][2]int{{0, 0}}, allAtoms(p.NA))
+				buf = packD(buf, piPartG, [][2]int{{0, 0}}, allAtoms(p.NA))
 				sum, err := r.Reduce(owner, buf)
 				if err != nil {
 					return fmt.Errorf("round (%d,%d) Π reduce: %w", qz, w, err)

@@ -123,10 +123,17 @@ func (p *PreD) At(qz, w, a, b, i, j int) complex128 {
 // reverse direction is missing from the neighbor list (structure edges)
 // contribute their forward information only, matching what OMEN's
 // preprocessing does at device boundaries.
-func (k *Kernel) PreprocessD(d *tensor.DTensor) *PreD {
+func (k *Kernel) PreprocessD(d *tensor.DTensor) *PreD { return k.PreprocessDInto(nil, d) }
+
+// PreprocessDInto is PreprocessD into dst, every element of which it
+// overwrites; a nil dst allocates. It returns dst.
+func (k *Kernel) PreprocessDInto(dst *PreD, d *tensor.DTensor) *PreD {
 	p := k.Dev.P
-	out := &PreD{Nqz: d.Nqz, Nw: d.Nw, NA: p.NA, NB: p.NB, N3D: p.N3D,
-		Data: make([]complex128, d.Nqz*d.Nw*p.NA*p.NB*p.N3D*p.N3D)}
+	if dst == nil {
+		dst = &PreD{Nqz: d.Nqz, Nw: d.Nw, NA: p.NA, NB: p.NB, N3D: p.N3D,
+			Data: make([]complex128, d.Nqz*d.Nw*p.NA*p.NB*p.N3D*p.N3D)}
+	}
+	var dab, daa, dbb, dba cmat.Dense // reusable block-view headers
 	idx := 0
 	for qz := 0; qz < d.Nqz; qz++ {
 		for w := 0; w < d.Nw; w++ {
@@ -134,23 +141,24 @@ func (k *Kernel) PreprocessD(d *tensor.DTensor) *PreD {
 				for b := 0; b < p.NB; b++ {
 					f := k.Dev.Neigh[a][b]
 					if f < 0 {
+						clear(dst.Data[idx : idx+p.N3D*p.N3D])
 						idx += p.N3D * p.N3D
 						continue
 					}
-					dab := d.Block(qz, w, a, b)
-					daa := d.Block(qz, w, a, p.NB)
-					dbb := d.Block(qz, w, f, p.NB)
-					var dba *cmat.Dense
-					if r := k.Dev.NeighborSlot(f, a); r >= 0 {
-						dba = d.Block(qz, w, f, r)
+					d.BlockInto(&dab, qz, w, a, b)
+					d.BlockInto(&daa, qz, w, a, p.NB)
+					d.BlockInto(&dbb, qz, w, f, p.NB)
+					r := k.Dev.NeighborSlot(f, a)
+					if r >= 0 {
+						d.BlockInto(&dba, qz, w, f, r)
 					}
 					for i := 0; i < p.N3D; i++ {
 						for j := 0; j < p.N3D; j++ {
 							v := dab.At(i, j) - dbb.At(i, j) - daa.At(i, j)
-							if dba != nil {
+							if r >= 0 {
 								v += dba.At(i, j)
 							}
-							out.Data[idx] = v
+							dst.Data[idx] = v
 							idx++
 						}
 					}
@@ -158,7 +166,7 @@ func (k *Kernel) PreprocessD(d *tensor.DTensor) *PreD {
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // PhaseInput bundles the Green's functions entering one SSE phase.
@@ -211,13 +219,18 @@ func (k *Kernel) ComputePhaseParallel(in PhaseInput, v Variant, workers int) Pha
 		if workers <= 1 || p.NA < 2*workers {
 			workers = 1
 		}
+		// Fig. 10(c)'s layout change, once per tensor for every tile, into
+		// arena storage that the next phase reuses.
+		amL, amG := arenaAtomMajor(in.GLess), arenaAtomMajor(in.GGtr)
+		defer cmat.PutAll(amL.Atom...)
+		defer cmat.PutAll(amG.Atom...)
 		tasks := make([]pool.Task, workers)
 		for w := range tasks {
 			aLo, aHi := w*p.NA/workers, (w+1)*p.NA/workers
 			tasks[w] = func() {
 				sps := obsSpanSigma.Start()
-				k.sigmaTile(out.SigmaLess, in.GLess, preLess, 0, p.NE, aLo, aHi)
-				k.sigmaTile(out.SigmaGtr, in.GGtr, preGtr, 0, p.NE, aLo, aHi)
+				k.sigmaTile(out.SigmaLess, amL, preLess, 0, p.NE, aLo, aHi)
+				k.sigmaTile(out.SigmaGtr, amG, preGtr, 0, p.NE, aLo, aHi)
 				sps.End()
 				spq := obsSpanPi.Start()
 				k.piTile(out.PiLess, out.PiGtr, in.GLess, in.GGtr, 0, p.NE, aLo, aHi)
@@ -242,23 +255,39 @@ func (k *Kernel) newPi() *tensor.DTensor {
 	return tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
 }
 
-// Retarded returns the retarded component from the lesser/greater pair via
-// the paper's relation Σ^R ≈ (Σ^> − Σ^<)/2 (also used for Π^R).
-func Retarded(less, gtr *tensor.GTensor) *tensor.GTensor {
-	out := tensor.NewGTensor(less.Nkz, less.NE, less.NA, less.Norb)
-	for i := range out.Data {
-		out.Data[i] = 0.5 * (gtr.Data[i] - less.Data[i])
+// arenaAtomMajor returns g in the atom-major layout, its per-atom matrices
+// drawn from the workspace arena; the caller returns them with cmat.PutAll.
+func arenaAtomMajor(g *tensor.GTensor) *tensor.AtomMajor {
+	am := &tensor.AtomMajor{Nkz: g.Nkz, NE: g.NE, NA: g.NA, Norb: g.Norb, Atom: make([]*cmat.Dense, g.NA)}
+	for a := range am.Atom {
+		am.Atom[a] = cmat.GetDense(g.Nkz*g.NE*g.Norb, g.Norb)
 	}
-	return out
+	return g.ToAtomMajorInto(am)
 }
 
-// RetardedD is the phonon analogue of Retarded: Π^R ≈ (Π^> − Π^<)/2.
-func RetardedD(less, gtr *tensor.DTensor) *tensor.DTensor {
-	out := tensor.NewDTensor(less.Nqz, less.Nw, less.NA, less.NB, less.N3D)
-	for i := range out.Data {
-		out.Data[i] = 0.5 * (gtr.Data[i] - less.Data[i])
+// Retarded returns the retarded component from the lesser/greater pair via
+// the paper's relation Σ^R ≈ (Σ^> − Σ^<)/2 (also used for Π^R), written
+// into dst, or into a fresh tensor when dst is nil.
+func Retarded(dst, less, gtr *tensor.GTensor) *tensor.GTensor {
+	if dst == nil {
+		dst = tensor.NewGTensor(less.Nkz, less.NE, less.NA, less.Norb)
 	}
-	return out
+	for i := range dst.Data {
+		dst.Data[i] = 0.5 * (gtr.Data[i] - less.Data[i])
+	}
+	return dst
+}
+
+// RetardedD is the phonon analogue of Retarded: Π^R ≈ (Π^> − Π^<)/2, into
+// dst, or into a fresh tensor when dst is nil.
+func RetardedD(dst, less, gtr *tensor.DTensor) *tensor.DTensor {
+	if dst == nil {
+		dst = tensor.NewDTensor(less.Nqz, less.Nw, less.NA, less.NB, less.N3D)
+	}
+	for i := range dst.Data {
+		dst.Data[i] = 0.5 * (gtr.Data[i] - less.Data[i])
+	}
+	return dst
 }
 
 // AntiHermitize projects every diagonal (kz, E, a) block of t onto its

@@ -224,7 +224,7 @@ func TestRetardedRelation(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	less := randomAntiHermG(rng, p)
 	gtr := randomAntiHermG(rng, p)
-	r := Retarded(less, gtr)
+	r := Retarded(nil, less, gtr)
 	for i := range r.Data {
 		want := 0.5 * (gtr.Data[i] - less.Data[i])
 		if r.Data[i] != want {
@@ -233,7 +233,7 @@ func TestRetardedRelation(t *testing.T) {
 	}
 	dl := randomD(rng, p)
 	dg := randomD(rng, p)
-	rd := RetardedD(dl, dg)
+	rd := RetardedD(nil, dl, dg)
 	for i := range rd.Data {
 		if rd.Data[i] != 0.5*(dg.Data[i]-dl.Data[i]) {
 			t.Fatal("Π^R != (Π^> − Π^<)/2")

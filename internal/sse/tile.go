@@ -28,9 +28,17 @@ import (
 // with zeros outside the tile. g must hold valid data for energies
 // [max(0, eLo−Nω), eHi) and for the tile's atoms plus their neighbors.
 func (k *Kernel) SigmaDaCeTile(g *tensor.GTensor, d *PreD, eLo, eHi, aLo, aHi int) *tensor.GTensor {
-	sigma := k.newSigma()
-	k.sigmaTile(sigma, g, d, eLo, eHi, aLo, aHi)
-	return sigma
+	return k.SigmaDaCeTileInto(k.newSigma(), g.ToAtomMajor(), d, eLo, eHi, aLo, aHi)
+}
+
+// SigmaDaCeTileInto is SigmaDaCeTile into caller-kept storage: it zeroes
+// the full-size dst, computes the tile into it and returns dst. am is G^≷
+// already in the atom-major layout (GTensor.ToAtomMajorInto), so a caller
+// that keeps dst and am across phases allocates nothing here.
+func (k *Kernel) SigmaDaCeTileInto(dst *tensor.GTensor, am *tensor.AtomMajor, d *PreD, eLo, eHi, aLo, aHi int) *tensor.GTensor {
+	dst.Zero()
+	k.sigmaTile(dst, am, d, eLo, eHi, aLo, aHi)
+	return dst
 }
 
 // PiDaCeTile computes the Π^≷ contributions of the trace terms whose
@@ -39,18 +47,27 @@ func (k *Kernel) SigmaDaCeTile(g *tensor.GTensor, d *PreD, eLo, eHi, aLo, aHi in
 // returned tensors over all tiles reproduces PiDaCe exactly. g≷ must hold
 // valid data for energies [eLo, eHi+Nω) and the tile's atoms plus halo.
 func (k *Kernel) PiDaCeTile(gLess, gGtr *tensor.GTensor, eLo, eHi, aLo, aHi int) (piLess, piGtr *tensor.DTensor) {
-	piLess, piGtr = k.newPi(), k.newPi()
-	k.piTile(piLess, piGtr, gLess, gGtr, eLo, eHi, aLo, aHi)
-	return piLess, piGtr
+	return k.PiDaCeTileInto(k.newPi(), k.newPi(), gLess, gGtr, eLo, eHi, aLo, aHi)
+}
+
+// PiDaCeTileInto is PiDaCeTile into caller-kept storage: it zeroes the
+// full-size dstL, dstG, accumulates the tile's contributions into them and
+// returns them.
+func (k *Kernel) PiDaCeTileInto(dstL, dstG *tensor.DTensor, gLess, gGtr *tensor.GTensor, eLo, eHi, aLo, aHi int) (piLess, piGtr *tensor.DTensor) {
+	dstL.Zero()
+	dstG.Zero()
+	k.piTile(dstL, dstG, gLess, gGtr, eLo, eHi, aLo, aHi)
+	return dstL, dstG
 }
 
 // sigmaTile accumulates the Σ^≷ tile E ∈ [eLo, eHi), a ∈ [aLo, aHi) of
-// Eq. (3) into dst, writing only the tile's (kz, E, a) blocks. The stages
-// are those of SigmaDaCe's Figs. 9–12 walk-through.
-func (k *Kernel) sigmaTile(dst, g *tensor.GTensor, d *PreD, eLo, eHi, aLo, aHi int) {
+// Eq. (3) into dst, writing only the tile's (kz, E, a) blocks. am is G^≷
+// after the data-layout transformation of Fig. 10(c), which the caller
+// performs once per tensor and phase, not once per tile. The stages are
+// those of SigmaDaCe's Figs. 9–12 walk-through.
+func (k *Kernel) sigmaTile(dst *tensor.GTensor, am *tensor.AtomMajor, d *PreD, eLo, eHi, aLo, aHi int) {
 	p := k.Dev.P
 	pref := k.sigmaPref()
-	am := g.ToAtomMajor() // Fig. 10(c): the data-layout transformation.
 	no := p.Norb
 	var flops cmat.Tally
 	defer flops.Publish()
@@ -143,20 +160,16 @@ func (k *Kernel) piTile(dstL, dstG *tensor.DTensor, gLess, gGtr *tensor.GTensor,
 	pref := complex(0, k.piPref())
 	uLo, uHi := eLo+p.PhononShift(0), min(p.NE, eHi+p.PhononShift(p.Nw-1))
 	nu, nw := max(0, uHi-uLo), eHi-eLo
-	// Per-bond transients from the arena, reused across bonds and indexed
-	// kz·n + (E − lo) over their energy window.
-	no := p.Norb
-	alloc := func(n int) [][]*cmat.Dense {
-		m := make([][]*cmat.Dense, p.N3D)
-		for i := range m {
-			m[i] = make([]*cmat.Dense, p.Nkz*n)
-			for s := range m[i] {
-				m[i][s] = cmat.GetDense(no, no)
-			}
-		}
-		return m
-	}
-	uLess, uGtr, wLess, wGtr := alloc(nu), alloc(nu), alloc(nw), alloc(nw)
+	// Per-bond transients, reused across bonds: one arena slab per tensor
+	// whose Norb×Norb block (i, kz·n + E − lo) covers direction i over the
+	// tensor's energy window, so the tile allocates nothing per energy. A
+	// block is used through a Norb×Norb header whose Data is rebound to it.
+	no, n2 := p.Norb, p.Norb*p.Norb
+	uLess, uGtr := cmat.GetDense(p.N3D*p.Nkz*nu*no, no), cmat.GetDense(p.N3D*p.Nkz*nu*no, no)
+	wLess, wGtr := cmat.GetDense(p.N3D*p.Nkz*nw*no, no), cmat.GetDense(p.N3D*p.Nkz*nw*no, no)
+	defer cmat.PutAll(uLess, uGtr, wLess, wGtr)
+	vl, vg := cmat.Dense{Rows: no, Cols: no}, cmat.Dense{Rows: no, Cols: no}
+	ul, ug := cmat.Dense{Rows: no, Cols: no}, cmat.Dense{Rows: no, Cols: no}
 	var gvL, gvG cmat.Dense // reusable block-view headers
 	for a := aLo; a < aHi; a++ {
 		for b := 0; b < p.NB; b++ {
@@ -174,8 +187,11 @@ func (k *Kernel) piTile(dstL, dstG *tensor.DTensor, gLess, gGtr *tensor.GTensor,
 					gLess.BlockInto(&gvL, kz, e, a)
 					gGtr.BlockInto(&gvG, kz, e, a)
 					for i := 0; i < p.N3D; i++ {
-						k.dH[f][r][i].MulIntoTally(uLess[i][idx], &gvL, &flops)
-						k.dH[f][r][i].MulIntoTally(uGtr[i][idx], &gvG, &flops)
+						o := (i*p.Nkz*nu + idx) * n2
+						vl.Data = uLess.Data[o : o+n2]
+						vg.Data = uGtr.Data[o : o+n2]
+						k.dH[f][r][i].MulIntoTally(&vl, &gvL, &flops)
+						k.dH[f][r][i].MulIntoTally(&vg, &gvG, &flops)
 					}
 				}
 				for e := eLo; e < eHi; e++ {
@@ -183,8 +199,11 @@ func (k *Kernel) piTile(dstL, dstG *tensor.DTensor, gLess, gGtr *tensor.GTensor,
 					gLess.BlockInto(&gvL, kz, e, f)
 					gGtr.BlockInto(&gvG, kz, e, f)
 					for i := 0; i < p.N3D; i++ {
-						k.dH[a][b][i].MulIntoTally(wLess[i][idx], &gvL, &flops)
-						k.dH[a][b][i].MulIntoTally(wGtr[i][idx], &gvG, &flops)
+						o := (i*p.Nkz*nw + idx) * n2
+						vl.Data = wLess.Data[o : o+n2]
+						vg.Data = wGtr.Data[o : o+n2]
+						k.dH[a][b][i].MulIntoTally(&vl, &gvL, &flops)
+						k.dH[a][b][i].MulIntoTally(&vg, &gvG, &flops)
 					}
 				}
 			}
@@ -197,20 +216,21 @@ func (k *Kernel) piTile(dstL, dstG *tensor.DTensor, gLess, gGtr *tensor.GTensor,
 							su := k2*nu + e + shift - uLo
 							sw := kz*nw + e - eLo
 							for i := 0; i < p.N3D; i++ {
+								o := (i*p.Nkz*nu + su) * n2
+								ul.Data = uLess.Data[o : o+n2]
+								ug.Data = uGtr.Data[o : o+n2]
 								for j := 0; j < p.N3D; j++ {
-									piAccumulate(dstL, qz, w, a, b, i, j, p.NB, pref*uLess[i][su].TraceMulTally(wGtr[j][sw], &flops))
-									piAccumulate(dstG, qz, w, a, b, i, j, p.NB, pref*uGtr[i][su].TraceMulTally(wLess[j][sw], &flops))
+									o := (j*p.Nkz*nw + sw) * n2
+									vl.Data = wLess.Data[o : o+n2]
+									vg.Data = wGtr.Data[o : o+n2]
+									piAccumulate(dstL, qz, w, a, b, i, j, p.NB, pref*ul.TraceMulTally(&vg, &flops))
+									piAccumulate(dstG, qz, w, a, b, i, j, p.NB, pref*ug.TraceMulTally(&vl, &flops))
 								}
 							}
 						}
 					}
 				}
 			}
-		}
-	}
-	for _, m := range [][][]*cmat.Dense{uLess, uGtr, wLess, wGtr} {
-		for i := range m {
-			cmat.PutAll(m[i]...)
 		}
 	}
 }

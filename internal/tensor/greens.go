@@ -99,23 +99,40 @@ type AtomMajor struct {
 	Atom []*cmat.Dense
 }
 
-// ToAtomMajor performs the layout transformation (a full copy of G).
-func (g *GTensor) ToAtomMajor() *AtomMajor {
-	am := &AtomMajor{Nkz: g.Nkz, NE: g.NE, NA: g.NA, Norb: g.Norb,
-		Atom: make([]*cmat.Dense, g.NA)}
-	rows := g.Nkz * g.NE * g.Norb
-	var src cmat.Dense
-	for a := 0; a < g.NA; a++ {
-		m := cmat.NewDense(rows, g.Norb)
-		for kz := 0; kz < g.Nkz; kz++ {
-			for e := 0; e < g.NE; e++ {
-				g.BlockInto(&src, kz, e, a)
-				m.SetSubmatrix((kz*g.NE+e)*g.Norb, 0, &src)
-			}
-		}
-		am.Atom[a] = m
+// NewAtomMajor allocates a zeroed atom-major tensor of the given shape.
+func NewAtomMajor(nkz, ne, na, norb int) *AtomMajor {
+	am := &AtomMajor{Nkz: nkz, NE: ne, NA: na, Norb: norb, Atom: make([]*cmat.Dense, na)}
+	for a := range am.Atom {
+		am.Atom[a] = cmat.NewDense(nkz*ne*norb, norb)
 	}
 	return am
+}
+
+// ToAtomMajor performs the layout transformation (a full copy of G).
+func (g *GTensor) ToAtomMajor() *AtomMajor {
+	return g.ToAtomMajorInto(NewAtomMajor(g.Nkz, g.NE, g.NA, g.Norb))
+}
+
+// ToAtomMajorInto performs the layout transformation into dst, which must
+// have g's shape, overwriting every element, and returns dst: the
+// steady-state form of ToAtomMajor for a caller that keeps dst across
+// phases.
+func (g *GTensor) ToAtomMajorInto(dst *AtomMajor) *AtomMajor {
+	if dst.Nkz != g.Nkz || dst.NE != g.NE || dst.NA != g.NA || dst.Norb != g.Norb {
+		panic("tensor: ToAtomMajorInto shape mismatch")
+	}
+	// A Norb×Norb block is contiguous in both layouts: row block kz·NE+E
+	// of the stacked matrix is one Norb² run of its data.
+	n2 := g.Norb * g.Norb
+	for a, m := range dst.Atom {
+		for kz := 0; kz < g.Nkz; kz++ {
+			for e := 0; e < g.NE; e++ {
+				off := ((kz*g.NE+e)*g.NA + a) * n2
+				copy(m.Data[(kz*g.NE+e)*n2:], g.Data[off:off+n2])
+			}
+		}
+	}
+	return dst
 }
 
 // Block returns the Norb×Norb matrix of (kz, E) for atom a as a view.
