@@ -33,7 +33,12 @@ race:
 # writes (TestSpatialBoundaryComputedOncePerPoint is not -short-skipped),
 # and the distributed SSE workspace, whose ranks write disjoint regions of
 # one shared result phase after phase
-# (TestDistributedWorkspaceReuseMatchesFresh is not -short-skipped).
+# (TestDistributedWorkspaceReuseMatchesFresh is not -short-skipped), and
+# the fused tile kernels' register accumulators, which two workers' atom
+# tiles race through in TestComputePhaseParallelMatchesReferenceOrder
+# (TestTileKernelsMatchReferenceOrderBitwise and
+# TestDistributedTileMatchesReferenceOrder run there too; none is
+# -short-skipped).
 # -short skips the long self-consistent physics runs, keeping the race gate
 # on the concurrency-heavy tests.
 race-ft:

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"strings"
@@ -555,6 +556,84 @@ func TestPublishOnceFlops(t *testing.T) {
 	if len(tiles) != len(tileKernels) {
 		t.Errorf("internal/sse declares %d of the tile kernels %v — update tileKernels", len(tiles), tileKernels)
 	}
+}
+
+// sweepBuiltins are the calls a fused SSE sweep body may make.
+var sweepBuiltins = map[string]bool{"len": true, "cap": true, "min": true, "max": true, "complex": true, "real": true, "imag": true}
+
+// TestFusedSSESweeps keeps the tile kernels' hot loops fused: in
+// internal/sse, the body of piTile's (kz, E) trace sweep (the kz loop inside
+// its qz loop) and the per-E body of sigmaTile's stage 3 (its loop over e)
+// call builtins only, and convert to cmat.Tally — no cmat method, ViewInto,
+// BlockInto, AddAt or piAccumulate — so each output element is one
+// in-register contraction instead of a chain of Norb×Norb block calls.
+func TestFusedSSESweeps(t *testing.T) {
+	fset := token.NewFileSet()
+	sweeps := map[string][]*ast.ForStmt{}
+	eachNonTestFile(t, fset, nil, func(dir string, f *ast.File) {
+		if dir != "internal/sse" {
+			return
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			switch fd.Name.Name {
+			case "piTile":
+				for _, qz := range loopsOver(fd.Body, "qz") {
+					sweeps["piTile"] = append(sweeps["piTile"], loopsOver(qz.Body, "kz")...)
+				}
+			case "sigmaTile":
+				sweeps["sigmaTile"] = loopsOver(fd.Body, "e")
+			}
+		}
+	})
+	for _, name := range []string{"piTile", "sigmaTile"} {
+		if len(sweeps[name]) != 1 {
+			t.Errorf("internal/sse: found %d sweep loops in %s, want 1 — update the guard", len(sweeps[name]), name)
+		}
+		for _, loop := range sweeps[name] {
+			ast.Inspect(loop.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				switch fn := call.Fun.(type) {
+				case *ast.Ident:
+					if sweepBuiltins[fn.Name] {
+						return true
+					}
+				case *ast.SelectorExpr:
+					if x, ok := fn.X.(*ast.Ident); ok && x.Name == "cmat" && fn.Sel.Name == "Tally" {
+						return true
+					}
+				}
+				t.Errorf("%s: %s's sweep calls %s — contract in registers with builtins only",
+					fset.Position(call.Pos()), name, types.ExprString(call.Fun))
+				return true
+			})
+		}
+	}
+}
+
+// loopsOver returns the for statements under n whose init statement
+// declares the loop variable v.
+func loopsOver(n ast.Node, v string) []*ast.ForStmt {
+	var out []*ast.ForStmt
+	ast.Inspect(n, func(n ast.Node) bool {
+		loop, ok := n.(*ast.ForStmt)
+		if !ok {
+			return true
+		}
+		if init, ok := loop.Init.(*ast.AssignStmt); ok && init.Tok == token.DEFINE && len(init.Lhs) == 1 {
+			if id, ok := init.Lhs[0].(*ast.Ident); ok && id.Name == v {
+				out = append(out, loop)
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // pointSolves are the rgf point solves, each with the index of its

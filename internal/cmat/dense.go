@@ -312,9 +312,6 @@ func (m *Dense) MulIntoTally(out, n *Dense, t *Tally) { *t += Tally(m.mulInto(ou
 // cache-blocked engine (see gemm.go for the crossover).
 func (m *Dense) MulAddInto(out, n *Dense) { Counter.AddFlops(m.mulInto(out, n, true)) }
 
-// MulAddIntoTally is MulAddInto counting into the caller's tally t.
-func (m *Dense) MulAddIntoTally(out, n *Dense, t *Tally) { *t += Tally(m.mulInto(out, n, true)) }
-
 // mulInto is the body of MulInto (accumulate false) and MulAddInto
 // (accumulate true); it returns the flops of the product.
 func (m *Dense) mulInto(out, n *Dense, accumulate bool) uint64 {
@@ -441,13 +438,6 @@ func (m *Dense) TransMulAddInto(out, n *Dense) {
 func (m *Dense) TraceMul(n *Dense) complex128 {
 	tr, flops := m.traceMul(n)
 	Counter.AddFlops(flops)
-	return tr
-}
-
-// TraceMulTally is TraceMul counting into the caller's tally t.
-func (m *Dense) TraceMulTally(n *Dense, t *Tally) complex128 {
-	tr, flops := m.traceMul(n)
-	*t += Tally(flops)
 	return tr
 }
 

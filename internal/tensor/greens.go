@@ -179,9 +179,8 @@ func (d *DTensor) Block(qz, w, a, b int) *cmat.Dense {
 	if qz < 0 || qz >= d.Nqz || w < 0 || w >= d.Nw || a < 0 || a >= d.NA || b < 0 || b > d.NB {
 		panic(fmt.Sprintf("tensor: DTensor.Block(%d,%d,%d,%d) out of range", qz, w, a, b))
 	}
-	n2 := d.N3D * d.N3D
-	off := (((qz*d.Nw+w)*d.NA+a)*(d.NB+1) + b) * n2
-	return cmat.DenseFromSlice(d.N3D, d.N3D, d.Data[off:off+n2])
+	off := d.BlockOffset(qz, w, a, b)
+	return cmat.DenseFromSlice(d.N3D, d.N3D, d.Data[off:off+d.N3D*d.N3D])
 }
 
 // BlockInto rebinds dst as the (qz, ω, a, b) view without allocating a
@@ -191,17 +190,22 @@ func (d *DTensor) BlockInto(dst *cmat.Dense, qz, w, a, b int) {
 	if qz < 0 || qz >= d.Nqz || w < 0 || w >= d.Nw || a < 0 || a >= d.NA || b < 0 || b > d.NB {
 		panic(fmt.Sprintf("tensor: DTensor.BlockInto(%d,%d,%d,%d) out of range", qz, w, a, b))
 	}
-	n2 := d.N3D * d.N3D
-	off := (((qz*d.Nw+w)*d.NA+a)*(d.NB+1) + b) * n2
-	dst.Rows, dst.Cols, dst.Data = d.N3D, d.N3D, d.Data[off:off+n2]
+	off := d.BlockOffset(qz, w, a, b)
+	dst.Rows, dst.Cols, dst.Data = d.N3D, d.N3D, d.Data[off:off+d.N3D*d.N3D]
+}
+
+// BlockOffset returns the flat index in Data of element (0, 0) of the (qz,
+// ω, a, b) block; the block's N3D×N3D elements follow row-major. It does
+// not check bounds.
+func (d *DTensor) BlockOffset(qz, w, a, b int) int {
+	return (((qz*d.Nw+w)*d.NA+a)*(d.NB+1) + b) * d.N3D * d.N3D
 }
 
 // AddAt adds v to element (i, j) of the (qz, ω, a, b) block by direct
 // indexing — no block header is materialized, so the Π accumulation loops
 // stay allocation-free.
 func (d *DTensor) AddAt(qz, w, a, b, i, j int, v complex128) {
-	off := (((qz*d.Nw+w)*d.NA+a)*(d.NB+1)+b)*d.N3D*d.N3D + i*d.N3D + j
-	d.Data[off] += v
+	d.Data[d.BlockOffset(qz, w, a, b)+i*d.N3D+j] += v
 }
 
 // Clone returns a deep copy.
