@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"os"
 
@@ -11,18 +10,17 @@ import (
 )
 
 // runCampaign is the -campaign offline mode: load a campaign request,
-// execute its bias ladder in-process (warm-chaining by default), print a
-// per-point summary, and emit the artifacts — PREFIX.csv and PREFIX.json
-// when -campaign-out is set, the CSV to stdout otherwise.
+// execute its bias ladder in-process (up to four chains of points side by
+// side, each later point warm-started from its predecessor by default),
+// print a per-point summary, and emit the artifacts — PREFIX.csv and
+// PREFIX.json when -campaign-out is set, the CSV to stdout otherwise.
 func runCampaign(path, out string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var req campaign.Request
-	if err := dec.Decode(&req); err != nil {
+	req, err := campaign.DecodeRequest(bytes.NewReader(data))
+	if err != nil {
 		return fmt.Errorf("parsing campaign request %s: %w", path, err)
 	}
 

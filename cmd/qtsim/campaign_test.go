@@ -20,10 +20,8 @@ func TestExampleCampaignParses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	var req campaign.Request
-	if err := dec.Decode(&req); err != nil {
+	req, err := campaign.DecodeRequest(strings.NewReader(string(data)))
+	if err != nil {
 		t.Fatalf("examples/campaign.json does not decode: %v", err)
 	}
 	if err := req.Validate(); err != nil {
@@ -54,7 +52,7 @@ func TestRunCampaignWritesArtifacts(t *testing.T) {
 		Config:     cfg,
 		BiasStart:  0.2,
 		BiasStop:   0.4,
-		BiasPoints: 3,
+		BiasPoints: 5,
 	}
 	raw, err := json.Marshal(req)
 	if err != nil {
@@ -76,8 +74,8 @@ func TestRunCampaignWritesArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(string(csv)), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("artifact CSV has %d lines, want header + 3 rows", len(lines))
+	if len(lines) != 6 {
+		t.Fatalf("artifact CSV has %d lines, want header + 5 rows", len(lines))
 	}
 
 	js, err := os.ReadFile(out + ".json")
@@ -88,14 +86,16 @@ func TestRunCampaignWritesArtifacts(t *testing.T) {
 	if err := json.Unmarshal(js, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if doc.Kind != campaign.IV || len(doc.IV) != 3 {
+	if doc.Kind != campaign.IV || len(doc.IV) != 5 {
 		t.Fatalf("artifact doc: kind %s, %d rows", doc.Kind, len(doc.IV))
 	}
 	for i, row := range doc.IV {
 		if !row.Converged {
 			t.Errorf("row %d not converged", i)
 		}
-		if got, want := row.WarmStarted, i > 0; got != want {
+		// The offline manager runs four chains over the five points:
+		// points 0–3 head one each, point 4 continues point 3's.
+		if got, want := row.WarmStarted, i == 4; got != want {
 			t.Errorf("row %d warm_started = %t, want %t", i, got, want)
 		}
 	}

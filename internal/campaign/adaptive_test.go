@@ -69,7 +69,8 @@ func TestAdaptiveWarmLadderLocal(t *testing.T) {
 	}
 	direct := directAdaptiveRuns(t, req)
 
-	m := NewManager(LocalBackend{}, 0)
+	// Two chains of two: points 1 and 3 resume from their chain heads.
+	m := NewManager(LocalBackend{}, 2)
 	defer m.Close(context.Background())
 	c, err := m.Start(req)
 	if err != nil {
@@ -90,7 +91,7 @@ func TestAdaptiveWarmLadderLocal(t *testing.T) {
 		if p.State != PointDone || !p.Converged {
 			t.Fatalf("point %d state %s converged=%t", i, p.State, p.Converged)
 		}
-		if got, want := p.WarmStarted, i > 0; got != want {
+		if got, want := p.WarmStarted, !chainHead(i, len(st.Points), m.maxParallel); got != want {
 			t.Fatalf("point %d warm_started = %t, want %t", i, got, want)
 		}
 		if d := relDiff(p.CurrentL, direct[i].Obs.CurrentL); d > 1e-8 {

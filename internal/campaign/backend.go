@@ -132,9 +132,9 @@ func (b ServeBackend) RunPoint(ctx context.Context, cfg core.RunConfig, warm *co
 
 // FrontBackend runs points through the sharded front tier. The explicit
 // warm checkpoint is ignored: the front's content-addressed family cache
-// already seeds each point from the nearest finished bias point, so
-// sequential ladder execution warm-starts for free — WarmStarted is read
-// back from the front's own report.
+// seeds each point from the nearest finished bias point, so a chained
+// point, submitted once its predecessor is done, warm-starts for free —
+// WarmStarted is read back from the front's own report.
 type FrontBackend struct {
 	F *front.Front
 	// Tenant is the admission identity campaign points are submitted

@@ -8,18 +8,26 @@
 // their converged self-energy structure, so a campaign chains them —
 // point k+1 is warm-started from point k's Σ≷/Π≷ checkpoint through the
 // existing submit envelope and the Born loop starts near the fixed point
-// instead of at zero. A ladder run this way spends most of its wall time
-// on the first point; the rest converge in a fraction of the iterations.
+// instead of at zero. The ladder runs as a few such chains side by side,
+// each headed by a cold point, so the backend's parallelism is not traded
+// for the iterations a seed saves.
 //
 // A campaign's artifacts are served in two formats: CSV for plotting and
 // JSON for programmatic diffing against point-by-point direct runs.
 package campaign
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 
 	"negfsim/internal/core"
 )
+
+// MaxLadder caps a request's bias points: a ladder is allocated from the
+// request before any point runs, so the request size must not choose it.
+const MaxLadder = 1024
 
 // Kind selects what a campaign computes.
 type Kind string
@@ -56,10 +64,21 @@ type Request struct {
 	// Biases is the explicit ladder alternative.
 	Biases []float64 `json:"biases,omitempty"`
 
-	// WarmStart chains each point from the previous point's checkpoint
-	// (sequential execution); nil means true. False fans the points out
-	// cold and concurrently.
+	// WarmStart seeds each point from an adjacent finished point's
+	// checkpoint — its predecessor in the point's chain — and nil means
+	// true. False runs every point cold. Either way the manager's
+	// maxParallel bounds the points in flight.
 	WarmStart *bool `json:"warm_start,omitempty"`
+}
+
+// DecodeRequest reads one request with the strict schema: an unknown
+// field is an error.
+func DecodeRequest(r io.Reader) (Request, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var req Request
+	err := dec.Decode(&req)
+	return req, err
 }
 
 // Warm reports the effective warm-start mode (default true).
@@ -84,12 +103,20 @@ func (r *Request) Validate() error {
 	if explicit && ranged {
 		return fmt.Errorf("campaign: biases and bias_start/bias_stop/bias_points are mutually exclusive")
 	}
+	if len(r.Biases) > MaxLadder {
+		return fmt.Errorf("campaign: biases: at most %d ladder points, got %d", MaxLadder, len(r.Biases))
+	}
 	if ranged {
-		if r.BiasPoints < 2 {
-			return fmt.Errorf("campaign: bias_points: need ≥ 2 ladder points, got %d", r.BiasPoints)
+		if r.BiasPoints < 2 || r.BiasPoints > MaxLadder {
+			return fmt.Errorf("campaign: bias_points: need 2 to %d ladder points, got %d", MaxLadder, r.BiasPoints)
 		}
-		if r.BiasStart == r.BiasStop {
-			return fmt.Errorf("campaign: bias_stop: ladder endpoints coincide at %g", r.BiasStart)
+		// Endpoints that coincide, overflow or lie too close for the
+		// point count would repeat or corrupt ladder points.
+		l := r.Ladder()
+		for i := 1; i < len(l); i++ {
+			if !((l[i]-l[i-1])*(r.BiasStop-r.BiasStart) > 0) || math.IsInf(l[i], 0) {
+				return fmt.Errorf("campaign: bias_stop: %d points from %g to %g are not strictly monotone", r.BiasPoints, r.BiasStart, r.BiasStop)
+			}
 		}
 	}
 	if !explicit && !ranged && r.Kind == IV {

@@ -1,10 +1,13 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -74,6 +77,19 @@ func relDiff(a, b float64) float64 {
 	return math.Abs(a-b) / math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 }
 
+// chainHead reports whether point i of an n-point ladder heads one of the
+// min(maxParallel, n) chains a manager runs it as — a point that starts
+// cold even under warm start.
+func chainHead(i, n, maxParallel int) bool {
+	k := min(maxParallel, n)
+	for s := 0; s < k; s++ {
+		if s*n/k == i {
+			return true
+		}
+	}
+	return false
+}
+
 func TestRequestValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -102,6 +118,19 @@ func TestRequestValidate(t *testing.T) {
 			r.Config.Gate = &core.GateSpec{MaxOuter: 3, Damping: 0.5}
 		}, "plain serial"},
 		{"config validated", func(r *Request) { r.Config.MaxIter = 0 }, "campaign: config:"},
+		// The ladder cap is checked before any ladder is expanded, so
+		// these never allocate what they ask for.
+		{"ladder at the cap", func(r *Request) { r.BiasPoints = MaxLadder }, ""},
+		{"ladder over the cap", func(r *Request) { r.BiasPoints = MaxLadder + 1 }, "bias_points"},
+		{"huge ladder", func(r *Request) { r.BiasPoints = 1 << 40 }, "bias_points"},
+		{"explicit ladder over the cap", func(r *Request) {
+			r.BiasStart, r.BiasStop, r.BiasPoints = 0, 0, 0
+			r.Biases = make([]float64, MaxLadder+1)
+		}, "biases"},
+		{"overflowing range", func(r *Request) { r.BiasStart, r.BiasStop = -1e308, 1e308 }, "bias_stop"},
+		{"range finer than float64", func(r *Request) {
+			r.BiasStart, r.BiasStop, r.BiasPoints = 1, 1+1e-15, MaxLadder
+		}, "bias_stop"},
 	}
 	for _, c := range cases {
 		req := ivRequest()
@@ -119,6 +148,42 @@ func TestRequestValidate(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.frag)
 		}
 	}
+}
+
+// FuzzCampaignRequest feeds arbitrary bodies through the submit path's
+// strict decoder, Validate and Ladder: nothing may panic, and an accepted
+// request has 1 to MaxLadder points, strictly monotone when ranged.
+func FuzzCampaignRequest(f *testing.F) {
+	example, err := os.ReadFile("../../examples/campaign.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	iv, err := json.Marshal(ivRequest())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(example)
+	f.Add(iv)
+	f.Add([]byte(`{"kind":"te","config":{"version":2,"device":{"kind":"chain"}},"biases":[0.1,-0.2]}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := DecodeRequest(bytes.NewReader(body))
+		if err != nil || req.Validate() != nil {
+			return
+		}
+		l := req.Ladder()
+		if len(l) < 1 || len(l) > MaxLadder {
+			t.Fatalf("accepted request expands to %d ladder points", len(l))
+		}
+		if req.BiasPoints == 0 {
+			return
+		}
+		up := l[1] > l[0]
+		for i := 1; i < len(l); i++ {
+			if (up && !(l[i] > l[i-1])) || (!up && !(l[i] < l[i-1])) || math.IsInf(l[i], 0) {
+				t.Fatalf("accepted ranged ladder not strictly monotone at point %d: %v", i, l)
+			}
+		}
+	})
 }
 
 func TestRequestLadder(t *testing.T) {
@@ -151,7 +216,8 @@ func TestRequestLadder(t *testing.T) {
 
 // TestWarmLadderLocal is the offline acceptance path: a warm-chained I–V
 // campaign over the CNT device matches point-by-point direct runs to
-// 1e-8 while converging in fewer Born iterations per warm point.
+// 1e-8, every chain head starts cold and every later point of a chain
+// starts warm, and no warm point needs more Born iterations than cold.
 func TestWarmLadderLocal(t *testing.T) {
 	req := ivRequest()
 	direct := directRuns(t, req)
@@ -179,8 +245,9 @@ func TestWarmLadderLocal(t *testing.T) {
 		if p.State != PointDone || !p.Converged {
 			t.Fatalf("point %d state %s converged=%t", i, p.State, p.Converged)
 		}
-		if got, want := p.WarmStarted, i > 0; got != want {
-			t.Fatalf("point %d warm_started = %t, want %t", i, got, want)
+		seeded := !chainHead(i, len(st.Points), m.maxParallel)
+		if got := p.WarmStarted; got != seeded {
+			t.Fatalf("point %d warm_started = %t, want %t", i, got, seeded)
 		}
 		if d := relDiff(p.CurrentL, direct[i].Obs.CurrentL); d > 1e-8 {
 			t.Errorf("point %d current_l differs from direct run by %g", i, d)
@@ -188,10 +255,10 @@ func TestWarmLadderLocal(t *testing.T) {
 		if d := relDiff(p.CurrentR, direct[i].Obs.CurrentR); d > 1e-8 {
 			t.Errorf("point %d current_r differs from direct run by %g", i, d)
 		}
-		if i > 0 && p.Iterations < direct[i].Iterations {
+		if seeded && p.Iterations < direct[i].Iterations {
 			warmSaved++
 		}
-		if i > 0 && p.Iterations > direct[i].Iterations {
+		if seeded && p.Iterations > direct[i].Iterations {
 			t.Errorf("warm point %d took %d iterations, cold direct run took %d — warm start hurt",
 				i, p.Iterations, direct[i].Iterations)
 		}
@@ -406,8 +473,8 @@ func (b stubBackend) RunPoint(ctx context.Context, cfg core.RunConfig, warm *cor
 
 // TestCampaignRetention: finished campaigns live in the same retention ring
 // as jobs — past retain of them the oldest answers 404 — and a finished
-// campaign has dropped its points' checkpoints while the warm chain still
-// handed each point its predecessor's.
+// campaign has dropped its points' checkpoints; each point was seeded
+// exactly when it does not head a chain.
 func TestCampaignRetention(t *testing.T) {
 	b := stubBackend{seeded: make(chan bool, 1024)}
 	m := NewManager(b, 0)
@@ -432,11 +499,12 @@ func TestCampaignRetention(t *testing.T) {
 	if err := m.Close(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := <-b.seeded; got {
-		t.Error("first ladder point arrived warm-seeded")
-	}
-	if got := <-b.seeded; !got {
-		t.Error("second ladder point lost its predecessor's checkpoint")
+	// At the default maxParallel both points of the first ladder head a
+	// chain, so their (unordered) arrivals must both be cold.
+	for i := 0; i < req.BiasPoints; i++ {
+		if got, want := <-b.seeded, !chainHead(i, req.BiasPoints, m.maxParallel); got != want {
+			t.Errorf("ladder point arrived seeded=%t, want %t", got, want)
+		}
 	}
 
 	get := func(id string) int {

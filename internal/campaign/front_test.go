@@ -12,9 +12,10 @@ import (
 
 // TestCampaignFrontBackend runs a warm ladder through the sharded front
 // tier. The campaign never ships checkpoints here — the front's
-// content-addressed family cache seeds each sequential point from the
-// previous bias on its own, and the campaign reads the warm-start flag
-// back from the front's report.
+// content-addressed family cache seeds each chained point from the
+// nearest finished bias, its predecessor, on its own, while the chain
+// heads, submitted together, find the family empty; the campaign reads
+// the warm-start flag back from the front's report.
 func TestCampaignFrontBackend(t *testing.T) {
 	sched := serve.New(serve.Config{MaxConcurrent: 2, QueueDepth: 16})
 	worker := httptest.NewServer(serve.NewAPI(sched))
@@ -52,10 +53,11 @@ func TestCampaignFrontBackend(t *testing.T) {
 		if p.State != PointDone || !p.Converged {
 			t.Fatalf("point %d state %s converged=%t: %s", i, p.State, p.Converged, p.Error)
 		}
-		if got, want := p.WarmStarted, i > 0; got != want {
-			t.Fatalf("point %d warm_started = %t, want %t (front family cache)", i, got, want)
+		seeded := !chainHead(i, req.BiasPoints, m.maxParallel)
+		if got := p.WarmStarted; got != seeded {
+			t.Fatalf("point %d warm_started = %t, want %t (front family cache)", i, got, seeded)
 		}
-		if i > 0 && p.Iterations > direct[i].Iterations {
+		if seeded && p.Iterations > direct[i].Iterations {
 			t.Errorf("warm point %d took %d iterations, cold direct run took %d",
 				i, p.Iterations, direct[i].Iterations)
 		}

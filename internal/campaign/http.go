@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 
@@ -48,10 +47,8 @@ func (a *API) Handler() http.Handler {
 }
 
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
-	dec.DisallowUnknownFields()
-	var req Request
-	if err := dec.Decode(&req); err != nil {
+	req, err := DecodeRequest(http.MaxBytesReader(w, r.Body, 4<<20))
+	if err != nil {
 		jobs.WriteError(w, http.StatusBadRequest, "decoding campaign request: %v", err)
 		return
 	}

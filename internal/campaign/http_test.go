@@ -17,7 +17,7 @@ import (
 // newCampaignServer wires the full service stack a qtsimd process runs:
 // a scheduler, a campaign manager fanning points into it, and the HTTP
 // surface. Cleanup drains everything.
-func newCampaignServer(t *testing.T) *httptest.Server {
+func newCampaignServer(t *testing.T) (*httptest.Server, *Manager) {
 	t.Helper()
 	sched := serve.New(serve.Config{MaxConcurrent: 2, QueueDepth: 16})
 	m := NewManager(ServeBackend{S: sched}, 2)
@@ -29,7 +29,7 @@ func newCampaignServer(t *testing.T) *httptest.Server {
 		_ = m.Close(ctx)
 		_ = sched.Close(ctx)
 	})
-	return srv
+	return srv, m
 }
 
 // postCampaign submits a request and decodes the accepted status.
@@ -92,7 +92,7 @@ func waitCampaign(t *testing.T, base, id string, timeout time.Duration) StatusDo
 // the scheduler with warm-started ladder points, and read back as CSV and
 // JSON artifacts that match point-by-point direct runs to 1e-8.
 func TestCampaignHTTPEndToEnd(t *testing.T) {
-	srv := newCampaignServer(t)
+	srv, m := newCampaignServer(t)
 	req := ivRequest()
 	direct := directRuns(t, req)
 
@@ -119,10 +119,11 @@ func TestCampaignHTTPEndToEnd(t *testing.T) {
 		if p.JobID == "" {
 			t.Errorf("point %d has no scheduler job id", i)
 		}
-		if got, want := p.WarmStarted, i > 0; got != want {
-			t.Fatalf("point %d warm_started = %t, want %t", i, got, want)
+		seeded := !chainHead(i, len(fin.Points), m.maxParallel)
+		if got := p.WarmStarted; got != seeded {
+			t.Fatalf("point %d warm_started = %t, want %t", i, got, seeded)
 		}
-		if i > 0 && p.Iterations < direct[i].Iterations {
+		if seeded && p.Iterations < direct[i].Iterations {
 			warmSaved++
 		}
 	}
@@ -194,7 +195,7 @@ func TestCampaignHTTPEndToEnd(t *testing.T) {
 // invalid submissions, unknown ids, artifacts of unfinished campaigns,
 // and cancellation over HTTP.
 func TestCampaignHTTPErrors(t *testing.T) {
-	srv := newCampaignServer(t)
+	srv, _ := newCampaignServer(t)
 
 	resp, err := http.Post(srv.URL+"/v1/campaigns", "application/json", strings.NewReader(`{"kind": [}`))
 	if err != nil {

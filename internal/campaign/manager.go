@@ -14,8 +14,8 @@ import (
 type State = jobs.State
 
 // The campaign lifecycle: Running until every point is terminal, then
-// Succeeded (every point converged), Failed (a point failed; a warm chain
-// stops there, its later seeds missing) or Cancelled (cancel or shutdown).
+// Succeeded (every point converged), Failed (a point failed; no point
+// starts after it) or Cancelled (cancel or shutdown).
 const (
 	StateRunning   = jobs.Running
 	StateSucceeded = jobs.Succeeded
@@ -66,6 +66,7 @@ type Campaign struct {
 
 	points   []Point
 	outcomes []*PointOutcome // parallel to points, nil until done
+	failMsg  string          // the first point failure, "" while none
 }
 
 // ID returns the campaign's identifier.
@@ -128,27 +129,27 @@ func (c *Campaign) pointDone(i int, out *PointOutcome) {
 	c.Unlock()
 }
 
+// failed reports whether a point has failed, which stops new points.
+func (c *Campaign) failed() bool {
+	c.Lock()
+	defer c.Unlock()
+	return c.failMsg != ""
+}
+
 // finish settles the campaign into the terminal state its points imply:
-// any failure wins, then any cancellation, else success. The points'
-// warm-start checkpoints are dropped: the artifacts never read them.
+// the first point failure wins, then any cancellation, else success.
+// Points that never started are cancelled. The points' warm-start
+// checkpoints are dropped: the artifacts never read them.
 func (c *Campaign) finish() {
 	c.Lock()
-	state := StateSucceeded
-	msg := ""
+	state, msg := StateSucceeded, ""
 	for i := range c.points {
-		switch c.points[i].State {
-		case PointFailed:
-			state = StateFailed
-			msg = fmt.Sprintf("point %d (bias %g): %s", i, c.points[i].Bias, c.points[i].Error)
-		case PointCancelled:
-			if state != StateFailed {
-				state = StateCancelled
-				msg = "cancelled"
-			}
+		if p := &c.points[i]; p.State == PointPending || p.State == PointCancelled {
+			p.State, state, msg = PointCancelled, StateCancelled, "cancelled"
 		}
-		if state == StateFailed {
-			break
-		}
+	}
+	if c.failMsg != "" {
+		state, msg = StateFailed, c.failMsg
 	}
 	for _, out := range c.outcomes {
 		if out != nil {
@@ -172,8 +173,9 @@ type Manager struct {
 	store       *jobs.Store[*Campaign]
 }
 
-// NewManager builds a manager over backend. maxParallel bounds the
-// concurrent points of a cold (non-warm-chained) campaign; ≤ 0 means 4.
+// NewManager builds a manager over backend. maxParallel bounds the points
+// a campaign runs at once, warm or cold: a campaign runs min(maxParallel,
+// n) chains over its n points. ≤ 0 means 4.
 func NewManager(backend Backend, maxParallel int) *Manager {
 	if maxParallel <= 0 {
 		maxParallel = 4
@@ -216,11 +218,7 @@ func (m *Manager) Start(req Request) (*Campaign, error) {
 	}
 	m.store.Go(func() {
 		defer cancel()
-		if c.req.Warm() {
-			m.runWarm(ctx, c)
-		} else {
-			m.runCold(ctx, c)
-		}
+		m.run(ctx, c)
 		c.finish()
 		m.store.Retire(c.id)
 	})
@@ -230,7 +228,7 @@ func (m *Manager) Start(req Request) (*Campaign, error) {
 // Get returns the campaign with the given id, if it is still retained.
 func (m *Manager) Get(id string) (*Campaign, bool) { return m.store.Get(id) }
 
-// Cancel stops a running campaign: the active point's context is
+// Cancel stops a running campaign: the running points' context is
 // cancelled and pending points never start. Cancelling a finished
 // campaign is a no-op.
 func (m *Manager) Cancel(id string) (*Campaign, error) {
@@ -246,51 +244,39 @@ func (m *Manager) Cancel(id string) (*Campaign, error) {
 // cancelled, and Close blocks until they drain or ctx expires.
 func (m *Manager) Close(ctx context.Context) error { return m.store.Close(ctx, nil) }
 
-// runWarm executes the ladder sequentially, chaining each point from the
-// previous point's checkpoint. A failed point aborts the tail: its warm
-// seed would be missing, and a cold continuation would silently change
-// the campaign's convergence story.
-func (m *Manager) runWarm(ctx context.Context, c *Campaign) {
-	var warm *core.Checkpoint
-	for i := range c.points {
-		if ctx.Err() != nil {
-			m.cancelFrom(c, i)
-			return
-		}
-		if !m.runOne(ctx, c, i, warm) {
-			m.cancelFrom(c, i+1)
-			return
-		}
-		if out := c.outcomes[i]; out != nil && out.Checkpoint != nil {
-			warm = out.Checkpoint
-		}
-	}
-}
-
-// runCold fans the points out concurrently (bounded by maxParallel),
-// every one starting from zero self-energies.
-func (m *Manager) runCold(ctx context.Context, c *Campaign) {
-	sem := make(chan struct{}, m.maxParallel)
+// run drives the ladder as k = min(maxParallel, n) contiguous chains, one
+// goroutine each: chain s covers points [⌊s·n/k⌋, ⌊(s+1)·n/k⌋), so the
+// heads, which start cold, are spread across the bias range. Under warm
+// start every later point of a chain is seeded from its finished
+// predecessor's checkpoint (k = 1 is the fully sequential chain); a cold
+// campaign seeds nothing. After a cancel or any point's failure no new
+// point starts; points already running finish, and finish cancels the rest.
+func (m *Manager) run(ctx context.Context, c *Campaign) {
+	n := len(c.points)
+	k := min(m.maxParallel, n)
 	var wg sync.WaitGroup
-	for i := range c.points {
+	for s := range k {
 		wg.Add(1)
-		go func(i int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if ctx.Err() != nil {
-				c.setPoint(i, func(p *Point) { p.State = PointCancelled })
-				return
+			var warm *core.Checkpoint
+			for i := lo; i < hi && ctx.Err() == nil && !c.failed(); i++ {
+				out := m.runOne(ctx, c, i, warm)
+				if out == nil {
+					return
+				}
+				if c.req.Warm() {
+					warm = out.Checkpoint
+				}
 			}
-			m.runOne(ctx, c, i, nil)
-		}(i)
+		}(s*n/k, (s+1)*n/k)
 	}
 	wg.Wait()
 }
 
-// runOne drives ladder point i through the backend; false means the
-// campaign should not continue past it (failure or cancellation).
-func (m *Manager) runOne(ctx context.Context, c *Campaign, i int, warm *core.Checkpoint) bool {
+// runOne drives ladder point i through the backend and returns its
+// outcome; nil means the point failed or was cancelled.
+func (m *Manager) runOne(ctx context.Context, c *Campaign, i int, warm *core.Checkpoint) *PointOutcome {
 	c.setPoint(i, func(p *Point) { p.State = PointRunning })
 	cfg := c.req.pointConfig(c.points[i].Bias)
 	out, err := m.backend.RunPoint(ctx, cfg, warm, func(n int) {
@@ -299,26 +285,16 @@ func (m *Manager) runOne(ctx context.Context, c *Campaign, i int, warm *core.Che
 	switch {
 	case err == nil:
 		c.pointDone(i, out)
-		return true
+		return out
 	case ctx.Err() != nil:
 		c.setPoint(i, func(p *Point) { p.State = PointCancelled })
-		return false
 	default:
 		c.setPoint(i, func(p *Point) {
-			p.State = PointFailed
-			p.Error = err.Error()
+			p.State, p.Error = PointFailed, err.Error()
+			if c.failMsg == "" {
+				c.failMsg = fmt.Sprintf("point %d (bias %g): %s", i, p.Bias, p.Error)
+			}
 		})
-		return false
 	}
-}
-
-// cancelFrom marks every pending point from index i on as cancelled.
-func (m *Manager) cancelFrom(c *Campaign, i int) {
-	c.Lock()
-	for ; i < len(c.points); i++ {
-		if c.points[i].State == PointPending {
-			c.points[i].State = PointCancelled
-		}
-	}
-	c.Unlock()
+	return nil
 }
