@@ -1,7 +1,7 @@
 # Tier-1 gate: everything a PR must keep green.
-.PHONY: check fmt build vet test race race-ft serve-test transport-test peer-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build bench bench-gate microbench
+.PHONY: check fmt build vet cross test race race-ft serve-test transport-test peer-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build bench bench-gate microbench
 
-check: fmt build vet test race-ft serve-test transport-test peer-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build
+check: fmt build vet cross test race-ft serve-test transport-test peer-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build
 
 # gofmt -l prints nothing (and exits 0) on a clean tree; any output fails
 # the gate via the grep.
@@ -13,6 +13,16 @@ build:
 
 vet:
 	go vet ./...
+
+# Cross-architecture and fused-build gate for the amd64 assembly kernels:
+# an arm64 vet and build catch an entry point missing its gemm_noasm.go
+# stub, and the cmat bitwise pins rerun under GOAMD64=v3, where the
+# compiler may fuse a scalar multiply-add into an FMA (the pins' oracles
+# round explicitly, so they must hold there too).
+cross:
+	GOARCH=arm64 go vet ./internal/cmat
+	GOARCH=arm64 go build ./...
+	GOAMD64=v3 go test -count=1 -run 'Bitwise|Blocked|Naive|Inverse' ./internal/cmat
 
 # Includes the doc-comment lint (doclint_test.go) over the exported API of
 # internal/obs, internal/comm and internal/core.
@@ -143,3 +153,4 @@ bench-gate:
 microbench:
 	go test -bench . -benchtime 3x -run '^$$' .
 	go test -bench 'BenchmarkGEMM' -benchtime 20x -run '^$$' ./internal/cmat
+	go test -bench 'BenchmarkInverseInto|BenchmarkMulAddNaive' -benchtime 0.5s -run '^$$' ./internal/cmat

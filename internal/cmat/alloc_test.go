@@ -29,25 +29,33 @@ func TestAllocsBlockedGEMM(t *testing.T) {
 }
 
 // TestAllocsInverseInto pins the zero-allocation steady state of the pooled
-// LU inversion: the LU header lives on the stack, the factorization scratch
-// and pivot slice come from the arena.
+// LU inversion, up to gf_wire's 64×64 blocks: the LU header lives on the
+// stack, the factorization scratch and pivot slice come from the arena.
 func TestAllocsInverseInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	const n = 24
-	a := RandomDense(rng, n, n)
-	for i := 0; i < n; i++ { // diagonally dominant → never singular
-		a.Data[i*n+i] += complex(float64(4*n), 0)
-	}
-	dst := NewDense(n, n)
-	if err := InverseInto(dst, a); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(50, func() {
+	for _, n := range []int{24, 64} {
+		a := wellConditioned(rng, n)
+		dst := NewDense(n, n)
 		if err := InverseInto(dst, a); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg > 1 {
-		t.Fatalf("InverseInto steady state allocates %.2f/run, want ~0", avg)
+		avg := testing.AllocsPerRun(50, func() {
+			if err := InverseInto(dst, a); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if avg > 1 {
+			t.Fatalf("InverseInto at n=%d steady state allocates %.2f/run, want ~0", n, avg)
+		}
+	}
+}
+
+// TestAllocsMulAddNaive pins the naive product, and with it the AXPY under
+// it, to zero allocations per call.
+func TestAllocsMulAddNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	m, n, out := RandomDense(rng, 8, 8), RandomDense(rng, 8, 8), NewDense(8, 8)
+	if avg := testing.AllocsPerRun(50, func() { m.mulAddNaive(out, n) }); avg != 0 {
+		t.Fatalf("mulAddNaive allocates %.2f/run, want 0", avg)
 	}
 }

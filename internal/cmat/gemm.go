@@ -21,7 +21,9 @@ import "negfsim/internal/num"
 //   - The micro-kernel computes a gemmMR×gemmNR output tile with the
 //     accumulators held in registers across the whole kc loop, eliminating
 //     the per-k load/store traffic on the output row that bounds the naive
-//     kernel.
+//     kernel. The R mod gemmMR rows left over run 2×4 and 1×4 tiles, and
+//     so does the pure Go path; every tile gives an element the same
+//     summation, so the tiling never changes a bit of the result.
 //
 // The panel sizes and dispatch thresholds are compile-time constants, so a
 // product's summation order depends only on its operands, never on the host
@@ -30,12 +32,17 @@ const (
 	gemmKC = 192 // K-panel height: one packed strip is gemmKC·gemmNR·16 B
 	gemmNC = 64  // column-panel width: a packed panel is ≤ gemmKC·gemmNC·16 B ≈ 192 KiB
 	gemmNR = 4   // micro-tile width (columns)
-	gemmMR = 2   // micro-tile height (rows)
+	gemmMR = 4   // assembly micro-tile height (rows); R mod 4 rows and the Go path use 2-row tiles
 
 	// blockedMinWork is the R·K·C product volume above which the blocked
 	// engine is tried; below it the packing and dispatch overhead exceeds
 	// the cache savings and the naive kernel wins.
 	blockedMinWork = 32 * 32 * 32
+
+	// axpyMinLen is the shortest row the assembly AXPY (caxpyAdd,
+	// caxpySub) takes under the naive product and LU: below it the call
+	// costs more than the inlined scalar loop it replaces.
+	axpyMinLen = 3
 
 	// blockedMinDensity is the minimum nonzero fraction of the left operand
 	// for the blocked path: below it the naive kernel's a==0 row skip
@@ -48,6 +55,7 @@ const (
 // against and the fast path for small or sparse operands.
 func (m *Dense) mulAddNaive(out, n *Dense) {
 	R, K, C := m.Rows, m.Cols, n.Cols
+	vec := useAsmKernel && C >= axpyMinLen
 	for i := 0; i < R; i++ {
 		mrow := m.Data[i*K : (i+1)*K]
 		orow := out.Data[i*C : (i+1)*C]
@@ -57,6 +65,10 @@ func (m *Dense) mulAddNaive(out, n *Dense) {
 				continue
 			}
 			nrow := n.Data[k*C : (k+1)*C]
+			if vec {
+				caxpyAdd(&orow[0], &nrow[0], real(a), imag(a), C)
+				continue
+			}
 			for j := 0; j < C; j++ {
 				orow[j] += a * nrow[j]
 			}
@@ -127,26 +139,31 @@ func (m *Dense) mulBlocked(out, n *Dense, accumulate bool, kcMax, ncMax int) {
 			}
 			packPanel(pb, n, kb, kc, jb, nc)
 			// ncFull is the widest jj for which a full gemmNR strip fits; the
-			// assembly kernel handles only full strips (it stores 4 columns
-			// unconditionally), the Go micro-kernel covers column tails.
+			// assembly kernels handle only full strips (they store 4 columns
+			// unconditionally), the Go micro-kernels cover column tails.
 			ncFull := 0
 			if useAsmKernel {
 				ncFull = nc - nc%gemmNR
 			}
-			var i int
-			for i = 0; i+gemmMR <= R; i += gemmMR {
-				a0 := m.Data[i*K+kb : i*K+kb+kc : i*K+kb+kc]
-				a1 := m.Data[(i+1)*K+kb : (i+1)*K+kb+kc : (i+1)*K+kb+kc]
-				jj := 0
-				for ; jj < ncFull; jj += gemmNR {
+			i := 0
+			if useAsmKernel {
+				for ; i+gemmMR <= R; i += gemmMR {
+					a := m.Data[i*K+kb:]
+					o := out.Data[i*C+jb:]
+					for jj := 0; jj < ncFull; jj += gemmNR {
+						gemmKernel4x4(&a[0], &pb[(jj/gemmNR)*kc*gemmNR], &o[jj], K, C, kc, acc)
+					}
+					m.tail2x4(out, pb, i, kb, kc, jb, ncFull, nc, acc)
+					m.tail2x4(out, pb, i+2, kb, kc, jb, ncFull, nc, acc)
+				}
+			}
+			for ; i+2 <= R; i += 2 {
+				a0, a1 := m.Data[i*K+kb:], m.Data[(i+1)*K+kb:]
+				for jj := 0; jj < ncFull; jj += gemmNR {
 					gemmKernel2x4(&a0[0], &a1[0], &pb[(jj/gemmNR)*kc*gemmNR],
 						&out.Data[i*C+jb+jj], &out.Data[(i+1)*C+jb+jj], kc, acc)
 				}
-				for ; jj < nc; jj += gemmNR {
-					c00, c01, c02, c03, c10, c11, c12, c13 := micro2x4(a0, a1, pb[(jj/gemmNR)*kc*gemmNR:], kc)
-					storeTile(out, i, jb+jj, nc-jj, acc,
-						c00, c01, c02, c03, c10, c11, c12, c13)
-				}
+				m.tail2x4(out, pb, i, kb, kc, jb, ncFull, nc, acc)
 			}
 			for ; i < R; i++ {
 				a0 := m.Data[i*K+kb : i*K+kb+kc : i*K+kb+kc]
@@ -163,6 +180,20 @@ func (m *Dense) mulBlocked(out, n *Dense, accumulate bool, kcMax, ncMax int) {
 		}
 	}
 	PutDense(pack)
+}
+
+// tail2x4 runs the Go micro2x4 over rows i and i+1 of the panel's strips
+// from column jj0 to nc: the column tail the assembly kernels leave, or
+// every strip when they are off.
+func (m *Dense) tail2x4(out *Dense, pb []complex128, i, kb, kc, jb, jj0, nc int, acc bool) {
+	K := m.Cols
+	a0 := m.Data[i*K+kb : i*K+kb+kc : i*K+kb+kc]
+	a1 := m.Data[(i+1)*K+kb : (i+1)*K+kb+kc : (i+1)*K+kb+kc]
+	for jj := jj0; jj < nc; jj += gemmNR {
+		c00, c01, c02, c03, c10, c11, c12, c13 := micro2x4(a0, a1, pb[(jj/gemmNR)*kc*gemmNR:], kc)
+		storeTile(out, i, jb+jj, nc-jj, acc,
+			c00, c01, c02, c03, c10, c11, c12, c13)
+	}
 }
 
 // packPanel copies the kc×nc panel of n starting at (kb, jb) into pb as

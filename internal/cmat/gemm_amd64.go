@@ -2,12 +2,25 @@
 
 package cmat
 
-// The blocked engine's micro-kernel has an AVX2+FMA assembly variant on
-// amd64 (gemm_amd64.s): complex multiply-accumulate vectorized two complexes
-// per ymm register, with the ai sign folded into a broadcast-XOR so each
-// complex MAC costs two FMAs. Selected at process start by CPUID; the pure
-// Go micro2x4 covers every other case (and remains the property-test
-// subject, since mulBlocked is exercised both ways in tests).
+// On amd64 the blocked engine's micro-kernels and the complex AXPY have
+// AVX2+FMA assembly variants (gemm_amd64.s), selected at process start by
+// CPUID (useAsmKernel). The GEMM kernels vectorize the complex
+// multiply-accumulate two complexes per ymm register, with the ai sign
+// folded into a broadcast-XOR so each complex MAC costs two FMAs: a 4×4
+// tile for the body of the row range, 2×4 and 1×4 tiles for the R mod 4
+// rows left over, all giving an element the same bits. The AXPY rounds as
+// Go's scalar complex128 arithmetic does (no FMA). The pure Go micro2x4 and
+// the scalar loops cover every other case; tests flip useAsmKernel to run
+// both paths.
+
+// gemmKernel4x4 computes a 4×4 complex output tile over kc steps and stores
+// it (accumulating when acc) at o. a points at the tile's first row of the
+// left operand (unit stride over k, lda elements between rows), bp at a
+// packed gemmNR strip of B, o at the tile's first output element (ldo
+// elements between rows). kc must be positive and the strip full-width.
+//
+//go:noescape
+func gemmKernel4x4(a, bp, o *complex128, lda, ldo, kc int, acc bool)
 
 // gemmKernel2x4 computes a 2×4 complex output tile over kc steps and stores
 // it (accumulating when acc) at o0/o1. a0 and a1 are rows of the left
@@ -21,6 +34,18 @@ func gemmKernel2x4(a0, a1, bp, o0, o1 *complex128, kc int, acc bool)
 //
 //go:noescape
 func gemmKernel1x4(a0, bp, o0 *complex128, kc int, acc bool)
+
+// caxpySub computes y[j] -= (mr + i·mi)·x[j] for j < n, bitwise as
+// the scalar complex128 loop does.
+//
+//go:noescape
+func caxpySub(y, x *complex128, mr, mi float64, n int)
+
+// caxpyAdd computes y[j] += (mr + i·mi)·x[j] for j < n, bitwise as
+// the scalar complex128 loop does.
+//
+//go:noescape
+func caxpyAdd(y, x *complex128, mr, mi float64, n int)
 
 // cpuidex executes CPUID with the given leaf/subleaf.
 func cpuidex(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
@@ -52,6 +77,6 @@ func haveAVX2FMA() bool {
 	return ebx7&avx2 != 0
 }
 
-// useAsmKernel gates the assembly micro-kernel. Tests flip it to cover both
+// useAsmKernel gates the assembly kernels. Tests flip it to cover both
 // paths on capable hosts.
 var useAsmKernel = haveAVX2FMA()

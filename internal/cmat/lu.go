@@ -68,10 +68,16 @@ func factorLUInto(f *LU, a *Dense) (uint64, error) {
 			sign = -sign
 		}
 		pivVal := d[k*n+k]
+		w := n - k - 1 // length of this step's row updates
+		vec := useAsmKernel && w >= axpyMinLen
 		for i := k + 1; i < n; i++ {
 			m := d[i*n+k] / pivVal
 			d[i*n+k] = m
 			if m == 0 {
+				continue
+			}
+			if vec {
+				caxpySub(&d[i*n+k+1], &d[k*n+k+1], real(m), imag(m), w)
 				continue
 			}
 			for j := k + 1; j < n; j++ {
@@ -122,6 +128,7 @@ func (f *LU) substitute(x *Dense) uint64 {
 	n := f.lu.Rows
 	nc := x.Cols
 	d := f.lu.Data
+	vec := useAsmKernel && nc >= axpyMinLen
 	// Forward substitution with unit-diagonal L.
 	for i := 1; i < n; i++ {
 		xi := x.Data[i*nc : (i+1)*nc]
@@ -131,6 +138,10 @@ func (f *LU) substitute(x *Dense) uint64 {
 				continue
 			}
 			xk := x.Data[k*nc : (k+1)*nc]
+			if vec {
+				caxpySub(&xi[0], &xk[0], real(m), imag(m), nc)
+				continue
+			}
 			for j := 0; j < nc; j++ {
 				xi[j] -= m * xk[j]
 			}
@@ -145,6 +156,10 @@ func (f *LU) substitute(x *Dense) uint64 {
 				continue
 			}
 			xk := x.Data[k*nc : (k+1)*nc]
+			if vec {
+				caxpySub(&xi[0], &xk[0], real(m), imag(m), nc)
+				continue
+			}
 			for j := 0; j < nc; j++ {
 				xi[j] -= m * xk[j]
 			}

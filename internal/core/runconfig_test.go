@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -193,5 +195,63 @@ func TestRunConfigRunMatchesHandBuiltRun(t *testing.T) {
 	}
 	if got.Obs.CurrentL != want.Obs.CurrentL {
 		t.Fatalf("currents differ: %g vs %g", got.Obs.CurrentL, want.Obs.CurrentL)
+	}
+}
+
+// TestRunConfigBoundsDeviceSize pins the run-size bounds
+// (device.MaxBlockDim, device.MaxTensorBytes) at the config surface every
+// frontend decodes through: small bodies that ask for unbounded arrays fail
+// and name the device field to fix, while every benchmark workload and
+// example config still validates.
+func TestRunConfigBoundsDeviceSize(t *testing.T) {
+	const tail = `"variant":"dace","max_iter":40,"tol":1e-6,"mixing":0.8,"bias":0.2}`
+	for _, c := range []struct{ name, device, field string }{
+		{"cnt 100000 columns", `{"kind":"cnt","n":100000,"m":0,"cols":100000}`, "device.na"},
+		{"cnt 1e9 energies", `{"kind":"cnt","n":7,"m":0,"cols":12,"ne":1000000000}`, "device.ne"},
+		{"cnt 1e6 subbands", `{"kind":"cnt","n":7,"m":0,"cols":12,"subbands":1000000}`, "device.bnum"},
+		{"nanowire 1e9 kz points", `{"nkz":1000000000,"nqz":1,"ne":16,"nw":4,"na":24,"nb":4,"norb":2,"n3d":3,"bnum":3,"rows":4,"emin":-1,"emax":1}`, "device.nkz"},
+		{"nanowire 1e9 qz points", `{"nkz":1,"nqz":1000000000,"ne":16,"nw":4,"na":24,"nb":4,"norb":2,"n3d":3,"bnum":3,"rows":4,"emin":-1,"emax":1}`, "device.nqz"},
+		{"nanowire 10000 orbitals", `{"nkz":1,"nqz":1,"ne":16,"nw":4,"na":24,"nb":4,"norb":10000,"n3d":3,"bnum":3,"rows":4,"emin":-1,"emax":1}`, "device.norb"},
+		{"chain of 1e6 columns in one block", `{"kind":"chain","cols":1000000,"bnum":1}`, "device.bnum"},
+	} {
+		body := `{"version":2,"device":` + c.device + `,` + tail
+		_, err := ParseRunConfig([]byte(body))
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s (%d B): err = %v, want one naming %s", c.name, len(body), err, c.field)
+		}
+	}
+
+	docs, err := filepath.Glob("../../bench/workloads/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	quick, _ := filepath.Glob("../../bench/workloads/quick/*.json")
+	examples, _ := filepath.Glob("../../examples/*.json")
+	checked := 0
+	for _, path := range append(append(docs, quick...), examples...) {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if cfg, ok := doc["config"]; ok { // a campaign request wraps its run config
+			raw, doc = cfg, nil
+			if err := json.Unmarshal(raw, &doc); err != nil {
+				t.Fatalf("%s: config: %v", path, err)
+			}
+		}
+		if _, ok := doc["device"]; !ok {
+			continue // not a run document (the fleet file)
+		}
+		if _, err := ParseRunConfig(raw); err != nil {
+			t.Errorf("%s no longer validates: %v", path, err)
+		}
+		checked++
+	}
+	if checked < 8 {
+		t.Fatalf("checked %d run documents, want the workloads and examples (≥ 8)", checked)
 	}
 }

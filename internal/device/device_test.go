@@ -1,6 +1,7 @@
 package device
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -271,5 +272,29 @@ func TestBlockSizes(t *testing.T) {
 	bt := h.Hamiltonian(0)
 	if bt.N != p.Bnum || bt.Bs != p.ElectronBlockSize() {
 		t.Fatalf("Hamiltonian blocks %d×(%d) want %d×(%d)", bt.N, bt.Bs, p.Bnum, p.ElectronBlockSize())
+	}
+}
+
+// TestValidateSizeBounds pins the run-size bounds at their caps: a block of
+// exactly MaxBlockDim rows passes and one more atom per block fails, the
+// paper presets are valid but not runnable, and Mini is both.
+func TestValidateSizeBounds(t *testing.T) {
+	atCap := Mini()
+	atCap.Norb, atCap.NA, atCap.Rows, atCap.Bnum = 4, 256, 256, 1 // 256 atoms × 4 orbitals
+	if err := atCap.ValidateSize(); err != nil {
+		t.Fatalf("block of %d rows rejected: %v", MaxBlockDim, err)
+	}
+	over := atCap
+	over.NA, over.Rows = 257, 257
+	if err := over.ValidateSize(); err == nil || !strings.Contains(err.Error(), "device.bnum") {
+		t.Fatalf("block of %d rows: err = %v, want one naming device.bnum", 257*4, err)
+	}
+	if err := Mini().ValidateSize(); err != nil {
+		t.Fatalf("Mini not runnable: %v", err)
+	}
+	for _, p := range []Params{Paper4864(7), Paper10240(21), PaperValidation2112()} {
+		if err := p.ValidateSize(); err == nil {
+			t.Fatalf("paper preset NA=%d passes the run-size bounds", p.NA)
+		}
 	}
 }

@@ -73,6 +73,70 @@ func (p Params) Validate() error {
 	return nil
 }
 
+// Run-size bounds. Validate accepts the paper's full-scale presets, which the
+// performance model reads but no run could hold; a document that is to be
+// run passes ValidateSize too, so a small request cannot ask for arrays
+// that grow with an unbounded field.
+const (
+	// MaxBlockDim caps the RGF block dimensions NA/Bnum·Norb and
+	// NA/Bnum·N3D: one block is then at most 16 MiB and its inverse
+	// ≈ 11 GFlop.
+	MaxBlockDim = 1024
+	// MaxTensorBytes caps one G≷ tensor, Nkz·NE·NA·Norb²·16 B, and one D≷
+	// tensor, Nqz·Nω·NA·(NB+1)·N3D²·16 B. A run holds a small multiple of
+	// each (G≷, Σ≷, D≷, Π≷ and the mixer's history).
+	MaxTensorBytes = 128 << 20
+)
+
+// sizeFactor is one field's factor in a tensor footprint.
+type sizeFactor struct {
+	name string
+	v    float64
+}
+
+// product returns ∏ factors (in float64, so no field value can overflow it)
+// and the field with the largest factor, which a bound's error names.
+func product(fs ...sizeFactor) (float64, string) {
+	prod, big := 1.0, fs[0]
+	for _, f := range fs {
+		prod *= f.v
+		if f.v > big.v {
+			big = f
+		}
+	}
+	return prod, big.name
+}
+
+// ValidateSize checks Validate's rules and the run-size bounds MaxBlockDim
+// and MaxTensorBytes. Errors name the offending field like Validate's do;
+// a footprint error names the field with the largest factor.
+func (p Params) ValidateSize() error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	apb := p.AtomsPerBlock()
+	for _, per := range []sizeFactor{{"device.norb", float64(p.Norb)}, {"device.n3d", float64(p.N3D)}} {
+		if dim, field := product(sizeFactor{"device.bnum", float64(apb)}, per); dim > MaxBlockDim {
+			return fmt.Errorf("device: %s: RGF blocks of %d atoms × %s=%g are %g rows, above the %d-row cap",
+				field, apb, per.name, per.v, dim, MaxBlockDim)
+		}
+	}
+	f := func(name string, v int) sizeFactor { return sizeFactor{name, float64(v)} }
+	for _, t := range []struct {
+		tensor  string
+		factors []sizeFactor
+	}{
+		{"G≷", []sizeFactor{f("device.nkz", p.Nkz), f("device.ne", p.NE), f("device.na", p.NA), f("device.norb", p.Norb*p.Norb)}},
+		{"D≷", []sizeFactor{f("device.nqz", p.Nqz), f("device.nw", p.Nw), f("device.na", p.NA), f("device.nb", p.NB+1), f("device.n3d", p.N3D*p.N3D)}},
+	} {
+		if elems, field := product(t.factors...); 16*elems > MaxTensorBytes {
+			return fmt.Errorf("device: %s: one %s tensor would take %.3g B, above the %d B cap",
+				field, t.tensor, 16*elems, MaxTensorBytes)
+		}
+	}
+	return nil
+}
+
 // Cols returns the number of atom columns along the transport direction.
 func (p Params) Cols() int { return p.NA / p.Rows }
 

@@ -94,12 +94,17 @@ func (s SpecConfig) Kind() string {
 	return s.spec.Kind()
 }
 
-// Validate checks the wrapped spec.
+// Validate checks the wrapped spec and bounds its grid to a runnable size
+// (Params.ValidateSize): a SpecConfig is a document to run, so every kind
+// is held to MaxBlockDim and MaxTensorBytes here.
 func (s SpecConfig) Validate() error {
 	if s.spec == nil {
 		return fmt.Errorf("device: missing \"device\" section (expected {\"kind\": %q|...})", "nanowire")
 	}
-	return s.spec.Validate()
+	if err := s.spec.Validate(); err != nil {
+		return err
+	}
+	return s.spec.Grid().ValidateSize()
 }
 
 // Grid returns the simulation grid of the wrapped spec (zero Params for
