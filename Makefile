@@ -114,12 +114,12 @@ campaign-test:
 # across all four zoo kinds (plus the bit-compatibility pin on the full
 # grid), checkpoint/resume and distributed adaptive in core, the
 # warm-chained adaptive I–V ladder in campaign, the scheduler dispatch /
-# DefaultAdapt / warm-gate tests in serve, and the adapt cache-key
-# canonicalization in front.
+# warm-gate tests in serve, and the adapt cache-key canonicalization in
+# front.
 adapt-test:
 	go test -race -count=1 ./internal/egrid
 	go test -race -count=1 -run 'Adaptive|UniformRunBit|IntegratedCurrent|SparseGrid|AdaptSpec|AdaptConfig|ParseRejectsUnknownAdapt' ./internal/core
-	go test -race -count=1 -run 'Adaptive|DefaultAdapt|PartialGrid' ./internal/campaign ./internal/serve
+	go test -race -count=1 -run 'Adaptive|PartialGrid' ./internal/campaign ./internal/serve
 	go test -race -count=1 -run 'KeyOfAdapt' ./internal/front
 
 # Docs lint: every relative markdown link in README, the root docs and

@@ -12,6 +12,7 @@
 package negfsim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -188,7 +189,7 @@ func BenchmarkEndToEndIteration(b *testing.B) {
 	sim := core.New(dev, opts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(); err != nil {
+		if _, err := sim.RunCtx(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -320,7 +321,7 @@ func benchMixer(b *testing.B, kind core.MixerKind) {
 	var iters int
 	var conv bool
 	for i := 0; i < b.N; i++ {
-		res, err := core.New(dev, opts).Run()
+		res, err := core.New(dev, opts).RunCtx(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

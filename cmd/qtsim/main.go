@@ -403,6 +403,10 @@ func main() {
 	}
 	res := out.Result
 	recoveries := fmt.Sprintf("%d recover%s", res.Recoveries, map[bool]string{true: "y", false: "ies"}[res.Recoveries == 1])
+	exchanged := fmt.Sprintf("%.2f MiB exchanged", float64(out.WireBytes)/(1<<20))
+	if faultPlan != nil {
+		exchanged += " (includes the collective the fault aborted; varies from run to run)"
+	}
 	switch a := res.Adapt; {
 	case a != nil:
 		fmt.Printf("\nadaptive grid: %d/%d energy points after %d rounds (%s), %d refined, %d coarsened\n",
@@ -414,14 +418,12 @@ func main() {
 		}
 		fmt.Println()
 		if distributed {
-			fmt.Printf("distributed rounds exchanged %.2f MiB\n", float64(out.WireBytes)/(1<<20))
+			fmt.Printf("distributed rounds: %s\n", exchanged)
 		}
 	case distCfg.TE > 0:
-		fmt.Printf("\ndistributed SSE on %dx%d ranks: %.2f MiB exchanged, %s\n",
-			distCfg.TE, distCfg.TA, float64(out.WireBytes)/(1<<20), recoveries)
+		fmt.Printf("\ndistributed SSE on %dx%d ranks: %s, %s\n", distCfg.TE, distCfg.TA, exchanged, recoveries)
 	case distributed:
-		fmt.Printf("\nspatially partitioned GF on %d ranks: %.2f MiB exchanged, %s\n",
-			distCfg.Space, float64(out.WireBytes)/(1<<20), recoveries)
+		fmt.Printf("\nspatially partitioned GF on %d ranks: %s, %s\n", distCfg.Space, exchanged, recoveries)
 	case cfg.Gate != nil:
 		fmt.Printf("\nGummel: %d outer iterations (converged: %v)\n", out.GummelOuter, out.GummelConverged)
 	}

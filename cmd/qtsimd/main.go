@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"negfsim/internal/campaign"
-	"negfsim/internal/core"
 	"negfsim/internal/obs"
 	"negfsim/internal/serve"
 )
@@ -56,8 +55,6 @@ func main() {
 	peerConfig := flag.String("peer-config", "", "run config JSON for peer mode (must carry a \"dist\" grid matching the peer count)")
 	resultOut := flag.String("result-out", "", "peer mode: write the run's result JSON here (default stdout)")
 	dieAfterIter := flag.Int("die-after-iter", 0, "peer mode fault drill: SIGKILL self after N completed Born iterations")
-	adaptMode := flag.String("adapt", "", "daemon-wide adaptive energy grid for serial jobs without their own \"adapt\" block: off | grid | grid+sigma")
-	adaptTol := flag.Float64("adapt-tol", 1e-6, "refinement tolerance on the integrated current (with -adapt)")
 	flag.Parse()
 
 	obs.Enable()
@@ -67,20 +64,12 @@ func main() {
 		}
 		return
 	}
-	var defaultAdapt *core.AdaptSpec
-	if *adaptMode != "" && *adaptMode != "off" {
-		defaultAdapt = &core.AdaptSpec{Mode: *adaptMode, TolCurrent: *adaptTol}
-	}
 	sched := serve.New(serve.Config{
 		MaxConcurrent: *maxConcurrent,
 		QueueDepth:    *queueDepth,
 		WorkerBudget:  *workerBudget,
 		Retain:        *retain,
-		DefaultAdapt:  defaultAdapt,
 	})
-	if defaultAdapt != nil {
-		fmt.Printf("qtsimd: serial jobs default to adapt mode %q (tol %g)\n", defaultAdapt.Mode, defaultAdapt.TolCurrent)
-	}
 
 	// Campaigns (bias-ladder sweeps) ride on the same scheduler: the
 	// campaign API mounts its /v1/campaigns routes next to the job API,

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"math"
 	"os"
 	"os/exec"
@@ -54,7 +55,7 @@ func TestPeerModeEndToEndSpatial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, _, err := sim.RunDistributedFT(distCfg)
+	baseline, _, err := sim.RunDistributedFTCtx(context.Background(), distCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -55,7 +56,7 @@ func TestPeerModeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline, _, err := sim.RunDistributedFT(distCfg)
+	baseline, _, err := sim.RunDistributedFTCtx(context.Background(), distCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,7 +53,7 @@ func main() {
 	// --- end-to-end CA execution with real data --------------------------
 	fmt.Println("end-to-end communication-avoiding SSE with real tensors:")
 	sim := core.New(dev, core.DefaultOptions())
-	ballistic, err := sim.Run()
+	ballistic, err := sim.RunCtx(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,7 +42,7 @@ func main() {
 		opts.Contacts.MuL = vds / 2
 		opts.Contacts.MuR = -vds / 2
 		sim := core.New(dev, opts)
-		res, err := sim.Run()
+		res, err := sim.RunCtx(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 
 	opts := core.DefaultOptions() // DaCe kernel, 0.4 eV bias, damped Born loop
 	sim := core.New(dev, opts)
-	res, err := sim.Run()
+	res, err := sim.RunCtx(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

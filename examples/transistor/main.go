@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,7 +37,7 @@ func main() {
 		sim := core.New(dev, opts)
 		gate := core.DefaultGate(vg, 0)
 		gate.MaxOuter = 5
-		res, err := sim.RunWithPoisson(gate)
+		res, err := sim.RunWithPoissonCtx(context.Background(), gate)
 		if err != nil {
 			log.Fatal(err)
 		}

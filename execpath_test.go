@@ -11,13 +11,11 @@ import (
 	"testing"
 )
 
-// legacyEntryPoints are core's mode-specific runners (and their
-// context.Background() twins). They stay for the benchmark's adapter and
-// the tests, but product code reaches the solver through Simulator.Execute
-// only.
+// legacyEntryPoints are core's mode-specific runners. They stay only
+// because the benchmark's adapter (bench/, another module) calls them;
+// product code reaches the solver through Simulator.Execute.
 var legacyEntryPoints = map[string]bool{
-	"RunFromCtx": true, "RunAdaptiveCtx": true, "RunDistributedFTCtx": true, "RunWithPoissonCtx": true,
-	"RunFrom": true, "RunAdaptive": true, "RunDistributed": true, "RunDistributedFT": true, "RunWithPoisson": true,
+	"RunCtx": true, "RunAdaptiveCtx": true, "RunDistributedFTCtx": true, "RunWithPoissonCtx": true,
 }
 
 // TestOneExecutionPath keeps the execution-path fork from growing back:
@@ -47,6 +45,39 @@ func TestOneExecutionPath(t *testing.T) {
 	})
 	if bornLoops != 1 {
 		t.Errorf("internal/core has %d for-loops bounded by Opts.MaxIter, want exactly one Born loop", bornLoops)
+	}
+}
+
+// TestNoRunTwins keeps the Run* family from growing back: internal/core's
+// non-test files declare, as exported Run* methods on *Simulator, exactly
+// legacyEntryPoints — no context.Background() twin, no resume or
+// grid-shaped variant.
+func TestNoRunTwins(t *testing.T) {
+	fset := token.NewFileSet()
+	seen := map[string]bool{}
+	eachNonTestFile(t, fset, nil, func(dir string, f *ast.File) {
+		if dir != "internal/core" {
+			return
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || !fd.Name.IsExported() || !strings.HasPrefix(fd.Name.Name, "Run") {
+				continue
+			}
+			if star, ok := fd.Recv.List[0].Type.(*ast.StarExpr); !ok || types.ExprString(star.X) != "Simulator" {
+				continue
+			}
+			seen[fd.Name.Name] = true
+			if !legacyEntryPoints[fd.Name.Name] {
+				t.Errorf("%s: declares (*Simulator).%s — run through Execute or a kept …Ctx entry point",
+					fset.Position(fd.Pos()), fd.Name.Name)
+			}
+		}
+	})
+	for name := range legacyEntryPoints {
+		if !seen[name] {
+			t.Errorf("internal/core no longer declares (*Simulator).%s — update legacyEntryPoints", name)
+		}
 	}
 }
 

@@ -60,7 +60,7 @@ func directRuns(t *testing.T, req Request) []*core.Result {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run()
+		res, err := sim.RunCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,7 +321,7 @@ func TestTESpectrumArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run()
+	res, err := sim.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -327,12 +327,15 @@ func TestDaCeExchangeRejectsBadGrid(t *testing.T) {
 }
 
 func TestExchangeVolumesFavorDaCeAtMiniScale(t *testing.T) {
-	// Even at laptop scale the CA pattern moves less data.
+	// The paper's headline at laptop scale: on the same 4 ranks the
+	// original decomposition moves a multiple of the CA traffic. At mini
+	// scale (Nqz·Nω = 12 rounds, NE/P = 4) the replication factor is
+	// bounded; at paper scale the same ratio is 60–90× (Table 4).
 	p := device.Mini()
 	const procs = 4
 	omen := ExpectedOMENExchangeBytes(p, procs)
 	dace := ExpectedDaCeExchangeBytes(p, 2, 2)
-	if dace >= omen {
-		t.Fatalf("DaCe %d bytes should beat OMEN %d", dace, omen)
+	if omen < 2*dace {
+		t.Fatalf("OMEN exchange (%d B) should be at least twice the CA exchange (%d B)", omen, dace)
 	}
 }

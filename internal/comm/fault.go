@@ -20,7 +20,7 @@ import (
 // ErrRankDead reports that a communication operation was aborted because a
 // rank of the cluster has died (by fault injection, an error return, or a
 // panic). Callers detect it with errors.Is and may rebuild a smaller
-// cluster and resume from a checkpoint (see core.RunDistributedFT).
+// cluster and resume from a checkpoint (see core.RunDistributedFTCtx).
 var ErrRankDead = errors.New("comm: rank died")
 
 // Fault telemetry (global counters; see docs/OBSERVABILITY.md).

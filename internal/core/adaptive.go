@@ -80,11 +80,6 @@ type AdaptReport struct {
 	Reason string
 }
 
-// RunAdaptive is RunAdaptiveCtx under context.Background().
-func (s *Simulator) RunAdaptive(ac AdaptConfig) (*Result, int64, error) {
-	return s.RunAdaptiveCtx(context.Background(), ac)
-}
-
 // RunAdaptiveCtx runs the error-controlled adaptive energy-grid loop:
 // seed a coarse active grid, converge the Born loop on it (solving RGF
 // only at active points, interpolating the Green's functions at the

@@ -43,7 +43,7 @@ func BenchmarkAdaptUniform(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := sim.Run()
+				res, err := sim.RunCtx(context.Background())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -33,7 +33,7 @@ func runUniform(t *testing.T, cfg RunConfig) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run()
+	res, err := sim.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestUniformRunBitCompatible(t *testing.T) {
 			t.Fatalf("uniform weight at %d is %g, want EStep %g bitwise", e, w, p.EStep())
 		}
 	}
-	a, err := base.Run()
+	a, err := base.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestUniformRunBitCompatible(t *testing.T) {
 	if err := explicit.SetGrid(egrid.Uniform(p.NE, p.Emin, p.Emax)); err != nil {
 		t.Fatal(err)
 	}
-	b, err := explicit.Run()
+	b, err := explicit.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestIntegratedCurrentIsWeightedSpectrum(t *testing.T) {
 	opts.MaxIter = 1
 	opts.Workers = 1
 	s := miniSim(t, opts)
-	res, err := s.Run()
+	res, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestSparseGridRunInterpolates(t *testing.T) {
 	if err := s.SetGrid(g); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Run()
+	res, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

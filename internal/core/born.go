@@ -90,31 +90,14 @@ func (s *Simulator) checkpointOf(iterations int, sigL, sigG *tensor.GTensor, piL
 	return ck
 }
 
-// Run executes the self-consistent Born loop: Σ = Π = 0, GF phase, SSE
-// phase, mix, repeat until the Green's functions stop changing (§2). It is
-// RunCtx under context.Background() — uncancellable, for batch callers.
-func (s *Simulator) Run() (*Result, error) { return s.RunCtx(context.Background()) }
-
-// RunCtx is Run bound to a context. Cancellation is observed at every Born
-// iteration boundary and inside the GF phase's per-grid-point loop, so a
-// cancelled run returns (with an error wrapping ctx.Err()) well within one
-// Born iteration. The partially computed result is discarded; callers that
-// need restartability should checkpoint via OnIteration or use a clustered
-// placement, which checkpoints every iteration.
-func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) { return s.RunFromCtx(ctx, nil) }
-
-// RunFrom resumes the Born loop from a checkpoint's self-energies. The
-// first GF phase immediately uses the saved Σ/Π, so a resumed run continues
-// where the saved one stopped (up to the mixing state, which restarts).
-func (s *Simulator) RunFrom(ck *Checkpoint) (*Result, error) {
-	return s.RunFromCtx(context.Background(), ck)
-}
-
-// RunFromCtx is RunFrom bound to a context, with RunCtx's cancellation
-// semantics (checked at iteration boundaries and per GF grid point). A nil
-// checkpoint is the cold start.
-func (s *Simulator) RunFromCtx(ctx context.Context, ck *Checkpoint) (*Result, error) {
-	res, _, err := s.born(ctx, DistConfig{Resume: ck})
+// RunCtx runs the self-consistent Born loop serially from Σ = Π = 0 (§2):
+// GF phase, SSE phase, mix, until the Green's functions stop changing.
+// Cancellation is observed at every iteration boundary and per GF grid
+// point, so a cancelled run returns an error wrapping ctx.Err() within one
+// Born iteration and discards the partial result. It stays for the
+// benchmark's adapter; frontends call Execute.
+func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
+	res, _, err := s.born(ctx, DistConfig{})
 	return res, err
 }
 

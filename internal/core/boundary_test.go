@@ -146,7 +146,7 @@ func TestBoundaryComputedOncePerPoint(t *testing.T) {
 	opts.Tol = 1e-300
 	sim := miniSim(t, opts)
 	spans := boundarySpans(t)
-	res, err := sim.Run()
+	res, err := sim.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestBoundaryComputedOncePerPoint(t *testing.T) {
 	uncached := miniSim(t, opts)
 	forgetBoundaries(uncached)
 	spans = boundarySpans(t)
-	ref, err := uncached.Run()
+	ref, err := uncached.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSpatialBoundaryComputedOncePerPoint(t *testing.T) {
 	opts.Tol = 1e-300
 	sim := spatialSim(t, opts)
 	spans := boundarySpans(t)
-	res, _, err := sim.RunDistributedFT(spatialConfig(3))
+	res, _, err := sim.RunDistributedFTCtx(context.Background(), spatialConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSpatialBoundaryComputedOncePerPoint(t *testing.T) {
 
 	uncached := spatialSim(t, opts)
 	forgetBoundaries(uncached)
-	ref, _, err := uncached.RunDistributedFT(spatialConfig(3))
+	ref, _, err := uncached.RunDistributedFTCtx(context.Background(), spatialConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestGummelRecomputesBoundaries(t *testing.T) {
 	g.Tol = 1e-300
 	sim := miniSim(t, gummelOpts())
 	spans := boundarySpans(t)
-	res, err := sim.RunWithPoisson(g)
+	res, err := sim.RunWithPoissonCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestGummelRecomputesBoundaries(t *testing.T) {
 
 	uncached := miniSim(t, gummelOpts())
 	forgetBoundaries(uncached)
-	ref, err := uncached.RunWithPoisson(g)
+	ref, err := uncached.RunWithPoissonCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

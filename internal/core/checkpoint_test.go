@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -16,7 +17,7 @@ func TestCheckpointRoundTripAndResume(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 3
 	s1 := miniSim(t, opts)
-	first, err := s1.Run()
+	first, err := s1.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,13 +36,13 @@ func TestCheckpointRoundTripAndResume(t *testing.T) {
 	// A run that goes 3+3 iterations via checkpoint must land close to a
 	// straight 6-iteration run (the mixing history restarts, so agreement
 	// is to the convergence scale, not bit-exact).
-	resumed, err := miniSim(t, opts).RunFrom(ck)
+	resumed, _, err := miniSim(t, opts).born(context.Background(), DistConfig{Resume: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
 	optsFull := DefaultOptions()
 	optsFull.MaxIter = 6
-	full, err := miniSim(t, optsFull).Run()
+	full, err := miniSim(t, optsFull).RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestCheckpointCompatibility(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 2
 	s := miniSim(t, opts)
-	res, err := s.Run()
+	res, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +75,8 @@ func TestCheckpointCompatibility(t *testing.T) {
 		t.Fatal("mismatched parameters must be rejected")
 	}
 	dev, _ := device.New(other)
-	if _, err := New(dev, opts).RunFrom(ck); err == nil {
-		t.Fatal("RunFrom must reject incompatible checkpoints")
+	if _, _, err := New(dev, opts).born(context.Background(), DistConfig{Resume: ck}); err == nil {
+		t.Fatal("a resume must reject incompatible checkpoints")
 	}
 }
 
@@ -101,7 +102,7 @@ func TestClusteredCheckpointIsRunOwned(t *testing.T) {
 	place := DistConfig{TE: 1, TA: 2}
 	opts := DefaultOptions()
 	opts.MaxIter = k
-	ref, _, err := miniSim(t, opts).RunDistributedFT(place)
+	ref, _, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), place)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestClusteredCheckpointIsRunOwned(t *testing.T) {
 	}
 	longer := place
 	longer.CheckpointPath = path
-	if _, _, err := miniSim(t, opts).RunDistributedFT(longer); err != nil {
+	if _, _, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), longer); err != nil {
 		t.Fatal(err)
 	}
 	if atK == nil || atK.Iterations != k {
@@ -150,7 +151,7 @@ func TestClusteredCheckpointIsRunOwned(t *testing.T) {
 	opts.OnIteration = nil
 	resume := place
 	resume.Resume = seed
-	if _, _, err := miniSim(t, opts).RunDistributedFT(resume); err != nil {
+	if _, _, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), resume); err != nil {
 		t.Fatal(err)
 	}
 	if err := seed.Save(&after); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestBallisticAcrossConfigurations(t *testing.T) {
 		}
 		opts := DefaultOptions()
 		opts.MaxIter = 1
-		res, err := New(dev, opts).Run()
+		res, err := New(dev, opts).RunCtx(context.Background())
 		if err != nil {
 			t.Fatalf("config %d: %v", i, err)
 		}

@@ -12,9 +12,10 @@
 // cluster, GF electron solves local or on a spatial split, per-iteration or
 // persistent fabric, cold or checkpoint seed, fault policy), optionally
 // inside the adaptive energy-grid rounds (RunAdaptiveCtx) or the Gummel
-// NEGF–Poisson iteration (RunWithPoissonCtx). The Run* methods are
-// argument-translating callers of the same loop, kept for the tests and
-// the benchmark's adapter; frontends call Execute.
+// NEGF–Poisson iteration (RunWithPoissonCtx). Frontends call Execute; the
+// four Run*Ctx methods (RunCtx, RunAdaptiveCtx, RunDistributedFTCtx,
+// RunWithPoissonCtx) are argument-translating callers of the same loop,
+// kept because the benchmark's adapter, a separate module, calls them.
 package core
 
 import (
@@ -156,7 +157,7 @@ type Result struct {
 	Converged  bool
 	// Recoveries counts the rank failures a fault-tolerant distributed run
 	// survived by rebuilding the cluster and resuming from a checkpoint
-	// (always zero for serial runs; see RunDistributedFT).
+	// (always zero for serial runs; see RunDistributedFTCtx).
 	Recoveries int
 	// Residuals[i] is the relative G change after iteration i.
 	Residuals []float64

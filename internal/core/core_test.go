@@ -28,7 +28,7 @@ func TestBallisticFirstIteration(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 1
 	s := miniSim(t, opts)
-	res, err := s.Run()
+	res, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestBornIterationConverges(t *testing.T) {
 	opts.MaxIter = 10
 	opts.Tol = 1e-4
 	s := miniSim(t, opts)
-	res, err := s.Run()
+	res, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestVariantsGiveSameSelfConsistentResult(t *testing.T) {
 		opts := DefaultOptions()
 		opts.MaxIter = 3
 		opts.Variant = v
-		res, err := miniSim(t, opts).Run()
+		res, err := miniSim(t, opts).RunCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func TestHeatCurrentsFlowFromHotContact(t *testing.T) {
 	opts.PhononKTL = 0.040
 	opts.PhononKTR = 0.020
 	s := miniSim(t, opts)
-	res, err := s.Run()
+	res, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,9 +260,15 @@ func TestDivergedRunReturnsErrDiverged(t *testing.T) {
 	opts.MaxIter = 3
 	opts.Contacts.KT = math.NaN()
 	for name, run := range map[string]func(*Simulator) error{
-		"serial":   func(s *Simulator) error { _, err := s.Run(); return err },
-		"dist":     func(s *Simulator) error { _, _, err := s.RunDistributed(2, 1); return err },
-		"adaptive": func(s *Simulator) error { _, _, err := s.RunAdaptive(AdaptConfig{}); return err },
+		"serial": func(s *Simulator) error { _, err := s.RunCtx(context.Background()); return err },
+		"dist": func(s *Simulator) error {
+			_, _, err := s.RunDistributedFTCtx(context.Background(), DistConfig{TE: 2, TA: 1})
+			return err
+		},
+		"adaptive": func(s *Simulator) error {
+			_, _, err := s.RunAdaptiveCtx(context.Background(), AdaptConfig{})
+			return err
+		},
 	} {
 		err := run(miniSim(t, opts))
 		if !errors.Is(err, ErrDiverged) {

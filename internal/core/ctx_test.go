@@ -66,7 +66,7 @@ func TestRunDistributedFTCtxCancelReleasesRanksAndGauges(t *testing.T) {
 	// per-rank gauges of a completed run registered, as a daemon would.
 	warm := DefaultOptions()
 	warm.MaxIter = 1
-	if _, _, err := miniSim(t, warm).RunDistributed(2, 2); err != nil {
+	if _, _, err := miniSim(t, warm).RunDistributedFTCtx(context.Background(), DistConfig{TE: 2, TA: 2}); err != nil {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
@@ -137,7 +137,7 @@ func TestTwoSimulatorsConcurrentSharedPool(t *testing.T) {
 	}
 	serial := make([]*Result, 2)
 	for i := range serial {
-		res, err := miniSim(t, mkOpts(i)).Run()
+		res, err := miniSim(t, mkOpts(i)).RunCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

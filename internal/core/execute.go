@@ -25,7 +25,10 @@ type Outcome struct {
 	// Result is the converged (or MaxIter-exhausted) Born loop.
 	Result *Result
 	// WireBytes is the exchange traffic of every collective the run
-	// attempted (zero for serial placements).
+	// attempted (zero for serial placements). Under an injected fault it
+	// includes the aborted collective — whatever the survivors sent before
+	// they saw the death — so it depends on goroutine timing and changes
+	// from run to run; the observables do not.
 	WireBytes int64
 	// GummelOuter and GummelConverged trace the NEGF–Poisson outer loop
 	// (zero and false unless the config has a gate section).

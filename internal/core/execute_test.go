@@ -48,7 +48,7 @@ func TestExecutePlacementTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedRes, err := seedSim.Run()
+	seedRes, err := seedSim.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,14 +65,14 @@ func TestExecutePlacementTable(t *testing.T) {
 		var res *Result
 		if ac, adaptive := cfg.AdaptConfig(); adaptive {
 			ac.Resume = ck
-			res, _, err = sim.RunAdaptive(ac)
+			res, _, err = sim.RunAdaptiveCtx(context.Background(), ac)
 		} else if cfg.Gate != nil {
 			var es *ElectrostaticResult
-			if es, err = sim.RunWithPoisson(*cfg.Gate); err == nil {
+			if es, err = sim.RunWithPoissonCtx(context.Background(), *cfg.Gate); err == nil {
 				res = es.Result
 			}
 		} else {
-			res, err = sim.RunFrom(ck)
+			res, _, err = sim.born(context.Background(), DistConfig{Resume: ck})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -178,7 +178,7 @@ func TestExecuteRejectsWhatOnlyAPlanCanExpress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run()
+	res, err := sim.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

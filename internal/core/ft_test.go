@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -25,7 +26,7 @@ func TestRunDistributedFTSurvivesRankDeath(t *testing.T) {
 	opts.MaxIter = 4
 
 	cleanStart := time.Now()
-	clean, cleanBytes, err := miniSim(t, opts).RunDistributed(2, 2)
+	clean, cleanBytes, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), DistConfig{TE: 2, TA: 2})
 	cleanWall := time.Since(cleanStart)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +41,7 @@ func TestRunDistributedFTSurvivesRankDeath(t *testing.T) {
 	cfg.Fault = &comm.FaultPlan{Kill: true, KillRank: 1, KillAtOp: 3}
 	cfg.FaultIter = 1
 	start := time.Now()
-	res, bytes, err := miniSim(t, opts).RunDistributedFT(cfg)
+	res, bytes, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +85,14 @@ func TestRunDistributedFTSurvivesRankDeath(t *testing.T) {
 func TestRunDistributedFTKillBeforeFirstCheckpoint(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 2
-	clean, _, err := miniSim(t, opts).RunDistributed(2, 2)
+	clean, _, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), DistConfig{TE: 2, TA: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := ftConfig()
 	cfg.Fault = &comm.FaultPlan{Kill: true, KillRank: 0, KillAtOp: 0}
 	cfg.FaultIter = 0 // dies before any checkpoint exists
-	res, _, err := miniSim(t, opts).RunDistributedFT(cfg)
+	res, _, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestRunDistributedFTKillBeforeFirstCheckpoint(t *testing.T) {
 func TestRunDistributedFTFallsBackToSerialSSE(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 3
-	clean, _, err := miniSim(t, opts).RunDistributed(2, 2)
+	clean, _, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), DistConfig{TE: 2, TA: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestRunDistributedFTFallsBackToSerialSSE(t *testing.T) {
 	cfg.TE, cfg.TA = 2, 1
 	cfg.Fault = &comm.FaultPlan{Kill: true, KillRank: 1, KillAtOp: 1}
 	cfg.FaultIter = 1
-	res, _, err := miniSim(t, opts).RunDistributedFT(cfg)
+	res, _, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestRunDistributedFTExhaustsRetries(t *testing.T) {
 	cfg.MaxRecoveries = -1 // no recovery budget at all
 	cfg.Fault = &comm.FaultPlan{Kill: true, KillRank: 1, KillAtOp: 0}
 	cfg.FaultIter = 0
-	_, _, err := miniSim(t, opts).RunDistributedFT(cfg)
+	_, _, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), cfg)
 	if !errors.Is(err, comm.ErrRankDead) {
 		t.Fatalf("err = %v, want ErrRankDead after exhausted retries", err)
 	}
@@ -150,7 +151,7 @@ func TestRunDistributedFTWritesResumableCheckpoints(t *testing.T) {
 	cfg := ftConfig()
 	cfg.CheckpointPath = path
 	sim := miniSim(t, opts)
-	res, _, err := sim.RunDistributedFT(cfg)
+	res, _, err := sim.RunDistributedFTCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,12 +175,12 @@ func TestRunDistributedFTWritesResumableCheckpoints(t *testing.T) {
 	}
 
 	// The file must seed both the serial resume path and a distributed one.
-	if _, err := miniSim(t, opts).RunFrom(ck); err != nil {
+	if _, _, err := miniSim(t, opts).born(context.Background(), DistConfig{Resume: ck}); err != nil {
 		t.Fatalf("serial resume: %v", err)
 	}
 	cfg2 := ftConfig()
 	cfg2.Resume = ck
-	if _, _, err := miniSim(t, opts).RunDistributedFT(cfg2); err != nil {
+	if _, _, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), cfg2); err != nil {
 		t.Fatalf("distributed resume: %v", err)
 	}
 }

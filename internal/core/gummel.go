@@ -107,17 +107,12 @@ func (s *Simulator) applyPotential(phi []float64) {
 	s.resetElectronBoundaries()
 }
 
-// RunWithPoisson executes the coupled NEGF–Poisson loop. The simulator's
-// contact chemical potentials are shifted by the applied source/drain
-// potentials so the electrochemical picture stays consistent.
-func (s *Simulator) RunWithPoisson(g GateSpec) (*ElectrostaticResult, error) {
-	return s.RunWithPoissonCtx(context.Background(), g)
-}
-
-// RunWithPoissonCtx is RunWithPoisson bound to a context: cancellation is
-// observed at every Gummel outer iteration boundary and, through RunCtx,
-// inside the NEGF run of each outer iteration, so cancel latency stays
-// bounded by one Born iteration even mid-Gummel.
+// RunWithPoissonCtx executes the coupled NEGF–Poisson loop. The
+// simulator's contact chemical potentials are shifted by the applied
+// source/drain potentials so the electrochemical picture stays consistent.
+// Cancellation is observed at every Gummel outer iteration boundary and,
+// through RunCtx, inside the NEGF run of each outer iteration, so cancel
+// latency stays bounded by one Born iteration even mid-Gummel.
 func (s *Simulator) RunWithPoissonCtx(ctx context.Context, g GateSpec) (*ElectrostaticResult, error) {
 	p := s.Dev.P
 	if g.MaxOuter <= 0 {

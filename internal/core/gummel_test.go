@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -16,7 +17,7 @@ func TestGummelZeroBiasFlatPotential(t *testing.T) {
 	// converged potential is identically zero.
 	s := miniSim(t, gummelOpts())
 	g := DefaultGate(0, 0)
-	res, err := s.RunWithPoisson(g)
+	res, err := s.RunWithPoissonCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestGummelGateAttractsElectrons(t *testing.T) {
 	s := miniSim(t, gummelOpts())
 	g := DefaultGate(0.3, 0)
 	g.MaxOuter = 5
-	res, err := s.RunWithPoisson(g)
+	res, err := s.RunWithPoissonCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestGummelRestoresHamiltonian(t *testing.T) {
 	}
 	s := miniSim(t, gummelOpts())
 	before := s.h[0].ToDense()
-	if _, err := s.RunWithPoisson(DefaultGate(0.2, 0.1)); err != nil {
+	if _, err := s.RunWithPoissonCtx(context.Background(), DefaultGate(0.2, 0.1)); err != nil {
 		t.Fatal(err)
 	}
 	if d := s.h[0].ToDense().MaxAbsDiff(before); d != 0 {
@@ -92,12 +93,12 @@ func TestGummelSpecValidation(t *testing.T) {
 	s := miniSim(t, gummelOpts())
 	bad := DefaultGate(0.1, 0)
 	bad.MaxOuter = 0
-	if _, err := s.RunWithPoisson(bad); err == nil {
+	if _, err := s.RunWithPoissonCtx(context.Background(), bad); err == nil {
 		t.Fatal("MaxOuter = 0 must be rejected")
 	}
 	bad = DefaultGate(0.1, 0)
 	bad.Damping = 1.5
-	if _, err := s.RunWithPoisson(bad); err == nil {
+	if _, err := s.RunWithPoissonCtx(context.Background(), bad); err == nil {
 		t.Fatal("damping > 1 must be rejected")
 	}
 }

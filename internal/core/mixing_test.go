@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -18,7 +19,7 @@ func TestAndersonAcceleratesConvergence(t *testing.T) {
 		opts.Tol = 1e-6
 		opts.Mixing = 0.5 // deliberately heavy damping: linear crawls
 		opts.Mixer = kind
-		res, err := miniSim(t, opts).Run()
+		res, err := miniSim(t, opts).RunCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func TestAndersonMatchesLinearFixedPoint(t *testing.T) {
 		opts.MaxIter = 14
 		opts.Tol = 1e-7
 		opts.Mixer = kind
-		r, err := miniSim(t, opts).Run()
+		r, err := miniSim(t, opts).RunCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -16,7 +17,7 @@ func TestEnergyCurrentBalance(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 8
 	s := miniSim(t, opts)
-	res, err := s.Run()
+	res, err := s.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestEnergyCurrentBalance(t *testing.T) {
 func TestBallisticEnergyCurrentConserved(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 1
-	res, err := miniSim(t, opts).Run()
+	res, err := miniSim(t, opts).RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -174,7 +175,7 @@ func TestRunConfigRunMatchesHandBuiltRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sim.Run()
+	got, err := sim.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestRunConfigRunMatchesHandBuiltRun(t *testing.T) {
 	opts.Contacts.MuL = c.Bias / 2
 	opts.Contacts.MuR = -c.Bias / 2
 	opts.Contacts.KT = c.KT
-	want, err := miniSim(t, opts).Run()
+	want, err := miniSim(t, opts).RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // on which fabric, from which seed, and what happens when a rank dies. The
 // zero value is the serial shared-memory run from Σ = Π = 0; the zero value
 // of every optional field keeps the documented default, so
-// DistConfig{TE: te, TA: ta} reproduces the plain RunDistributed behavior.
+// DistConfig{TE: te, TA: ta} is the plain fault-tolerant TE×TA run.
 type DistConfig struct {
 	// TE, TA are the initial energy×atom rank grid of the SSE phase.
 	TE, TA int
@@ -70,36 +70,16 @@ type DistConfig struct {
 	Cluster *comm.Cluster
 }
 
-// RunDistributed executes the full self-consistent Born loop with the SSE
-// phase running under the communication-avoiding decomposition on the
-// simulated TE×TA cluster (the GF phase stays shared-memory parallel, as
-// on one node of the paper's runs). The trajectory is identical to Run()
-// with the DaCe variant — the decomposition changes data movement, not
-// values — and the result additionally reports the accumulated exchange
-// traffic, so the communication cost of a full simulation can be measured
-// rather than modeled.
-func (s *Simulator) RunDistributed(te, ta int) (*Result, int64, error) {
-	return s.RunDistributedFT(DistConfig{TE: te, TA: ta})
-}
-
-// RunDistributedFT is RunDistributed with fault tolerance: the Born loop
-// under a clustered placement checkpoints the mixed self-energies after
-// every iteration, and when a rank dies mid-collective (promptly surfaced
-// as comm.ErrRankDead by the cluster's cancellation channel) it shrinks the
-// placement over the survivors — down to the shared-memory kernels — and
-// resumes from the last checkpoint, bounded by MaxRecoveries attempts with
-// linear backoff; so a run either completes or reports a non-transient
-// error.
-func (s *Simulator) RunDistributedFT(cfg DistConfig) (*Result, int64, error) {
-	return s.RunDistributedFTCtx(context.Background(), cfg)
-}
-
-// RunDistributedFTCtx is RunDistributedFT bound to a context. Cancellation
-// is observed at Born iteration boundaries, per GF grid point, and inside
-// every blocked Send/Recv of the simulated cluster, so a cancelled run
-// releases its rank goroutines within microseconds. It is terminal — never
-// a rank failure to recover from — and unregisters the abandoned cluster's
-// per-rank byte gauges.
+// RunDistributedFTCtx runs the Born loop under a clustered placement (SSE
+// phase on a TE×TA grid, GF electron solves on a spatial split) and returns
+// the exchange traffic with a result whose trajectory is the serial DaCe
+// run's. It checkpoints the mixed self-energies every iteration; when a
+// rank dies mid-collective (comm.ErrRankDead) it shrinks the placement over
+// the survivors, down to the shared-memory kernels, and resumes from the
+// last checkpoint, at most MaxRecoveries times with linear backoff.
+// Cancellation is checked at iteration boundaries, per GF grid point and in
+// every blocked Send/Recv; it is terminal, never a failure to recover from,
+// and unregisters the abandoned cluster's byte gauges.
 func (s *Simulator) RunDistributedFTCtx(ctx context.Context, cfg DistConfig) (*Result, int64, error) {
 	if !cfg.clustered() { // the zero placement is the serial run; this entry point names a grid
 		return nil, 0, s.checkGrid(cfg.TE, cfg.TA)

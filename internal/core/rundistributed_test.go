@@ -1,17 +1,18 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
 func TestRunDistributedMatchesSerialTrajectory(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 3
-	serial, err := miniSim(t, opts).Run()
+	serial, err := miniSim(t, opts).RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, bytes, err := miniSim(t, opts).RunDistributed(2, 2)
+	dist, bytes, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), DistConfig{TE: 2, TA: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestRunDistributedMatchesSerialTrajectory(t *testing.T) {
 func TestTimingsPopulated(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 2
-	res, err := miniSim(t, opts).Run()
+	res, err := miniSim(t, opts).RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -20,13 +21,13 @@ func spatialConfig(space int) DistConfig {
 func TestSpatialRunMatchesSerial(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 3
-	clean, _, err := miniSim(t, opts).RunDistributed(2, 2)
+	clean, _, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), DistConfig{TE: 2, TA: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	sim := miniSim(t, opts)
-	res, bytes, err := sim.RunDistributedFT(spatialConfig(2))
+	res, bytes, err := sim.RunDistributedFTCtx(context.Background(), spatialConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func spatialSim(t *testing.T, opts Options) *Simulator {
 func TestSpatialRecoverySurvivesRankDeath(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 3
-	clean, _, err := spatialSim(t, opts).RunDistributedFT(spatialConfig(3))
+	clean, _, err := spatialSim(t, opts).RunDistributedFTCtx(context.Background(), spatialConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestSpatialRecoverySurvivesRankDeath(t *testing.T) {
 	cfg := spatialConfig(3)
 	cfg.Fault = &comm.FaultPlan{Kill: true, KillRank: 2, KillAtOp: 3}
 	cfg.FaultIter = 1
-	res, _, err := spatialSim(t, opts).RunDistributedFT(cfg)
+	res, _, err := spatialSim(t, opts).RunDistributedFTCtx(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestSpatialSplitValidation(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 1
 	// Mini has Bnum = 3: a 3-way split needs 5 blocks.
-	if _, _, err := miniSim(t, opts).RunDistributedFT(spatialConfig(3)); err == nil ||
+	if _, _, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), spatialConfig(3)); err == nil ||
 		!strings.Contains(err.Error(), "cannot be partitioned") {
 		t.Fatalf("want partition-infeasible error, got %v", err)
 	}
@@ -105,7 +106,7 @@ func TestSpatialSplitValidation(t *testing.T) {
 	defer cl.Close()
 	cfg := spatialConfig(2)
 	cfg.Cluster = cl
-	if _, _, err := miniSim(t, opts).RunDistributedFT(cfg); err == nil ||
+	if _, _, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), cfg); err == nil ||
 		!strings.Contains(err.Error(), "spatial split") {
 		t.Fatalf("want cluster-size error, got %v", err)
 	}

@@ -71,7 +71,7 @@ func runTCPPeers(t *testing.T, opts Options, mutate func(rank int, cfg *DistConf
 func TestRunDistributedFTOverTCPMatchesInproc(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 3
-	clean, _, err := miniSim(t, opts).RunDistributed(2, 1)
+	clean, _, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), DistConfig{TE: 2, TA: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRunDistributedFTOverTCPMatchesInproc(t *testing.T) {
 func TestRunDistributedFTOverTCPSurvivesPeerRankDeath(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxIter = 4
-	clean, _, err := miniSim(t, opts).RunDistributed(2, 1)
+	clean, _, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), DistConfig{TE: 2, TA: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRunDistributedFTRejectsMismatchedCluster(t *testing.T) {
 	cl := comm.NewCluster(4)
 	defer cl.Close()
 	cfg := DistConfig{TE: 2, TA: 1, Cluster: cl}
-	if _, _, err := miniSim(t, DefaultOptions()).RunDistributedFT(cfg); err == nil {
+	if _, _, err := miniSim(t, DefaultOptions()).RunDistributedFTCtx(context.Background(), cfg); err == nil {
 		t.Fatal("a 4-rank cluster must not carry a 2×1 grid")
 	}
 }

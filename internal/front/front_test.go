@@ -515,7 +515,7 @@ func TestWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := sim.Run()
+	cold, err := sim.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,7 +635,7 @@ func TestReroute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean, err := sim.Run()
+	clean, err := sim.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

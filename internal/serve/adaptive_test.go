@@ -34,49 +34,6 @@ func TestAdaptiveJobDispatch(t *testing.T) {
 	}
 }
 
-// DefaultAdapt is the daemon-wide policy: serial submissions without
-// their own adapt block inherit it; explicit blocks (including "off")
-// and non-serial runs do not.
-func TestDefaultAdaptApplied(t *testing.T) {
-	s := New(Config{MaxConcurrent: 1,
-		DefaultAdapt: &core.AdaptSpec{Mode: "grid+sigma", TolCurrent: 1e-6}})
-	defer s.Close(context.Background())
-
-	j, err := s.Submit(testConfig(7, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, j, Succeeded, 60*time.Second)
-	res, _ := j.Result()
-	if res == nil || res.Adapt == nil {
-		t.Fatal("serial job did not inherit the daemon's adapt default")
-	}
-
-	off := testConfig(8, 2)
-	off.Adapt = &core.AdaptSpec{Mode: "off"}
-	j2, err := s.Submit(off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, j2, Succeeded, 60*time.Second)
-	res2, _ := j2.Result()
-	if res2 == nil || res2.Adapt != nil {
-		t.Fatal(`explicit "off" block must override the daemon default`)
-	}
-
-	dist := testConfig(9, 2)
-	dist.Dist = "2x1"
-	j3, err := s.Submit(dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitState(t, j3, Succeeded, 60*time.Second)
-	res3, _ := j3.Result()
-	if res3 == nil || res3.Adapt != nil {
-		t.Fatal("distributed submission must not inherit the serial adapt default")
-	}
-}
-
 // The warm-start grid gate: a partial-grid checkpoint (converged with
 // interpolation-filled gaps) can only seed a run that itself adapts.
 func TestSubmitFromRejectsPartialGridForUniformRun(t *testing.T) {

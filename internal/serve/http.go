@@ -160,7 +160,7 @@ func (a *API) result(w http.ResponseWriter, r *http.Request, j *Job) {
 
 // checkpoint serves the succeeded job's converged self-energies as a gob
 // checkpoint — the same format qtsim's -checkpoint flag writes, so a
-// service result can seed a local RunFrom continuation.
+// service result can seed a local continuation (qtsim -checkpoint).
 func (a *API) checkpoint(w http.ResponseWriter, r *http.Request, j *Job) {
 	res, ok := j.Result()
 	if !ok {

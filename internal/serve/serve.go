@@ -78,11 +78,6 @@ type Config struct {
 	// Retain is how many finished jobs stay queryable before the oldest is
 	// evicted, its per-job metrics unregistered with it (default 64).
 	Retain int
-	// DefaultAdapt, when non-nil, is applied to every plain serial
-	// submission that carries no adapt block of its own — the daemon-wide
-	// adaptive-grid policy (qtsimd -adapt). Submissions with an explicit
-	// block (including mode "off") keep theirs.
-	DefaultAdapt *core.AdaptSpec
 }
 
 // withDefaults fills the zero fields of a Config.
@@ -287,11 +282,6 @@ func (s *Scheduler) Submit(cfg core.RunConfig) (*Job, error) {
 // the config's device exactly and the run must be a plain serial one —
 // distributed and Gummel-coupled runs manage their own checkpointing.
 func (s *Scheduler) SubmitFrom(cfg core.RunConfig, ck *core.Checkpoint) (*Job, error) {
-	if s.cfg.DefaultAdapt != nil && cfg.Adapt == nil &&
-		cfg.Dist == "" && cfg.Space < 2 && cfg.Gate == nil {
-		a := *s.cfg.DefaultAdapt
-		cfg.Adapt = &a
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -95,7 +95,7 @@ func obsDiff(a, b core.Observables) float64 {
 
 // TestJobMatchesDirectRun pins the service-parity acceptance criterion:
 // observables of a job executed by the scheduler match a direct
-// Simulator.Run of the same config to 1e-8 (they are in fact the same code
+// Simulator.RunCtx of the same config to 1e-8 (they are in fact the same code
 // path, so the diff must be exactly zero).
 func TestJobMatchesDirectRun(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1})
@@ -121,7 +121,7 @@ func TestJobMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := sim.Run()
+	want, err := sim.RunCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestConcurrentJobsSharedPool(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i], err = sim.Run()
+		want[i], err = sim.RunCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

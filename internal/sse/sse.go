@@ -309,14 +309,3 @@ func AntiHermitize(t *tensor.GTensor) {
 		}
 	}
 }
-
-// DH returns the precomputed derivative block ∇_i H at (atom, neighbor
-// slot, direction); nil for missing neighbors. Exposed for the distributed
-// round kernels in internal/core.
-func (k *Kernel) DH(a, b, i int) *cmat.Dense { return k.dH[a][b][i] }
-
-// SigmaPrefactor exposes the Σ^≷ accumulation prefactor i·ΔE/(2π·Nqz).
-func (k *Kernel) SigmaPrefactor() complex128 { return k.sigmaPref() }
-
-// PiPrefactor exposes the magnitude of the Π^≷ prefactor ΔE/(2π·Nkz).
-func (k *Kernel) PiPrefactor() float64 { return k.piPref() }
