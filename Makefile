@@ -55,12 +55,14 @@ race-ft:
 	go test -race -short ./internal/comm ./internal/core ./internal/serve ./internal/jobs
 	go test -race -short -run 'Parallel|Tile' ./internal/sse
 
-# End-to-end smoke test of the qtsimd daemon: builds the real binary,
-# starts it on an ephemeral port, submits a job over HTTP, streams its
-# iterations, cancels it, runs a second job to completion, and checks the
-# SIGTERM drain exits clean.
+# End-to-end smoke tests of the qtsimd daemon: build the real binary and
+# start it on ephemeral ports. TestServeSmoke submits a job to a worker,
+# streams its iterations, cancels it, runs a second job to completion, and
+# checks the SIGTERM drain exits clean; TestFrontRoleSmoke runs a worker
+# behind a `qtsimd -fleet` front, streams a run through the front, checks
+# the resubmission is a cache hit, and drains both.
 serve-test:
-	go test -count=1 -run TestServeSmoke ./cmd/qtsimd
+	go test -count=1 -run 'TestServeSmoke|TestFrontRoleSmoke' ./cmd/qtsimd
 
 # Transport conformance under the race detector: both the inproc and the
 # loopback-TCP fabrics through the full behavioural suite (ordering,

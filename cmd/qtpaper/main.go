@@ -71,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // tiles runs the exhaustive decomposition search of §4.1: over every
 // feasible (TE, TA) factorisation of the process count it finds the tiling
 // that minimises SSE communication volume, optionally under a per-process
-// memory limit. The optimum is what qtsim takes as -dist TExTA.
+// memory limit. The optimum is what a run document takes as "dist": "TExTA".
 func tiles(fs *flag.FlagSet) func(io.Writer) error {
 	nkz := fs.Int("nkz", 7, "momentum points")
 	na := fs.Int("na", 4864, "atoms: the 4864 or 10240 preset")

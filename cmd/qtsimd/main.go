@@ -1,27 +1,20 @@
-// Command qtsimd is the multi-tenant simulation daemon: it serves the
-// internal/serve HTTP/JSON job API, multiplexing concurrent NEGF
-// simulations over the process's shared worker pool under admission
-// control.
+// Command qtsimd is the simulation daemon, in one of three roles:
 //
-// A job is the same versioned RunConfig document cmd/qtsim consumes, so a
-// run tuned on the command line can be submitted unchanged:
+//	qtsimd -addr 127.0.0.1:8081 &                  # a worker: the job API
+//	qtsimd -addr 127.0.0.1:8082 &
+//	qtsimd -fleet examples/fleet.json              # the front over the fleet
+//	curl -H 'X-Tenant: alice' -d @examples/run.json localhost:8090/v1/jobs
+//	curl localhost:8090/v1/jobs/f1/stream          # NDJSON, one line per Born iteration
 //
-//	qtsimd -addr :8080 &
-//	curl -d @examples/run.json localhost:8080/v1/jobs
-//	curl localhost:8080/v1/jobs/j1/stream        # NDJSON, one line per Born iteration
-//	curl -X POST localhost:8080/v1/jobs/j1/cancel
-//	curl localhost:8080/v1/jobs/j1/result
-//
-// Observability is always on: /metrics exposes the registry (global solver
-// counters plus per-job serve.job_* series) in Prometheus text format, and
-// /healthz reports the queue snapshot. SIGINT/SIGTERM drain gracefully:
-// the listener closes, queued jobs are cancelled, running jobs get their
-// contexts cancelled and stop within one Born iteration.
-//
-// With -peers the daemon instead becomes one rank of a multi-process TCP
-// cluster and executes a single distributed run end-to-end (see peer.go):
-//
-//	qtsimd -peer-rank 0 -peers 127.0.0.1:9000,127.0.0.1:9001 -peer-config run.json -result-out r0.json
+// A worker multiplexes concurrent runs over the process's worker pool under
+// admission control; a job is the RunConfig document cmd/qtsim reads. The
+// front (-fleet) shards jobs across workers, dedupes identical submissions,
+// serves repeats from a content-addressed cache, warm-starts near-miss bias
+// points and enforces per-tenant quotas; the fleet file is its whole
+// configuration. Both mount the campaign API, /metrics and /healthz
+// (docs/API.md) and drain on SIGINT/SIGTERM. With -peers the process hosts
+// one rank of a multi-process TCP run instead (peer.go). A flag the
+// selected role does not read exits 2.
 package main
 
 import (
@@ -29,66 +22,169 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"syscall"
 	"time"
 
 	"negfsim/internal/campaign"
+	"negfsim/internal/front"
 	"negfsim/internal/obs"
 	"negfsim/internal/serve"
 )
 
-func main() {
-	addr := flag.String("addr", "127.0.0.1:8080", "listen address for the job API")
-	maxConcurrent := flag.Int("max-concurrent", 2, "simulations run simultaneously")
-	queueDepth := flag.Int("queue-depth", 16, "jobs admitted beyond the running ones before 429")
-	workerBudget := flag.Int("worker-budget", runtime.GOMAXPROCS(0), "total grid-point parallelism shared by all running jobs")
-	retain := flag.Int("retain", 64, "finished jobs kept queryable before eviction")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")
-	peers := flag.String("peers", "", "comma-separated peer addresses (index = rank); runs ONE distributed job SPMD-style instead of serving")
-	peerRank := flag.Int("peer-rank", -1, "rank this process hosts when -peers is set")
-	peerConfig := flag.String("peer-config", "", "run config JSON for peer mode (must carry a \"dist\" grid matching the peer count)")
-	resultOut := flag.String("result-out", "", "peer mode: write the run's result JSON here (default stdout)")
-	dieAfterIter := flag.Int("die-after-iter", 0, "peer mode fault drill: SIGKILL self after N completed Born iterations")
-	flag.Parse()
+// options is the parsed command line.
+type options struct {
+	role                                            string // "worker", "front" or "peer"
+	addr, fleet, peers, peerConfig, resultOut       string
+	maxConcurrent, queueDepth, workerBudget, retain int
+	peerRank, dieAfterIter                          int
+	drainTimeout                                    time.Duration
+}
 
-	obs.Enable()
-	if *peers != "" {
-		if err := runPeer(*peerRank, *peers, *peerConfig, *resultOut, *dieAfterIter); err != nil {
-			log.Fatalf("qtsimd: peer: %v", err)
+// roleFlags lists the flags each role reads.
+var roleFlags = map[string][]string{
+	"worker": {"addr", "max-concurrent", "queue-depth", "worker-budget", "retain", "drain-timeout"},
+	"front":  {"fleet", "drain-timeout"},
+	"peer":   {"peers", "peer-rank", "peer-config", "result-out", "die-after-iter"},
+}
+
+// parseArgs parses the command line and selects the role: -peers makes a
+// peer, -fleet a front, anything else a worker. A flag the role does not
+// read, or -fleet with -peers, is an error naming the flag; errors are
+// reported on out.
+func parseArgs(args []string, out io.Writer) (options, error) {
+	var o options
+	fs := flag.NewFlagSet("qtsimd", flag.ContinueOnError)
+	fs.SetOutput(out)
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "worker: listen address for the job API")
+	fs.IntVar(&o.maxConcurrent, "max-concurrent", 2, "worker: simulations run simultaneously")
+	fs.IntVar(&o.queueDepth, "queue-depth", 16, "worker: jobs admitted beyond the running ones before 429")
+	fs.IntVar(&o.workerBudget, "worker-budget", runtime.GOMAXPROCS(0), "worker: total grid-point parallelism shared by all running jobs")
+	fs.IntVar(&o.retain, "retain", 64, "worker: finished jobs kept queryable before eviction")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "worker and front: graceful shutdown budget")
+	fs.StringVar(&o.fleet, "fleet", "", "run the front role from this fleet file (see examples/fleet.json) instead of a worker")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated peer addresses (index = rank); runs ONE distributed job SPMD-style instead of serving")
+	fs.IntVar(&o.peerRank, "peer-rank", -1, "peer: rank this process hosts")
+	fs.StringVar(&o.peerConfig, "peer-config", "", "peer: run config JSON (must carry a \"dist\" grid matching the peer count)")
+	fs.StringVar(&o.resultOut, "result-out", "", "peer: write the run's result JSON here (default stdout)")
+	fs.IntVar(&o.dieAfterIter, "die-after-iter", 0, "peer fault drill: SIGKILL self after N completed Born iterations")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	o.role = "worker"
+	if o.fleet != "" {
+		o.role = "front"
+	}
+	if o.peers != "" {
+		o.role = "peer"
+	}
+	var err error
+	if o.peers != "" && o.fleet != "" {
+		err = errors.New("-fleet and -peers select different roles; give one")
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && !slices.Contains(roleFlags[o.role], f.Name) {
+			err = fmt.Errorf("-%s is not read by the %s role", f.Name, o.role)
 		}
+	})
+	if err == nil && fs.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	if err != nil {
+		fmt.Fprintf(out, "qtsimd: %v\n", err)
+	}
+	return o, err
+}
+
+func main() {
+	o, err := parseArgs(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
 		return
 	}
-	sched := serve.New(serve.Config{
-		MaxConcurrent: *maxConcurrent,
-		QueueDepth:    *queueDepth,
-		WorkerBudget:  *workerBudget,
-		Retain:        *retain,
-	})
-
-	// Campaigns (bias-ladder sweeps) ride on the same scheduler: the
-	// campaign API mounts its /v1/campaigns routes next to the job API,
-	// each ladder point an ordinary warm-started job submission.
-	mgr := campaign.NewManager(campaign.ServeBackend{S: sched}, *maxConcurrent)
-
-	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatalf("qtsimd: %v", err)
+		os.Exit(2)
 	}
+
+	obs.Enable()
+	switch o.role {
+	case "peer":
+		if err := runPeer(o.peerRank, o.peers, o.peerConfig, o.resultOut, o.dieAfterIter); err != nil {
+			log.Fatalf("qtsimd: peer: %v", err)
+		}
+	case "front":
+		runFront(o)
+	default:
+		runWorker(o)
+	}
+}
+
+// runWorker serves the job API over this process's own scheduler.
+func runWorker(o options) {
+	sched := serve.New(serve.Config{
+		MaxConcurrent: o.maxConcurrent,
+		QueueDepth:    o.queueDepth,
+		WorkerBudget:  o.workerBudget,
+		Retain:        o.retain,
+	})
+	// Campaigns (bias-ladder sweeps) ride on the same scheduler: each
+	// ladder point is an ordinary warm-started job submission.
+	mgr := campaign.NewManager(campaign.ServeBackend{S: sched}, o.maxConcurrent)
 	mux := http.NewServeMux()
 	campaign.NewAPI(mgr).Register(mux)
 	mux.Handle("/", serve.NewAPI(sched))
-	srv := &http.Server{Handler: mux}
 
-	// Print the bound address (not the flag value) so -addr :0 scripts and
-	// the smoke test can discover the port.
-	fmt.Printf("qtsimd listening on %s (max-concurrent=%d queue-depth=%d worker-budget=%d)\n",
-		ln.Addr(), *maxConcurrent, *queueDepth, *workerBudget)
+	serveUntilSignal(o.addr, mux, o.drainTimeout,
+		fmt.Sprintf("(max-concurrent=%d queue-depth=%d worker-budget=%d)", o.maxConcurrent, o.queueDepth, o.workerBudget),
+		drainStep{"campaign", mgr.Close}, drainStep{"scheduler", sched.Close})
+}
+
+// runFront serves the front-tier API over the fleet the -fleet file names.
+func runFront(o options) {
+	fc, err := front.LoadFleetConfig(o.fleet)
+	if err != nil {
+		log.Fatalf("qtsimd: %v", err)
+	}
+	cfg := fc.FrontConfig()
+	f := front.New(cfg)
+	// Campaigns submitted to the front fan their ladder points across the
+	// fleet; warm starts come from the front's own family cache, so the
+	// campaign tier never ships checkpoints itself here.
+	mgr := campaign.NewManager(campaign.FrontBackend{F: f, Tenant: "campaign"}, 4)
+	mux := http.NewServeMux()
+	campaign.NewAPI(mgr).Register(mux)
+	mux.Handle("/", front.NewAPI(f).Handler())
+
+	serveUntilSignal(fc.Listen, mux, o.drainTimeout,
+		fmt.Sprintf("(front: workers=%d quota-rate=%.3g cache-max=%d)", len(cfg.Workers), cfg.QuotaRate, cfg.CacheMax),
+		drainStep{"campaign", mgr.Close}, drainStep{"front", f.Close})
+}
+
+// drainStep is one component closed, in order, after the HTTP server stops.
+type drainStep struct {
+	name  string
+	close func(context.Context) error
+}
+
+// serveUntilSignal listens on addr, prints the bound address and detail on
+// stdout, and serves h until SIGINT or SIGTERM. It then shuts the HTTP
+// server down and runs steps in order, all within budget, and logs
+// "drained".
+func serveUntilSignal(addr string, h http.Handler, budget time.Duration, detail string, steps ...drainStep) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatalf("qtsimd: %v", err)
+	}
+	srv := &http.Server{Handler: h}
+	// Print the bound address (not the configured one) so listeners on
+	// port 0 — scripts and the smoke tests — can discover the port.
+	fmt.Printf("qtsimd listening on %s %s\n", ln.Addr(), detail)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -102,16 +198,15 @@ func main() {
 		log.Fatalf("qtsimd: serve: %v", err)
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Printf("qtsimd: http shutdown: %v", err)
 	}
-	if err := mgr.Close(ctx); err != nil {
-		log.Printf("qtsimd: campaign shutdown: %v", err)
-	}
-	if err := sched.Close(ctx); err != nil {
-		log.Printf("qtsimd: scheduler shutdown: %v", err)
+	for _, s := range steps {
+		if err := s.close(ctx); err != nil {
+			log.Printf("qtsimd: %s shutdown: %v", s.name, err)
+		}
 	}
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Printf("qtsimd: serve: %v", err)

@@ -62,9 +62,6 @@ func runPeer(rank int, peersCSV, cfgPath, resultOut string, dieAfter int) error 
 		}
 		cfg = *loaded
 	}
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
 	distCfg, distributed, err := cfg.DistConfig()
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -30,40 +31,8 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatalf("building qtsimd: %v\n%s", err, out)
 	}
 
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-max-concurrent", "2", "-drain-timeout", "30s")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	var exitErr error
-	exited := make(chan struct{})
-	go func() { exitErr = cmd.Wait(); close(exited) }()
-	defer func() {
-		select {
-		case <-exited:
-		default:
-			cmd.Process.Kill()
-			<-exited
-		}
-	}()
-
-	// The daemon announces its bound address on stdout; -addr :0 means the
-	// port is only knowable from that line.
-	sc := bufio.NewScanner(stdout)
-	if !sc.Scan() {
-		t.Fatalf("daemon produced no output; stderr:\n%s", stderr.String())
-	}
-	m := regexp.MustCompile(`listening on (\S+)`).FindStringSubmatch(sc.Text())
-	if m == nil {
-		t.Fatalf("unexpected startup line %q", sc.Text())
-	}
-	base := "http://" + m[1]
-	go io.Copy(io.Discard, stdout) // keep the pipe drained
+	d := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-max-concurrent", "2", "-drain-timeout", "30s")
+	base := d.base
 
 	// A job that cannot finish on its own: the cancel below must stop it.
 	long := core.DefaultRunConfig()
@@ -118,20 +87,7 @@ func TestServeSmoke(t *testing.T) {
 	}
 
 	// Clean shutdown: SIGTERM must drain and exit 0.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-exited:
-		if exitErr != nil {
-			t.Fatalf("daemon exited dirty: %v\nstderr:\n%s", exitErr, stderr.String())
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatalf("daemon did not exit after SIGTERM; stderr:\n%s", stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "drained") {
-		t.Errorf("daemon log does not report a drained shutdown:\n%s", stderr.String())
-	}
+	d.stop(t)
 }
 
 // submit POSTs a config and returns the accepted job id.
@@ -187,5 +143,143 @@ func waitJobState(t *testing.T, base, id, want string) {
 			t.Fatalf("job %s stuck in %q, want %q", id, st.State, want)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestFrontRoleSmoke exercises the front role end to end: one worker
+// daemon and one `qtsimd -fleet` front, both on ephemeral ports. A small
+// run submitted to the front streams to EOF and serves its result; the
+// identical resubmission is answered from the front's cache; SIGTERM
+// drains both processes cleanly.
+func TestFrontRoleSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("smoke test builds and execs the daemon binary")
+	}
+	bin := filepath.Join(t.TempDir(), "qtsimd")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building qtsimd: %v\n%s", err, out)
+	}
+
+	worker := startDaemon(t, bin, "-addr", "127.0.0.1:0", "-max-concurrent", "2")
+	fleet, err := json.Marshal(map[string]any{
+		"listen":  "127.0.0.1:0",
+		"workers": []string{worker.base},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleetPath := filepath.Join(t.TempDir(), "fleet.json")
+	if err := os.WriteFile(fleetPath, fleet, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fr := startDaemon(t, bin, "-fleet", fleetPath)
+
+	cfg := core.DefaultRunConfig()
+	cfg.MaxIter = 2
+	id := submit(t, fr.base, cfg)
+
+	resp, err := http.Get(fr.base + "/v1/jobs/" + id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); records++ {
+	}
+	resp.Body.Close()
+	if records != cfg.MaxIter {
+		t.Fatalf("front stream of %s delivered %d records, want %d", id, records, cfg.MaxIter)
+	}
+	waitJobState(t, fr.base, id, "succeeded")
+	resp, err = http.Get(fr.base + "/v1/jobs/" + id + "/result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "observables") {
+		t.Fatalf("front result: status %d body %s", resp.StatusCode, body)
+	}
+
+	raw, err := cfg.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(fr.base+"/v1/jobs", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted || !strings.Contains(string(body), `"source":"cache"`) {
+		t.Fatalf("resubmission: status %d body %s, want a cache hit", resp.StatusCode, body)
+	}
+
+	// The front drains first, so it never routes to a closed worker.
+	fr.stop(t)
+	worker.stop(t)
+}
+
+// daemon is a running qtsimd process serving on base.
+type daemon struct {
+	base   string
+	cmd    *exec.Cmd
+	stderr *bytes.Buffer
+	exited chan struct{}
+	err    error
+}
+
+// startDaemon starts bin with args, reads the bound address from its
+// startup line, and kills the process when the test ends if stop has not
+// run.
+func startDaemon(t *testing.T, bin string, args ...string) *daemon {
+	t.Helper()
+	d := &daemon{cmd: exec.Command(bin, args...), stderr: new(bytes.Buffer), exited: make(chan struct{})}
+	stdout, err := d.cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.cmd.Stderr = d.stderr
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go func() { d.err = d.cmd.Wait(); close(d.exited) }()
+	t.Cleanup(func() {
+		select {
+		case <-d.exited:
+		default:
+			d.cmd.Process.Kill()
+			<-d.exited
+		}
+	})
+	sc := bufio.NewScanner(stdout)
+	if !sc.Scan() {
+		<-d.exited
+		t.Fatalf("qtsimd %v produced no output; stderr:\n%s", args, d.stderr)
+	}
+	m := regexp.MustCompile(`listening on (\S+)`).FindStringSubmatch(sc.Text())
+	if m == nil {
+		t.Fatalf("unexpected startup line %q", sc.Text())
+	}
+	d.base = "http://" + m[1]
+	go io.Copy(io.Discard, stdout) // keep the pipe drained
+	return d
+}
+
+// stop sends SIGTERM and requires a clean exit that logs "drained".
+func (d *daemon) stop(t *testing.T) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-d.exited:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("%v did not exit after SIGTERM; stderr:\n%s", d.cmd.Args, d.stderr)
+	}
+	if d.err != nil {
+		t.Fatalf("%v exited dirty: %v\nstderr:\n%s", d.cmd.Args, d.err, d.stderr)
+	}
+	if !strings.Contains(d.stderr.String(), "drained") {
+		t.Errorf("%v does not report a drained shutdown:\n%s", d.cmd.Args, d.stderr)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // API is the campaign HTTP surface, mounted next to the job API of
-// whichever tier hosts it (qtsimd or qtfront):
+// whichever qtsimd role hosts it (the worker, or the -fleet front):
 //
 //	POST /v1/campaigns                     submit a Request → 202 + StatusDoc
 //	GET  /v1/campaigns                     list campaigns

@@ -13,11 +13,12 @@ import (
 )
 
 // RunConfig is the one versioned description of a simulation run, shared by
-// every frontend: cmd/qtsim consumes it from -config (with flags overriding
-// individual fields) and cmd/qtsimd accepts it as the body of a job
-// submission. It replaces the ad-hoc flag soup as the single way to say
-// "run this device under these solver settings", so a config that produced
-// a result on the command line can be POSTed to the service unchanged.
+// every frontend: cmd/qtsim reads it from -config (no flag overrides a
+// field), and cmd/qtsimd accepts it as the body of a job submission, as a
+// worker or as the front, and as the -peer-config of a peer. It is the
+// single way to say "run this device under these solver settings", so a
+// config that produced a result locally can be POSTed to the service
+// unchanged.
 //
 // The schema is flat JSON with snake_case keys (see examples/run.json).
 // Unknown fields are rejected, so typos fail at parse time instead of
@@ -140,7 +141,7 @@ func VersionSupported(v int) bool {
 }
 
 // DefaultRunConfig returns the laptop-scale baseline configuration — the
-// same run the zero-flag qtsim invocation has always performed.
+// run qtsim performs without -config (examples/run.json spells it out).
 func DefaultRunConfig() RunConfig {
 	return RunConfig{
 		Version: RunConfigVersion,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -255,4 +256,57 @@ func TestRunConfigBoundsDeviceSize(t *testing.T) {
 	if checked < 8 {
 		t.Fatalf("checked %d run documents, want the workloads and examples (≥ 8)", checked)
 	}
+}
+
+// FuzzParseRunConfig feeds arbitrary bodies through the one RunConfig
+// decoder every frontend uses: nothing may panic, and an accepted
+// document's canonical form is a fixed point — it marshals, re-parses and
+// canonicalizes to the same bytes, so the front tier's cache key is stable
+// across a worker round trip. Seeds are every checked-in run document,
+// with a campaign request's wrapped "config" seeded on its own too.
+func FuzzParseRunConfig(f *testing.F) {
+	var paths []string
+	for _, glob := range []string{"../../examples/*.json", "../../bench/workloads/*.json", "../../bench/workloads/quick/*.json"} {
+		m, err := filepath.Glob(glob)
+		if err != nil {
+			f.Fatal(err)
+		}
+		paths = append(paths, m...)
+	}
+	for _, path := range paths {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+		var doc struct {
+			Config json.RawMessage `json:"config"`
+		}
+		if json.Unmarshal(raw, &doc) == nil && len(doc.Config) > 0 {
+			f.Add([]byte(doc.Config))
+		}
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c, err := ParseRunConfig(body)
+		if err != nil {
+			return
+		}
+		can := c.Canonical()
+		once, err := can.Marshal()
+		if err != nil {
+			t.Fatalf("accepted document's canonical form does not marshal: %v", err)
+		}
+		back, err := ParseRunConfig(once)
+		if err != nil {
+			t.Fatalf("canonical form does not re-parse: %v\n%s", err, once)
+		}
+		recan := back.Canonical()
+		twice, err := recan.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatalf("canonical form is not a fixed point:\n%s\n---\n%s", once, twice)
+		}
+	})
 }

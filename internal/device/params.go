@@ -40,7 +40,7 @@ type Params struct {
 
 // Validate checks internal consistency of the parameters. Error messages
 // name the offending JSON field path (device.<field>) so the 400 bodies the
-// qtsimd/qtfront services return point a client at the exact key to fix
+// qtsimd worker and front roles return point a client at the exact key to fix
 // instead of dumping the whole struct.
 func (p Params) Validate() error {
 	for _, f := range []struct {

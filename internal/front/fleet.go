@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// FleetConfig is the on-disk deployment description consumed by qtfront
+// FleetConfig is the on-disk deployment description consumed by qtsimd -fleet
 // (see examples/fleet.json and docs/DEPLOY.md). Unknown fields are
 // rejected so typos fail loudly at startup rather than silently running
 // with defaults.

@@ -1,8 +1,8 @@
 package front
 
 import (
-	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -54,19 +54,17 @@ func (a *API) Handler() http.Handler {
 }
 
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
-	dec.DisallowUnknownFields()
-	var cfg core.RunConfig
-	if err := dec.Decode(&cfg); err != nil {
-		jobs.WriteError(w, http.StatusBadRequest, "bad run config: %v", err)
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 4<<20))
+	if err != nil {
+		jobs.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	if cfg.Version != 0 && !core.VersionSupported(cfg.Version) {
-		jobs.WriteError(w, http.StatusBadRequest, "unsupported config version %d (want %d, or legacy %d)",
-			cfg.Version, core.RunConfigVersion, core.RunConfigLegacyVersion)
+	cfg, err := core.ParseRunConfig(raw)
+	if err != nil {
+		jobs.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	st, err := a.f.Submit(r.Header.Get("X-Tenant"), cfg)
+	st, err := a.f.Submit(r.Header.Get("X-Tenant"), *cfg)
 	if err != nil {
 		var qe *QuotaError
 		switch {

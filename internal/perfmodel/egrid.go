@@ -11,7 +11,7 @@ import (
 // is the fraction of fine-grid points it never activates, discounted by
 // the extra Born rounds the controller spends converging the grid. The
 // model below predicts that saving from the spectral structure a device
-// kind implies — used by qtsim to decide whether -adapt is worth it
+// kind implies — used to decide whether an "adapt" block is worth it
 // before running, and pinned against measured AdaptReports in the tests.
 
 // Spectral-concentration fractions per device kind: the fraction of the

@@ -90,23 +90,12 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	var cfg core.RunConfig
-	dec := json.NewDecoder(bytes.NewReader(cfgRaw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		jobs.WriteError(w, http.StatusBadRequest, "decoding run config: %v", err)
+	cfg, err := core.ParseRunConfig(cfgRaw)
+	if err != nil {
+		jobs.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if cfg.Version == 0 {
-		cfg.Version = core.RunConfigVersion
-	}
-	if !core.VersionSupported(cfg.Version) {
-		jobs.WriteError(w, http.StatusBadRequest,
-			"run config version %d not supported (this build speaks version %d and still accepts %d)",
-			cfg.Version, core.RunConfigVersion, core.RunConfigLegacyVersion)
-		return
-	}
-	j, err := a.s.SubmitFrom(cfg, ck)
+	j, err := a.s.SubmitFrom(*cfg, ck)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		jobs.WriteError(w, http.StatusTooManyRequests, "%v", err)
