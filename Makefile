@@ -104,10 +104,12 @@ front-test:
 device-test:
 	go test -race -count=1 ./internal/device
 
-# Campaign suite under the race detector: request validation, the offline
-# warm-chained I–V ladder against point-by-point direct runs (1e-8), the
-# T(E) artifact, and the HTTP lifecycle end-to-end through a scheduler and
-# through the sharded front tier.
+# Campaign suite under the race detector: request validation, the
+# warm-chained I–V ladder on an in-process scheduler (qtsim -campaign's
+# host) against point-by-point direct runs (1e-8), the T(E) artifact, the
+# HTTP lifecycle end-to-end through a scheduler, and the sharded front
+# tier's seeds: each point from its own chain predecessor, cold ladders
+# cold.
 campaign-test:
 	go test -race -count=1 ./internal/campaign
 
@@ -115,7 +117,8 @@ campaign-test:
 # controller/quadrature unit tests, the adaptive-vs-uniform agreement pins
 # across all four zoo kinds (plus the bit-compatibility pin on the full
 # grid), checkpoint/resume and distributed adaptive in core, the
-# warm-chained adaptive I–V ladder in campaign, the scheduler dispatch /
+# warm-chained adaptive I–V ladder in campaign (on an in-process
+# scheduler, as qtsim -campaign runs it), the scheduler dispatch /
 # warm-gate tests in serve, and the adapt cache-key canonicalization in
 # front.
 adapt-test:

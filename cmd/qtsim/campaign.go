@@ -7,13 +7,18 @@ import (
 	"os"
 
 	"negfsim/internal/campaign"
+	"negfsim/internal/serve"
 )
 
+// chains is the -campaign mode's parallelism: the ladder runs as up to
+// this many chains of points side by side, each on its own scheduler slot.
+const chains = 4
+
 // runCampaign is the -campaign offline mode: load a campaign request,
-// execute its bias ladder in-process (up to four chains of points side by
-// side, each later point warm-started from its predecessor by default),
-// print a per-point summary, and emit the artifacts — PREFIX.csv and
-// PREFIX.json when -campaign-out is set, the CSV to stdout otherwise.
+// execute its bias ladder on an in-process scheduler — the worker role's
+// path, each later point of a chain warm-started from its predecessor by
+// default — print a per-point summary, and emit the artifacts — PREFIX.csv
+// and PREFIX.json when -campaign-out is set, the CSV to stdout otherwise.
 func runCampaign(path, out string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -24,7 +29,9 @@ func runCampaign(path, out string) error {
 		return fmt.Errorf("parsing campaign request %s: %w", path, err)
 	}
 
-	mgr := campaign.NewManager(campaign.LocalBackend{}, 0)
+	sched := serve.New(serve.Config{MaxConcurrent: chains})
+	defer sched.Close(context.Background())
+	mgr := campaign.NewManager(campaign.ServeBackend{S: sched}, chains)
 	c, err := mgr.Start(req)
 	if err != nil {
 		return err

@@ -154,8 +154,8 @@ func runFront(o options) {
 	cfg := fc.FrontConfig()
 	f := front.New(cfg)
 	// Campaigns submitted to the front fan their ladder points across the
-	// fleet; warm starts come from the front's own family cache, so the
-	// campaign tier never ships checkpoints itself here.
+	// fleet; each point names its chain predecessor's front job as its
+	// seed, so the campaign tier never ships checkpoints itself here.
 	mgr := campaign.NewManager(campaign.FrontBackend{F: f, Tenant: "campaign"}, 4)
 	mux := http.NewServeMux()
 	campaign.NewAPI(mgr).Register(mux)

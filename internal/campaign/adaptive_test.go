@@ -70,8 +70,7 @@ func TestAdaptiveWarmLadderLocal(t *testing.T) {
 	direct := directAdaptiveRuns(t, req)
 
 	// Two chains of two: points 1 and 3 resume from their chain heads.
-	m := NewManager(LocalBackend{}, 2)
-	defer m.Close(context.Background())
+	m := scheduledManager(t, 2)
 	c, err := m.Start(req)
 	if err != nil {
 		t.Fatal(err)

@@ -13,8 +13,9 @@ import (
 
 // PointOutcome is what a backend returns for one converged ladder point.
 type PointOutcome struct {
-	// JobID identifies the underlying tier's job, for cross-referencing
-	// campaign points against /v1/jobs ("" for in-process runs).
+	// JobID identifies the host tier's job, for cross-referencing campaign
+	// points against /v1/jobs; on the front it also names the seed of the
+	// point's chain successor.
 	JobID string
 	// Iterations/Converged/Residuals summarize the Born loop.
 	Iterations int
@@ -22,62 +23,20 @@ type PointOutcome struct {
 	Residuals  []float64
 	// Obs are the physical outputs the artifacts are built from.
 	Obs core.Observables
-	// Checkpoint carries the converged Σ≷/Π≷ for the next point's warm
-	// start; nil when the backend manages warm starts itself (the front
-	// tier's family cache does).
+	// Checkpoint carries the converged Σ≷/Π≷ that seed the chain successor
+	// on a scheduler; nil on the front, which keeps the checkpoint with
+	// the job JobID names.
 	Checkpoint *core.Checkpoint
 	// WarmStarted reports whether this point actually ran from a seed.
 	WarmStarted bool
 }
 
-// Backend executes one ladder point. Implementations run the config on
-// their tier, stream iteration counts through onIter (may be nil), and
-// return the outcome. warm is the previous point's checkpoint; backends
-// that source warm starts elsewhere ignore it.
+// Backend executes one ladder point on its host tier: it runs cfg, streams
+// iteration counts through onIter (may be nil), and returns the outcome.
+// prev is the outcome of the point's chain predecessor and the point's only
+// seed; it is nil for a chain head and for every point of a cold campaign.
 type Backend interface {
-	RunPoint(ctx context.Context, cfg core.RunConfig, warm *core.Checkpoint, onIter func(n int)) (*PointOutcome, error)
-}
-
-// LocalBackend runs points in-process — the qtsim -campaign offline mode.
-type LocalBackend struct{}
-
-// RunPoint builds the simulator and runs the Born loop, seeding it from
-// warm when compatible.
-func (LocalBackend) RunPoint(ctx context.Context, cfg core.RunConfig, warm *core.Checkpoint, onIter func(n int)) (*PointOutcome, error) {
-	opts, err := cfg.Options()
-	if err != nil {
-		return nil, err
-	}
-	if onIter != nil {
-		opts.OnIteration = func(st core.IterStats) { onIter(st.Iter) }
-	}
-	sim, err := cfg.NewSimulatorWith(opts)
-	if err != nil {
-		return nil, err
-	}
-	// The previous bias point's checkpoint seeds the Born loop (Σ≷/Π≷) and,
-	// on adaptive ladders, the refinement controller too (its active point
-	// set), so each point resumes refinement from the neighbor's resolved
-	// grid instead of the coarse seed.
-	out, err := sim.Execute(ctx, core.Plan{Config: cfg, Place: core.DistConfig{Resume: warm}})
-	if err != nil {
-		return nil, err
-	}
-	return outcomeOf("", cfg, out.Result, warm), nil
-}
-
-// outcomeOf packages a converged run of cfg as a ladder point, with its
-// checkpoint for the next point's warm start.
-func outcomeOf(jobID string, cfg core.RunConfig, res *core.Result, warm *core.Checkpoint) *PointOutcome {
-	return &PointOutcome{
-		JobID:       jobID,
-		Iterations:  res.Iterations,
-		Converged:   res.Converged,
-		Residuals:   res.Residuals,
-		Obs:         res.Obs,
-		Checkpoint:  core.CheckpointOf(cfg.Device, res),
-		WarmStarted: warm != nil,
-	}
+	RunPoint(ctx context.Context, cfg core.RunConfig, prev *PointOutcome, onIter func(n int)) (*PointOutcome, error)
 }
 
 // follow reports each record of a point's iteration log to onIter (may be
@@ -92,8 +51,12 @@ func follow(ctx context.Context, wait func(i int) bool, onIter func(n int)) erro
 	return ctx.Err()
 }
 
-// ServeBackend fans points out through a qtsimd scheduler, warm-starting
-// via SubmitFrom — the in-process equivalent of the HTTP submit envelope.
+// ServeBackend runs points as jobs of a qtsimd scheduler — the worker role
+// and the qtsim -campaign offline mode alike — each seeded through
+// SubmitFrom with its predecessor's checkpoint, the in-process equivalent
+// of the HTTP submit envelope. On an adaptive ladder the checkpoint seeds
+// the refinement controller too (its active point set), so each point
+// resumes refinement from its neighbor's resolved grid.
 type ServeBackend struct {
 	S *serve.Scheduler
 }
@@ -101,11 +64,15 @@ type ServeBackend struct {
 // RunPoint submits the point as a job (retrying briefly past a full
 // queue), follows its iteration log, and packages the result with a
 // checkpoint for the next point.
-func (b ServeBackend) RunPoint(ctx context.Context, cfg core.RunConfig, warm *core.Checkpoint, onIter func(n int)) (*PointOutcome, error) {
+func (b ServeBackend) RunPoint(ctx context.Context, cfg core.RunConfig, prev *PointOutcome, onIter func(n int)) (*PointOutcome, error) {
+	var seed *core.Checkpoint
+	if prev != nil {
+		seed = prev.Checkpoint
+	}
 	var j *serve.Job
 	for {
 		var err error
-		j, err = b.S.SubmitFrom(cfg, warm)
+		j, err = b.S.SubmitFrom(cfg, seed)
 		if err == nil {
 			break
 		}
@@ -127,14 +94,23 @@ func (b ServeBackend) RunPoint(ctx context.Context, cfg core.RunConfig, warm *co
 		st := j.Status()
 		return nil, fmt.Errorf("campaign: point job %s %s: %s", j.ID(), st.State, st.Error)
 	}
-	return outcomeOf(j.ID(), cfg, res, warm), nil
+	return &PointOutcome{
+		JobID:       j.ID(),
+		Iterations:  res.Iterations,
+		Converged:   res.Converged,
+		Residuals:   res.Residuals,
+		Obs:         res.Obs,
+		Checkpoint:  core.CheckpointOf(cfg.Device, res),
+		WarmStarted: seed != nil,
+	}, nil
 }
 
-// FrontBackend runs points through the sharded front tier. The explicit
-// warm checkpoint is ignored: the front's content-addressed family cache
-// seeds each point from the nearest finished bias point, so a chained
-// point, submitted once its predecessor is done, warm-starts for free —
-// WarmStarted is read back from the front's own report.
+// FrontBackend runs points through the sharded front tier. Each point is
+// submitted with SubmitFrom naming its predecessor's front job, so the
+// front seeds it from that job's cached run by reference — the campaign
+// never decodes or ships a checkpoint here, and the front's family cache
+// never picks a campaign point's seed. A point whose predecessor's job is
+// no longer retained runs cold; WarmStarted is read back from the front.
 type FrontBackend struct {
 	F *front.Front
 	// Tenant is the admission identity campaign points are submitted
@@ -143,10 +119,13 @@ type FrontBackend struct {
 }
 
 // RunPoint submits to the front, follows the shared iteration log, and
-// reads the result document back. No checkpoint is returned — the front
-// caches it internally.
-func (b FrontBackend) RunPoint(ctx context.Context, cfg core.RunConfig, warm *core.Checkpoint, onIter func(n int)) (*PointOutcome, error) {
-	st, err := b.F.Submit(b.Tenant, cfg)
+// reads the result document back.
+func (b FrontBackend) RunPoint(ctx context.Context, cfg core.RunConfig, prev *PointOutcome, onIter func(n int)) (*PointOutcome, error) {
+	from := ""
+	if prev != nil {
+		from = prev.JobID
+	}
+	st, err := b.F.SubmitFrom(b.Tenant, cfg, from)
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +139,7 @@ func (b FrontBackend) RunPoint(ctx context.Context, cfg core.RunConfig, warm *co
 	}
 	warmStarted := false
 	if cur, ok := b.F.Get(st.ID); ok {
-		warmStarted = cur.WarmStartBias != nil
+		warmStarted = cur.WarmStart
 	}
 	return &PointOutcome{
 		JobID:       st.ID,

@@ -1,14 +1,14 @@
 // Package campaign turns parameter sweeps into first-class requests: an
 // I–V curve or a T(E) spectrum is submitted once and executed as a ladder
-// of bias points, each point an ordinary run of the underlying tier
-// (in-process solver, qtsimd scheduler, or the sharded front).
+// of bias points, each point an ordinary job of its host: a qtsimd
+// scheduler (in-process for qtsim -campaign) or the sharded front.
 //
 // The physics motivation is the same data-movement argument the rest of
 // the service stack follows: adjacent bias points share almost all of
 // their converged self-energy structure, so a campaign chains them —
-// point k+1 is warm-started from point k's Σ≷/Π≷ checkpoint through the
-// existing submit envelope and the Born loop starts near the fixed point
-// instead of at zero. The ladder runs as a few such chains side by side,
+// point k+1 is warm-started from point k's Σ≷/Π≷ checkpoint through its
+// host's seeded submit, and the Born loop starts near the fixed point
+// instead of at zero. The chain is the only source of a point's seed. The ladder runs as a few such chains side by side,
 // each headed by a cold point, so the backend's parallelism is not traded
 // for the iterations a seed saves.
 //
@@ -95,7 +95,7 @@ func (r *Request) Validate() error {
 	if err := r.Config.Validate(); err != nil {
 		return fmt.Errorf("campaign: config: %w", err)
 	}
-	if r.Config.Dist != "" || r.Config.Space >= 2 || r.Config.Gate != nil {
+	if !r.Config.PlainSerial() {
 		return fmt.Errorf("campaign: config: campaign points are plain serial runs (no dist, no space, no gate)")
 	}
 	explicit := len(r.Biases) > 0

@@ -16,6 +16,7 @@ import (
 	"negfsim/internal/core"
 	"negfsim/internal/device"
 	"negfsim/internal/obs"
+	"negfsim/internal/serve"
 )
 
 func init() { obs.Enable() }
@@ -46,6 +47,22 @@ func ivRequest() Request {
 		BiasStop:   0.50,
 		BiasPoints: 5,
 	}
+}
+
+// scheduledManager hosts a manager with maxParallel chains on an
+// in-process scheduler with one slot per chain — the qtsim -campaign
+// offline mode's host. Cleanup drains both.
+func scheduledManager(t *testing.T, maxParallel int) *Manager {
+	t.Helper()
+	sched := serve.New(serve.Config{MaxConcurrent: maxParallel, QueueDepth: 16})
+	m := NewManager(ServeBackend{S: sched}, maxParallel)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = m.Close(ctx)
+		_ = sched.Close(ctx)
+	})
+	return m
 }
 
 // directRuns executes every ladder point of req as an independent cold
@@ -214,7 +231,8 @@ func TestRequestLadder(t *testing.T) {
 	}
 }
 
-// TestWarmLadderLocal is the offline acceptance path: a warm-chained I–V
+// TestWarmLadderLocal is the offline acceptance path, hosted on an
+// in-process scheduler as qtsim -campaign hosts it: a warm-chained I–V
 // campaign over the CNT device matches point-by-point direct runs to
 // 1e-8, every chain head starts cold and every later point of a chain
 // starts warm, and no warm point needs more Born iterations than cold.
@@ -222,8 +240,7 @@ func TestWarmLadderLocal(t *testing.T) {
 	req := ivRequest()
 	direct := directRuns(t, req)
 
-	m := NewManager(LocalBackend{}, 0)
-	defer m.Close(context.Background())
+	m := scheduledManager(t, 4)
 	c, err := m.Start(req)
 	if err != nil {
 		t.Fatal(err)
@@ -326,8 +343,7 @@ func TestTESpectrumArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := NewManager(LocalBackend{}, 0)
-	defer m.Close(context.Background())
+	m := scheduledManager(t, 4)
 	c, err := m.Start(req)
 	if err != nil {
 		t.Fatal(err)
@@ -386,8 +402,7 @@ func TestColdFanout(t *testing.T) {
 	req.BiasPoints = 3
 	direct := directRuns(t, req)
 
-	m := NewManager(LocalBackend{}, 2)
-	defer m.Close(context.Background())
+	m := scheduledManager(t, 2)
 	c, err := m.Start(req)
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +431,7 @@ func TestCancelAndClose(t *testing.T) {
 	req.Config.MaxIter = 100_000
 	req.Config.Tol = 1e-300 // unreachable: runs until cancelled
 
-	m := NewManager(LocalBackend{}, 0)
+	m := scheduledManager(t, 4)
 	c, err := m.Start(req)
 	if err != nil {
 		t.Fatal(err)
@@ -457,17 +472,17 @@ func TestCancelAndClose(t *testing.T) {
 }
 
 // stubBackend answers every point at once with a checkpoint-carrying
-// outcome and records which points arrived with a warm seed.
+// outcome and records which points arrived with a seed.
 type stubBackend struct{ seeded chan bool }
 
-func (b stubBackend) RunPoint(ctx context.Context, cfg core.RunConfig, warm *core.Checkpoint, onIter func(n int)) (*PointOutcome, error) {
-	b.seeded <- warm != nil
+func (b stubBackend) RunPoint(ctx context.Context, cfg core.RunConfig, prev *PointOutcome, onIter func(n int)) (*PointOutcome, error) {
+	b.seeded <- prev != nil
 	return &PointOutcome{
 		Iterations:  1,
 		Converged:   true,
 		Obs:         core.Observables{CurrentL: cfg.Bias},
 		Checkpoint:  &core.Checkpoint{},
-		WarmStarted: warm != nil,
+		WarmStarted: prev != nil,
 	}, nil
 }
 

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -10,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"negfsim/internal/serve"
 )
 
 // newCampaignServer wires the full service stack a qtsimd process runs:
@@ -19,16 +16,9 @@ import (
 // surface. Cleanup drains everything.
 func newCampaignServer(t *testing.T) (*httptest.Server, *Manager) {
 	t.Helper()
-	sched := serve.New(serve.Config{MaxConcurrent: 2, QueueDepth: 16})
-	m := NewManager(ServeBackend{S: sched}, 2)
+	m := scheduledManager(t, 2)
 	srv := httptest.NewServer(NewAPI(m).Handler())
-	t.Cleanup(func() {
-		srv.Close()
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		_ = m.Close(ctx)
-		_ = sched.Close(ctx)
-	})
+	t.Cleanup(srv.Close)
 	return srv, m
 }
 

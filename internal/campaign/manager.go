@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"negfsim/internal/core"
 	"negfsim/internal/jobs"
 )
 
@@ -247,10 +246,11 @@ func (m *Manager) Close(ctx context.Context) error { return m.store.Close(ctx, n
 // run drives the ladder as k = min(maxParallel, n) contiguous chains, one
 // goroutine each: chain s covers points [⌊s·n/k⌋, ⌊(s+1)·n/k⌋), so the
 // heads, which start cold, are spread across the bias range. Under warm
-// start every later point of a chain is seeded from its finished
-// predecessor's checkpoint (k = 1 is the fully sequential chain); a cold
-// campaign seeds nothing. After a cancel or any point's failure no new
-// point starts; points already running finish, and finish cancels the rest.
+// start every later point of a chain is handed its finished predecessor's
+// outcome as its seed (k = 1 is the fully sequential chain); a cold
+// campaign seeds nothing. This is the one seed rule of every host. After a
+// cancel or any point's failure no new point starts; points already
+// running finish, and finish cancels the rest.
 func (m *Manager) run(ctx context.Context, c *Campaign) {
 	n := len(c.points)
 	k := min(m.maxParallel, n)
@@ -259,14 +259,14 @@ func (m *Manager) run(ctx context.Context, c *Campaign) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			var warm *core.Checkpoint
+			var prev *PointOutcome
 			for i := lo; i < hi && ctx.Err() == nil && !c.failed(); i++ {
-				out := m.runOne(ctx, c, i, warm)
+				out := m.runOne(ctx, c, i, prev)
 				if out == nil {
 					return
 				}
 				if c.req.Warm() {
-					warm = out.Checkpoint
+					prev = out
 				}
 			}
 		}(s*n/k, (s+1)*n/k)
@@ -274,12 +274,12 @@ func (m *Manager) run(ctx context.Context, c *Campaign) {
 	wg.Wait()
 }
 
-// runOne drives ladder point i through the backend and returns its
-// outcome; nil means the point failed or was cancelled.
-func (m *Manager) runOne(ctx context.Context, c *Campaign, i int, warm *core.Checkpoint) *PointOutcome {
+// runOne drives ladder point i through the backend, seeded from prev, and
+// returns its outcome; nil means the point failed or was cancelled.
+func (m *Manager) runOne(ctx context.Context, c *Campaign, i int, prev *PointOutcome) *PointOutcome {
 	c.setPoint(i, func(p *Point) { p.State = PointRunning })
 	cfg := c.req.pointConfig(c.points[i].Bias)
-	out, err := m.backend.RunPoint(ctx, cfg, warm, func(n int) {
+	out, err := m.backend.RunPoint(ctx, cfg, prev, func(n int) {
 		c.setPoint(i, func(p *Point) { p.Iterations = n })
 	})
 	switch {

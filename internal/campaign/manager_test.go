@@ -13,29 +13,29 @@ import (
 )
 
 // ladderStub is a backend over ladders whose point i sits at bias i. It
-// answers every point with a fresh checkpoint once hook(i) returns (hook
-// may be nil; a non-nil error fails the point) and records the start
-// order, the seed each point received, the checkpoint each point
-// returned, and the high-water mark of points in flight.
+// answers every point with a fresh outcome once hook(i) returns (hook may
+// be nil; a non-nil error fails the point) and records the start order,
+// the seed each point received, the outcome each point returned, and the
+// high-water mark of points in flight.
 type ladderStub struct {
 	hook func(i int) error
 
 	mu             sync.Mutex
 	order          []int
-	got, sent      map[int]*core.Checkpoint
+	got, sent      map[int]*PointOutcome
 	inflight, high int
 }
 
 func newLadderStub(hook func(i int) error) *ladderStub {
-	return &ladderStub{hook: hook, got: map[int]*core.Checkpoint{}, sent: map[int]*core.Checkpoint{}}
+	return &ladderStub{hook: hook, got: map[int]*PointOutcome{}, sent: map[int]*PointOutcome{}}
 }
 
-func (b *ladderStub) RunPoint(ctx context.Context, cfg core.RunConfig, warm *core.Checkpoint, onIter func(n int)) (*PointOutcome, error) {
+func (b *ladderStub) RunPoint(ctx context.Context, cfg core.RunConfig, prev *PointOutcome, onIter func(n int)) (*PointOutcome, error) {
 	i := int(cfg.Bias)
-	ck := &core.Checkpoint{Iterations: i}
+	out := &PointOutcome{Iterations: 1, Converged: true, WarmStarted: prev != nil}
 	b.mu.Lock()
 	b.order = append(b.order, i)
-	b.got[i], b.sent[i] = warm, ck
+	b.got[i], b.sent[i] = prev, out
 	b.inflight++
 	b.high = max(b.high, b.inflight)
 	b.mu.Unlock()
@@ -49,7 +49,7 @@ func (b *ladderStub) RunPoint(ctx context.Context, cfg core.RunConfig, warm *cor
 			return nil, err
 		}
 	}
-	return &PointOutcome{Iterations: 1, Converged: true, Checkpoint: ck, WarmStarted: warm != nil}, nil
+	return out, nil
 }
 
 // stubLadder is an n-point I–V request at biases 0, 1, …, n−1.
@@ -63,7 +63,7 @@ func stubLadder(n int, warm bool) Request {
 
 // TestChainScheduler pins the ladder scheduler on a stub backend: never
 // more than k = min(maxParallel, n) points in flight (and k reached),
-// every chained point seeded with exactly its predecessor's checkpoint,
+// every chained point seeded with exactly its predecessor's outcome,
 // chain heads and cold campaigns seeded with nothing, and k = 1 the
 // sequential ladder.
 func TestChainScheduler(t *testing.T) {
@@ -121,7 +121,7 @@ func TestChainScheduler(t *testing.T) {
 								t.Errorf("point %d (head %t, warm %t) received a seed", i, head, warm)
 							}
 						case b.got[i] != b.sent[i-1]:
-							t.Errorf("point %d received %p, not its predecessor's checkpoint %p", i, b.got[i], b.sent[i-1])
+							t.Errorf("point %d received %p, not its predecessor's outcome %p", i, b.got[i], b.sent[i-1])
 						}
 						if got := c.Status().Points[i].WarmStarted; got != (warm && !head) {
 							t.Errorf("point %d warm_started = %t", i, got)

@@ -110,6 +110,12 @@ func (a *AdaptSpec) enabled() bool {
 // refinement.
 func (c *RunConfig) AdaptEnabled() bool { return c.Adapt.enabled() }
 
+// PlainSerial reports whether the config is a plain serial run: no Dist,
+// no Space ≥ 2, no Gate. Only such runs take a warm-start seed or belong
+// to a campaign — distributed and Gummel-coupled runs manage their own
+// checkpoints.
+func (c *RunConfig) PlainSerial() bool { return c.Dist == "" && c.Space < 2 && c.Gate == nil }
+
 // AdaptConfig translates the config's adapt block into the adaptive
 // runner's configuration; false when the config does not request
 // adaptation. Resume and Dist are left for the dispatching frontend.

@@ -166,6 +166,32 @@ func TestRunConfigDistConfig(t *testing.T) {
 	}
 }
 
+// TestRunConfigPlainSerial: any one of dist, space ≥ 2 or gate makes a run
+// other than plain serial; space 1 is the serial GF phase; adapt is no
+// placement and keeps a run plain.
+func TestRunConfigPlainSerial(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(c *RunConfig)
+		want bool
+	}{
+		{"default", func(c *RunConfig) {}, true},
+		{"space 1", func(c *RunConfig) { c.Space = 1 }, true},
+		{"adapt", func(c *RunConfig) { c.Adapt = &AdaptSpec{Mode: "grid"} }, true},
+		{"dist", func(c *RunConfig) { c.Dist = "2x1" }, false},
+		{"space 2", func(c *RunConfig) { c.Space = 2 }, false},
+		{"gate", func(c *RunConfig) { c.Gate = &GateSpec{} }, false},
+		{"dist and space", func(c *RunConfig) { c.Dist, c.Space = "2x1", 2 }, false},
+	}
+	for _, tc := range cases {
+		c := DefaultRunConfig()
+		tc.edit(&c)
+		if got := c.PlainSerial(); got != tc.want {
+			t.Errorf("%s: PlainSerial() = %t, want %t", tc.name, got, tc.want)
+		}
+	}
+}
+
 // TestRunConfigRunMatchesHandBuiltRun pins the contract behind config-driven
 // frontends: a run assembled through RunConfig must be digit-for-digit the
 // run assembled by hand from the same numbers.

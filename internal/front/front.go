@@ -16,7 +16,7 @@
 //     bias point — is submitted to its worker with the nearest cached Σ≷/Π≷
 //     checkpoint, so the Born loop starts near the fixed point instead of
 //     at zero (the Σ-reuse direction of the atomistic-NEGF acceleration
-//     literature).
+//     literature). A campaign point names its donor instead (SubmitFrom).
 //   - Admission control. Per-tenant token buckets reject over-rate
 //     submitters with 429 + Retry-After before any placement work happens.
 //   - Health-checked placement. Jobs go to the least-loaded alive worker;
@@ -81,18 +81,16 @@ type Config struct {
 	QuotaBurst int
 	// CacheMax bounds the completed-run cache entries (default 256).
 	CacheMax int
-	// MaxAttempts bounds the placements tried per run before it fails; each
-	// worker death consumes one (default 3).
-	MaxAttempts int
 	// Retain is how many finished front jobs stay queryable before the
 	// oldest is evicted (default 1024). The underlying cached runs are
 	// governed by CacheMax, not Retain.
 	Retain int
-	// Client is the HTTP client used for worker calls (default
-	// http.DefaultClient; streams disable its timeout per request via
-	// contexts, never globally).
-	Client *http.Client
 }
+
+// maxAttempts bounds the placements tried per run before it fails; each
+// worker death consumes one. Worker calls go through http.DefaultClient,
+// bounded per request by contexts, never by a global timeout.
+const maxAttempts = 3
 
 // withDefaults fills the zero fields of a Config.
 func (c Config) withDefaults() Config {
@@ -108,36 +106,27 @@ func (c Config) withDefaults() Config {
 	if c.CacheMax <= 0 {
 		c.CacheMax = 256
 	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 3
-	}
 	if c.Retain <= 0 {
 		c.Retain = 1024
-	}
-	if c.Client == nil {
-		c.Client = http.DefaultClient
 	}
 	return c
 }
 
-// Source says how a front job was satisfied, for clients and experiments.
-type Source string
-
-// The three ways a submission resolves.
+// The three ways a submission resolves, its status's Source.
 const (
 	// SourceRun: this submission started the worker run.
-	SourceRun Source = "run"
+	SourceRun = "run"
 	// SourceJoined: attached to an identical in-flight run (singleflight).
-	SourceJoined Source = "joined"
+	SourceJoined = "joined"
 	// SourceCache: served entirely from the content-addressed cache.
-	SourceCache Source = "cache"
+	SourceCache = "cache"
 )
 
 // job is one accepted submission: a thin handle onto a shared run.
 type job struct {
 	id       string
 	tenant   string
-	source   Source
+	source   string
 	r        *run
 	detached bool // cancelled by its tenant; behind Front.mu
 }
@@ -146,7 +135,6 @@ type job struct {
 // concurrent use. Close stops the health loop and cancels in-flight runs.
 type Front struct {
 	cfg      Config
-	client   *http.Client
 	registry *registry
 	quotas   *quotas
 	cache    *cache
@@ -162,7 +150,6 @@ func New(cfg Config) *Front {
 	cfg = cfg.withDefaults()
 	f := &Front{
 		cfg:      cfg,
-		client:   cfg.Client,
 		registry: newRegistry(cfg.Workers),
 		quotas:   newQuotas(cfg.QuotaRate, cfg.QuotaBurst),
 		cache:    newCache(cfg.CacheMax),
@@ -177,7 +164,7 @@ func New(cfg Config) *Front {
 	})
 	obs.RegisterGaugeFunc("front.cache_entries", f.cache.len)
 	f.store.Go(func() {
-		f.registry.healthLoop(f.store.Context(), f.client, f.cfg.HealthInterval, f.cfg.HealthTimeout)
+		f.registry.healthLoop(f.store.Context(), f.cfg.HealthInterval, f.cfg.HealthTimeout)
 	})
 	return f
 }
@@ -211,9 +198,38 @@ func (e *QuotaError) Unwrap() error { return ErrQuota }
 
 // Submit admits one submission from tenant: quota check, content-address
 // lookup, then — in order — attach to an identical in-flight run, serve from
-// cache, or place a new run on the fleet. The returned job id is
-// tenant-private even when the computation is shared.
-func (f *Front) Submit(tenant string, cfg core.RunConfig) (*Status, error) {
+// cache, or place a new run on the fleet, seeded from the nearest-bias
+// cached member of its family. The returned job id is tenant-private even
+// when the computation is shared.
+func (f *Front) Submit(tenant string, cfg core.RunConfig) (*jobs.Status, error) {
+	return f.submit(tenant, cfg, func(key Key) *run {
+		if !cfg.PlainSerial() {
+			return nil
+		}
+		return f.cache.nearest(key)
+	})
+}
+
+// SubmitFrom is Submit with the seed named by the caller instead of the
+// family cache's pick: a new run is seeded from the finished run behind
+// front job from, by reference — its checkpoint bytes go to the worker as
+// they were fetched. It runs cold when from is "", no longer retained, not
+// succeeded or of another family. A submission that joins an in-flight run
+// or hits the cache takes that run as it is.
+func (f *Front) SubmitFrom(tenant string, cfg core.RunConfig, from string) (*jobs.Status, error) {
+	return f.submit(tenant, cfg, func(key Key) *run {
+		j, ok := f.store.Get(from)
+		if !ok || !cfg.PlainSerial() || j.r.key.Family != key.Family ||
+			j.r.Snapshot().State != RunSucceeded || len(j.r.checkpoint) == 0 {
+			return nil
+		}
+		return j.r
+	})
+}
+
+// submit is Submit and SubmitFrom; seed picks the donor of a new run (nil
+// for a cold run).
+func (f *Front) submit(tenant string, cfg core.RunConfig, seed func(Key) *run) (*jobs.Status, error) {
 	if tenant == "" {
 		tenant = "anonymous"
 	}
@@ -269,25 +285,14 @@ func (f *Front) Submit(tenant string, cfg core.RunConfig) (*Status, error) {
 
 	obsSubmitted.Inc()
 	if source == SourceRun {
-		warm := f.warmCandidate(key, cfg)
+		warm := seed(key)
 		f.store.Go(func() { f.execute(ctx, r, cfg, warm) })
 	}
 	return f.status(j), nil
 }
 
-// warmCandidate looks up the nearest cached checkpoint in cfg's family.
-// Warm starts apply to plain serial runs only — distributed, spatially
-// partitioned and Gummel-coupled runs manage their own checkpoint
-// lifecycle.
-func (f *Front) warmCandidate(key Key, cfg core.RunConfig) *run {
-	if cfg.Dist != "" || cfg.Space >= 2 || cfg.Gate != nil {
-		return nil
-	}
-	return f.cache.nearest(key)
-}
-
 // Get returns the job's status, if the handle is still retained.
-func (f *Front) Get(id string) (*Status, bool) {
+func (f *Front) Get(id string) (*jobs.Status, bool) {
 	j, ok := f.store.Get(id)
 	if !ok {
 		return nil, false
@@ -299,7 +304,7 @@ func (f *Front) Get(id string) (*Status, bool) {
 // cancelled only when the last attached submission lets go — cancelling one
 // tenant's handle never tears down a computation other tenants still watch.
 // A handle detaches once: repeating the request changes nothing.
-func (f *Front) Cancel(id string) (*Status, error) {
+func (f *Front) Cancel(id string) (*jobs.Status, error) {
 	j, ok := f.store.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("front: no such job %q", id)
@@ -318,47 +323,20 @@ func (f *Front) Cancel(id string) (*Status, error) {
 	return f.status(j), nil
 }
 
-// Status is the point-in-time public snapshot of a front job.
-type Status struct {
-	// ID is the front job id; Tenant submitted it.
-	ID     string `json:"id"`
-	Tenant string `json:"tenant"`
-	// State mirrors the underlying run's lifecycle.
-	State RunState `json:"state"`
-	// Source records how the submission resolved: "run" (started the worker
-	// run), "joined" (deduplicated onto an in-flight run) or "cache".
-	Source Source `json:"source"`
-	// Key is the content address shared by every deduplicated submission.
-	Key string `json:"key"`
-	// Worker is the backend executing (or last executing) the run.
-	Worker string `json:"worker,omitempty"`
-	// Iterations counts the Born iteration records logged so far.
-	Iterations int `json:"iterations"`
-	// WarmStartBias, when set, is the bias of the cached checkpoint that
-	// seeded this run.
-	WarmStartBias *float64 `json:"warm_start_bias,omitempty"`
-	// Reroutes counts worker deaths this run survived by re-placement.
-	Reroutes int `json:"reroutes,omitempty"`
-	// Error carries the failure or cancellation message (terminal only).
-	Error string `json:"error,omitempty"`
-}
-
-// status snapshots a job handle.
-func (f *Front) status(j *job) *Status {
+// status renders a job handle's status document: the lifecycle fields of
+// the shared run behind it, and the front's own.
+func (f *Front) status(j *job) *jobs.Status {
 	s := j.r.Snapshot()
-	st := &Status{
-		ID:         j.id,
-		Tenant:     j.tenant,
-		State:      s.State,
-		Source:     j.source,
-		Key:        j.r.key.ID,
-		Iterations: s.Iters,
-		Error:      s.Err,
+	st := s.Status(j.id)
+	st.Tenant, st.Source, st.Key = j.tenant, j.source, j.r.key.ID
+	if s.State == RunSucceeded {
+		st.Converged = j.r.result.Converged
 	}
 	j.r.Lock()
 	st.Worker, st.WarmStartBias, st.Reroutes = j.r.worker, j.r.warmBias, j.r.reroutes
 	j.r.Unlock()
-	return st
+	st.WarmStart = st.WarmStartBias != nil
+	return &st
 }
 
 // Workers returns the registry snapshot.
@@ -417,7 +395,7 @@ func (f *Front) execute(ctx context.Context, r *run, cfg core.RunConfig, warm *r
 		obsWarmStarts.Inc()
 	}
 	var lastErr error
-	for attempt := 0; attempt < f.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if ctx.Err() != nil {
 			f.settle(r, RunCancelled, "cancelled")
 			return
@@ -460,7 +438,7 @@ func (f *Front) execute(ctx context.Context, r *run, cfg core.RunConfig, warm *r
 	}
 	msg := "front: run failed"
 	if lastErr != nil {
-		msg = fmt.Sprintf("front: run failed after %d placement attempts: %v", f.cfg.MaxAttempts, lastErr)
+		msg = fmt.Sprintf("front: run failed after %d placement attempts: %v", maxAttempts, lastErr)
 	}
 	f.settle(r, RunFailed, msg)
 }
@@ -504,7 +482,7 @@ func (f *Front) runOn(ctx context.Context, r *run, workerURL string, cfg core.Ru
 	if err != nil {
 		return &permanentError{fmt.Errorf("encoding submission: %w", err)}
 	}
-	var st serve.Status
+	var st jobs.Status
 	if code, err := f.doJSON(ctx, http.MethodPost, workerURL+"/v1/jobs", body, &st); err != nil {
 		return err
 	} else if code != http.StatusAccepted {
@@ -522,7 +500,7 @@ func (f *Front) runOn(ctx context.Context, r *run, workerURL string, cfg core.Ru
 		return err
 	}
 
-	var final serve.Status
+	var final jobs.Status
 	if code, err := f.doJSON(ctx, http.MethodGet, jobURL, nil, &final); err != nil {
 		return err
 	} else if code != http.StatusOK {
@@ -558,7 +536,7 @@ func (f *Front) relayStream(ctx context.Context, r *run, jobURL string) error {
 	if err != nil {
 		return err
 	}
-	resp, err := f.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("opening stream: %w", err)
 	}
@@ -591,7 +569,7 @@ func (f *Front) cancelWorkerJob(jobURL string) {
 	if err != nil {
 		return
 	}
-	if resp, err := f.client.Do(req); err == nil {
+	if resp, err := http.DefaultClient.Do(req); err == nil {
 		resp.Body.Close()
 	}
 }
@@ -609,7 +587,7 @@ func (f *Front) doJSON(ctx context.Context, method, url string, body []byte, out
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := f.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, err
 	}
@@ -632,7 +610,7 @@ func (f *Front) doBytes(ctx context.Context, url string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := f.client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,7 @@ import (
 
 	"negfsim/internal/core"
 	"negfsim/internal/device"
+	"negfsim/internal/jobs"
 	"negfsim/internal/obs"
 	"negfsim/internal/serve"
 )
@@ -77,7 +78,7 @@ func newFront(t *testing.T, cfg Config) *Front {
 }
 
 // waitFrontState polls until the front job reaches want or the deadline.
-func waitFrontState(t *testing.T, f *Front, id string, want RunState, timeout time.Duration) *Status {
+func waitFrontState(t *testing.T, f *Front, id string, want RunState, timeout time.Duration) *jobs.Status {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -398,7 +399,7 @@ func TestDedupAndCache(t *testing.T) {
 
 	// Concurrent identical submissions from other tenants join, not re-run.
 	var wg sync.WaitGroup
-	joined := make([]*Status, 4)
+	joined := make([]*jobs.Status, 4)
 	for i := range joined {
 		wg.Add(1)
 		go func(i int) {
@@ -431,7 +432,7 @@ func TestDedupAndCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var workerJobs []serve.Status
+	var workerJobs []jobs.Status
 	if err := json.NewDecoder(resp.Body).Decode(&workerJobs); err != nil {
 		t.Fatal(err)
 	}
@@ -557,6 +558,55 @@ func TestWarmStart(t *testing.T) {
 		t.Errorf("front.warm_starts delta = %d, want 1", d)
 	}
 	t.Logf("cold %d iters, warm %d iters, obs diff %.3g", cold.Iterations, doc.Iterations, obsDiff(doc.Observables, cold.Obs))
+
+	// Over HTTP the warm job's status carries the worker's full field set
+	// on both roles; the front adds only its own fields.
+	var workerJobs []map[string]any
+	getJSON(t, worker.URL+"/v1/jobs", &workerJobs)
+	var workerDoc map[string]any
+	for _, j := range workerJobs {
+		if j["warm_start"] == true {
+			workerDoc = j
+		}
+	}
+	var frontDoc map[string]any
+	getJSON(t, api.URL+"/v1/jobs/"+st2.ID, &frontDoc)
+	want := []string{"id", "state", "queued", "started", "finished", "iterations", "converged", "warm_start"}
+	if len(workerDoc) != len(want) {
+		t.Errorf("worker status fields %v, want %v", workerDoc, want)
+	}
+	for _, k := range want {
+		if _, ok := workerDoc[k]; !ok {
+			t.Errorf("worker status lacks %q", k)
+		}
+		if _, ok := frontDoc[k]; !ok {
+			t.Errorf("front status lacks the worker's %q", k)
+		}
+	}
+	for _, k := range []string{"tenant", "source", "key", "worker", "warm_start_bias"} {
+		if _, ok := frontDoc[k]; !ok {
+			t.Errorf("front status lacks %q", k)
+		}
+	}
+	if len(frontDoc) != len(want)+5 {
+		t.Errorf("front status fields %v", frontDoc)
+	}
+}
+
+// getJSON decodes the 200 body of GET url into out.
+func getJSON(t *testing.T, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: HTTP %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestReroute: killing the worker mid-run evicts it and re-places the run on

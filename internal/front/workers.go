@@ -138,7 +138,7 @@ func (r *registry) evict(w *worker) bool {
 // failThreshold consecutive misses evict; one success revives. Probes use a
 // short per-request timeout so one hung worker never delays the sweep of the
 // others past interval + timeout.
-func (r *registry) healthLoop(ctx context.Context, client *http.Client, interval, timeout time.Duration) {
+func (r *registry) healthLoop(ctx context.Context, interval, timeout time.Duration) {
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for {
@@ -151,7 +151,7 @@ func (r *registry) healthLoop(ctx context.Context, client *http.Client, interval
 		ws := append([]*worker(nil), r.workers...)
 		r.mu.Unlock()
 		for _, w := range ws {
-			ok := probe(ctx, client, w.url, timeout)
+			ok := probe(ctx, w.url, timeout)
 			w.mu.Lock()
 			if ok {
 				w.fails = 0
@@ -174,14 +174,14 @@ func (r *registry) healthLoop(ctx context.Context, client *http.Client, interval
 const healthFailThreshold = 2
 
 // probe performs one bounded /healthz request.
-func probe(ctx context.Context, client *http.Client, url string, timeout time.Duration) bool {
+func probe(ctx context.Context, url string, timeout time.Duration) bool {
 	pctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, url+"/healthz", nil)
 	if err != nil {
 		return false
 	}
-	resp, err := client.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return false
 	}

@@ -68,6 +68,58 @@ type Snapshot struct {
 	Iters int
 }
 
+// Status is the one status document of a job, the body of
+// GET /v1/jobs/{id} on the worker and on the front. The worker fills the
+// lifecycle fields; the front fills the same ones from the shared run
+// behind a submission and adds its own, which a worker leaves empty and
+// the JSON omits — so the front's field set is a superset of the
+// worker's.
+type Status struct {
+	// ID identifies the job; State is its lifecycle phase.
+	ID    string `json:"id"`
+	State State  `json:"state"`
+	// Queued/Started/Finished are lifecycle timestamps (nil = not yet).
+	Queued   time.Time  `json:"queued"`
+	Started  *time.Time `json:"started,omitempty"`
+	Finished *time.Time `json:"finished,omitempty"`
+	// Iterations counts the Born iterations recorded so far.
+	Iterations int `json:"iterations"`
+	// Converged reports whether the run met its tolerance (terminal only).
+	Converged bool `json:"converged"`
+	// WarmStart reports whether the run was seeded with a Σ≷/Π≷
+	// checkpoint instead of starting the Born loop from zero self-energies.
+	WarmStart bool `json:"warm_start,omitempty"`
+	// Error carries the failure or cancellation message (terminal only).
+	Error string `json:"error,omitempty"`
+
+	// The front's fields. Tenant submitted the job; Source says how the
+	// submission resolved ("run", "joined" or "cache"); Key is the
+	// content address every deduplicated submission shares.
+	Tenant string `json:"tenant,omitempty"`
+	Source string `json:"source,omitempty"`
+	Key    string `json:"key,omitempty"`
+	// Worker is the backend executing (or last executing) the run.
+	Worker string `json:"worker,omitempty"`
+	// WarmStartBias is the bias of the run whose checkpoint seeded it.
+	WarmStartBias *float64 `json:"warm_start_bias,omitempty"`
+	// Reroutes counts worker deaths the run survived by re-placement.
+	Reroutes int `json:"reroutes,omitempty"`
+}
+
+// Status renders the snapshot as job id's status document, lifecycle
+// fields only.
+func (s Snapshot) Status(id string) Status {
+	return Status{
+		ID:         id,
+		State:      s.State,
+		Queued:     s.Queued,
+		Started:    s.Started,
+		Finished:   s.Finished,
+		Iterations: s.Iters,
+		Error:      s.Err,
+	}
+}
+
 // Begin initialises the record as Queued and stamps the submission time.
 func (r *Record[T]) Begin() {
 	r.cond.L = &r.Mutex

@@ -14,11 +14,12 @@ import (
 
 	"negfsim/internal/core"
 	"negfsim/internal/device"
+	"negfsim/internal/jobs"
 )
 
 // postConfig submits a RunConfig through the HTTP API and decodes the
 // response envelope.
-func postConfig(t *testing.T, ts *httptest.Server, cfg core.RunConfig) (*http.Response, Status) {
+func postConfig(t *testing.T, ts *httptest.Server, cfg core.RunConfig) (*http.Response, jobs.Status) {
 	t.Helper()
 	raw, err := cfg.Marshal()
 	if err != nil {
@@ -29,7 +30,7 @@ func postConfig(t *testing.T, ts *httptest.Server, cfg core.RunConfig) (*http.Re
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st Status
+	var st jobs.Status
 	if resp.StatusCode == http.StatusAccepted {
 		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 			t.Fatal(err)
@@ -106,7 +107,7 @@ func TestHTTPLifecycle(t *testing.T) {
 		}
 	}
 
-	var final Status
+	var final jobs.Status
 	if code := getJSON(t, base, &final); code != http.StatusOK {
 		t.Fatalf("status: %d", code)
 	}
@@ -139,7 +140,7 @@ func TestHTTPLifecycle(t *testing.T) {
 		t.Errorf("checkpoint records %d iterations, run had %d", ck.Iterations, len(recs))
 	}
 
-	var listing []Status
+	var listing []jobs.Status
 	if code := getJSON(t, ts.URL+"/v1/jobs", &listing); code != http.StatusOK || len(listing) != 1 {
 		t.Fatalf("list: code %d, %d jobs", code, len(listing))
 	}
@@ -228,7 +229,7 @@ func TestHTTPCancelAndErrors(t *testing.T) {
 	}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		var st Status
+		var st jobs.Status
 		getJSON(t, ts.URL+"/v1/jobs/"+running.ID, &st)
 		if st.State == Cancelled {
 			break
@@ -316,7 +317,7 @@ func TestHTTPWarmStartEnvelope(t *testing.T) {
 		t.Fatalf("checkpoint fetch: %d, %v", ckResp.StatusCode, err)
 	}
 
-	postEnvelope := func(cfg core.RunConfig, ck []byte) (*http.Response, Status) {
+	postEnvelope := func(cfg core.RunConfig, ck []byte) (*http.Response, jobs.Status) {
 		t.Helper()
 		cfgRaw, err := json.Marshal(cfg)
 		if err != nil {
@@ -331,7 +332,7 @@ func TestHTTPWarmStartEnvelope(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var est Status
+		var est jobs.Status
 		if resp.StatusCode == http.StatusAccepted {
 			if err := json.NewDecoder(resp.Body).Decode(&est); err != nil {
 				t.Fatal(err)

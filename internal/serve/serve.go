@@ -147,39 +147,11 @@ type Job struct {
 // ID returns the job's identifier.
 func (j *Job) ID() string { return j.id }
 
-// Status is a point-in-time public snapshot of a job.
-type Status struct {
-	// ID identifies the job; State is its lifecycle phase.
-	ID    string   `json:"id"`
-	State JobState `json:"state"`
-	// Queued/Started/Finished are lifecycle timestamps (zero = not yet).
-	Queued   time.Time  `json:"queued"`
-	Started  *time.Time `json:"started,omitempty"`
-	Finished *time.Time `json:"finished,omitempty"`
-	// Iterations counts the Born iterations recorded so far.
-	Iterations int `json:"iterations"`
-	// Converged reports whether the run met its tolerance (terminal only).
-	Converged bool `json:"converged"`
-	// WarmStart reports whether the job was seeded with a Σ≷/Π≷ checkpoint
-	// instead of starting the Born loop from zero self-energies.
-	WarmStart bool `json:"warm_start,omitempty"`
-	// Error carries the failure or cancellation message (terminal only).
-	Error string `json:"error,omitempty"`
-}
-
-// Status returns the job's current snapshot.
-func (j *Job) Status() Status {
+// Status returns the job's current status document.
+func (j *Job) Status() jobs.Status {
 	s := j.Snapshot()
-	st := Status{
-		ID:         j.id,
-		State:      s.State,
-		Queued:     s.Queued,
-		Started:    s.Started,
-		Finished:   s.Finished,
-		Iterations: s.Iters,
-		WarmStart:  j.ck != nil,
-		Error:      s.Err,
-	}
+	st := s.Status(j.id)
+	st.WarmStart = j.ck != nil
 	if s.State == Succeeded {
 		st.Converged = j.out.Result.Converged
 	}
@@ -286,7 +258,7 @@ func (s *Scheduler) SubmitFrom(cfg core.RunConfig, ck *core.Checkpoint) (*Job, e
 		return nil, err
 	}
 	if ck != nil {
-		if cfg.Dist != "" || cfg.Space >= 2 || cfg.Gate != nil {
+		if !cfg.PlainSerial() {
 			return nil, errors.New("serve: warm start applies to plain serial runs only (no dist, no space, no gate)")
 		}
 		if err := ck.Compatible(cfg.Device); err != nil {
