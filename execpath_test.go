@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"maps"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -198,9 +199,15 @@ func isSyncCond(e ast.Expr) bool {
 // the dense oracle.
 var inverseHomes = map[string]bool{"forwardGL": true, "surfaceGFInto": true, "DenseReference": true}
 
+// sweepCallers are the only internal/rgf functions that run the one backward
+// sweep: the retarded solve, the exported Keldysh solve and the point solve,
+// which carries G^< and G^> through one sweep.
+var sweepCallers = map[string]bool{"SolveRetarded": true, "SolveKeldysh": true, "solveOpen": true}
+
 // TestOneRGFElimination keeps internal/rgf on one open-system point solve and
 // one elimination: in its non-test files BoundarySelfEnergies is called
-// exactly once, SolveKeldysh from exactly one function, and
+// exactly once, the backward sweep is reached from exactly the sweepCallers
+// and SolveKeldysh from none (so no solve runs two Keldysh sweeps), and
 // cmat.Inverse/InverseInto appear in exactly the inverseHomes.
 func TestOneRGFElimination(t *testing.T) {
 	files, err := filepath.Glob("internal/rgf/*.go")
@@ -209,6 +216,7 @@ func TestOneRGFElimination(t *testing.T) {
 	}
 	boundaryCalls := 0
 	keldyshCallers := map[string]bool{}
+	sweepers := map[string]bool{}
 	inverters := map[string]bool{}
 	fset := token.NewFileSet()
 	for _, path := range files {
@@ -233,8 +241,11 @@ func TestOneRGFElimination(t *testing.T) {
 							boundaryCalls++
 						}
 					case *ast.SelectorExpr:
-						if callee.Sel.Name == "SolveKeldysh" {
+						switch callee.Sel.Name {
+						case "SolveKeldysh":
 							keldyshCallers[fn.Name.Name] = true
+						case "sweep":
+							sweepers[fn.Name.Name] = true
 						}
 					}
 				case *ast.SelectorExpr:
@@ -253,8 +264,11 @@ func TestOneRGFElimination(t *testing.T) {
 	if boundaryCalls != 1 {
 		t.Errorf("internal/rgf calls BoundarySelfEnergies %d times, want once (in the shared point solve)", boundaryCalls)
 	}
-	if len(keldyshCallers) != 1 {
-		t.Errorf("SolveKeldysh is called from %d functions %v, want exactly one", len(keldyshCallers), keldyshCallers)
+	if len(keldyshCallers) != 0 {
+		t.Errorf("SolveKeldysh is called from %v; take G^< and G^> from one sweep instead", keldyshCallers)
+	}
+	if !maps.Equal(sweepers, sweepCallers) {
+		t.Errorf("the backward sweep is reached from %v, want exactly %v", sweepers, sweepCallers)
 	}
 	for home := range inverseHomes {
 		if !inverters[home] {

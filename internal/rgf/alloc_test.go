@@ -11,7 +11,7 @@ import (
 
 // TestAllocsSolveElectronSteadyState proves the arena pays off at the solver
 // level: once the workspace arena is warm, one full per-energy RGF chain
-// (operator assembly, boundary self-energies, retarded + two Keldysh sweeps,
+// (operator assembly, boundary self-energies, one RGF sweep for G^R/G^≷,
 // observables) performs only a small constant number of heap allocations —
 // the result headers and block-pointer slices — independent of the matrix
 // work, provided the caller releases the result back to the arena.
@@ -56,5 +56,51 @@ func TestAllocsSolvePhononSteadyState(t *testing.T) {
 	avg := testing.AllocsPerRun(20, run)
 	if avg > 40 {
 		t.Fatalf("SolvePhonon steady state allocates %.1f/run, want bounded small constant", avg)
+	}
+}
+
+// filledBoundaryAllocs is the steady-state allocation count of one Mini
+// point solve with a filled Boundary, as every Born iteration after the first
+// runs it: the result and block-pointer slices of one RGF sweep. Separate
+// retarded and Keldysh sweeps took 17 for both the electron and the phonon
+// point.
+const filledBoundaryAllocs = 12
+
+// TestAllocsSolveElectronFilledBoundary pins filledBoundaryAllocs for the
+// electron point.
+func TestAllocsSolveElectronFilledBoundary(t *testing.T) {
+	d := miniDevice(t)
+	h, s := d.Hamiltonian(0), d.Overlap(0)
+	scat := Scattering{Bound: &Boundary{}}
+	c := Contacts{MuL: 0.2, MuR: -0.2, KT: 0.025}
+	run := func() {
+		res, err := SolveElectron(h, s, 0.05, scat, c, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+	}
+	run() // fills the boundary slot and warms the arena
+	if avg := testing.AllocsPerRun(20, run); avg > filledBoundaryAllocs {
+		t.Fatalf("SolveElectron with a filled Boundary allocates %.1f/run, want ≤ %d", avg, filledBoundaryAllocs)
+	}
+}
+
+// TestAllocsSolvePhononFilledBoundary is the phonon-side twin.
+func TestAllocsSolvePhononFilledBoundary(t *testing.T) {
+	d := miniDevice(t)
+	phi := d.Dynamical(0)
+	scat := PhononScattering{Bound: &Boundary{}}
+	c := PhononContacts{KTL: 0.026, KTR: 0.024}
+	run := func() {
+		res, err := SolvePhonon(phi, 0.05, scat, c, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+	}
+	run()
+	if avg := testing.AllocsPerRun(20, run); avg > filledBoundaryAllocs {
+		t.Fatalf("SolvePhonon with a filled Boundary allocates %.1f/run, want ≤ %d", avg, filledBoundaryAllocs)
 	}
 }

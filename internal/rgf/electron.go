@@ -129,8 +129,8 @@ func (r *ElectronResult) Release() {
 }
 
 // SolveElectron solves one (E, kz) point of Eq. (1): boundary self-energies
-// by Sancho-Rubio on the pristine operator, then the retarded and Keldysh
-// RGF passes with the supplied scattering self-energies.
+// by Sancho-Rubio on the pristine operator, then one RGF sweep for G^R, G^<
+// and G^> with the supplied scattering self-energies.
 //
 // The whole solve runs on workspace-arena buffers: the device operator is
 // assembled once into a pooled block-tridiagonal matrix and mutated in place
@@ -144,7 +144,7 @@ func SolveElectron(h, s *cmat.BlockTri, energy float64, scat Scattering, c Conta
 // SolveElectronSpatial is SolveElectron with the retarded solve partitioned
 // across the ranks of a cluster (DistributedRetarded): every rank assembles
 // the identical operator and participates in the spatial exchange. Ranks
-// with closure=true then run the Keldysh pass, currents and dissipation on
+// with closure=true then run the Keldysh sweep, currents and dissipation on
 // the replicated diagonal and return the full result; the others return
 // (nil, nil) once the collective solve is done. Exactly the closure ranks
 // get a result, so a caller accumulating observables must pick closure
@@ -197,17 +197,18 @@ func solveElectron(rank *comm.Rank, closure bool, h, s *cmat.BlockTri, energy fl
 // electron and phonon alike. On the pristine operator a (mutated in place) it
 // takes the boundary self-energies Σ_L/Σ_R (reused from a filled scat.Bound,
 // else computed) and their broadenings Γ, folds Σ_L, Σ_R and scat.R into a,
-// runs the retarded pass, and runs both Keldysh passes with the contact
-// blocks Σ^< = i·occ·Γ and Σ^> = i·(occ−1)·Γ. occ is
+// and runs one sweep for G^R, G^< and G^> with the contact blocks
+// Σ^< = i·occ·Γ and Σ^> = i·(occ−1)·Γ. occ is
 // the Fermi occupation for electrons and −N for phonons, where the same two
 // lines give Π^< = −i·N·Γ and Π^> = −i·(N+1)·Γ exactly (IEEE negation is
 // exact). CurrentL/CurrentR receive the contact trace terms
 // Tr[Σ^<_c·G^> − Σ^>_c·G^<]; DissipationPerBlock is left to the caller.
 //
-// With rank nil the retarded pass is SolveRetarded. Otherwise it is the
-// collective DistributedRetarded, after which closure ranks rebuild gL
-// locally and continue, and the other ranks return (nil, nil). A non-nil
-// trans receives the Caroli transmission of the same retarded solve.
+// With rank nil the sweep builds G^R too. Otherwise G^R is the collective
+// DistributedRetarded's, after which closure ranks rebuild gL locally and
+// sweep the two Keldysh sets on the known diagonal, and the other ranks
+// return (nil, nil). A non-nil trans receives the Caroli transmission of
+// the same retarded solve.
 func solveOpen(rank *comm.Rank, closure bool, a *cmat.BlockTri, scat Scattering, occL, occR float64, trans *float64) (*ElectronResult, error) {
 	n, bs := a.N, a.Bs
 	if rank != nil && scat.Bound != nil && scat.Bound.SigL == nil {
@@ -236,21 +237,19 @@ func solveOpen(rank *comm.Rank, closure bool, a *cmat.BlockTri, scat Scattering,
 		}
 	}
 
-	var ret *Retarded
-	if rank == nil {
-		ret, err = SolveRetarded(a)
-	} else if diag, derr := DistributedRetarded(rank, a); derr != nil || !closure {
-		return nil, derr
-	} else {
-		// The diagonal is replicated on every rank; the Keldysh pass needs
-		// the left-connected gL too.
-		var gl []*cmat.Dense
-		gl, err = forwardGL(a)
-		ret = &Retarded{Diag: diag, gL: gl, a: a}
+	var diag []*cmat.Dense
+	if rank != nil {
+		// The collective solve replicates the diagonal on every rank; the
+		// closure ranks go on to the Keldysh sets on it.
+		if diag, err = DistributedRetarded(rank, a); err != nil || !closure {
+			return nil, err
+		}
 	}
+	gl, err := forwardGL(a)
 	if err != nil {
 		return nil, err
 	}
+	ret := &Retarded{Diag: diag, gL: gl, a: a}
 
 	less := make([]*cmat.Dense, n)
 	gtr := make([]*cmat.Dense, n)
@@ -269,15 +268,14 @@ func solveOpen(rank *comm.Rank, closure bool, a *cmat.BlockTri, scat Scattering,
 	less[n-1].AddScaledInPlace(complex(0, occR), gamR)
 	gtr[n-1].AddScaledInPlace(complex(0, occR-1), gamR)
 
-	res := &ElectronResult{GR: ret.Diag}
-	res.GLess = ret.SolveKeldysh(less)
-	res.GGtr = ret.SolveKeldysh(gtr)
+	g := ret.sweep(less, gtr)
+	cmat.PutAll(less...)
+	cmat.PutAll(gtr...)
+	res := &ElectronResult{GR: ret.Diag, GLess: g[:n:n], GGtr: g[n:]}
 	if trans != nil {
 		*trans = ret.Transmission(gamL, gamR)
 	}
 	ret.releaseGL()
-	cmat.PutAll(less...)
-	cmat.PutAll(gtr...)
 
 	// Contact trace terms via O(bs²) trace products.
 	tL := gamL.TraceMul(res.GGtr[0])
@@ -287,21 +285,4 @@ func solveOpen(rank *comm.Rank, closure bool, a *cmat.BlockTri, scat Scattering,
 	uR := gamR.TraceMul(res.GLess[n-1])
 	res.CurrentR = real(complex(0, occR)*tR - complex(0, occR-1)*uR)
 	return res, nil
-}
-
-// SpectralPerAtom returns −Im diag(G^R)/π aggregated per atom (local density
-// of states), given the per-block diagonal G^R and orbitals per atom.
-func SpectralPerAtom(gr []*cmat.Dense, norb int) []float64 {
-	var out []float64
-	for _, g := range gr {
-		atoms := g.Rows / norb
-		for a := 0; a < atoms; a++ {
-			var s float64
-			for o := 0; o < norb; o++ {
-				s -= imag(g.At(a*norb+o, a*norb+o))
-			}
-			out = append(out, s/3.141592653589793)
-		}
-	}
-	return out
 }

@@ -22,32 +22,16 @@ type Retarded struct {
 //	forward:  gL[0] = A[0,0]⁻¹,  gL[n] = (A[n,n] − A[n,n−1]·gL[n−1]·A[n−1,n])⁻¹
 //	backward: G[N−1] = gL[N−1], G[n] = gL[n] + gL[n]·A[n,n+1]·G[n+1]·A[n+1,n]·gL[n]
 //
-// All result and intermediate blocks come from the workspace arena; call
-// Release (or keep the blocks and let the GC take them) when done.
+// The backward half is sweep with no Keldysh sets. All result and
+// intermediate blocks come from the workspace arena; call Release (or keep
+// the blocks and let the GC take them) when done.
 func SolveRetarded(a *cmat.BlockTri) (*Retarded, error) {
-	n, bs := a.N, a.Bs
 	gl, err := forwardGL(a)
 	if err != nil {
 		return nil, err
 	}
-	r := &Retarded{Diag: make([]*cmat.Dense, n), gL: gl, a: a}
-	t1 := cmat.GetDense(bs, bs)
-	t2 := cmat.GetDense(bs, bs)
-	// Diag[n−1] is a pooled copy (not an alias of gL[n−1]) so Release can
-	// blanket-return every block exactly once.
-	last := cmat.GetDense(bs, bs)
-	last.CopyFrom(r.gL[n-1])
-	r.Diag[n-1] = last
-	for i := n - 2; i >= 0; i-- {
-		r.gL[i].MulInto(t1, a.Upper[i])
-		t1.MulInto(t2, r.Diag[i+1])
-		t2.MulInto(t1, a.Lower[i])
-		d := cmat.GetDense(bs, bs)
-		d.CopyFrom(r.gL[i])
-		t1.MulAddInto(d, r.gL[i])
-		r.Diag[i] = d
-	}
-	cmat.PutAll(t1, t2)
+	r := &Retarded{gL: gl, a: a}
+	r.sweep()
 	return r, nil
 }
 
@@ -116,90 +100,120 @@ func (r *Retarded) OffDiagUpper(n int) *cmat.Dense {
 	return r.gL[n].Mul(r.a.Upper[n]).Mul(r.Diag[n+1]).Scale(-1)
 }
 
-// SolveKeldysh computes the diagonal blocks of G^≷ = G^R·Σ^≷·G^A for a
-// block-diagonal Σ^≷ (per-RGF-block matrices; contact Σ^≷ is folded into the
-// corner blocks by the caller). The recursion is
+// SolveKeldysh computes the diagonal blocks of G^≷ = G^R·Σ^≷·G^A on the
+// known G^R of r, for a block-diagonal Σ^≷ (per-RGF-block matrices; contact
+// Σ^≷ is folded into the corner blocks by the caller). It is sweep with one
+// Keldysh set; the recursion is
 //
 //	g<L[0] = gL[0]·Σ[0]·gL[0]^H
 //	g<L[n] = gL[n]·(Σ[n] + A[n,n−1]·g<L[n−1]·A[n,n−1]^H)·gL[n]^H
 //	G<[N−1] = g<L[N−1]
 //	G<[n] = g<L[n] + gL[n]·A[n,n+1]·G<[n+1]·A[n,n+1]^H·gL[n]^H
 //	        + M·g<L[n] + g<L[n]·M^H,   M = gL[n]·A[n,n+1]·G^R[n+1]·A[n+1,n]
+//
+// The point solves take G^< and G^> from one sweep instead of two calls.
 func (r *Retarded) SolveKeldysh(sigma []*cmat.Dense) []*cmat.Dense {
 	n := r.a.N
 	if len(sigma) != n {
 		panic(fmt.Sprintf("rgf: SolveKeldysh got %d self-energy blocks for %d RGF blocks", len(sigma), n))
 	}
+	return r.sweep(sigma)
+}
+
+// sweep is the package's one backward recursion, behind SolveRetarded (no
+// Keldysh sets), SolveKeldysh (one) and solveOpen (G^< and G^>, the most it
+// carries). A Retarded without a diagonal gets G^R from the sweep itself;
+// one with Diag set keeps it. Each set is a block-diagonal Σ^≷ whose forward
+// recursion runs in one loop with the other's, sharing gL[i]^H and A^H. The
+// backward walk forms u = gL[i]·A[i,i+1], p = u·G^R[i+1] and M = p·A[i+1,i]
+// once per block and feeds them to G^R[i] = gL[i] + M·gL[i] and to every
+// set. Each product has the operands and order of a separate solve's, so the
+// bits are the same. It returns the sets' G^≷ diagonals one after the other.
+func (r *Retarded) sweep(sets ...[]*cmat.Dense) []*cmat.Dense {
 	a := r.a
-	bs := a.Bs
-	gLess := make([]*cmat.Dense, n)
-	lLess := make([]*cmat.Dense, n)
-	t1 := cmat.GetDense(bs, bs)
-	t2 := cmat.GetDense(bs, bs)
-	t3 := cmat.GetDense(bs, bs)
-	h := cmat.GetDense(bs, bs) // conjugate-transpose scratch
-	r.gL[0].MulInto(t1, sigma[0])
-	r.gL[0].ConjTransposeInto(h)
-	l0 := cmat.GetDense(bs, bs)
-	t1.MulInto(l0, h)
-	lLess[0] = l0
-	for i := 1; i < n; i++ {
-		// inner = Σ[i] + A[i,i−1]·l<[i−1]·A[i,i−1]^H
-		a.Lower[i-1].MulInto(t1, lLess[i-1])
-		a.Lower[i-1].ConjTransposeInto(h)
-		t1.MulInto(t2, h)
-		t2.AddInPlace(sigma[i])
-		r.gL[i].MulInto(t1, t2)
+	n, bs, k := a.N, a.Bs, len(sets)
+	// g[s*n+i] is set s's left-connected g≷L[i] after the forward loop. The
+	// backward walk replaces it by G≷[i] and returns it to the arena; G≷[n−1]
+	// is g≷L[n−1] as it stands.
+	g := make([]*cmat.Dense, k*n)
+	t1, t2 := cmat.GetDense(bs, bs), cmat.GetDense(bs, bs)
+	h, ah := cmat.GetDense(bs, bs), cmat.GetDense(bs, bs) // gL[i]^H, a coupling block's A^H
+	for i := 0; i < n && k > 0; i++ {
 		r.gL[i].ConjTransposeInto(h)
-		li := cmat.GetDense(bs, bs)
-		t1.MulInto(li, h)
-		lLess[i] = li
+		if i > 0 {
+			a.Lower[i-1].ConjTransposeInto(ah)
+		}
+		for s, sigma := range sets {
+			inner := sigma[i]
+			if i > 0 {
+				// inner = Σ[i] + A[i,i−1]·g≷L[i−1]·A[i,i−1]^H
+				a.Lower[i-1].MulInto(t1, g[s*n+i-1])
+				t1.MulInto(t2, ah)
+				t2.AddInPlace(sigma[i])
+				inner = t2
+			}
+			r.gL[i].MulInto(t1, inner)
+			g[s*n+i] = cmat.GetDense(bs, bs)
+			t1.MulInto(g[s*n+i], h)
+		}
 	}
-	// gLess[n−1] is a pooled copy, so the lLess blocks can be returned
-	// wholesale below without aliasing the result.
-	gN := cmat.GetDense(bs, bs)
-	gN.CopyFrom(lLess[n-1])
-	gLess[n-1] = gN
-	u := cmat.GetDense(bs, bs)
-	p1 := cmat.GetDense(bs, bs)
-	p2 := cmat.GetDense(bs, bs)
-	m := cmat.GetDense(bs, bs)
-	var batch [2]cmat.Triple
+
+	retarded := r.Diag == nil
+	if retarded { // Diag[n−1] copies gL[n−1] so Release returns each block once
+		r.Diag = make([]*cmat.Dense, n)
+		r.Diag[n-1] = cmat.GetDense(bs, bs)
+		r.Diag[n-1].CopyFrom(r.gL[n-1])
+	}
+	u, p, m, mh := t1, t2, cmat.GetDense(bs, bs), cmat.GetDense(bs, bs)
+	y, z := cmat.GetDense(bs, bs), cmat.GetDense(bs, bs)
+	x := [2]*cmat.Dense{cmat.GetDense(bs, bs), cmat.GetDense(bs, bs)} // u·G≷[i+1] per set
+	var batch [3]cmat.Triple
 	for i := n - 2; i >= 0; i-- {
 		gli := r.gL[i]
-		gli.ConjTransposeInto(h)
-		// u = gL[i]·A[i,i+1]; the two products against G<[i+1] and G^R[i+1]
-		// share u and are independent — one batched dispatch.
+		// u's products against G^R[i+1] and every G≷[i+1] are independent:
+		// one batch.
 		gli.MulInto(u, a.Upper[i])
-		p1.Zero()
-		p2.Zero()
-		batch[0] = cmat.Triple{Out: p1, A: u, B: gLess[i+1]}
-		batch[1] = cmat.Triple{Out: p2, A: u, B: r.Diag[i+1]}
-		cmat.BatchMulAddInto(batch[:])
-		// t1 = p1·A[i,i+1]^H·gL[i]^H
-		a.Upper[i].ConjTransposeInto(t3)
-		p1.MulInto(t2, t3)
-		t2.MulInto(t1, h)
-		// m = p2·A[i+1,i]
-		p2.MulInto(m, a.Lower[i])
-		// g = l<[i] + t1 + m·l<[i] + l<[i]·m^H; the two correction products
-		// write disjoint accumulators, so batch them too.
-		g := cmat.GetDense(bs, bs)
-		g.CopyFrom(lLess[i])
-		g.AddInPlace(t1)
-		t2.Zero()
-		t3.Zero()
-		batch[0] = cmat.Triple{Out: t2, A: m, B: lLess[i]}
-		m.ConjTransposeInto(h)
-		batch[1] = cmat.Triple{Out: t3, A: lLess[i], B: h}
-		cmat.BatchMulAddInto(batch[:])
-		g.AddInPlace(t2)
-		g.AddInPlace(t3)
-		gLess[i] = g
+		p.Zero()
+		batch[0] = cmat.Triple{Out: p, A: u, B: r.Diag[i+1]}
+		for s := 0; s < k; s++ {
+			x[s].Zero()
+			batch[1+s] = cmat.Triple{Out: x[s], A: u, B: g[s*n+i+1]}
+		}
+		cmat.BatchMulAddInto(batch[:1+k])
+		p.MulInto(m, a.Lower[i])
+		if retarded {
+			r.Diag[i] = cmat.GetDense(bs, bs)
+			r.Diag[i].CopyFrom(gli)
+			m.MulAddInto(r.Diag[i], gli)
+		}
+		if k == 0 {
+			continue
+		}
+		gli.ConjTransposeInto(h)
+		a.Upper[i].ConjTransposeInto(ah)
+		m.ConjTransposeInto(mh)
+		for s := 0; s < k; s++ {
+			// G≷[i] = g≷L[i] + x·A[i,i+1]^H·gL[i]^H + M·g≷L[i] + g≷L[i]·M^H;
+			// the two corrections write disjoint accumulators: one batch.
+			li := g[s*n+i]
+			x[s].MulInto(y, ah)
+			y.MulInto(x[s], h)
+			y.Zero()
+			z.Zero()
+			batch[0] = cmat.Triple{Out: y, A: m, B: li}
+			batch[1] = cmat.Triple{Out: z, A: li, B: mh}
+			cmat.BatchMulAddInto(batch[:2])
+			gi := cmat.GetDense(bs, bs)
+			gi.CopyFrom(li)
+			gi.AddInPlace(x[s])
+			gi.AddInPlace(y)
+			gi.AddInPlace(z)
+			cmat.PutDense(li)
+			g[s*n+i] = gi
+		}
 	}
-	cmat.PutAll(t1, t2, t3, h, u, p1, p2, m)
-	cmat.PutAll(lLess...)
-	return gLess
+	cmat.PutAll(t1, t2, h, ah, m, mh, y, z, x[0], x[1])
+	return g
 }
 
 // DenseReference solves the same system by full dense inversion; used by

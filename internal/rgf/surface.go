@@ -1,14 +1,15 @@
 // Package rgf implements the recursive Green's function algorithm of
-// Svizhenko et al. used by the GF phase of the paper (§2): a forward and a
-// backward pass over the bnum blocks of the block-tridiagonal system
+// Svizhenko et al. used by the GF phase of the paper (§2): one forward and
+// one backward sweep over the bnum blocks of the block-tridiagonal system
 //
 //	(E·S(kz) − H(kz) − Σ^R(E,kz)) · G^R = I,
 //	G^≷ = G^R · Σ^≷ · G^A,
 //
-// together with open-boundary self-energies computed by Sancho-Rubio
-// decimation (the numerical stand-in for OMEN's contour-integral boundary
-// solver — both produce the contact self-energy Σ^RB; see DESIGN.md), and
-// the analogous phonon system (ω²·I − Φ(qz) − Π^R)·D^R = I.
+// giving G^R, G^< and G^> of a grid point together, with open-boundary
+// self-energies computed by Sancho-Rubio decimation (the numerical stand-in
+// for OMEN's contour-integral boundary solver — both produce the contact
+// self-energy Σ^RB; see DESIGN.md), and the analogous phonon system
+// (ω²·I − Φ(qz) − Π^R)·D^R = I.
 package rgf
 
 import (
