@@ -7,6 +7,7 @@ import (
 	"os"
 
 	"negfsim/internal/campaign"
+	"negfsim/internal/jobs"
 	"negfsim/internal/serve"
 )
 
@@ -55,7 +56,7 @@ func runCampaign(path, out string) error {
 			fmt.Printf("  point %d: bias %+.4f  %s  %s\n", i, p.Bias, p.State, p.Error)
 		}
 	}
-	if state != campaign.StateSucceeded {
+	if state != jobs.Succeeded {
 		return fmt.Errorf("campaign %s: %s", state, st.Error)
 	}
 

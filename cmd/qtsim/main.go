@@ -228,27 +228,31 @@ func main() {
 	if faultPlan != nil {
 		exchanged += " (includes the collective the fault aborted; varies from run to run)"
 	}
-	switch a := res.Adapt; {
-	case a != nil:
-		fmt.Printf("\nadaptive grid: %d/%d energy points after %d rounds (%s), %d refined, %d coarsened\n",
-			a.PointsActive, a.PointsFine, a.Rounds, a.Reason, a.Refined, a.Coarsened)
-		fmt.Printf("RGF solves: %d of %d uniform-grid equivalent (%.0f%% saved)",
+	// One summary line per choice that is on, after one blank line.
+	sep := "\n"
+	summary := func(format string, args ...any) {
+		fmt.Printf(sep+format+"\n", args...)
+		sep = ""
+	}
+	if a := res.Adapt; a != nil {
+		solves := fmt.Sprintf("RGF solves: %d of %d uniform-grid equivalent (%.0f%% saved)",
 			a.Solves, a.UniformSolves, 100*(1-float64(a.Solves)/float64(a.UniformSolves)))
 		if a.SigmaSeeded > 0 {
-			fmt.Printf(", %d points Σ-seeded", a.SigmaSeeded)
+			solves += fmt.Sprintf(", %d points Σ-seeded", a.SigmaSeeded)
 		}
-		fmt.Println()
-		if distributed {
-			fmt.Printf("distributed rounds: %s\n", exchanged)
-		}
-	case distCfg.TE > 0:
-		fmt.Printf("\ndistributed SSE on %dx%d ranks: %s, %s\n", distCfg.TE, distCfg.TA, exchanged, recoveries)
-	case distributed:
-		fmt.Printf("\nspatially partitioned GF on %d ranks: %s, %s\n", distCfg.Space, exchanged, recoveries)
-	case cfg.Gate != nil:
-		fmt.Printf("\nGummel: %d outer iterations (converged: %v)\n", out.GummelOuter, out.GummelConverged)
+		summary("adaptive grid: %d/%d energy points after %d rounds (%s), %d refined, %d coarsened\n%s",
+			a.PointsActive, a.PointsFine, a.Rounds, a.Reason, a.Refined, a.Coarsened, solves)
 	}
-	if *checkpoint != "" && !distributed && cfg.Gate == nil {
+	if distCfg.TE > 0 {
+		summary("distributed SSE on %dx%d ranks: %s, %s", distCfg.TE, distCfg.TA, exchanged, recoveries)
+	}
+	if distCfg.Space >= 2 {
+		summary("spatially partitioned GF on %d ranks: %s, %s", distCfg.Space, exchanged, recoveries)
+	}
+	if cfg.Gate != nil {
+		summary("Gummel: %d outer iterations (converged: %v)", out.GummelOuter, out.GummelConverged)
+	}
+	if *checkpoint != "" && !distributed {
 		if err := core.CheckpointOf(cfg.Device, res).SaveFile(*checkpoint); err != nil {
 			log.Fatal(err)
 		}

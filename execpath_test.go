@@ -8,6 +8,7 @@ import (
 	"io/fs"
 	"maps"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -92,8 +93,10 @@ var lifecycleHelpers = map[string]bool{"writeJSON": true, "writeError": true, "w
 // no waiting of its own (no loop, no cond wait — a forwarder to a jobs
 // record is fine); context.AfterFunc is not called; no string constant
 // spells the lifecycle state "succeeded"; the only struct holding a
-// sync.Cond is serve's Scheduler (its run queue, not a job); and serve,
-// front and campaign each keep their jobs in a jobs.Store.
+// sync.Cond is serve's Scheduler (its run queue, not a job); serve, front
+// and campaign each keep their jobs in a jobs.Store; and no package-level
+// declaration aliases jobs.State or re-exports one of its constants — the
+// tiers speak jobs.State directly.
 func TestOneJobLifecycle(t *testing.T) {
 	stores := map[string]int{}
 	fset := token.NewFileSet()
@@ -108,6 +111,26 @@ func TestOneJobLifecycle(t *testing.T) {
 		f, err := parser.ParseFile(fset, path, nil, 0)
 		if err != nil {
 			return err
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				switch v := spec.(type) {
+				case *ast.TypeSpec:
+					if isJobsSelector(v.Type, "State") {
+						t.Errorf("%s: %s re-declares jobs.State — use jobs.State", fset.Position(v.Pos()), v.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, val := range v.Values {
+						if isJobsSelector(val, "Queued", "Running", "Succeeded", "Failed", "Cancelled") {
+							t.Errorf("%s: re-exports %s — use the jobs constant", fset.Position(val.Pos()), types.ExprString(val))
+						}
+					}
+				}
+			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch v := n.(type) {
@@ -159,6 +182,80 @@ func TestOneJobLifecycle(t *testing.T) {
 	for _, tier := range []string{"internal/serve", "internal/front", "internal/campaign"} {
 		if stores[tier] != 1 {
 			t.Errorf("%s calls jobs.NewStore %d times, want once", tier, stores[tier])
+		}
+	}
+}
+
+// isJobsSelector reports whether e is jobs.<name> for one of names.
+func isJobsSelector(e ast.Expr, names ...string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	x, ok := sel.X.(*ast.Ident)
+	return ok && x.Name == "jobs" && slices.Contains(names, sel.Sel.Name)
+}
+
+// placementFields are the run document's placement and outer-loop
+// sections. documentMethods are the core.RunConfig methods a service tier
+// may call: they treat the document whole. Every other exported RunConfig
+// method reads a placement or the grid policy.
+var (
+	placementFields = map[string]bool{"Dist": true, "Space": true, "Gate": true}
+	documentMethods = map[string]bool{
+		"Validate": true, "CheckSeed": true, "Canonical": true, "Marshal": true,
+		"Options": true, "NewSimulator": true, "NewSimulatorWith": true, "SSEVariant": true,
+	}
+)
+
+// TestCompositionPolicyInCore keeps the composition policy — which choices
+// a run may combine, and what a seed may seed — in internal/core: the
+// non-test files of the service tiers (serve, front, campaign) neither read
+// a run document's Dist, Space or Gate field nor call an exported
+// core.RunConfig method outside documentMethods. They hand the document to
+// core (Validate, CheckSeed, Execute) as it is.
+func TestCompositionPolicyInCore(t *testing.T) {
+	predicates := map[string]bool{}
+	tiers := map[string]bool{"internal/serve": true, "internal/front": true, "internal/campaign": true}
+	files := map[string][]*ast.File{}
+	fset := token.NewFileSet()
+	eachNonTestFile(t, fset, nil, func(dir string, f *ast.File) {
+		files[dir] = append(files[dir], f)
+	})
+	for _, f := range files["internal/core"] {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || !fd.Name.IsExported() || documentMethods[fd.Name.Name] {
+				continue
+			}
+			recv := fd.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if types.ExprString(recv) == "RunConfig" {
+				predicates[fd.Name.Name] = true
+			}
+		}
+	}
+	if !predicates["DistConfig"] {
+		t.Fatalf("found no placement predicate on core.RunConfig (got %v) — update the test", predicates)
+	}
+	for dir := range tiers {
+		for _, f := range files[dir] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "core" {
+					return true // a package-qualified name (core.DistConfig the type), not a field or method
+				}
+				if placementFields[sel.Sel.Name] || predicates[sel.Sel.Name] {
+					t.Errorf("%s: uses %s — the composition policy lives in internal/core",
+						fset.Position(sel.Pos()), types.ExprString(sel))
+				}
+				return true
+			})
 		}
 	}
 }

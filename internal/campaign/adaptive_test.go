@@ -6,6 +6,7 @@ import (
 
 	"negfsim/internal/core"
 	"negfsim/internal/device"
+	"negfsim/internal/jobs"
 )
 
 // cntAdaptConfig is the adaptive campaign workload: a metallic zigzag
@@ -79,7 +80,7 @@ func TestAdaptiveWarmLadderLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if state != StateSucceeded {
+	if state != jobs.Succeeded {
 		t.Fatalf("campaign finished %s: %s", state, c.Status().Error)
 	}
 	st := c.Status()

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"negfsim/internal/jobs"
 )
 
 // Artifacts: a succeeded campaign's results rendered for consumption —
@@ -59,7 +61,7 @@ func fermi(e, mu, kt float64) float64 {
 // available once the campaign has succeeded — a partial curve would be
 // indistinguishable from a complete one downstream.
 func (c *Campaign) Artifact() (*ArtifactDoc, error) {
-	if s := c.Snapshot(); s.State != StateSucceeded {
+	if s := c.Snapshot(); s.State != jobs.Succeeded {
 		return nil, fmt.Errorf("campaign: %s has no artifact (state %s)", c.id, s.State)
 	}
 	c.Lock()

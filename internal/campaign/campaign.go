@@ -52,8 +52,8 @@ type Request struct {
 	// Kind is "iv" or "te".
 	Kind Kind `json:"kind"`
 	// Config is the base run configuration; its Bias field is overridden
-	// per ladder point. Campaign points are plain serial runs — Dist,
-	// Space and Gate are rejected.
+	// per ladder point. Any placement, grid policy and outer loop the
+	// document selects runs at every point, warm-chained or cold alike.
 	Config core.RunConfig `json:"config"`
 
 	// BiasStart/BiasStop/BiasPoints describe an evenly spaced ladder
@@ -85,7 +85,9 @@ func DecodeRequest(r io.Reader) (Request, error) {
 func (r *Request) Warm() bool { return r.WarmStart == nil || *r.WarmStart }
 
 // Validate checks the request: kind, base config, and ladder shape.
-// Errors name the offending JSON field.
+// Errors name the offending JSON field. It is the campaign tier's one
+// validation of the document: the backends submit the validated points
+// in-process without validating again.
 func (r *Request) Validate() error {
 	switch r.Kind {
 	case IV, TE:
@@ -94,9 +96,6 @@ func (r *Request) Validate() error {
 	}
 	if err := r.Config.Validate(); err != nil {
 		return fmt.Errorf("campaign: config: %w", err)
-	}
-	if !r.Config.PlainSerial() {
-		return fmt.Errorf("campaign: config: campaign points are plain serial runs (no dist, no space, no gate)")
 	}
 	explicit := len(r.Biases) > 0
 	ranged := r.BiasStart != 0 || r.BiasStop != 0 || r.BiasPoints != 0

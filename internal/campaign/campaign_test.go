@@ -15,6 +15,7 @@ import (
 
 	"negfsim/internal/core"
 	"negfsim/internal/device"
+	"negfsim/internal/jobs"
 	"negfsim/internal/obs"
 	"negfsim/internal/serve"
 )
@@ -129,11 +130,12 @@ func TestRequestValidate(t *testing.T) {
 		{"both spellings", func(r *Request) { r.Biases = []float64{0.1} }, "mutually exclusive"},
 		{"one point", func(r *Request) { r.BiasPoints = 1 }, "bias_points"},
 		{"degenerate range", func(r *Request) { r.BiasStop = r.BiasStart }, "bias_stop"},
-		{"dist rejected", func(r *Request) { r.Config.Dist = "2x2" }, "plain serial"},
-		{"space rejected", func(r *Request) { r.Config.Space = 2 }, "plain serial"},
-		{"gate rejected", func(r *Request) {
+		// Every placement and outer loop composes with warm chaining.
+		{"dist accepted", func(r *Request) { r.Config.Dist = "2x2" }, ""},
+		{"space accepted", func(r *Request) { r.Config.Space = 2 }, ""},
+		{"gate accepted", func(r *Request) {
 			r.Config.Gate = &core.GateSpec{MaxOuter: 3, Damping: 0.5}
-		}, "plain serial"},
+		}, ""},
 		{"config validated", func(r *Request) { r.Config.MaxIter = 0 }, "campaign: config:"},
 		// The ladder cap is checked before any ladder is expanded, so
 		// these never allocate what they ask for.
@@ -249,7 +251,7 @@ func TestWarmLadderLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if state != StateSucceeded {
+	if state != jobs.Succeeded {
 		t.Fatalf("campaign finished %s: %s", state, c.Status().Error)
 	}
 
@@ -348,7 +350,7 @@ func TestTESpectrumArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if state, _ := c.Wait(context.Background()); state != StateSucceeded {
+	if state, _ := c.Wait(context.Background()); state != jobs.Succeeded {
 		t.Fatalf("campaign finished %s: %s", state, c.Status().Error)
 	}
 	doc, err := c.Artifact()
@@ -407,7 +409,7 @@ func TestColdFanout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if state, _ := c.Wait(context.Background()); state != StateSucceeded {
+	if state, _ := c.Wait(context.Background()); state != jobs.Succeeded {
 		t.Fatalf("campaign finished %s: %s", state, c.Status().Error)
 	}
 	for i, p := range c.Status().Points {
@@ -451,7 +453,7 @@ func TestCancelAndClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if state != StateCancelled {
+	if state != jobs.Cancelled {
 		t.Fatalf("cancelled campaign finished %s", state)
 	}
 	for i, p := range c.Status().Points {
@@ -504,7 +506,7 @@ func TestCampaignRetention(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if state, _ := c.Wait(context.Background()); state != StateSucceeded {
+		if state, _ := c.Wait(context.Background()); state != jobs.Succeeded {
 			t.Fatalf("campaign %s finished %s", c.ID(), state)
 		}
 		last = c

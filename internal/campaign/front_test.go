@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"negfsim/internal/front"
+	"negfsim/internal/jobs"
 	"negfsim/internal/serve"
 )
 
@@ -42,7 +43,7 @@ func runLadder(t *testing.T, m *Manager, req Request) StatusDoc {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if state, _ := c.Wait(context.Background()); state != StateSucceeded {
+	if state, _ := c.Wait(context.Background()); state != jobs.Succeeded {
 		t.Fatalf("campaign finished %s: %s", state, c.Status().Error)
 	}
 	return c.Status()

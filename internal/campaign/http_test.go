@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"negfsim/internal/jobs"
 )
 
 // newCampaignServer wires the full service stack a qtsimd process runs:
@@ -67,7 +69,7 @@ func waitCampaign(t *testing.T, base, id string, timeout time.Duration) StatusDo
 	deadline := time.Now().Add(timeout)
 	for {
 		st := getStatus(t, base, id)
-		if st.State != StateRunning {
+		if st.State != jobs.Running {
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -90,12 +92,12 @@ func TestCampaignHTTPEndToEnd(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: HTTP %d", code)
 	}
-	if accepted.State != StateRunning || len(accepted.Points) != 5 || !accepted.WarmStart {
+	if accepted.State != jobs.Running || len(accepted.Points) != 5 || !accepted.WarmStart {
 		t.Fatalf("accepted doc: state %s, %d points, warm %t", accepted.State, len(accepted.Points), accepted.WarmStart)
 	}
 
 	fin := waitCampaign(t, srv.URL, accepted.ID, 120*time.Second)
-	if fin.State != StateSucceeded {
+	if fin.State != jobs.Succeeded {
 		t.Fatalf("campaign finished %s: %s", fin.State, fin.Error)
 	}
 	if fin.Finished == nil {
@@ -196,10 +198,11 @@ func TestCampaignHTTPErrors(t *testing.T) {
 		t.Fatalf("malformed body: HTTP %d, want 400", resp.StatusCode)
 	}
 
+	// A dist campaign is a valid one now; an invalid document is still a 400.
 	bad := ivRequest()
-	bad.Config.Dist = "2x2"
+	bad.Config.Dist = "2by2"
 	if code, _ := postCampaign(t, srv.URL, bad); code != http.StatusBadRequest {
-		t.Fatalf("dist campaign: HTTP %d, want 400", code)
+		t.Fatalf("malformed dist campaign: HTTP %d, want 400", code)
 	}
 
 	for _, path := range []string{"/v1/campaigns/nope", "/v1/campaigns/nope/artifact.csv"} {
@@ -237,7 +240,7 @@ func TestCampaignHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("cancel: HTTP %d", resp.StatusCode)
 	}
-	if fin := waitCampaign(t, srv.URL, st.ID, 60*time.Second); fin.State != StateCancelled {
+	if fin := waitCampaign(t, srv.URL, st.ID, 60*time.Second); fin.State != jobs.Cancelled {
 		t.Fatalf("cancelled campaign finished %s", fin.State)
 	}
 }

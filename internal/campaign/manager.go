@@ -9,19 +9,6 @@ import (
 	"negfsim/internal/jobs"
 )
 
-// State is a campaign's lifecycle phase (the shared jobs.State).
-type State = jobs.State
-
-// The campaign lifecycle: Running until every point is terminal, then
-// Succeeded (every point converged), Failed (a point failed; no point
-// starts after it) or Cancelled (cancel or shutdown).
-const (
-	StateRunning   = jobs.Running
-	StateSucceeded = jobs.Succeeded
-	StateFailed    = jobs.Failed
-	StateCancelled = jobs.Cancelled
-)
-
 // PointState is one ladder point's lifecycle phase.
 type PointState string
 
@@ -74,10 +61,13 @@ func (c *Campaign) ID() string { return c.id }
 // StatusDoc is the point-in-time public snapshot of a campaign — the
 // JSON body of the status endpoint.
 type StatusDoc struct {
-	// ID identifies the campaign; Kind and State classify it.
-	ID    string `json:"id"`
-	Kind  Kind   `json:"kind"`
-	State State  `json:"state"`
+	// ID identifies the campaign; Kind and State classify it. State is
+	// running until every point is terminal, then succeeded (every point
+	// converged), failed (a point failed; no point starts after it) or
+	// cancelled (cancel or shutdown).
+	ID    string     `json:"id"`
+	Kind  Kind       `json:"kind"`
+	State jobs.State `json:"state"`
 	// WarmStart reports the chaining mode the campaign runs under.
 	WarmStart bool `json:"warm_start"`
 	// Points is the per-rung progress, in ladder order.
@@ -141,14 +131,14 @@ func (c *Campaign) failed() bool {
 // checkpoints are dropped: the artifacts never read them.
 func (c *Campaign) finish() {
 	c.Lock()
-	state, msg := StateSucceeded, ""
+	state, msg := jobs.Succeeded, ""
 	for i := range c.points {
 		if p := &c.points[i]; p.State == PointPending || p.State == PointCancelled {
-			p.State, state, msg = PointCancelled, StateCancelled, "cancelled"
+			p.State, state, msg = PointCancelled, jobs.Cancelled, "cancelled"
 		}
 	}
 	if c.failMsg != "" {
-		state, msg = StateFailed, c.failMsg
+		state, msg = jobs.Failed, c.failMsg
 	}
 	for _, out := range c.outcomes {
 		if out != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"negfsim/internal/core"
+	"negfsim/internal/jobs"
 )
 
 // ladderStub is a backend over ladders whose point i sits at bias i. It
@@ -104,7 +105,7 @@ func TestChainScheduler(t *testing.T) {
 					if _, err := c.Wait(context.Background()); err != nil {
 						t.Fatal(err)
 					}
-					if st := c.Status(); st.State != StateSucceeded {
+					if st := c.Status(); st.State != jobs.Succeeded {
 						t.Fatalf("campaign finished %s: %s", st.State, st.Error)
 					}
 					if b.high != k {
@@ -175,7 +176,7 @@ func TestFailureStopsLadder(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := c.Status()
-			if st.State != StateFailed || !strings.Contains(st.Error, "point 2 (bias 2): boom") {
+			if st.State != jobs.Failed || !strings.Contains(st.Error, "point 2 (bias 2): boom") {
 				t.Fatalf("campaign finished %s: %q, want failed at point 2", st.State, st.Error)
 			}
 			want := []PointState{PointDone, PointDone, PointFailed, PointCancelled,

@@ -213,10 +213,12 @@ func TestAdaptiveCheckpointResume(t *testing.T) {
 	if ck.EGrid.IsFull() {
 		t.Fatal("test device resolved on the full grid; adaptation saved nothing")
 	}
-	if err := ck.CompatibleGrid(false); err == nil {
+	uniform := cfg
+	uniform.Adapt = nil
+	if err := uniform.CheckSeed(ck); err == nil {
 		t.Fatal("partial-grid checkpoint must not seed a non-adaptive run")
 	}
-	if err := ck.CompatibleGrid(true); err != nil {
+	if err := cfg.CheckSeed(ck); err != nil {
 		t.Fatal(err)
 	}
 

@@ -35,11 +35,12 @@ func TestAdaptSpecValidate(t *testing.T) {
 	check(func(c *RunConfig) { c.Adapt = &AdaptSpec{Mode: "grid", MinNE: 17} }, "adapt.min_ne")
 	check(func(c *RunConfig) { c.Adapt = &AdaptSpec{Mode: "grid", MaxNE: 17} }, "adapt.max_ne")
 	check(func(c *RunConfig) { c.Adapt = &AdaptSpec{Mode: "grid", MinNE: 12, MaxNE: 8} }, "adapt.min_ne")
+	// The Gummel loop wraps the adaptive rounds: adapt × gate is accepted.
 	check(func(c *RunConfig) {
 		g := DefaultGate(0.2, 0)
 		c.Gate = &g
 		c.Adapt = &AdaptSpec{Mode: "grid"}
-	}, "adapt and gate")
+	}, "")
 	// An "off" block composes with anything.
 	check(func(c *RunConfig) {
 		g := DefaultGate(0.2, 0)

@@ -114,18 +114,3 @@ func (c *Checkpoint) CompatibleDevice(d *device.Device) error {
 	}
 	return nil
 }
-
-// CompatibleGrid reports whether the checkpoint's energy-grid state can
-// seed a run whose adaptation is on (adaptive true) or off. No checkpoint,
-// or a nil or full grid state, seeds anything; a partial grid — Σ≷ converged with
-// interpolation-filled gaps — can only seed a run that itself adapts,
-// where the controller resumes from the saved active set. The device
-// fine-grid identity (NE, window) is already pinned by Params equality
-// in Compatible/CompatibleDevice.
-func (c *Checkpoint) CompatibleGrid(adaptive bool) error {
-	if c == nil || c.EGrid == nil || c.EGrid.IsFull() || adaptive {
-		return nil
-	}
-	return fmt.Errorf("core: checkpoint grid has %d of %d energy points active; a non-adaptive run needs a full-grid (or pre-adaptive) checkpoint",
-		len(c.EGrid.Active), c.EGrid.NE)
-}

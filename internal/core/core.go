@@ -11,11 +11,12 @@
 // loop under a placement (DistConfig: SSE phase shared-memory or on a TE×TA
 // cluster, GF electron solves local or on a spatial split, per-iteration or
 // persistent fabric, cold or checkpoint seed, fault policy), optionally
-// inside the adaptive energy-grid rounds (RunAdaptiveCtx) or the Gummel
-// NEGF–Poisson iteration (RunWithPoissonCtx). Frontends call Execute; the
-// four Run*Ctx methods (RunCtx, RunAdaptiveCtx, RunDistributedFTCtx,
-// RunWithPoissonCtx) are argument-translating callers of the same loop,
-// kept because the benchmark's adapter, a separate module, calls them.
+// inside the adaptive energy-grid rounds (RunAdaptiveCtx), and either one
+// optionally inside the Gummel NEGF–Poisson iteration (gummel). Frontends
+// call Execute; the four Run*Ctx methods (RunCtx, RunAdaptiveCtx,
+// RunDistributedFTCtx, RunWithPoissonCtx) are argument-translating callers
+// of the same loop, kept because the benchmark's adapter, a separate
+// module, calls them.
 package core
 
 import (

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"errors"
-)
+import "context"
 
 // Plan is one run as a frontend hands it to Execute: the run document plus
 // what a document cannot carry. The simulator executing it must have been
@@ -14,9 +11,10 @@ type Plan struct {
 	Config RunConfig
 	// Place is what a document cannot carry: the seed checkpoint (Resume)
 	// that warm-starts the Born loop and, for adaptive runs, the grid
-	// controller; a persistent multi-process Cluster; a clustered run's fault
-	// plan, checkpoint file and recovery budget. Its TE, TA, Space and
-	// CommTimeout are overwritten from Config.
+	// controller (under a gate, of every outer step); a persistent
+	// multi-process Cluster; a clustered run's fault plan, checkpoint file
+	// and recovery budget. Its TE, TA, Space and CommTimeout are
+	// overwritten from Config.
 	Place DistConfig
 }
 
@@ -25,10 +23,11 @@ type Outcome struct {
 	// Result is the converged (or MaxIter-exhausted) Born loop.
 	Result *Result
 	// WireBytes is the exchange traffic of every collective the run
-	// attempted (zero for serial placements). Under an injected fault it
-	// includes the aborted collective — whatever the survivors sent before
-	// they saw the death — so it depends on goroutine timing and changes
-	// from run to run; the observables do not.
+	// attempted, summed over the outer steps of a gated run (zero for
+	// serial placements). Under an injected fault it includes the aborted
+	// collective — whatever the survivors sent before they saw the death —
+	// so it depends on goroutine timing and changes from run to run; the
+	// observables do not.
 	WireBytes int64
 	// GummelOuter and GummelConverged trace the NEGF–Poisson outer loop
 	// (zero and false unless the config has a gate section).
@@ -41,11 +40,12 @@ type Outcome struct {
 // else. The document's sections select orthogonal choices around the one
 // Born loop — grid policy (adapt), SSE placement (dist), GF placement
 // (space), outer loop (gate) — and the Plan adds seed, fabric and fault
-// policy. RunConfig.Validate rejects dist/space/adapt × gate and
-// serve.SubmitFrom a warm start under dist, space or gate; Execute rejects
-// the pairs only a Plan can express — a seed or a cluster under the Gummel
-// loop, a partial-grid seed for a uniform-grid run, an adaptive run on a
-// multi-process cluster. ARCHITECTURE.md § Execution paths has the table.
+// policy. Every pair composes: the inner solve is the Born loop under the
+// placement, or the adaptive rounds under it, and the Gummel loop calls it
+// once per outer step, each from the plan's seed with the fault plan
+// re-armed. Execute rejects a seed that cannot seed the document
+// (RunConfig.CheckSeed) and, through RunAdaptiveCtx, an adaptive run on a
+// multi-process cluster; ARCHITECTURE.md § Execution paths has the table.
 func (s *Simulator) Execute(ctx context.Context, p Plan) (*Outcome, error) {
 	doc, _, err := p.Config.DistConfig()
 	if err != nil {
@@ -53,23 +53,22 @@ func (s *Simulator) Execute(ctx context.Context, p Plan) (*Outcome, error) {
 	}
 	pl := p.Place
 	pl.TE, pl.TA, pl.Space, pl.CommTimeout = doc.TE, doc.TA, doc.Space, doc.CommTimeout
-	if err := pl.Resume.CompatibleGrid(p.Config.AdaptEnabled()); err != nil {
+	if err := p.Config.CheckSeed(pl.Resume); err != nil {
 		return nil, err
 	}
-	out := &Outcome{}
+	solve := func() (*Result, int64, error) { return s.born(ctx, pl) }
 	if ac, adaptive := p.Config.AdaptConfig(); adaptive {
 		ac.Resume, ac.Dist = pl.Resume, pl
-		out.Result, out.WireBytes, err = s.RunAdaptiveCtx(ctx, ac)
-	} else if g := p.Config.Gate; g != nil {
-		if pl.Resume != nil || pl.Cluster != nil {
-			return nil, errors.New("core: the Gummel loop runs serial from a cold start (no seed checkpoint, no cluster)")
-		}
+		solve = func() (*Result, int64, error) { return s.RunAdaptiveCtx(ctx, ac) }
+	}
+	out := &Outcome{}
+	if g := p.Config.Gate; g != nil {
 		var es *ElectrostaticResult
-		if es, err = s.RunWithPoissonCtx(ctx, *g); err == nil {
+		if es, out.WireBytes, err = s.gummel(ctx, *g, solve); err == nil {
 			out.Result, out.GummelOuter, out.GummelConverged = es.Result, es.OuterIterations, es.GummelConverged
 		}
 	} else {
-		out.Result, out.WireBytes, err = s.born(ctx, pl)
+		out.Result, out.WireBytes, err = solve()
 	}
 	if err != nil {
 		return nil, err

@@ -27,14 +27,16 @@ func executeConfig() RunConfig {
 }
 
 // TestExecutePlacementTable drives every placement the run document can
-// express through Execute, cold and from a checkpoint wherever Validate and
-// serve.SubmitFrom admit the pair, and requires the placement-free
-// reference — the same document with dist/space stripped, run over the
-// legacy entry points — to 1e-8. Clustered placements additionally survive
-// one injected rank death with the same answer.
+// express through Execute, cold and from a checkpoint, and requires the
+// placement-free reference — the same document with dist/space stripped,
+// its inner solve (Born loop or adaptive rounds) wrapped in the Gummel loop
+// when it has a gate — to 1e-8 with equal iteration counts. Clustered
+// placements additionally survive one injected rank death with the same
+// answer (under a gate, one per outer step: the fault plan re-arms on
+// every inner solve).
 func TestExecutePlacementTable(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs ≈30 short self-consistent solves")
+		t.Skip("runs ≈70 short self-consistent solves")
 	}
 	ctx := context.Background()
 	gate := DefaultGate(0.2, 0.1)
@@ -54,60 +56,70 @@ func TestExecutePlacementTable(t *testing.T) {
 	}
 	seed := CheckpointOf(base.Device, seedRes)
 
-	// reference runs cfg's physics with no cluster anywhere.
-	reference := func(t *testing.T, cfg RunConfig, ck *Checkpoint) *Result {
+	// reference runs cfg's physics with no cluster anywhere and reports the
+	// Gummel outer steps it took.
+	reference := func(t *testing.T, cfg RunConfig, ck *Checkpoint) (*Result, int) {
 		t.Helper()
 		cfg.Dist, cfg.Space = "", 0
 		sim, err := cfg.NewSimulator()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var res *Result
+		solve := func() (*Result, int64, error) { return sim.born(ctx, DistConfig{Resume: ck}) }
 		if ac, adaptive := cfg.AdaptConfig(); adaptive {
 			ac.Resume = ck
-			res, _, err = sim.RunAdaptiveCtx(context.Background(), ac)
-		} else if cfg.Gate != nil {
-			var es *ElectrostaticResult
-			if es, err = sim.RunWithPoissonCtx(context.Background(), *cfg.Gate); err == nil {
-				res = es.Result
-			}
-		} else {
-			res, _, err = sim.born(context.Background(), DistConfig{Resume: ck})
+			solve = func() (*Result, int64, error) { return sim.RunAdaptiveCtx(ctx, ac) }
 		}
+		if cfg.Gate == nil {
+			res, _, err := solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res, 0
+		}
+		es, _, err := sim.gummel(ctx, *cfg.Gate, solve)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return es.Result, es.OuterIterations
 	}
 
-	for _, row := range []struct {
+	adapt := func(c *RunConfig) { c.Adapt = &AdaptSpec{Mode: "grid", TolCurrent: 1e-2} }
+	gated := func(set func(*RunConfig)) func(*RunConfig) {
+		return func(c *RunConfig) { set(c); c.Gate = &gate }
+	}
+	rows := []struct {
 		name      string
 		set       func(*RunConfig)
 		cluster   bool // one persistent in-process 2-rank cluster serves both axes
 		clustered bool // a rank can die
-		warm      bool // a checkpoint seed is admitted
 	}{
-		{name: "serial", set: func(*RunConfig) {}, warm: true},
-		{name: "dist 1x2", set: func(c *RunConfig) { c.Dist = "1x2" }, clustered: true, warm: true},
-		{name: "space 2", set: func(c *RunConfig) { c.Space = 2 }, clustered: true, warm: true},
+		{name: "serial", set: func(*RunConfig) {}},
+		{name: "dist 1x2", set: func(c *RunConfig) { c.Dist = "1x2" }, clustered: true},
+		{name: "space 2", set: func(c *RunConfig) { c.Space = 2 }, clustered: true},
 		{name: "dist+space on one cluster", set: func(c *RunConfig) { c.Dist, c.Space = "2x1", 2 },
-			cluster: true, clustered: true, warm: true},
-		{name: "adaptive", set: func(c *RunConfig) { c.Adapt = &AdaptSpec{Mode: "grid", TolCurrent: 1e-2} }, warm: true},
-		{name: "adaptive+dist", set: func(c *RunConfig) { c.Adapt, c.Dist = &AdaptSpec{Mode: "grid", TolCurrent: 1e-2}, "1x2" },
-			clustered: true, warm: true},
-		{name: "gate", set: func(c *RunConfig) { c.Gate = &gate }},
-	} {
+			cluster: true, clustered: true},
+		{name: "adaptive", set: adapt},
+		{name: "adaptive+dist", set: func(c *RunConfig) { adapt(c); c.Dist = "1x2" }, clustered: true},
+	}
+	// The Gummel loop wraps every one of them.
+	for _, row := range rows[:len(rows):len(rows)] {
+		row.name, row.set = "gate × "+row.name, gated(row.set)
+		if row.name == "gate × serial" {
+			row.name = "gate"
+		}
+		rows = append(rows, row)
+	}
+	for _, row := range rows {
 		cfg := executeConfig()
 		row.set(&cfg)
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%s: %v", row.name, err)
 		}
 		for _, ck := range []*Checkpoint{nil, seed} {
-			if ck != nil && !row.warm {
-				continue
-			}
 			seedName := map[bool]string{true: "cold", false: "checkpoint"}[ck == nil]
 			var want *Result
+			var wantOuter int
 			for _, fault := range []bool{false, true} {
 				if fault && !row.clustered {
 					continue
@@ -118,7 +130,7 @@ func TestExecutePlacementTable(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					if want == nil {
-						want = reference(t, cfg, ck)
+						want, wantOuter = reference(t, cfg, ck)
 					}
 					plan := Plan{Config: cfg, Place: DistConfig{Resume: ck}}
 					if row.cluster {
@@ -145,8 +157,8 @@ func TestExecutePlacementTable(t *testing.T) {
 					if row.clustered == (out.WireBytes == 0) {
 						t.Errorf("WireBytes = %d on a placement with clustered=%v", out.WireBytes, row.clustered)
 					}
-					if (cfg.Gate != nil) != (out.GummelOuter > 0) {
-						t.Errorf("GummelOuter = %d with gate=%v", out.GummelOuter, cfg.Gate != nil)
+					if out.GummelOuter != wantOuter {
+						t.Errorf("GummelOuter = %d, reference %d", out.GummelOuter, wantOuter)
 					}
 					if got.Iterations != want.Iterations {
 						t.Errorf("iterations = %d, reference %d", got.Iterations, want.Iterations)
@@ -170,7 +182,9 @@ func TestExecutePlacementTable(t *testing.T) {
 }
 
 // TestExecuteRejectsWhatOnlyAPlanCanExpress pins Execute's own rows of the
-// placement table: the pairs no run document can state.
+// placement table: the pairs no run document can state. What it rejects is
+// a seed that cannot seed the document or a cluster that cannot carry it;
+// a seed or a cluster under the Gummel loop runs.
 func TestExecuteRejectsWhatOnlyAPlanCanExpress(t *testing.T) {
 	ctx := context.Background()
 	base := executeConfig()
@@ -190,18 +204,29 @@ func TestExecuteRejectsWhatOnlyAPlanCanExpress(t *testing.T) {
 
 	gated := base
 	gate := DefaultGate(0.2, 0.1)
+	gate.MaxOuter = 2
 	gated.Gate = &gate
+	gatedSpace := gated
+	gatedSpace.Space = 2
 	wide := base
 	wide.Dist = "2x2"
 	for name, tc := range map[string]struct {
 		plan Plan
 		want string
 	}{
-		"seed under the Gummel loop":          {Plan{Config: gated, Place: DistConfig{Resume: full}}, "Gummel loop runs serial"},
-		"partial-grid seed for a uniform run": {Plan{Config: base, Place: DistConfig{Resume: &partial}}, "energy points active"},
-		"cluster too small for the grid":      {Plan{Config: wide, Place: DistConfig{Cluster: comm.NewCluster(2)}}, "cannot carry"},
+		"partial-grid seed for a uniform run":     {Plan{Config: base, Place: DistConfig{Resume: &partial}}, "energy points active"},
+		"partial-grid seed under the Gummel loop": {Plan{Config: gated, Place: DistConfig{Resume: &partial}}, "energy points active"},
+		"cluster too small for the grid":          {Plan{Config: wide, Place: DistConfig{Cluster: comm.NewCluster(2)}}, "cannot carry"},
+		"seed under the Gummel loop":              {Plan{Config: gated, Place: DistConfig{Resume: full}}, ""},
+		"seed and cluster under the Gummel loop":  {Plan{Config: gatedSpace, Place: DistConfig{Resume: full, Cluster: comm.NewCluster(2)}}, ""},
 	} {
-		if _, err := sim.Execute(ctx, tc.plan); err == nil || !strings.Contains(err.Error(), tc.want) {
+		out, err := sim.Execute(ctx, tc.plan)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", name, err)
+		case tc.want == "" && out.GummelOuter != gate.MaxOuter && !out.GummelConverged:
+			t.Errorf("%s: %d outer steps, not converged", name, out.GummelOuter)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
 			t.Errorf("%s: err = %v, want one mentioning %q", name, err, tc.want)
 		}
 	}

@@ -72,13 +72,18 @@ type ElectrostaticResult struct {
 }
 
 // chargePerAtom integrates the electron density from G^<:
-// n_a = Σ_{kz,E} Im tr G^<[kz,E,a] · ΔE/(2π·Nkz).
+// n_a = Σ_{kz,E} Im tr G^<[kz,E,a] · w_E/(2π·Nkz), with w_E the active
+// grid's quadrature weight (bitwise ΔE on the full grid; inactive energies
+// carry zero weight and are skipped).
 func (s *Simulator) chargePerAtom(r *Result) []float64 {
 	p := s.Dev.P
 	out := make([]float64, p.NA)
-	w := p.EStep() / (2 * math.Pi * float64(p.Nkz))
 	for kz := 0; kz < p.Nkz; kz++ {
 		for e := 0; e < p.NE; e++ {
+			w := s.grid.Weight(e) / (2 * math.Pi * float64(p.Nkz))
+			if w == 0 {
+				continue
+			}
 			for a := 0; a < p.NA; a++ {
 				out[a] += imag(r.GLess.Block(kz, e, a).Trace()) * w
 			}
@@ -107,34 +112,54 @@ func (s *Simulator) applyPotential(phi []float64) {
 	s.resetElectronBoundaries()
 }
 
-// RunWithPoissonCtx executes the coupled NEGF–Poisson loop. The
-// simulator's contact chemical potentials are shifted by the applied
-// source/drain potentials so the electrochemical picture stays consistent.
-// Cancellation is observed at every Gummel outer iteration boundary and,
-// through RunCtx, inside the NEGF run of each outer iteration, so cancel
-// latency stays bounded by one Born iteration even mid-Gummel.
+// RunWithPoissonCtx executes the coupled NEGF–Poisson loop around the
+// serial Born loop from Σ = Π = 0. It stays for the benchmark's adapter;
+// frontends call Execute, which wraps the loop around any placement and
+// grid policy.
 func (s *Simulator) RunWithPoissonCtx(ctx context.Context, g GateSpec) (*ElectrostaticResult, error) {
+	es, _, err := s.gummel(ctx, g, func() (*Result, int64, error) { return s.born(ctx, DistConfig{}) })
+	return es, err
+}
+
+// gummel runs the coupled NEGF–Poisson loop: every outer step applies the
+// current potential and calls solve, the inner self-consistent run (the
+// Born loop under the plan's placement, or the adaptive rounds under it),
+// which starts afresh from the plan's seed each time. Cancellation is
+// observed at every outer iteration boundary and, through solve, inside
+// each inner run, so cancel latency stays bounded by one Born iteration
+// even mid-Gummel. The returned bytes sum the inner runs' exchange traffic.
+func (s *Simulator) gummel(ctx context.Context, g GateSpec, solve func() (*Result, int64, error)) (*ElectrostaticResult, int64, error) {
 	p := s.Dev.P
 	if g.MaxOuter <= 0 {
-		return nil, errors.New("core: GateSpec.MaxOuter must be positive")
+		return nil, 0, errors.New("core: GateSpec.MaxOuter must be positive")
 	}
 	if g.Damping <= 0 || g.Damping > 1 {
-		return nil, fmt.Errorf("core: GateSpec.Damping %g outside (0, 1]", g.Damping)
+		return nil, 0, fmt.Errorf("core: GateSpec.Damping %g outside (0, 1]", g.Damping)
 	}
 	dirichlet := poisson.GateStack(p.Cols(), p.Rows, g.VS, g.VD, g.VG)
 	phi := make([]float64, p.NA)
 	var reference []float64
+	var bytes int64
 	out := &ElectrostaticResult{Potential: phi}
+	// The pristine Hamiltonians come back for later uses of the simulator,
+	// whether the loop finishes or fails.
+	defer func() {
+		for kz := 0; kz < p.Nkz; kz++ {
+			s.h[kz] = s.Dev.Hamiltonian(kz)
+		}
+		s.resetElectronBoundaries()
+	}()
 
 	for outer := 0; outer < g.MaxOuter; outer++ {
 		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("core: Gummel loop cancelled before outer %d: %w", outer, cerr)
+			return nil, bytes, fmt.Errorf("core: Gummel loop cancelled before outer %d: %w", outer, cerr)
 		}
 		outerStart := time.Now()
 		s.applyPotential(phi)
-		res, err := s.RunCtx(ctx)
+		res, b, err := solve()
+		bytes += b
 		if err != nil {
-			return nil, fmt.Errorf("core: Gummel outer %d: %w", outer, err)
+			return nil, bytes, fmt.Errorf("core: Gummel outer %d: %w", outer, err)
 		}
 		out.Result = res
 		out.OuterIterations = outer + 1
@@ -156,7 +181,7 @@ func (s *Simulator) RunWithPoissonCtx(ctx context.Context, g GateSpec) (*Electro
 		}, 1e-10, 0)
 		spp.End()
 		if err != nil {
-			return nil, fmt.Errorf("core: Gummel outer %d Poisson: %w", outer, err)
+			return nil, bytes, fmt.Errorf("core: Gummel outer %d Poisson: %w", outer, err)
 		}
 		var dmax float64
 		for a := range phi {
@@ -173,11 +198,5 @@ func (s *Simulator) RunWithPoissonCtx(ctx context.Context, g GateSpec) (*Electro
 			break
 		}
 	}
-	// Restore the pristine Hamiltonians for subsequent uses of the
-	// simulator.
-	for kz := 0; kz < p.Nkz; kz++ {
-		s.h[kz] = s.Dev.Hamiltonian(kz)
-	}
-	s.resetElectronBoundaries()
-	return out, nil
+	return out, bytes, nil
 }

@@ -60,20 +60,18 @@ type RunConfig struct {
 	// Space, when ≥ 2, partitions every electron retarded solve of the GF
 	// phase across a spatial cluster of that many ranks — the
 	// device-dimension split. Requires Bnum ≥ 2·Space−1. Composes with
-	// Dist (each axis gets its own cluster) and is mutually exclusive with
-	// Gate.
+	// Dist (each axis gets its own cluster), Gate and Adapt.
 	Space int `json:"space,omitempty"`
 	// CommTimeoutMs bounds every Send/Recv of the simulated cluster in
 	// milliseconds; 0 keeps comm.DefaultTimeout.
 	CommTimeoutMs int `json:"comm_timeout_ms,omitempty"`
 
-	// Gate, when non-nil, wraps the run in the coupled NEGF–Poisson
-	// (Gummel) loop. Mutually exclusive with Dist.
+	// Gate, when non-nil, wraps the run — under any placement and grid
+	// policy — in the coupled NEGF–Poisson (Gummel) loop.
 	Gate *GateSpec `json:"gate,omitempty"`
 
 	// Adapt, when non-nil with a mode other than "off", runs the run
 	// under the adaptive energy-grid refinement loop (internal/egrid).
-	// Mutually exclusive with Gate.
 	Adapt *AdaptSpec `json:"adapt,omitempty"`
 }
 
@@ -110,11 +108,26 @@ func (a *AdaptSpec) enabled() bool {
 // refinement.
 func (c *RunConfig) AdaptEnabled() bool { return c.Adapt.enabled() }
 
-// PlainSerial reports whether the config is a plain serial run: no Dist,
-// no Space ≥ 2, no Gate. Only such runs take a warm-start seed or belong
-// to a campaign — distributed and Gummel-coupled runs manage their own
-// checkpoints.
-func (c *RunConfig) PlainSerial() bool { return c.Dist == "" && c.Space < 2 && c.Gate == nil }
+// CheckSeed reports whether ck can seed a run of this document: it must be
+// of the document's device and, unless the run adapts its grid, carry a
+// full energy grid — Σ≷ at a partial grid's interpolated energies never
+// went through an RGF solve, so only a run whose controller resumes from
+// that active set may take it. A nil checkpoint seeds anything. Placement
+// and outer loop never matter: this is the whole seed policy, applied by
+// Execute and serve.SubmitFrom.
+func (c *RunConfig) CheckSeed(ck *Checkpoint) error {
+	if ck == nil {
+		return nil
+	}
+	if err := ck.Compatible(c.Device); err != nil {
+		return err
+	}
+	if g := ck.EGrid; g != nil && !g.IsFull() && !c.AdaptEnabled() {
+		return fmt.Errorf("core: checkpoint grid has %d of %d energy points active; a non-adaptive run needs a full-grid (or pre-adaptive) checkpoint",
+			len(g.Active), g.NE)
+	}
+	return nil
+}
 
 // AdaptConfig translates the config's adapt block into the adaptive
 // runner's configuration; false when the config does not request
@@ -244,9 +257,6 @@ func (c *RunConfig) Validate() error {
 		if err != nil {
 			return err
 		}
-		if c.Gate != nil {
-			return fmt.Errorf("core: run config: dist and gate are mutually exclusive (the Poisson loop runs serial)")
-		}
 		if procs := te * ta; c.Device.Grid().NE < procs {
 			return fmt.Errorf("core: run config: dist: device.ne=%d energies cannot feed %d ranks", c.Device.Grid().NE, procs)
 		}
@@ -255,9 +265,6 @@ func (c *RunConfig) Validate() error {
 		return fmt.Errorf("core: run config: space must be non-negative, got %d", c.Space)
 	}
 	if c.Space >= 2 {
-		if c.Gate != nil {
-			return fmt.Errorf("core: run config: space and gate are mutually exclusive (the Poisson loop runs serial)")
-		}
 		if bnum := c.Device.Grid().Bnum; bnum < 2*c.Space-1 {
 			return fmt.Errorf("core: run config: space: device.bnum=%d blocks cannot be partitioned across space=%d spatial ranks (need bnum ≥ %d)",
 				bnum, c.Space, 2*c.Space-1)
@@ -289,9 +296,6 @@ func (c *RunConfig) Validate() error {
 		}
 		if c.Adapt.MinNE > 0 && c.Adapt.MaxNE > 0 && c.Adapt.MinNE > c.Adapt.MaxNE {
 			return fmt.Errorf("core: run config: adapt.min_ne %d exceeds adapt.max_ne %d", c.Adapt.MinNE, c.Adapt.MaxNE)
-		}
-		if c.Adapt.enabled() && c.Gate != nil {
-			return fmt.Errorf("core: run config: adapt and gate are mutually exclusive (the Poisson outer loop owns the run)")
 		}
 	}
 	return nil

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"negfsim/internal/device"
+	"negfsim/internal/egrid"
 	"negfsim/internal/sse"
 )
 
@@ -109,7 +110,6 @@ func TestRunConfigValidate(t *testing.T) {
 		"mixing too big":   func(c *RunConfig) { c.Mixing = 1.5 },
 		"bad dist":         func(c *RunConfig) { c.Dist = "2by2" },
 		"dist too wide":    func(c *RunConfig) { c.Dist = "8x8" },
-		"dist plus gate":   func(c *RunConfig) { c.Dist = "2x2"; g := DefaultGate(0.2, 0); c.Gate = &g },
 		"gate no outer":    func(c *RunConfig) { g := DefaultGate(0.2, 0); g.MaxOuter = 0; c.Gate = &g },
 		"negative workers": func(c *RunConfig) { c.Workers = -1 },
 	} {
@@ -120,6 +120,22 @@ func TestRunConfigValidate(t *testing.T) {
 	c := DefaultRunConfig()
 	if err := c.Validate(); err != nil {
 		t.Fatalf("default config invalid: %v", err)
+	}
+	// Every pair of choices composes: the Gummel loop wraps any placement
+	// and grid policy, so no pair is an exclusion rule.
+	gate := func(c *RunConfig) { g := DefaultGate(0.2, 0); c.Gate = &g }
+	for name, mut := range map[string]func(*RunConfig){
+		"dist plus gate":  func(c *RunConfig) { c.Dist = "2x2"; gate(c) },
+		"space plus gate": func(c *RunConfig) { c.Space = 2; gate(c) },
+		"adapt plus gate": func(c *RunConfig) { c.Adapt = &AdaptSpec{Mode: "grid"}; gate(c) },
+		"everything": func(c *RunConfig) {
+			c.Dist, c.Space, c.Adapt = "2x1", 2, &AdaptSpec{Mode: "grid+sigma"}
+			gate(c)
+		},
+	} {
+		if err := bad(mut); err != nil {
+			t.Errorf("%s: Validate rejected a composable config: %v", name, err)
+		}
 	}
 }
 
@@ -166,29 +182,43 @@ func TestRunConfigDistConfig(t *testing.T) {
 	}
 }
 
-// TestRunConfigPlainSerial: any one of dist, space ≥ 2 or gate makes a run
-// other than plain serial; space 1 is the serial GF phase; adapt is no
-// placement and keeps a run plain.
-func TestRunConfigPlainSerial(t *testing.T) {
-	cases := []struct {
-		name string
-		edit func(c *RunConfig)
-		want bool
+// TestRunConfigCheckSeed: a checkpoint of the document's device seeds a
+// run under every placement and outer loop — dist, space ≥ 2 and gate
+// included — and a partial-grid checkpoint seeds only a run that adapts.
+func TestRunConfigCheckSeed(t *testing.T) {
+	base := DefaultRunConfig()
+	full := &Checkpoint{Params: base.Device.Grid()}
+	partial := &Checkpoint{Params: base.Device.Grid(), EGrid: &egrid.State{NE: 16, Emin: -1, Emax: 1, Active: []int{0, 8, 15}}}
+	for _, tc := range []struct {
+		name        string
+		edit        func(c *RunConfig)
+		partialSeed bool
 	}{
-		{"default", func(c *RunConfig) {}, true},
-		{"space 1", func(c *RunConfig) { c.Space = 1 }, true},
+		{"default", func(c *RunConfig) {}, false},
+		{"space 1", func(c *RunConfig) { c.Space = 1 }, false},
 		{"adapt", func(c *RunConfig) { c.Adapt = &AdaptSpec{Mode: "grid"} }, true},
 		{"dist", func(c *RunConfig) { c.Dist = "2x1" }, false},
 		{"space 2", func(c *RunConfig) { c.Space = 2 }, false},
 		{"gate", func(c *RunConfig) { c.Gate = &GateSpec{} }, false},
 		{"dist and space", func(c *RunConfig) { c.Dist, c.Space = "2x1", 2 }, false},
-	}
-	for _, tc := range cases {
-		c := DefaultRunConfig()
+		{"adapt and gate", func(c *RunConfig) { c.Adapt, c.Gate = &AdaptSpec{Mode: "grid"}, &GateSpec{} }, true},
+	} {
+		c := base
 		tc.edit(&c)
-		if got := c.PlainSerial(); got != tc.want {
-			t.Errorf("%s: PlainSerial() = %t, want %t", tc.name, got, tc.want)
+		if err := c.CheckSeed(nil); err != nil {
+			t.Errorf("%s: no seed rejected: %v", tc.name, err)
 		}
+		if err := c.CheckSeed(full); err != nil {
+			t.Errorf("%s: full-grid seed rejected: %v", tc.name, err)
+		}
+		if err := c.CheckSeed(partial); (err == nil) != tc.partialSeed {
+			t.Errorf("%s: partial-grid seed err = %v, want accepted=%t", tc.name, err, tc.partialSeed)
+		}
+	}
+	other := base.Device.Grid()
+	other.Seed++
+	if err := base.CheckSeed(&Checkpoint{Params: other}); err == nil {
+		t.Error("a checkpoint of another device seeded the run")
 	}
 }
 

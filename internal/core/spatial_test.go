@@ -126,8 +126,8 @@ func TestRunConfigSpatialValidationAndCanonical(t *testing.T) {
 	cfg = DefaultRunConfig()
 	cfg.Space = 2
 	cfg.Gate = &GateSpec{MaxOuter: 2, Damping: 0.5}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("space and gate must be mutually exclusive")
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("space × gate must validate (the Gummel loop wraps any placement): %v", err)
 	}
 	cfg = DefaultRunConfig()
 	cfg.Space = 1

@@ -3,6 +3,8 @@ package front
 import (
 	"math"
 	"sync"
+
+	"negfsim/internal/jobs"
 )
 
 // cache is the content-addressed result store: completed runs keyed by
@@ -52,7 +54,7 @@ func (c *cache) touch(id string) {
 // the bound. Only succeeded runs are cached: failures and cancellations must
 // re-execute, not poison the address.
 func (c *cache) put(r *run) {
-	if r.Snapshot().State != RunSucceeded {
+	if r.Snapshot().State != jobs.Succeeded {
 		return
 	}
 	c.mu.Lock()

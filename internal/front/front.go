@@ -199,15 +199,11 @@ func (e *QuotaError) Unwrap() error { return ErrQuota }
 // Submit admits one submission from tenant: quota check, content-address
 // lookup, then — in order — attach to an identical in-flight run, serve from
 // cache, or place a new run on the fleet, seeded from the nearest-bias
-// cached member of its family. The returned job id is tenant-private even
-// when the computation is shared.
+// cached member of its family. cfg must be a validated document (see
+// KeyOf). The returned job id is tenant-private even when the computation
+// is shared.
 func (f *Front) Submit(tenant string, cfg core.RunConfig) (*jobs.Status, error) {
-	return f.submit(tenant, cfg, func(key Key) *run {
-		if !cfg.PlainSerial() {
-			return nil
-		}
-		return f.cache.nearest(key)
-	})
+	return f.submit(tenant, cfg, f.cache.nearest)
 }
 
 // SubmitFrom is Submit with the seed named by the caller instead of the
@@ -219,8 +215,8 @@ func (f *Front) Submit(tenant string, cfg core.RunConfig) (*jobs.Status, error) 
 func (f *Front) SubmitFrom(tenant string, cfg core.RunConfig, from string) (*jobs.Status, error) {
 	return f.submit(tenant, cfg, func(key Key) *run {
 		j, ok := f.store.Get(from)
-		if !ok || !cfg.PlainSerial() || j.r.key.Family != key.Family ||
-			j.r.Snapshot().State != RunSucceeded || len(j.r.checkpoint) == 0 {
+		if !ok || j.r.key.Family != key.Family ||
+			j.r.Snapshot().State != jobs.Succeeded || len(j.r.checkpoint) == 0 {
 			return nil
 		}
 		return j.r
@@ -329,7 +325,7 @@ func (f *Front) status(j *job) *jobs.Status {
 	s := j.r.Snapshot()
 	st := s.Status(j.id)
 	st.Tenant, st.Source, st.Key = j.tenant, j.source, j.r.key.ID
-	if s.State == RunSucceeded {
+	if s.State == jobs.Succeeded {
 		st.Converged = j.r.result.Converged
 	}
 	j.r.Lock()
@@ -363,7 +359,7 @@ func (f *Front) Result(id string) (*serve.ResultDoc, []byte, error) {
 		return nil, nil, fmt.Errorf("front: no such job %q", id)
 	}
 	s := j.r.Snapshot()
-	if s.State != RunSucceeded {
+	if s.State != jobs.Succeeded {
 		if s.Err == "" {
 			s.Err = string(s.State)
 		}
@@ -397,7 +393,7 @@ func (f *Front) execute(ctx context.Context, r *run, cfg core.RunConfig, warm *r
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if ctx.Err() != nil {
-			f.settle(r, RunCancelled, "cancelled")
+			f.settle(r, jobs.Cancelled, "cancelled")
 			return
 		}
 		psp := obsPlacementSpan.Start()
@@ -419,16 +415,16 @@ func (f *Front) execute(ctx context.Context, r *run, cfg core.RunConfig, warm *r
 		err := f.runOn(ctx, r, w.url, cfg, warm)
 		f.registry.release(w)
 		if err == nil {
-			f.settle(r, RunSucceeded, "")
+			f.settle(r, jobs.Succeeded, "")
 			return
 		}
 		if ctx.Err() != nil {
-			f.settle(r, RunCancelled, "cancelled: "+err.Error())
+			f.settle(r, jobs.Cancelled, "cancelled: "+err.Error())
 			return
 		}
 		var perm *permanentError
 		if errors.As(err, &perm) {
-			f.settle(r, RunFailed, perm.err.Error())
+			f.settle(r, jobs.Failed, perm.err.Error())
 			return
 		}
 		lastErr = err
@@ -440,13 +436,13 @@ func (f *Front) execute(ctx context.Context, r *run, cfg core.RunConfig, warm *r
 	if lastErr != nil {
 		msg = fmt.Sprintf("front: run failed after %d placement attempts: %v", maxAttempts, lastErr)
 	}
-	f.settle(r, RunFailed, msg)
+	f.settle(r, jobs.Failed, msg)
 }
 
 // settle finishes a run, removes it from the singleflight table, retires
 // its handles into the store's ring and, on success, publishes it to the
 // content-addressed cache.
-func (f *Front) settle(r *run, state RunState, errmsg string) {
+func (f *Front) settle(r *run, state jobs.State, errmsg string) {
 	r.Finish(state, errmsg)
 	f.mu.Lock()
 	delete(f.inflight, r.key.ID)
@@ -507,8 +503,8 @@ func (f *Front) runOn(ctx context.Context, r *run, workerURL string, cfg core.Ru
 		return fmt.Errorf("worker %s lost job %s: HTTP %d", workerURL, st.ID, code)
 	}
 	switch final.State {
-	case serve.Succeeded:
-	case serve.Failed:
+	case jobs.Succeeded:
+	case jobs.Failed:
 		return &permanentError{fmt.Errorf("worker run failed: %s", final.Error)}
 	default:
 		return fmt.Errorf("worker job %s ended in state %q: %s", st.ID, final.State, final.Error)

@@ -78,7 +78,7 @@ func newFront(t *testing.T, cfg Config) *Front {
 }
 
 // waitFrontState polls until the front job reaches want or the deadline.
-func waitFrontState(t *testing.T, f *Front, id string, want RunState, timeout time.Duration) *jobs.Status {
+func waitFrontState(t *testing.T, f *Front, id string, want jobs.State, timeout time.Duration) *jobs.Status {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -89,7 +89,7 @@ func waitFrontState(t *testing.T, f *Front, id string, want RunState, timeout ti
 		if st.State == want {
 			return st
 		}
-		if st.State != RunRunning {
+		if st.State != jobs.Running {
 			t.Fatalf("job %s reached state %q (err %q), want %q", id, st.State, st.Error, want)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -388,7 +388,7 @@ func TestDedupAndCache(t *testing.T) {
 		if st.Iterations >= 1 {
 			break
 		}
-		if st.State != RunRunning {
+		if st.State != jobs.Running {
 			t.Fatalf("run finished before joiners could attach (state %s); enlarge the config", st.State)
 		}
 		if time.Now().After(deadline) {
@@ -425,7 +425,7 @@ func TestDedupAndCache(t *testing.T) {
 		}
 	}
 
-	waitFrontState(t, f, st1.ID, RunSucceeded, 60*time.Second)
+	waitFrontState(t, f, st1.ID, jobs.Succeeded, 60*time.Second)
 
 	// Exactly one worker-side job exists: dedup held.
 	resp, err := http.Get(worker.URL + "/v1/jobs")
@@ -460,7 +460,7 @@ func TestDedupAndCache(t *testing.T) {
 	if st3.Source != SourceCache {
 		t.Fatalf("post-completion submission source %q, want %q", st3.Source, SourceCache)
 	}
-	if st3.State != RunSucceeded {
+	if st3.State != jobs.Succeeded {
 		t.Fatalf("cache hit state %q, want succeeded", st3.State)
 	}
 	// ...with the same stream and result, and still only one worker job.
@@ -529,7 +529,7 @@ func TestWarmStart(t *testing.T) {
 	if st1.WarmStartBias != nil {
 		t.Fatal("first family member claims a warm start")
 	}
-	waitFrontState(t, f, st1.ID, RunSucceeded, 120*time.Second)
+	waitFrontState(t, f, st1.ID, jobs.Succeeded, 120*time.Second)
 
 	// The near-miss warm-starts from it.
 	st2, err := f.Submit("sweep", warmConfig(0.44))
@@ -539,7 +539,7 @@ func TestWarmStart(t *testing.T) {
 	if st2.Source != SourceRun {
 		t.Fatalf("near-miss source %q, want a fresh run", st2.Source)
 	}
-	fin := waitFrontState(t, f, st2.ID, RunSucceeded, 120*time.Second)
+	fin := waitFrontState(t, f, st2.ID, jobs.Succeeded, 120*time.Second)
 	if fin.WarmStartBias == nil || *fin.WarmStartBias != 0.40 {
 		t.Fatalf("warm start bias = %v, want 0.40", fin.WarmStartBias)
 	}
@@ -639,7 +639,7 @@ func TestReroute(t *testing.T) {
 			}
 			break
 		}
-		if cur.State != RunRunning {
+		if cur.State != jobs.Running {
 			t.Fatalf("run finished early (state %s)", cur.State)
 		}
 		if time.Now().After(deadline) {
@@ -652,7 +652,7 @@ func TestReroute(t *testing.T) {
 	victim.CloseClientConnections()
 	victim.Close()
 
-	fin := waitFrontState(t, f, st.ID, RunSucceeded, 120*time.Second)
+	fin := waitFrontState(t, f, st.ID, jobs.Succeeded, 120*time.Second)
 	if fin.Reroutes < 1 {
 		t.Errorf("run survived with %d reroutes recorded, want >= 1", fin.Reroutes)
 	}
@@ -744,7 +744,7 @@ func TestCancelDetach(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
-	if cur, _ := f.Get(st2.ID); cur.State != RunRunning {
+	if cur, _ := f.Get(st2.ID); cur.State != jobs.Running {
 		t.Fatalf("run state %q after one of two cancels, want still running", cur.State)
 	}
 
@@ -755,10 +755,10 @@ func TestCancelDetach(t *testing.T) {
 	deadline = time.Now().Add(30 * time.Second)
 	for {
 		cur, _ := f.Get(st2.ID)
-		if cur.State == RunCancelled {
+		if cur.State == jobs.Cancelled {
 			break
 		}
-		if cur.State != RunRunning {
+		if cur.State != jobs.Running {
 			t.Fatalf("run state %q after last cancel, want cancelled", cur.State)
 		}
 		if time.Now().After(deadline) {
@@ -813,11 +813,11 @@ func TestRepeatedCancelDetachesOnce(t *testing.T) {
 			t.Fatalf("cancel %d: HTTP %d", i+1, resp.StatusCode)
 		}
 	}
-	if cur, _ := f.Get(stB.ID); cur.State != RunRunning {
+	if cur, _ := f.Get(stB.ID); cur.State != jobs.Running {
 		t.Fatalf("run state %q right after the cancels; enlarge the config", cur.State)
 	}
 
-	waitFrontState(t, f, stB.ID, RunSucceeded, 120*time.Second)
+	waitFrontState(t, f, stB.ID, jobs.Succeeded, 120*time.Second)
 	lines := bytes.Split(bytes.TrimSpace(streamAll(t, api.URL, stB.ID)), []byte("\n"))
 	if len(lines) != cfg.MaxIter {
 		t.Fatalf("stream holds %d records, want %d", len(lines), cfg.MaxIter)
@@ -842,7 +842,7 @@ func TestCacheLRUAndNearest(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := newRun(key)
-		r.Finish(RunSucceeded, "")
+		r.Finish(jobs.Succeeded, "")
 		r.checkpoint = []byte{1}
 		return r
 	}
@@ -871,7 +871,7 @@ func TestCacheLRUAndNearest(t *testing.T) {
 	// Failed runs are never cached.
 	rf := mk(0.9)
 	rf = newRun(rf.key)
-	rf.Finish(RunFailed, "")
+	rf.Finish(jobs.Failed, "")
 	c.put(rf)
 	if _, ok := c.get(rf.key.ID); ok {
 		t.Error("failed run was cached")

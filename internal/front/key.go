@@ -32,11 +32,9 @@ type Key struct {
 	Bias float64
 }
 
-// KeyOf validates cfg and computes its content-address key.
+// KeyOf computes the content-address key of a validated document (the
+// front tier validates once, in core.ParseRunConfig at its HTTP submit).
 func KeyOf(cfg core.RunConfig) (Key, error) {
-	if err := cfg.Validate(); err != nil {
-		return Key{}, err
-	}
 	canon := cfg.Canonical()
 	id, err := digest(canon)
 	if err != nil {

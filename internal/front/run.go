@@ -5,31 +5,20 @@ import (
 	"negfsim/internal/serve"
 )
 
-// RunState is the lifecycle phase of a deduplicated run (the shared
-// jobs.State).
-type RunState = jobs.State
-
-// The run lifecycle: Running until the worker-side job reaches a terminal
-// state (possibly across re-placements), then one of the three terminal
-// states — failed permanently (solver error, or no healthy workers), or
-// cancelled after its last attached submission cancelled.
-const (
-	RunRunning   = jobs.Running
-	RunSucceeded = jobs.Succeeded
-	RunFailed    = jobs.Failed
-	RunCancelled = jobs.Cancelled
-)
-
 // run is one deduplicated execution: the single in-flight (or cached)
 // computation behind any number of front jobs with the same Key. Its record
 // holds the shared iteration log; front jobs are thin handles that read it.
+// It is running until the worker-side job reaches a terminal state
+// (possibly across re-placements), then succeeded, failed permanently
+// (solver error, or no healthy workers) or cancelled after its last
+// attached submission cancelled.
 type run struct {
 	jobs.Record[serve.IterRecord]
 
 	key Key
 
 	// result and checkpoint are written once, before the terminal
-	// transition, and read only after a snapshot showed RunSucceeded.
+	// transition, and read only after a snapshot showed jobs.Succeeded.
 	result     *serve.ResultDoc // worker's result document (ID is the worker job id)
 	checkpoint []byte           // gob checkpoint bytes fetched after success
 

@@ -251,17 +251,29 @@ func solveOpen(rank *comm.Rank, closure bool, a *cmat.BlockTri, scat Scattering,
 	}
 	ret := &Retarded{Diag: diag, gL: gl, a: a}
 
-	less := make([]*cmat.Dense, n)
-	gtr := make([]*cmat.Dense, n)
-	for i := 0; i < n; i++ {
-		less[i] = cmat.GetDense(bs, bs)
-		gtr[i] = cmat.GetDense(bs, bs)
+	// The sweep only reads its Keldysh sets, so they take the caller's
+	// scattering blocks as they are, one shared zero block where there is
+	// none, and private copies (0 + Σ, as a zeroed block gains them) of the
+	// two corner blocks, which gain the contact terms.
+	zero := cmat.GetDense(bs, bs)
+	less, gtr := make([]*cmat.Dense, n), make([]*cmat.Dense, n)
+	for i := range less {
+		less[i], gtr[i] = zero, zero
 		if scat.Less != nil && scat.Less[i] != nil {
-			less[i].AddInPlace(scat.Less[i])
+			less[i] = scat.Less[i]
 		}
 		if scat.Gtr != nil && scat.Gtr[i] != nil {
-			gtr[i].AddInPlace(scat.Gtr[i])
+			gtr[i] = scat.Gtr[i]
 		}
+	}
+	private := func(b *cmat.Dense) *cmat.Dense {
+		c := cmat.GetDense(bs, bs)
+		c.AddInPlace(b)
+		return c
+	}
+	less[0], gtr[0] = private(less[0]), private(gtr[0])
+	if n > 1 {
+		less[n-1], gtr[n-1] = private(less[n-1]), private(gtr[n-1])
 	}
 	less[0].AddScaledInPlace(complex(0, occL), gamL)
 	gtr[0].AddScaledInPlace(complex(0, occL-1), gamL)
@@ -269,8 +281,10 @@ func solveOpen(rank *comm.Rank, closure bool, a *cmat.BlockTri, scat Scattering,
 	gtr[n-1].AddScaledInPlace(complex(0, occR-1), gamR)
 
 	g := ret.sweep(less, gtr)
-	cmat.PutAll(less...)
-	cmat.PutAll(gtr...)
+	cmat.PutAll(zero, less[0], gtr[0])
+	if n > 1 {
+		cmat.PutAll(less[n-1], gtr[n-1])
+	}
 	res := &ElectronResult{GR: ret.Diag, GLess: g[:n:n], GGtr: g[n:]}
 	if trans != nil {
 		*trans = ret.Transmission(gamL, gamR)

@@ -8,6 +8,7 @@ import (
 
 	"negfsim/internal/core"
 	"negfsim/internal/egrid"
+	"negfsim/internal/jobs"
 )
 
 // An adaptive job through the scheduler: the dispatch runs the
@@ -21,7 +22,7 @@ func TestAdaptiveJobDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, j, Succeeded, 60*time.Second)
+	waitState(t, j, jobs.Succeeded, 60*time.Second)
 	res, ok := j.Result()
 	if !ok {
 		t.Fatalf("no result: %+v", j.Status())
@@ -46,7 +47,7 @@ func TestSubmitFromRejectsPartialGridForUniformRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, j, Succeeded, 60*time.Second)
+	waitState(t, j, jobs.Succeeded, 60*time.Second)
 	res, _ := j.Result()
 	if res == nil || res.EGrid == nil {
 		t.Fatal("adaptive job produced no grid state")
@@ -66,7 +67,7 @@ func TestSubmitFromRejectsPartialGridForUniformRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, j2, Succeeded, 60*time.Second)
+	waitState(t, j2, jobs.Succeeded, 60*time.Second)
 	// …and a full-grid state passes the uniform gate.
 	full := *ck
 	full.EGrid = egrid.Uniform(cfg.Device.Grid().NE, cfg.Device.Grid().Emin, cfg.Device.Grid().Emax).State()

@@ -72,7 +72,7 @@ func TestHTTPLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("submit: status %d, want 202", resp.StatusCode)
 	}
-	if st.ID == "" || st.State != Queued {
+	if st.ID == "" || st.State != jobs.Queued {
 		t.Fatalf("submit returned %+v, want a queued job with an id", st)
 	}
 	base := ts.URL + "/v1/jobs/" + st.ID
@@ -111,7 +111,7 @@ func TestHTTPLifecycle(t *testing.T) {
 	if code := getJSON(t, base, &final); code != http.StatusOK {
 		t.Fatalf("status: %d", code)
 	}
-	if final.State != Succeeded || final.Iterations != len(recs) {
+	if final.State != jobs.Succeeded || final.Iterations != len(recs) {
 		t.Fatalf("final status %+v, want succeeded with %d iterations", final, len(recs))
 	}
 
@@ -231,7 +231,7 @@ func TestHTTPCancelAndErrors(t *testing.T) {
 	for {
 		var st jobs.Status
 		getJSON(t, ts.URL+"/v1/jobs/"+running.ID, &st)
-		if st.State == Cancelled {
+		if st.State == jobs.Cancelled {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -255,7 +255,7 @@ func TestHTTPStreamFollowsLiveJob(t *testing.T) {
 		t.Fatalf("submit: %d", resp.StatusCode)
 	}
 	j, _ := s.Get(st.ID)
-	waitState(t, j, Succeeded, 60*time.Second)
+	waitState(t, j, jobs.Succeeded, 60*time.Second)
 	n := j.Status().Iterations
 
 	streamResp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/stream?from=%d", ts.URL, st.ID, n-1))
@@ -284,7 +284,8 @@ func TestHTTPStreamFollowsLiveJob(t *testing.T) {
 // TestHTTPWarmStartEnvelope drives the checkpoint round trip over HTTP: a
 // finished job's /checkpoint seeds an envelope submission at an adjacent
 // bias, which must report warm_start, converge in fewer Born iterations
-// than the cold run, and reject incompatible or distributed warm starts.
+// than the cold run, run under dist to the cold answer, and reject
+// incompatible or corrupt checkpoints.
 func TestHTTPWarmStartEnvelope(t *testing.T) {
 	s := New(Config{MaxConcurrent: 1})
 	defer closeSched(t, s)
@@ -306,7 +307,7 @@ func TestHTTPWarmStartEnvelope(t *testing.T) {
 		t.Fatalf("seed submit: %d", resp.StatusCode)
 	}
 	j, _ := s.Get(st.ID)
-	waitState(t, j, Succeeded, 120*time.Second)
+	waitState(t, j, jobs.Succeeded, 120*time.Second)
 	ckResp, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/checkpoint")
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +350,7 @@ func TestHTTPWarmStartEnvelope(t *testing.T) {
 		t.Fatalf("cold submit: %d", coldResp.StatusCode)
 	}
 	jc, _ := s.Get(coldSt.ID)
-	waitState(t, jc, Succeeded, 120*time.Second)
+	waitState(t, jc, jobs.Succeeded, 120*time.Second)
 	coldIters := jc.Status().Iterations
 
 	// Warm envelope at the target bias.
@@ -361,7 +362,7 @@ func TestHTTPWarmStartEnvelope(t *testing.T) {
 		t.Error("envelope submission did not report warm_start")
 	}
 	jw, _ := s.Get(wSt.ID)
-	waitState(t, jw, Succeeded, 120*time.Second)
+	waitState(t, jw, jobs.Succeeded, 120*time.Second)
 	if got := jw.Status().Iterations; got >= coldIters {
 		t.Errorf("warm run took %d iterations, cold took %d — no head start", got, coldIters)
 	}
@@ -380,11 +381,19 @@ func TestHTTPWarmStartEnvelope(t *testing.T) {
 		t.Errorf("incompatible checkpoint: %d, want 400", resp.StatusCode)
 	}
 
-	// Warm starts apply to plain serial runs only.
+	// A seed composes with every placement: a warm envelope under dist
+	// runs and lands on the cold run's answer.
 	dist := mkCfg(0.44)
 	dist.Dist = "2x1"
-	if resp, _ := postEnvelope(dist, ck); resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("distributed warm start: %d, want 400", resp.StatusCode)
+	dResp, dSt := postEnvelope(dist, ck)
+	if dResp.StatusCode != http.StatusAccepted {
+		t.Fatalf("distributed warm start: %d, want 202", dResp.StatusCode)
+	}
+	jd, _ := s.Get(dSt.ID)
+	waitState(t, jd, jobs.Succeeded, 120*time.Second)
+	rd, _ := jd.Result()
+	if d := obsDiff(rd.Obs, rc.Obs); d > 1e-8 {
+		t.Errorf("distributed warm observables differ from cold by %g, want <= 1e-8", d)
 	}
 
 	// A corrupt checkpoint is a 400, not a crash.

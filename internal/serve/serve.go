@@ -48,10 +48,10 @@ var (
 	obsRejected  = obs.GetCounter("serve.jobs_rejected")
 	obsJobSpan   = obs.GetTimer("serve.job")
 	// obsFinished counts jobs by terminal state.
-	obsFinished = map[JobState]*obs.Counter{
-		Succeeded: obs.GetCounter("serve.jobs_succeeded"),
-		Failed:    obs.GetCounter("serve.jobs_failed"),
-		Cancelled: obs.GetCounter("serve.jobs_cancelled"),
+	obsFinished = map[jobs.State]*obs.Counter{
+		jobs.Succeeded: obs.GetCounter("serve.jobs_succeeded"),
+		jobs.Failed:    obs.GetCounter("serve.jobs_failed"),
+		jobs.Cancelled: obs.GetCounter("serve.jobs_cancelled"),
 	}
 )
 
@@ -97,20 +97,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// JobState is a job's lifecycle phase (the shared jobs.State).
-type JobState = jobs.State
-
-// The job lifecycle: Queued → Running → one of the three terminal states.
-const (
-	Queued    = jobs.Queued
-	Running   = jobs.Running
-	Succeeded = jobs.Succeeded
-	Failed    = jobs.Failed
-	Cancelled = jobs.Cancelled
-)
-
 // stateCode is the numeric encoding of the serve.job_state gauge.
-var stateCode = map[JobState]int64{Queued: 0, Running: 1, Succeeded: 2, Failed: 3, Cancelled: 4}
+var stateCode = map[jobs.State]int64{jobs.Queued: 0, jobs.Running: 1, jobs.Succeeded: 2, jobs.Failed: 3, jobs.Cancelled: 4}
 
 // IterRecord is one Born iteration of a job as streamed to clients —
 // the service-side shape of core.IterStats (qtsim's trace line schema).
@@ -152,7 +140,7 @@ func (j *Job) Status() jobs.Status {
 	s := j.Snapshot()
 	st := s.Status(j.id)
 	st.WarmStart = j.ck != nil
-	if s.State == Succeeded {
+	if s.State == jobs.Succeeded {
 		st.Converged = j.out.Result.Converged
 	}
 	return st
@@ -161,7 +149,7 @@ func (j *Job) Status() jobs.Status {
 // Result returns the job's result once it has succeeded, and whether it is
 // available.
 func (j *Job) Result() (*core.Result, bool) {
-	if j.Snapshot().State != Succeeded {
+	if j.Snapshot().State != jobs.Succeeded {
 		return nil, false
 	}
 	return j.out.Result, true
@@ -241,32 +229,25 @@ func (s *Scheduler) PerJobWorkers() int {
 	return w
 }
 
-// Submit validates and admits a job. It fails fast with ErrQueueFull when
-// QueueDepth jobs are already waiting, and with ErrClosed during shutdown.
+// Submit admits a validated job (see SubmitFrom). It fails fast with
+// ErrQueueFull when QueueDepth jobs are already waiting, and with ErrClosed
+// during shutdown.
 func (s *Scheduler) Submit(cfg core.RunConfig) (*Job, error) {
 	return s.SubmitFrom(cfg, nil)
 }
 
 // SubmitFrom is Submit with an optional warm-start checkpoint: a non-nil ck
 // seeds the Born loop with the saved Σ≷/Π≷ instead of zeros (it becomes
-// the core.Plan's Seed), which lets a front tier start a run from an
-// adjacent bias point's converged state. The checkpoint must match
-// the config's device exactly and the run must be a plain serial one —
-// distributed and Gummel-coupled runs manage their own checkpointing.
+// the core.Plan's seed), which lets a front tier or a campaign start a run
+// from an adjacent bias point's converged state. The checkpoint must pass
+// cfg.CheckSeed, under any placement or outer loop. cfg must be a
+// validated document: this tier validates once, where a document enters it
+// — core.ParseRunConfig in the HTTP submit — and in-process callers hand
+// documents their own tier validated (campaign.Request.Validate, the
+// benchmark's parsed documents).
 func (s *Scheduler) SubmitFrom(cfg core.RunConfig, ck *core.Checkpoint) (*Job, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.CheckSeed(ck); err != nil {
 		return nil, err
-	}
-	if ck != nil {
-		if !cfg.PlainSerial() {
-			return nil, errors.New("serve: warm start applies to plain serial runs only (no dist, no space, no gate)")
-		}
-		if err := ck.Compatible(cfg.Device); err != nil {
-			return nil, err
-		}
-		if err := ck.CompatibleGrid(cfg.AdaptEnabled()); err != nil {
-			return nil, err
-		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -301,7 +282,7 @@ func (s *Scheduler) Jobs() []*Job { return s.store.List() }
 // immediately (freeing its admission slot), a running job has its context
 // cancelled and drains within one Born iteration. Cancelling a finished job
 // is a no-op. The returned state is the job's state after the request.
-func (s *Scheduler) Cancel(id string) (JobState, error) {
+func (s *Scheduler) Cancel(id string) (jobs.State, error) {
 	j, ok := s.store.Get(id)
 	if !ok {
 		return "", fmt.Errorf("serve: no such job %q", id)
@@ -318,7 +299,7 @@ func (s *Scheduler) Cancel(id string) (JobState, error) {
 	}
 	s.mu.Unlock()
 	if j.Cancel("cancelled while queued") {
-		s.settled(j, Cancelled)
+		s.settled(j, jobs.Cancelled)
 	}
 	return j.Snapshot().State, nil
 }
@@ -335,7 +316,7 @@ func (s *Scheduler) Close(ctx context.Context) error {
 		s.mu.Unlock()
 		for _, j := range pending {
 			if j.Cancel("scheduler shut down") {
-				s.settled(j, Cancelled)
+				s.settled(j, jobs.Cancelled)
 			}
 		}
 	})
@@ -375,14 +356,14 @@ func (s *Scheduler) execute(j *Job) {
 	}
 	t0 := time.Now()
 	out, err := s.runConfigured(ctx, j)
-	state, msg := Succeeded, ""
+	state, msg := jobs.Succeeded, ""
 	switch {
 	case err == nil:
 		j.out = out
 	case ctx.Err() != nil || errors.Is(err, context.Canceled):
-		state, msg = Cancelled, err.Error()
+		state, msg = jobs.Cancelled, err.Error()
 	default:
-		state, msg = Failed, err.Error()
+		state, msg = jobs.Failed, err.Error()
 	}
 	j.Finish(state, msg)
 	obsJobSpan.Observe(time.Since(t0))
@@ -393,7 +374,7 @@ func (s *Scheduler) execute(j *Job) {
 // path took it there: the outcome counter, then retirement into the
 // store's ring, which evicts the oldest finished jobs past Retain and
 // unregisters their per-job metrics.
-func (s *Scheduler) settled(j *Job, state JobState) {
+func (s *Scheduler) settled(j *Job, state jobs.State) {
 	obsFinished[state].Inc()
 	s.store.Retire(j.id)
 }

@@ -10,6 +10,7 @@ import (
 
 	"negfsim/internal/core"
 	"negfsim/internal/device"
+	"negfsim/internal/jobs"
 	"negfsim/internal/obs"
 )
 
@@ -45,13 +46,13 @@ func longConfig(seed uint64) core.RunConfig {
 
 // waitState blocks until the job reaches a terminal state or the deadline
 // expires.
-func waitState(t *testing.T, j *Job, want JobState, timeout time.Duration) {
+func waitState(t *testing.T, j *Job, want jobs.State, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		if st := j.Status().State; st == want {
 			return
-		} else if st == Succeeded || st == Failed || st == Cancelled {
+		} else if st == jobs.Succeeded || st == jobs.Failed || st == jobs.Cancelled {
 			t.Fatalf("job %s reached terminal state %q, want %q (err %q)", j.ID(), st, want, j.Status().Error)
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -106,7 +107,7 @@ func TestJobMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, j, Succeeded, 60*time.Second)
+	waitState(t, j, jobs.Succeeded, 60*time.Second)
 	got, ok := j.Result()
 	if !ok {
 		t.Fatal("succeeded job has no result")
@@ -144,10 +145,10 @@ func TestJobMatchesDirectRun(t *testing.T) {
 // Run under -race this also proves the scheduler and the pool are
 // data-race free with at least 4 simulations in flight.
 func TestConcurrentJobsSharedPool(t *testing.T) {
-	const jobs = 6
+	const n = 6
 	// Serial references first, one simulator at a time.
-	want := make([]*core.Result, jobs)
-	for i := 0; i < jobs; i++ {
+	want := make([]*core.Result, n)
+	for i := 0; i < n; i++ {
 		cfg := testConfig(uint64(100+i), 3)
 		opts, err := cfg.Options()
 		if err != nil {
@@ -164,9 +165,9 @@ func TestConcurrentJobsSharedPool(t *testing.T) {
 		}
 	}
 
-	s := New(Config{MaxConcurrent: 4, QueueDepth: jobs})
+	s := New(Config{MaxConcurrent: 4, QueueDepth: n})
 	defer closeSched(t, s)
-	admitted := make([]*Job, jobs)
+	admitted := make([]*Job, n)
 	for i := range admitted {
 		j, err := s.Submit(testConfig(uint64(100+i), 3))
 		if err != nil {
@@ -175,7 +176,7 @@ func TestConcurrentJobsSharedPool(t *testing.T) {
 		admitted[i] = j
 	}
 	for i, j := range admitted {
-		waitState(t, j, Succeeded, 120*time.Second)
+		waitState(t, j, jobs.Succeeded, 120*time.Second)
 		got, ok := j.Result()
 		if !ok {
 			t.Fatalf("job %d has no result", i)
@@ -216,13 +217,13 @@ func TestCancelRunningJob(t *testing.T) {
 	if _, err := s.Cancel(victim.ID()); err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, victim, Cancelled, 60*time.Second)
+	waitState(t, victim, jobs.Cancelled, 60*time.Second)
 	if msg := victim.Status().Error; !strings.Contains(msg, "cancel") {
 		t.Errorf("cancelled job error %q does not mention cancellation", msg)
 	}
 
 	// The freed slot must run the queued job to completion.
-	waitState(t, next, Succeeded, 60*time.Second)
+	waitState(t, next, jobs.Succeeded, 60*time.Second)
 }
 
 // TestCancelQueuedJobFreesSlot pins the admission-control interaction: a
@@ -236,7 +237,7 @@ func TestCancelQueuedJobFreesSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, running, Running, 60*time.Second)
+	waitState(t, running, jobs.Running, 60*time.Second)
 
 	queued, err := s.Submit(testConfig(4, 2))
 	if err != nil {
@@ -246,7 +247,7 @@ func TestCancelQueuedJobFreesSlot(t *testing.T) {
 		t.Fatalf("third submit: err = %v, want ErrQueueFull", err)
 	}
 
-	if st, err := s.Cancel(queued.ID()); err != nil || st != Cancelled {
+	if st, err := s.Cancel(queued.ID()); err != nil || st != jobs.Cancelled {
 		t.Fatalf("cancel queued job: state %q, err %v", st, err)
 	}
 	admitted, err := s.Submit(testConfig(5, 2))
@@ -257,7 +258,7 @@ func TestCancelQueuedJobFreesSlot(t *testing.T) {
 	if _, err := s.Cancel(running.ID()); err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, admitted, Succeeded, 60*time.Second)
+	waitState(t, admitted, jobs.Succeeded, 60*time.Second)
 }
 
 // TestPerJobMetricsEvicted pins the per-job observability scoping: while a
@@ -271,7 +272,7 @@ func TestPerJobMetricsEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, first, Succeeded, 60*time.Second)
+	waitState(t, first, jobs.Succeeded, 60*time.Second)
 
 	var sb strings.Builder
 	obs.WriteMetrics(&sb)
@@ -283,7 +284,7 @@ func TestPerJobMetricsEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, second, Succeeded, 60*time.Second)
+	waitState(t, second, jobs.Succeeded, 60*time.Second)
 
 	if _, ok := s.Get(first.ID()); ok {
 		t.Fatalf("job %s still in store after eviction (Retain=1)", first.ID())
@@ -309,7 +310,7 @@ func TestCloseCancelsEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, running, Running, 60*time.Second)
+	waitState(t, running, jobs.Running, 60*time.Second)
 	queued, err := s.Submit(testConfig(32, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -320,10 +321,10 @@ func TestCloseCancelsEverything(t *testing.T) {
 	if err := s.Close(ctx); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if st := running.Status().State; st != Cancelled {
+	if st := running.Status().State; st != jobs.Cancelled {
 		t.Errorf("running job state after Close = %q, want cancelled", st)
 	}
-	if st := queued.Status().State; st != Cancelled {
+	if st := queued.Status().State; st != jobs.Cancelled {
 		t.Errorf("queued job state after Close = %q, want cancelled", st)
 	}
 	if _, err := s.Submit(testConfig(33, 2)); err != ErrClosed {
@@ -346,7 +347,7 @@ func TestWaitIterReplaysFromAnyIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, j, Succeeded, 60*time.Second)
+	waitState(t, j, jobs.Succeeded, 60*time.Second)
 	n := j.Status().Iterations
 	if n == 0 {
 		t.Fatal("job recorded no iterations")
@@ -382,7 +383,7 @@ func TestDivergedJobFailsWithErrDiverged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, cold, Succeeded, 30*time.Second)
+	waitState(t, cold, jobs.Succeeded, 30*time.Second)
 	res, _ := cold.Result()
 	ck := core.CheckpointOf(cfg.Device, res)
 	ck.SigmaLess.Data[0] = complex(math.NaN(), 0)
@@ -391,7 +392,7 @@ func TestDivergedJobFailsWithErrDiverged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, j, Failed, 30*time.Second)
+	waitState(t, j, jobs.Failed, 30*time.Second)
 	if msg := j.Status().Error; !strings.Contains(msg, core.ErrDiverged.Error()) {
 		t.Errorf("failed job error %q does not carry %q", msg, core.ErrDiverged)
 	}
