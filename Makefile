@@ -18,13 +18,15 @@ vet:
 # an arm64 vet and build catch an entry point missing its gemm_noasm.go
 # stub, and the cmat bitwise pins rerun under GOAMD64=v3, where the
 # compiler may fuse a scalar multiply-add into an FMA (the pins' oracles
-# round explicitly, so they must hold there too), as does the rgf pin of
-# one G^R/G^≷ sweep against separate retarded and Keldysh solves.
+# round explicitly, so they must hold there too; the span product's pin
+# matches 'Bitwise'), as do the rgf pins of one G^R/G^≷ sweep against
+# separate retarded and Keldysh solves and of the coupling-support path
+# against the same solves with every product run whole.
 cross:
 	GOARCH=arm64 go vet ./internal/cmat
 	GOARCH=arm64 go build ./...
 	GOAMD64=v3 go test -count=1 -run 'Bitwise|Blocked|Naive|Inverse' ./internal/cmat
-	GOAMD64=v3 go test -count=1 -run 'OneSweepBitwise' ./internal/rgf
+	GOAMD64=v3 go test -count=1 -run 'OneSweepBitwise|CouplingSupportBitwise' ./internal/rgf
 
 # Includes the doc-comment lint (doclint_test.go) over the exported API of
 # internal/obs, internal/comm and internal/core.

@@ -243,11 +243,8 @@ func main() {
 		summary("adaptive grid: %d/%d energy points after %d rounds (%s), %d refined, %d coarsened\n%s",
 			a.PointsActive, a.PointsFine, a.Rounds, a.Reason, a.Refined, a.Coarsened, solves)
 	}
-	if distCfg.TE > 0 {
-		summary("distributed SSE on %dx%d ranks: %s, %s", distCfg.TE, distCfg.TA, exchanged, recoveries)
-	}
-	if distCfg.Space >= 2 {
-		summary("spatially partitioned GF on %d ranks: %s, %s", distCfg.Space, exchanged, recoveries)
+	for _, line := range clusterLines(distCfg.TE, distCfg.TA, distCfg.Space, exchanged, recoveries) {
+		summary("%s", line)
 	}
 	if cfg.Gate != nil {
 		summary("Gummel: %d outer iterations (converged: %v)", out.GummelOuter, out.GummelConverged)
@@ -283,4 +280,24 @@ func main() {
 		fmt.Println()
 		obs.WriteSummary(os.Stdout, wall)
 	}
+}
+
+// clusterLines is the summary of a run's cluster axes: one line for the
+// distributed SSE on a te×ta grid (te > 0) and one for the spatially
+// partitioned GF on space ranks (space ≥ 2). The run's Outcome carries one
+// byte total, not one per axis, so a run on both axes prints exchanged and
+// recoveries once, on a line of their own after both.
+func clusterLines(te, ta, space int, exchanged, recoveries string) []string {
+	dist := fmt.Sprintf("distributed SSE on %dx%d ranks", te, ta)
+	spatial := fmt.Sprintf("spatially partitioned GF on %d ranks", space)
+	tail := exchanged + ", " + recoveries
+	switch {
+	case te > 0 && space >= 2:
+		return []string{dist, spatial, "run total: " + tail}
+	case te > 0:
+		return []string{dist + ": " + tail}
+	case space >= 2:
+		return []string{spatial + ": " + tail}
+	}
+	return nil
 }

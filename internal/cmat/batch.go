@@ -3,9 +3,11 @@ package cmat
 import "negfsim/internal/pool"
 
 // Triple is one independent product in a batched GEMM dispatch:
-// Out += A·B.
+// Out += A·B over Span (the zero Span is the plain product; see
+// MulSpanAddInto).
 type Triple struct {
 	Out, A, B *Dense
+	Span      Span
 }
 
 // batchSerialWork is the total R·K·C volume below which a batch runs
@@ -22,8 +24,8 @@ const batchSerialWork = 64 * 1024
 // fuses myriads of tiny Norb×Norb multiplications into batched kernel
 // launches: the SSE and block-tridiagonal RGF stages hand the pool many
 // independent small products at once instead of spawning goroutines (or
-// running serially) per product. The batch's flops, 8·ΣR·K·C, are
-// published to Counter once, not once per product.
+// running serially) per product. The batch's flops, 8·ΣR·K·C over each
+// triple's span, are published to Counter once, not once per product.
 func BatchMulAddInto(batch []Triple) {
 	work := 0
 	for _, t := range batch {
@@ -33,16 +35,16 @@ func BatchMulAddInto(batch []Triple) {
 		if t.Out.Rows != t.A.Rows || t.Out.Cols != t.B.Cols {
 			panic("cmat: BatchMulAddInto output shape mismatch")
 		}
-		work += t.A.Rows * t.A.Cols * t.B.Cols
+		work += t.A.spanWork(t.B, t.Span)
 	}
 	if len(batch) <= 1 || work < batchSerialWork {
 		for _, t := range batch {
-			t.A.mulInto(t.Out, t.B, true)
+			t.A.mulSpan(t.Out, t.B, t.Span, true)
 		}
 	} else {
 		pool.ParallelFor(len(batch), pool.Size(), func(lo, hi int) {
 			for _, t := range batch[lo:hi] {
-				t.A.mulInto(t.Out, t.B, true)
+				t.A.mulSpan(t.Out, t.B, t.Span, true)
 			}
 		})
 	}

@@ -79,14 +79,13 @@ func (m *Dense) mulAddNaive(out, n *Dense) {
 // gemm computes out += m·n (accumulate) or out = m·n, dispatching between
 // the naive and the blocked kernel on size and left-operand density.
 func (m *Dense) gemm(out, n *Dense, accumulate bool) {
-	R, K, C := m.Rows, m.Cols, n.Cols
-	if K == 0 {
+	if m.Cols == 0 {
 		if !accumulate {
 			out.Zero()
 		}
 		return
 	}
-	if R*K*C < blockedMinWork || C < gemmNR || !denseEnough(m, blockedMinDensity) {
+	if !m.blockedFor(n) {
 		if !accumulate {
 			out.Zero()
 		}
@@ -94,6 +93,14 @@ func (m *Dense) gemm(out, n *Dense, accumulate bool) {
 		return
 	}
 	m.mulBlocked(out, n, accumulate, gemmKC, gemmNC)
+}
+
+// blockedFor reports whether gemm runs m·n on the blocked engine: a product
+// large enough to pay for the packing, at least one strip wide, with a
+// dense enough left operand.
+func (m *Dense) blockedFor(n *Dense) bool {
+	R, K, C := m.Rows, m.Cols, n.Cols
+	return R*K*C >= blockedMinWork && C >= gemmNR && denseEnough(m, blockedMinDensity)
 }
 
 // denseEnough reports whether at least minDensity of m's entries are
@@ -122,7 +129,7 @@ func (m *Dense) mulBlocked(out, n *Dense, accumulate bool, kcMax, ncMax int) {
 		ncMax = C
 	}
 	stripsMax := num.CeilDiv(ncMax, gemmNR)
-	pack := getDenseNoZero(1, kcMax*stripsMax*gemmNR)
+	pack := GetDenseNoZero(1, kcMax*stripsMax*gemmNR)
 	pb := pack.Data
 	for kb := 0; kb < K; kb += kcMax {
 		kc := K - kb

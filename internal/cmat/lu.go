@@ -38,7 +38,7 @@ func factorLUInto(f *LU, a *Dense) (uint64, error) {
 		return 0, errors.New("cmat: LU of non-square matrix")
 	}
 	n := a.Rows
-	lu := getDenseNoZero(n, n)
+	lu := GetDenseNoZero(n, n)
 	lu.CopyFrom(a)
 	piv := getInts(n)
 	for i := range piv {

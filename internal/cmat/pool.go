@@ -42,14 +42,15 @@ var (
 // GetDense returns a zeroed r×c matrix from the workspace arena, growing the
 // arena if no suitable buffer is pooled.
 func GetDense(r, c int) *Dense {
-	m := getDenseNoZero(r, c)
+	m := GetDenseNoZero(r, c)
 	clear(m.Data)
 	return m
 }
 
-// getDenseNoZero is GetDense without the zeroing pass, for scratch that is
-// fully overwritten before being read (pack buffers, MulInto targets).
-func getDenseNoZero(r, c int) *Dense {
+// GetDenseNoZero is GetDense without the zeroing pass: its contents are
+// whatever the buffer last held, for a block the caller overwrites in full
+// before reading it (pack buffers, MulInto and CopyFrom targets).
+func GetDenseNoZero(r, c int) *Dense {
 	if r < 0 || c < 0 {
 		panic("cmat: GetDense negative dimensions")
 	}

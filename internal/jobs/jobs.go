@@ -252,7 +252,8 @@ type Store[J any] struct {
 }
 
 // NewStore builds a store minting ids prefix1, prefix2, … and retaining
-// retain finished jobs; onEvict (may be nil) runs for each evicted job.
+// retain finished jobs; onEvict (may be nil) runs for each evicted job,
+// under the store's lock (see Retire).
 func NewStore[J any](prefix string, retain int, onEvict func(J)) *Store[J] {
 	s := &Store[J]{prefix: prefix, retain: retain, onEvict: onEvict, items: map[string]J{}}
 	s.ctx, s.stop = context.WithCancel(context.Background())
@@ -302,10 +303,13 @@ func (s *Store[J]) List() []J {
 }
 
 // Retire enters a finished job into the retention ring and evicts the
-// oldest retired jobs past Retain, running the eviction hook for each.
+// oldest retired jobs past Retain. The eviction hook runs for each under
+// the store's lock, before the job leaves Get and List, so no caller sees
+// a job gone whose hook has not finished (serve's per-job metrics are
+// unregistered by then). The hook must not call back into the store.
 func (s *Store[J]) Retire(id string) {
-	var evicted []J
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.done = append(s.done, id)
 	for len(s.done) > s.retain {
 		victim := s.done[0]
@@ -314,19 +318,15 @@ func (s *Store[J]) Retire(id string) {
 		if !ok {
 			continue
 		}
+		if s.onEvict != nil {
+			s.onEvict(j)
+		}
 		delete(s.items, victim)
 		for i, oid := range s.order {
 			if oid == victim {
 				s.order = append(s.order[:i:i], s.order[i+1:]...)
 				break
 			}
-		}
-		evicted = append(evicted, j)
-	}
-	s.mu.Unlock()
-	if s.onEvict != nil {
-		for _, j := range evicted {
-			s.onEvict(j)
 		}
 	}
 }

@@ -245,11 +245,10 @@ func solveOpen(rank *comm.Rank, closure bool, a *cmat.BlockTri, scat Scattering,
 			return nil, err
 		}
 	}
-	gl, err := forwardGL(a)
+	ret, err := newRetarded(a, diag)
 	if err != nil {
 		return nil, err
 	}
-	ret := &Retarded{Diag: diag, gL: gl, a: a}
 
 	// The sweep only reads its Keldysh sets, so they take the caller's
 	// scattering blocks as they are, one shared zero block where there is

@@ -59,7 +59,9 @@ func (sg *segment) localInverse(a *cmat.BlockTri) error {
 	slices.Reverse(rev.Diag)
 	slices.Reverse(rev.Upper)
 	slices.Reverse(rev.Lower)
-	gR, err := forwardGL(rev)
+	revSup := couplingsOf(rev)
+	gR, err := forwardGL(rev, revSup)
+	revSup.release()
 	if err != nil {
 		ret.Release()
 		return fmt.Errorf("rgf: segment [%d,%d] reversed: %w", sg.lo, sg.hi, err)

@@ -13,6 +13,7 @@ type Retarded struct {
 	Diag []*cmat.Dense // G^R[n,n]
 	gL   []*cmat.Dense // left-connected g^L[n]
 	a    *cmat.BlockTri
+	sup  *couplings // a's coupling supports, returned with gL
 }
 
 // SolveRetarded runs the forward/backward recursion on the block-tridiagonal
@@ -26,36 +27,49 @@ type Retarded struct {
 // intermediate blocks come from the workspace arena; call Release (or keep
 // the blocks and let the GC take them) when done.
 func SolveRetarded(a *cmat.BlockTri) (*Retarded, error) {
-	gl, err := forwardGL(a)
+	r, err := newRetarded(a, nil)
 	if err != nil {
 		return nil, err
 	}
-	r := &Retarded{gL: gl, a: a}
 	r.sweep()
-	return r, nil
+	return &r, nil
+}
+
+// newRetarded works out a's coupling supports and runs the forward
+// recursion on a. diag, when non-nil, is a G^R diagonal computed elsewhere
+// (the spatial solver's), which sweep keeps.
+func newRetarded(a *cmat.BlockTri, diag []*cmat.Dense) (Retarded, error) {
+	sup := couplingsOf(a)
+	gl, err := forwardGL(a, sup)
+	if err != nil {
+		sup.release()
+		return Retarded{}, err
+	}
+	return Retarded{Diag: diag, gL: gl, a: a, sup: sup}, nil
 }
 
 // forwardGL runs only the forward recursion, returning the left-connected
-// g^L blocks (all pooled). It is the first half of SolveRetarded, split out
-// so the spatial solver can rebuild a full Retarded around an
-// already-distributed diagonal.
-func forwardGL(a *cmat.BlockTri) ([]*cmat.Dense, error) {
+// g^L blocks (all pooled): gL[0] = A[0,0]⁻¹ and
+// gL[i] = (A[i,i] − A[i,i−1]·gL[i−1]·A[i−1,i])⁻¹, whose two products run
+// over the couplings' supports sup.
+func forwardGL(a *cmat.BlockTri, sup *couplings) ([]*cmat.Dense, error) {
 	n, bs := a.N, a.Bs
 	gl := make([]*cmat.Dense, 0, n)
-	g := cmat.GetDense(bs, bs)
+	g := cmat.GetDenseNoZero(bs, bs)
 	if err := cmat.InverseInto(g, a.Diag[0]); err != nil {
 		cmat.PutDense(g)
 		return nil, fmt.Errorf("rgf: forward block 0: %w", err)
 	}
 	gl = append(gl, g)
-	t1 := cmat.GetDense(bs, bs)
-	t2 := cmat.GetDense(bs, bs)
+	t1 := cmat.GetDenseNoZero(bs, bs)
+	t2 := cmat.GetDenseNoZero(bs, bs)
 	for i := 1; i < n; i++ {
-		a.Lower[i-1].MulInto(t1, gl[i-1])
-		t1.MulInto(t2, a.Upper[i-1])
+		lo, up := sup.lower[i-1], sup.upper[i-1]
+		a.Lower[i-1].MulSpanInto(t1, gl[i-1], cmat.Span{Rows: lo.Rows, Inner: lo.Cols})
+		t1.MulSpanInto(t2, a.Upper[i-1], cmat.Span{Rows: lo.Rows, Inner: up.Rows, Cols: up.Cols})
 		t2.ScaleInPlace(-1)
 		t2.AddInPlace(a.Diag[i])
-		g = cmat.GetDense(bs, bs)
+		g = cmat.GetDenseNoZero(bs, bs)
 		if err := cmat.InverseInto(g, t2); err != nil {
 			cmat.PutAll(g, t1, t2)
 			cmat.PutAll(gl...)
@@ -74,19 +88,20 @@ func (r *Retarded) Release() {
 	for _, d := range r.Diag {
 		cmat.PutDense(d)
 	}
-	for _, g := range r.gL {
-		cmat.PutDense(g)
-	}
-	r.Diag, r.gL = nil, nil
+	r.Diag = nil
+	r.releaseGL()
 }
 
-// releaseGL returns only the left-connected helper blocks, keeping Diag
-// alive — for callers that hand Diag onward as a result.
+// releaseGL returns only the left-connected helper blocks (and the coupling
+// supports), keeping Diag alive — for callers that hand Diag onward as a
+// result.
 func (r *Retarded) releaseGL() {
 	for _, g := range r.gL {
 		cmat.PutDense(g)
 	}
 	r.gL = nil
+	r.sup.release()
+	r.sup = nil
 }
 
 // OffDiagLower returns G^R[n+1, n] = −G^R[n+1,n+1]·A[n+1,n]·gL[n], the
@@ -128,32 +143,38 @@ func (r *Retarded) SolveKeldysh(sigma []*cmat.Dense) []*cmat.Dense {
 // backward walk forms u = gL[i]·A[i,i+1], p = u·G^R[i+1] and M = p·A[i+1,i]
 // once per block and feeds them to G^R[i] = gL[i] + M·gL[i] and to every
 // set. Each product has the operands and order of a separate solve's, so the
-// bits are the same. It returns the sets' G^≷ diagonals one after the other.
+// bits are the same. Every product with a coupling block, or with u, M,
+// x·A^H or M^H, which inherit a coupling's rows or columns, runs over the
+// couplings' supports (cmat.Span), which skips only exact zero terms. It
+// returns the sets' G^≷ diagonals one after the other.
 func (r *Retarded) sweep(sets ...[]*cmat.Dense) []*cmat.Dense {
 	a := r.a
 	n, bs, k := a.N, a.Bs, len(sets)
 	// g[s*n+i] is set s's left-connected g≷L[i] after the forward loop. The
 	// backward walk replaces it by G≷[i] and returns it to the arena; G≷[n−1]
-	// is g≷L[n−1] as it stands.
+	// is g≷L[n−1] as it stands. Every block taken without zeroing below is
+	// written in full before it is read.
 	g := make([]*cmat.Dense, k*n)
-	t1, t2 := cmat.GetDense(bs, bs), cmat.GetDense(bs, bs)
-	h, ah := cmat.GetDense(bs, bs), cmat.GetDense(bs, bs) // gL[i]^H, a coupling block's A^H
+	t1, t2 := cmat.GetDenseNoZero(bs, bs), cmat.GetDenseNoZero(bs, bs)
+	h, ah := cmat.GetDenseNoZero(bs, bs), cmat.GetDenseNoZero(bs, bs) // gL[i]^H, a coupling block's A^H
 	for i := 0; i < n && k > 0; i++ {
 		r.gL[i].ConjTransposeInto(h)
+		var lo cmat.Support
 		if i > 0 {
+			lo = r.sup.lower[i-1]
 			a.Lower[i-1].ConjTransposeInto(ah)
 		}
 		for s, sigma := range sets {
 			inner := sigma[i]
 			if i > 0 {
 				// inner = Σ[i] + A[i,i−1]·g≷L[i−1]·A[i,i−1]^H
-				a.Lower[i-1].MulInto(t1, g[s*n+i-1])
-				t1.MulInto(t2, ah)
+				a.Lower[i-1].MulSpanInto(t1, g[s*n+i-1], cmat.Span{Rows: lo.Rows, Inner: lo.Cols})
+				t1.MulSpanInto(t2, ah, cmat.Span{Rows: lo.Rows, Inner: lo.Cols, Cols: lo.Rows})
 				t2.AddInPlace(sigma[i])
 				inner = t2
 			}
 			r.gL[i].MulInto(t1, inner)
-			g[s*n+i] = cmat.GetDense(bs, bs)
+			g[s*n+i] = cmat.GetDenseNoZero(bs, bs)
 			t1.MulInto(g[s*n+i], h)
 		}
 	}
@@ -161,30 +182,33 @@ func (r *Retarded) sweep(sets ...[]*cmat.Dense) []*cmat.Dense {
 	retarded := r.Diag == nil
 	if retarded { // Diag[n−1] copies gL[n−1] so Release returns each block once
 		r.Diag = make([]*cmat.Dense, n)
-		r.Diag[n-1] = cmat.GetDense(bs, bs)
+		r.Diag[n-1] = cmat.GetDenseNoZero(bs, bs)
 		r.Diag[n-1].CopyFrom(r.gL[n-1])
 	}
-	u, p, m, mh := t1, t2, cmat.GetDense(bs, bs), cmat.GetDense(bs, bs)
-	y, z := cmat.GetDense(bs, bs), cmat.GetDense(bs, bs)
-	x := [2]*cmat.Dense{cmat.GetDense(bs, bs), cmat.GetDense(bs, bs)} // u·G≷[i+1] per set
+	u, p, m, mh := t1, t2, cmat.GetDenseNoZero(bs, bs), cmat.GetDenseNoZero(bs, bs)
+	y, z := cmat.GetDenseNoZero(bs, bs), cmat.GetDenseNoZero(bs, bs)
+	x := [2]*cmat.Dense{cmat.GetDenseNoZero(bs, bs), cmat.GetDenseNoZero(bs, bs)} // u·G≷[i+1] per set
 	var batch [3]cmat.Triple
 	for i := n - 2; i >= 0; i-- {
 		gli := r.gL[i]
+		lo, up := r.sup.lower[i], r.sup.upper[i]
 		// u's products against G^R[i+1] and every G≷[i+1] are independent:
-		// one batch.
-		gli.MulInto(u, a.Upper[i])
+		// one batch. u has A[i,i+1]'s columns, M has A[i+1,i]'s.
+		gli.MulSpanInto(u, a.Upper[i], cmat.Span{Inner: up.Rows, Cols: up.Cols})
+		byU := cmat.Span{Inner: up.Cols}
 		p.Zero()
-		batch[0] = cmat.Triple{Out: p, A: u, B: r.Diag[i+1]}
+		batch[0] = cmat.Triple{Out: p, A: u, B: r.Diag[i+1], Span: byU}
 		for s := 0; s < k; s++ {
 			x[s].Zero()
-			batch[1+s] = cmat.Triple{Out: x[s], A: u, B: g[s*n+i+1]}
+			batch[1+s] = cmat.Triple{Out: x[s], A: u, B: g[s*n+i+1], Span: byU}
 		}
 		cmat.BatchMulAddInto(batch[:1+k])
-		p.MulInto(m, a.Lower[i])
+		p.MulSpanInto(m, a.Lower[i], cmat.Span{Inner: lo.Rows, Cols: lo.Cols})
+		byM := cmat.Span{Inner: lo.Cols}
 		if retarded {
-			r.Diag[i] = cmat.GetDense(bs, bs)
+			r.Diag[i] = cmat.GetDenseNoZero(bs, bs)
 			r.Diag[i].CopyFrom(gli)
-			m.MulAddInto(r.Diag[i], gli)
+			m.MulSpanAddInto(r.Diag[i], gli, byM)
 		}
 		if k == 0 {
 			continue
@@ -195,15 +219,17 @@ func (r *Retarded) sweep(sets ...[]*cmat.Dense) []*cmat.Dense {
 		for s := 0; s < k; s++ {
 			// G≷[i] = g≷L[i] + x·A[i,i+1]^H·gL[i]^H + M·g≷L[i] + g≷L[i]·M^H;
 			// the two corrections write disjoint accumulators: one batch.
+			// x·A^H has A[i,i+1]'s rows as its columns, M^H M's columns as
+			// its rows.
 			li := g[s*n+i]
-			x[s].MulInto(y, ah)
-			y.MulInto(x[s], h)
+			x[s].MulSpanInto(y, ah, cmat.Span{Inner: up.Cols, Cols: up.Rows})
+			y.MulSpanInto(x[s], h, cmat.Span{Inner: up.Rows})
 			y.Zero()
 			z.Zero()
-			batch[0] = cmat.Triple{Out: y, A: m, B: li}
-			batch[1] = cmat.Triple{Out: z, A: li, B: mh}
+			batch[0] = cmat.Triple{Out: y, A: m, B: li, Span: byM}
+			batch[1] = cmat.Triple{Out: z, A: li, B: mh, Span: byM}
 			cmat.BatchMulAddInto(batch[:2])
-			gi := cmat.GetDense(bs, bs)
+			gi := cmat.GetDenseNoZero(bs, bs)
 			gi.CopyFrom(li)
 			gi.AddInPlace(x[s])
 			gi.AddInPlace(y)

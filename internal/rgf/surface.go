@@ -34,43 +34,50 @@ var ErrNoConvergence = errors.New("rgf: surface Green's function did not converg
 // Sancho-Rubio decimation: g = (a00 − a01·g·a10)⁻¹.
 func SurfaceGF(a00, a01, a10 *cmat.Dense, tol float64) (*cmat.Dense, error) {
 	dst := cmat.NewDense(a00.Rows, a00.Cols)
-	if err := surfaceGFInto(dst, a00, a01, a10, tol); err != nil {
+	buf := make([]int, 2*(a01.Rows+a01.Cols))
+	s01 := supportOf(a01, buf[:a01.Rows+a01.Cols])
+	s10 := supportOf(a10, buf[a01.Rows+a01.Cols:])
+	if err := surfaceGFInto(dst, a00, a01, a10, s01, s10, tol); err != nil {
 		return nil, err
 	}
 	return dst, nil
 }
 
-// surfaceGFInto is SurfaceGF with the result written into dst and all
-// iteration scratch drawn from (and returned to) the workspace arena.
-func surfaceGFInto(dst, a00, a01, a10 *cmat.Dense, tol float64) error {
+// surfaceGFInto is SurfaceGF with the result written into dst, all
+// iteration scratch drawn from (and returned to) the workspace arena, and
+// the couplings' supports s01 and s10 given. The decimated couplings
+// α' = α·g·α and β' = β·g·β keep α's and β's rows and columns, so every
+// product of every step runs over those supports.
+func surfaceGFInto(dst, a00, a01, a10 *cmat.Dense, s01, s10 cmat.Support, tol float64) error {
 	bs := a00.Rows
-	epsS := cmat.GetDense(bs, bs)
-	eps := cmat.GetDense(bs, bs)
-	alpha := cmat.GetDense(bs, bs)
-	beta := cmat.GetDense(bs, bs)
-	g := cmat.GetDense(bs, bs)
-	ag := cmat.GetDense(bs, bs)
-	bg := cmat.GetDense(bs, bs)
-	t := cmat.GetDense(bs, bs)
+	epsS := cmat.GetDenseNoZero(bs, bs)
+	eps := cmat.GetDenseNoZero(bs, bs)
+	alpha := cmat.GetDenseNoZero(bs, bs)
+	beta := cmat.GetDenseNoZero(bs, bs)
+	g := cmat.GetDenseNoZero(bs, bs)
+	ag := cmat.GetDenseNoZero(bs, bs)
+	bg := cmat.GetDenseNoZero(bs, bs)
+	t := cmat.GetDenseNoZero(bs, bs)
 	defer cmat.PutAll(epsS, eps, alpha, beta, g, ag, bg, t)
 	epsS.CopyFrom(a00)
 	eps.CopyFrom(a00)
 	alpha.CopyFrom(a01)
 	beta.CopyFrom(a10)
+	ra, ca, rb, cb := s01.Rows, s01.Cols, s10.Rows, s10.Cols
 	for iter := 0; iter < surfaceGFMaxIter; iter++ {
 		if err := cmat.InverseInto(g, eps); err != nil {
 			return fmt.Errorf("rgf: decimation step %d: %w", iter, err)
 		}
-		alpha.MulInto(ag, g) // α·g
-		beta.MulInto(bg, g)  // β·g
-		ag.MulInto(t, beta)  // α·g·β
+		alpha.MulSpanInto(ag, g, cmat.Span{Rows: ra, Inner: ca})          // α·g
+		beta.MulSpanInto(bg, g, cmat.Span{Rows: rb, Inner: cb})           // β·g
+		ag.MulSpanInto(t, beta, cmat.Span{Rows: ra, Inner: rb, Cols: cb}) // α·g·β
 		epsS.SubInPlace(t)
 		eps.SubInPlace(t)
-		bg.MulInto(t, alpha) // β·g·α
+		bg.MulSpanInto(t, alpha, cmat.Span{Rows: rb, Inner: ra, Cols: ca}) // β·g·α
 		eps.SubInPlace(t)
-		ag.MulInto(t, alpha) // α' = α·g·α
+		ag.MulSpanInto(t, alpha, cmat.Span{Rows: ra, Inner: ra, Cols: ca}) // α' = α·g·α
 		alpha.CopyFrom(t)
-		bg.MulInto(t, beta) // β' = β·g·β
+		bg.MulSpanInto(t, beta, cmat.Span{Rows: rb, Inner: rb, Cols: cb}) // β' = β·g·β
 		beta.CopyFrom(t)
 		// Converged when the remaining couplings can no longer move ε_s:
 		// the next correction is bounded by ‖α‖·‖g‖·‖β‖.
@@ -89,29 +96,33 @@ func BoundarySelfEnergies(a *cmat.BlockTri, tol float64) (sigL, sigR *cmat.Dense
 	if a.N < 2 {
 		return nil, nil, errors.New("rgf: boundary self-energies need at least 2 blocks")
 	}
+	sup := couplingsOf(a)
+	defer sup.release()
 	bs := a.Bs
-	g := cmat.GetDense(bs, bs)
-	t := cmat.GetDense(bs, bs)
+	g := cmat.GetDenseNoZero(bs, bs)
+	t := cmat.GetDenseNoZero(bs, bs)
 	defer cmat.PutAll(g, t)
 	// Left lead grows to the left: from the surface cell, the coupling
 	// deeper into the lead is A10-like (towards smaller indices).
-	if err := surfaceGFInto(g, a.Diag[0], a.Lower[0], a.Upper[0], tol); err != nil {
+	lo, up := sup.lower[0], sup.upper[0]
+	if err := surfaceGFInto(g, a.Diag[0], a.Lower[0], a.Upper[0], lo, up, tol); err != nil {
 		return nil, nil, fmt.Errorf("rgf: left contact: %w", err)
 	}
 	// Σ_L = A(0,-1)·g_L·A(-1,0) with A(0,-1) ≡ A10 pattern, A(-1,0) ≡ A01.
 	// The returned matrices are arena-backed; hot callers PutDense them.
-	sigL = cmat.GetDense(bs, bs)
-	a.Lower[0].MulInto(t, g)
-	t.MulInto(sigL, a.Upper[0])
+	sigL = cmat.GetDenseNoZero(bs, bs)
+	a.Lower[0].MulSpanInto(t, g, cmat.Span{Rows: lo.Rows, Inner: lo.Cols})
+	t.MulSpanInto(sigL, a.Upper[0], cmat.Span{Rows: lo.Rows, Inner: up.Rows, Cols: up.Cols})
 
 	n := a.N
-	if err := surfaceGFInto(g, a.Diag[n-1], a.Upper[n-2], a.Lower[n-2], tol); err != nil {
+	lo, up = sup.lower[n-2], sup.upper[n-2]
+	if err := surfaceGFInto(g, a.Diag[n-1], a.Upper[n-2], a.Lower[n-2], up, lo, tol); err != nil {
 		cmat.PutDense(sigL)
 		return nil, nil, fmt.Errorf("rgf: right contact: %w", err)
 	}
-	sigR = cmat.GetDense(bs, bs)
-	a.Upper[n-2].MulInto(t, g)
-	t.MulInto(sigR, a.Lower[n-2])
+	sigR = cmat.GetDenseNoZero(bs, bs)
+	a.Upper[n-2].MulSpanInto(t, g, cmat.Span{Rows: up.Rows, Inner: up.Cols})
+	t.MulSpanInto(sigR, a.Lower[n-2], cmat.Span{Rows: up.Rows, Inner: lo.Rows, Cols: lo.Cols})
 	return sigL, sigR, nil
 }
 

@@ -64,9 +64,9 @@ func twoPassPoint(t *testing.T, a *cmat.BlockTri, scat Scattering, occL, occR fl
 	if diag == nil {
 		ret, err = SolveRetarded(a)
 	} else {
-		var gl []*cmat.Dense
-		gl, err = forwardGL(a)
-		ret = &Retarded{Diag: diag(a), gL: gl, a: a}
+		var r Retarded
+		r, err = newRetarded(a, diag(a))
+		ret = &r
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -137,11 +137,10 @@ func TestOneSweepBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gl, err := forwardGL(a)
+			one, err := newRetarded(a, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			one := &Retarded{gL: gl, a: a}
 			g := one.sweep(less, gtr)
 			sameBits(t, name+" G^R", one.Diag, sep.Diag)
 			sameBits(t, name+" G^<", g[:n], sep.SolveKeldysh(less))
@@ -209,54 +208,67 @@ func TestOneSweepBitwise(t *testing.T) {
 	}
 }
 
-// pointFlops is the closed-form counted flops of one point solve whose
-// Boundary is filled (DESIGN.md, "Counted flops of one RGF point"): n block
-// inversions at 8bs³/3 + 8bs³ each; 24(n−1) + 4 GEMMs of 8bs³ — per block
-// after the first, 2 in forwardGL, 4 per Keldysh set forward and 4 + 5 per
-// set backward, plus 2 per set at block 0; and traces trace products of
-// 8bs² (4 contact terms, plus 2 dissipation terms per electron block whose
-// Σ^< and Σ^> are both set).
-func pointFlops(n, bs, traces int) uint64 {
+// pointFlops is the closed-form counted flops F(n, bs, r) of one point
+// solve whose Boundary is filled and whose couplings are supported on r of
+// a block's rows and r of its columns (DESIGN.md, "Counted flops of one RGF
+// point"): n block inversions at 8bs³/3 + 8bs³ each; 4 GEMMs of 8bs³ at
+// block 0 (2 per Keldysh set) and, per block after the first,
+// 8·(4bs³ + 10bs²r + 7bs·r² + 3r³) — the 4 products per set with no
+// coupling operand run whole, every other product over the supports —
+// which is 24 GEMMs at r = bs; and traces trace products of 8bs² (4
+// contact terms, plus 2 dissipation terms per electron block whose Σ^< and
+// Σ^> are both set).
+func pointFlops(n, bs, r, traces int) uint64 {
 	gemm := uint64(8 * bs * bs * bs)
 	inv := uint64(8*bs*bs*bs/3) + gemm
-	return uint64(24*(n-1)+4)*gemm + uint64(n)*inv + uint64(traces*8*bs*bs)
+	block := uint64(8 * (4*bs*bs*bs + 10*bs*bs*r + 7*bs*r*r + 3*r*r*r))
+	return 4*gemm + uint64(n-1)*block + uint64(n)*inv + uint64(traces*8*bs*bs)
 }
 
 // TestPointSolveFlops pins the counted flops of one electron and one phonon
-// point solve with a filled Boundary to pointFlops exactly.
+// point solve with a filled Boundary to pointFlops exactly, with dense
+// couplings and with couplings on bs/2 and on no boundary orbitals. Blocks
+// below the blocked engine's threshold (bs = 1, 7) run and count every
+// product whole, as r = bs.
 func TestPointSolveFlops(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	c := Contacts{MuL: 0.2, MuR: -0.1, KT: 0.025}
 	pc := PhononContacts{KTL: 0.026, KTR: 0.024}
 	for _, n := range []int{2, 3, 12} {
 		for _, bs := range []int{1, 7, 64} {
-			h, s := randomOpenSystem(rng, n, bs)
-			scat := Scattering{Less: sparseScattering(rng, n, bs), Gtr: sparseScattering(rng, n, bs), Bound: &Boundary{}}
-			dissipation := 0
-			for i := range scat.Less {
-				if scat.Less[i] != nil && scat.Gtr[i] != nil {
-					dissipation++
+			for _, r := range []int{bs, bs / 2, 0} {
+				h, s := boundaryOpenSystem(rng, n, bs, r)
+				scat := Scattering{Less: sparseScattering(rng, n, bs), Gtr: sparseScattering(rng, n, bs), Bound: &Boundary{}}
+				dissipation := 0
+				for i := range scat.Less {
+					if scat.Less[i] != nil && scat.Gtr[i] != nil {
+						dissipation++
+					}
 				}
-			}
-			pscat := scat
-			pscat.Bound = &Boundary{}
-			for _, p := range []struct {
-				name   string
-				solve  func() error
-				traces int
-			}{
-				{"electron", func() error { _, err := SolveElectron(h, s, 0.3, scat, c, 0.05); return err }, 4 + 2*dissipation},
-				{"phonon", func() error { _, err := SolvePhonon(h, 0.4, pscat, pc, 0.05); return err }, 4},
-			} {
-				if err := p.solve(); err != nil { // fills the boundary slot
-					t.Fatal(err)
-				}
-				cmat.Counter.Reset()
-				if err := p.solve(); err != nil {
-					t.Fatal(err)
-				}
-				if got, want := cmat.Counter.Reset(), pointFlops(n, bs, p.traces); got != want {
-					t.Errorf("n=%d bs=%d: a %s point solve counted %d flops, want %d", n, bs, p.name, got, want)
+				pscat := scat
+				pscat.Bound = &Boundary{}
+				for _, p := range []struct {
+					name   string
+					solve  func() error
+					traces int
+				}{
+					{"electron", func() error { _, err := SolveElectron(h, s, 0.3, scat, c, 0.05); return err }, 4 + 2*dissipation},
+					{"phonon", func() error { _, err := SolvePhonon(h, 0.4, pscat, pc, 0.05); return err }, 4},
+				} {
+					if err := p.solve(); err != nil { // fills the boundary slot
+						t.Fatal(err)
+					}
+					cmat.Counter.Reset()
+					if err := p.solve(); err != nil {
+						t.Fatal(err)
+					}
+					counted := r
+					if bs < 32 {
+						counted = bs
+					}
+					if got, want := cmat.Counter.Reset(), pointFlops(n, bs, counted, p.traces); got != want {
+						t.Errorf("n=%d bs=%d r=%d: a %s point solve counted %d flops, want %d", n, bs, r, p.name, got, want)
+					}
 				}
 			}
 		}
@@ -265,25 +277,30 @@ func TestPointSolveFlops(t *testing.T) {
 
 // BenchmarkPointSweep times one electron point at gf_wire's shape (12
 // blocks of 64) with a filled Boundary, as every Born iteration after the
-// first solves it, and reports the counted flops per solve.
+// first solves it, and reports the counted flops per solve: with dense
+// couplings, and with couplings on 32 boundary orbitals as gf_wire's.
 func BenchmarkPointSweep(b *testing.B) {
 	const n, bs, energy, eta = 12, 64, 0.3, 0.05
-	rng := rand.New(rand.NewSource(53))
-	h, s := randomOpenSystem(rng, n, bs)
-	scat := Scattering{R: randomScattering(rng, n, bs), Less: randomScattering(rng, n, bs), Gtr: randomScattering(rng, n, bs), Bound: &Boundary{}}
-	c := Contacts{MuL: 0.2, MuR: -0.1, KT: 0.025}
-	if err := scat.Bound.FillElectron(h, s, energy, eta); err != nil {
-		b.Fatal(err)
+	for _, r := range []int{bs, bs / 2} {
+		b.Run(fmt.Sprintf("coupling=%d", r), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(53))
+			h, s := boundaryOpenSystem(rng, n, bs, r)
+			scat := Scattering{R: randomScattering(rng, n, bs), Less: randomScattering(rng, n, bs), Gtr: randomScattering(rng, n, bs), Bound: &Boundary{}}
+			c := Contacts{MuL: 0.2, MuR: -0.1, KT: 0.025}
+			if err := scat.Bound.FillElectron(h, s, energy, eta); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			cmat.Counter.Reset()
+			for i := 0; i < b.N; i++ {
+				res, err := SolveElectron(h, s, energy, scat, c, eta)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res.Release()
+			}
+			b.ReportMetric(float64(cmat.Counter.Reset())/float64(b.N), "flops/op")
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	cmat.Counter.Reset()
-	for i := 0; i < b.N; i++ {
-		res, err := SolveElectron(h, s, energy, scat, c, eta)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res.Release()
-	}
-	b.ReportMetric(float64(cmat.Counter.Reset())/float64(b.N), "flops/op")
 }
