@@ -1,7 +1,7 @@
 # Tier-1 gate: everything a PR must keep green.
-.PHONY: check fmt build vet cross test race race-ft serve-test transport-test peer-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build bench bench-gate microbench
+.PHONY: check fmt build vet cross test race race-ft race-flaky serve-test transport-test peer-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build bench bench-gate microbench
 
-check: fmt build vet cross test race-ft serve-test transport-test peer-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build
+check: fmt build vet cross test race-ft race-flaky serve-test transport-test peer-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build
 
 # gofmt -l prints nothing (and exits 0) on a clean tree; any output fails
 # the gate via the grep.
@@ -58,6 +58,14 @@ race:
 race-ft:
 	go test -race -short ./internal/comm ./internal/core ./internal/serve ./internal/jobs
 	go test -race -short -run 'Parallel|Tile' ./internal/sse
+
+# Repeated race runs of the two service-tier lifecycle tests whose races a
+# single race-ft pass caught only now and then: the submit response's state
+# (a 202 body is the job's status at admission, so it says "queued") and
+# the removal of an evicted job's per-job metric families before the job
+# leaves the store.
+race-flaky:
+	go test -race -count=50 -run 'TestHTTPLifecycle$$|TestPerJobMetricsEvicted$$' ./internal/serve
 
 # End-to-end smoke tests of the qtsimd daemon: build the real binary and
 # start it on ephemeral ports. TestServeSmoke submits a job to a worker,

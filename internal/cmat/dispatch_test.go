@@ -20,7 +20,7 @@ func TestNonDefaultBlockingMatchesOracle(t *testing.T) {
 	for _, p := range [][2]int{{64, 32}, {128, 48}, {256, 96}, {384, 128}, {7, 5}} {
 		kc, nc := p[0], p[1]
 		got := NewDense(size, size)
-		m.mulBlocked(got, n, false, kc, nc)
+		m.mulBlocked(got, n, false, kc, nc, Span{})
 		if !got.Equalish(want, 1e-9*size) {
 			t.Fatalf("panels kc=%d nc=%d: max diff %g", kc, nc, got.MaxAbsDiff(want))
 		}
@@ -48,7 +48,7 @@ func checkDispatch(t *testing.T, name string, m, n *Dense, kernel func(m, n, out
 // exact: the dispatch must run the same summation order.
 func TestDefaultConfigMatchesConstantPathBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	blocked := func(m, n, out *Dense) { m.mulBlocked(out, n, false, gemmKC, gemmNC) }
+	blocked := func(m, n, out *Dense) { m.mulBlocked(out, n, false, gemmKC, gemmNC, Span{}) }
 	for _, s := range [][3]int{
 		{33, 33, 33}, {64, 64, 64}, {65, gemmKC + 3, gemmNC + 5},
 		{128, 2*gemmKC + 1, 96}, {256, 256, 256},

@@ -92,7 +92,7 @@ func (m *Dense) gemm(out, n *Dense, accumulate bool) {
 		m.mulAddNaive(out, n)
 		return
 	}
-	m.mulBlocked(out, n, accumulate, gemmKC, gemmNC)
+	m.mulBlocked(out, n, accumulate, gemmKC, gemmNC, Span{})
 }
 
 // blockedFor reports whether gemm runs m·n on the blocked engine: a product
@@ -120,30 +120,42 @@ func denseEnough(m *Dense, minDensity float64) bool {
 }
 
 // mulBlocked is the cache-blocked kernel: panel packing of B plus a
-// register-tiled gemmMR×gemmNR micro-kernel. kcMax and ncMax are the
-// K-panel height and column-panel width (gemmKC and gemmNC on the dispatch
-// path; tests pass other geometries to exercise the panel tails).
-func (m *Dense) mulBlocked(out, n *Dense, accumulate bool, kcMax, ncMax int) {
+// register-tiled gemmMR×gemmNR micro-kernel, over the span sp (the zero
+// Span for the whole product). kcMax and ncMax are the K-panel height and
+// column-panel width (gemmKC and gemmNC on the dispatch path; tests pass
+// other geometries to exercise the panel tails).
+//
+// A span runs on the whole product's tile grid, reading and writing the
+// operands where they lie: each K-panel of the whole product, counted from
+// 0, is clipped to sp.Inner (the terms dropped are exact zeros, and an
+// accumulator that starts at +0 is not moved by them); sp.Cols rounds out
+// to whole gemmNR strips of each column panel, so a column tail strip stays
+// the Go tail; sp.Rows rounds out to the whole product's row pairs. Every
+// element in the span is then summed over the same k-order as in the whole
+// product, by the same micro-kernel or a row tile that gives it the same
+// bits, and the rows and columns the rounding adds receive exact zeros.
+func (m *Dense) mulBlocked(out, n *Dense, accumulate bool, kcMax, ncMax int, sp Span) {
 	R, K, C := m.Rows, m.Cols, n.Cols
+	i0, i1 := sp.Rows.bounds(R)
+	k0, k1 := sp.Inner.bounds(K)
+	j0, j1 := sp.Cols.bounds(C)
+	i0, i1 = i0-i0%2, min(i1+i1%2, R)
 	if C < ncMax {
 		ncMax = C
 	}
 	stripsMax := num.CeilDiv(ncMax, gemmNR)
 	pack := GetDenseNoZero(1, kcMax*stripsMax*gemmNR)
 	pb := pack.Data
-	for kb := 0; kb < K; kb += kcMax {
-		kc := K - kb
-		if kc > kcMax {
-			kc = kcMax
-		}
-		// The first K-panel may overwrite; subsequent panels accumulate on
-		// top of it.
-		acc := accumulate || kb > 0
-		for jb := 0; jb < C; jb += ncMax {
-			nc := C - jb
-			if nc > ncMax {
-				nc = ncMax
-			}
+	// The first K-panel may overwrite; subsequent panels accumulate on top
+	// of it.
+	acc := accumulate
+	for kp := k0 - k0%kcMax; kp < k1; kp += kcMax {
+		kb := max(kp, k0)
+		kc := min(kp+kcMax, k1) - kb
+		for jp := j0 - j0%ncMax; jp < j1; jp += ncMax {
+			// The span's whole strips of the column panel at jp.
+			jb := jp + (max(jp, j0)-jp)/gemmNR*gemmNR
+			nc := min(jp+ncMax, C, jp+num.CeilDiv(j1-jp, gemmNR)*gemmNR) - jb
 			packPanel(pb, n, kb, kc, jb, nc)
 			// ncFull is the widest jj for which a full gemmNR strip fits; the
 			// assembly kernels handle only full strips (they store 4 columns
@@ -152,9 +164,9 @@ func (m *Dense) mulBlocked(out, n *Dense, accumulate bool, kcMax, ncMax int) {
 			if useAsmKernel {
 				ncFull = nc - nc%gemmNR
 			}
-			i := 0
+			i := i0
 			if useAsmKernel {
-				for ; i+gemmMR <= R; i += gemmMR {
+				for ; i+gemmMR <= i1; i += gemmMR {
 					a := m.Data[i*K+kb:]
 					o := out.Data[i*C+jb:]
 					for jj := 0; jj < ncFull; jj += gemmNR {
@@ -164,7 +176,7 @@ func (m *Dense) mulBlocked(out, n *Dense, accumulate bool, kcMax, ncMax int) {
 					m.tail2x4(out, pb, i+2, kb, kc, jb, ncFull, nc, acc)
 				}
 			}
-			for ; i+2 <= R; i += 2 {
+			for ; i+2 <= i1; i += 2 {
 				a0, a1 := m.Data[i*K+kb:], m.Data[(i+1)*K+kb:]
 				for jj := 0; jj < ncFull; jj += gemmNR {
 					gemmKernel2x4(&a0[0], &a1[0], &pb[(jj/gemmNR)*kc*gemmNR],
@@ -172,7 +184,7 @@ func (m *Dense) mulBlocked(out, n *Dense, accumulate bool, kcMax, ncMax int) {
 				}
 				m.tail2x4(out, pb, i, kb, kc, jb, ncFull, nc, acc)
 			}
-			for ; i < R; i++ {
+			for ; i < i1; i++ {
 				a0 := m.Data[i*K+kb : i*K+kb+kc : i*K+kb+kc]
 				jj := 0
 				for ; jj < ncFull; jj += gemmNR {
@@ -185,6 +197,7 @@ func (m *Dense) mulBlocked(out, n *Dense, accumulate bool, kcMax, ncMax int) {
 				}
 			}
 		}
+		acc = true
 	}
 	PutDense(pack)
 }

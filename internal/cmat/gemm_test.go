@@ -48,7 +48,7 @@ func TestBlockedMatchesNaiveQuick(t *testing.T) {
 			a := RandomDense(rng, r, c)
 			blocked := a.Clone()
 			naive := a.Clone()
-			m.mulBlocked(blocked, n, true, gemmKC, gemmNC)
+			m.mulBlocked(blocked, n, true, gemmKC, gemmNC, Span{})
 			m.mulAddNaive(naive, n)
 			return blocked.Equalish(naive, 1e-9*float64(k))
 		}
@@ -90,14 +90,14 @@ func testBlockedDegenerateShapes(t *testing.T) {
 		// would otherwise dispatch to naive).
 		if c >= 1 {
 			got2 := NewDense(r, c)
-			m.mulBlocked(got2, n, true, gemmKC, gemmNC)
+			m.mulBlocked(got2, n, true, gemmKC, gemmNC, Span{})
 			if !got2.Equalish(want, 1e-9*float64(k+1)) {
 				t.Fatalf("mulBlocked mismatch at %d×%d·%d×%d: max diff %g", r, k, k, c, got2.MaxAbsDiff(want))
 			}
 		}
 		// Overwrite mode must ignore prior contents of out.
 		got3 := RandomDense(rng, r, c)
-		m.mulBlocked(got3, n, false, gemmKC, gemmNC)
+		m.mulBlocked(got3, n, false, gemmKC, gemmNC, Span{})
 		if !got3.Equalish(want, 1e-9*float64(k+1)) {
 			t.Fatalf("mulBlocked overwrite mismatch at %d×%d·%d×%d", r, k, k, c)
 		}
@@ -155,7 +155,7 @@ func benchGEMM(b *testing.B, size int, blocked bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if blocked {
-			m.mulBlocked(out, n, true, gemmKC, gemmNC)
+			m.mulBlocked(out, n, true, gemmKC, gemmNC, Span{})
 		} else {
 			m.mulAddNaive(out, n)
 		}

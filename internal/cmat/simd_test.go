@@ -39,7 +39,7 @@ func blockedByTwoRowTiles(m, n, out *Dense, accumulate bool) {
 		h := min(2, m.Rows-i)
 		mi := DenseFromSlice(h, K, m.Data[i*K:(i+h)*K])
 		oi := DenseFromSlice(h, C, out.Data[i*C:(i+h)*C])
-		mi.mulBlocked(oi, n, accumulate, gemmKC, gemmNC)
+		mi.mulBlocked(oi, n, accumulate, gemmKC, gemmNC, Span{})
 	}
 }
 
@@ -58,7 +58,7 @@ func TestGemmKernel4x4MatchesTwoRowTilesBitwise(t *testing.T) {
 		init := RandomDense(rng, r, c)
 		for _, acc := range []bool{true, false} {
 			got, want := init.Clone(), init.Clone()
-			m.mulBlocked(got, n, acc, gemmKC, gemmNC)
+			m.mulBlocked(got, n, acc, gemmKC, gemmNC, Span{})
 			blockedByTwoRowTiles(m, n, want, acc)
 			for i := range got.Data {
 				if !sameBits(got.Data[i], want.Data[i]) {

@@ -556,11 +556,3 @@ func (r *Rank) Alltoallv(send [][]complex128) ([][]complex128, error) {
 	}
 	return out, nil
 }
-
-// Barrier synchronizes all ranks (zero-byte all-to-all; uncounted).
-func (r *Rank) Barrier() error {
-	if _, err := r.Alltoallv(make([][]complex128, r.c.n)); err != nil {
-		return err
-	}
-	return nil
-}

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"negfsim/internal/device"
@@ -81,13 +82,54 @@ func (c *Checkpoint) SaveFile(path string) error {
 	return nil
 }
 
-// LoadCheckpoint reads a checkpoint written by Save.
+// LoadCheckpoint reads a checkpoint written by Save. It rejects one whose
+// self-energies are missing or not shaped by its grid, or whose energy grid
+// is not that grid's, so a corrupt or hand-made file fails here instead of
+// inside the Born loop it would seed.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var c Checkpoint
 	if err := gob.NewDecoder(r).Decode(&c); err != nil {
 		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
 	}
+	if err := c.checkShapes(); err != nil {
+		return nil, fmt.Errorf("core: checkpoint: %w", err)
+	}
 	return &c, nil
+}
+
+// checkShapes reports whether c's tensors and energy grid are the ones its
+// grid c.Params describes.
+func (c *Checkpoint) checkShapes() error {
+	p := c.Params
+	for _, g := range []*tensor.GTensor{c.SigmaLess, c.SigmaGtr} {
+		if g == nil || g.Nkz != p.Nkz || g.NE != p.NE || g.NA != p.NA || g.Norb != p.Norb ||
+			len(g.Data) != volume(p.Nkz, p.NE, p.NA, p.Norb, p.Norb) {
+			return fmt.Errorf("Σ≷ missing or not shaped by the grid %+v", p)
+		}
+	}
+	for _, d := range []*tensor.DTensor{c.PiLess, c.PiGtr} {
+		if d == nil || d.Nqz != p.Nqz || d.Nw != p.Nw || d.NA != p.NA || d.NB != p.NB || d.N3D != p.N3D ||
+			len(d.Data) != volume(p.Nqz, p.Nw, p.NA, p.NB+1, p.N3D, p.N3D) {
+			return fmt.Errorf("Π≷ missing or not shaped by the grid %+v", p)
+		}
+	}
+	if g := c.EGrid; g != nil && g.NE != p.NE {
+		return fmt.Errorf("energy grid has %d fine points, the grid %d", g.NE, p.NE)
+	}
+	return nil
+}
+
+// volume is the product of dims, or −1 when a dimension is negative or the
+// product overflows.
+func volume(dims ...int) int {
+	n := 1
+	for _, d := range dims {
+		if d < 0 || d > 0 && n > math.MaxInt/d {
+			return -1
+		}
+		n *= d
+	}
+	return n
 }
 
 // Compatible reports whether the checkpoint can seed a run of spec.

@@ -161,3 +161,49 @@ func TestClusteredCheckpointIsRunOwned(t *testing.T) {
 		t.Fatal("a run resumed from a checkpoint changed the checkpoint")
 	}
 }
+
+// FuzzLoadCheckpoint feeds arbitrary bytes through the checkpoint decoder
+// that the -checkpoint file and a warm-start submission reach: nothing may
+// panic, and a checkpoint it accepts has self-energies shaped by its grid
+// and can seed the Born loop (seedOf) and, when it carries an energy grid,
+// an adaptive resume (State.Grid). The seed is a checkpoint of
+// examples/run.json's device after one iteration; testdata/fuzz holds the
+// hand-made checkpoints that crashed a resume before LoadCheckpoint checked
+// shapes.
+func FuzzLoadCheckpoint(f *testing.F) {
+	cfg, err := LoadRunConfig("../../examples/run.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg.MaxIter = 1
+	sim, err := cfg.NewSimulator()
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := sim.RunCtx(context.Background())
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := CheckpointOf(cfg.Device, res).Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ck, err := LoadCheckpoint(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		p := ck.Params
+		if g := ck.SigmaGtr; g.Nkz != p.Nkz || g.NE != p.NE || g.NA != p.NA || g.Norb != p.Norb || len(g.Data) != p.Nkz*p.NE*p.NA*p.Norb*p.Norb {
+			t.Fatalf("accepted Σ> of shape %d×%d×%d×%d² (%d elements) for the grid %+v", g.Nkz, g.NE, g.NA, g.Norb, len(g.Data), p)
+		}
+		if d := ck.PiGtr; d.Nqz != p.Nqz || d.Nw != p.Nw || d.NA != p.NA || d.NB != p.NB || d.N3D != p.N3D || len(d.Data) != p.Nqz*p.Nw*p.NA*(p.NB+1)*p.N3D*p.N3D {
+			t.Fatalf("accepted Π> of shape %d×%d×%d×%d×%d² (%d elements) for the grid %+v", d.Nqz, d.Nw, d.NA, d.NB+1, d.N3D, len(d.Data), p)
+		}
+		seedOf(ck)
+		if ck.EGrid != nil {
+			ck.EGrid.Grid()
+		}
+	})
+}

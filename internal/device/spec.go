@@ -83,9 +83,6 @@ func WrapSpec(s Spec) SpecConfig { return SpecConfig{s} }
 // Spec returns the wrapped spec (nil for the zero value).
 func (s SpecConfig) Spec() Spec { return s.spec }
 
-// IsZero reports whether the config holds no spec.
-func (s SpecConfig) IsZero() bool { return s.spec == nil }
-
 // Kind returns the wrapped spec's kind, or "" for the zero value.
 func (s SpecConfig) Kind() string {
 	if s.spec == nil {

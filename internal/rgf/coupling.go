@@ -9,13 +9,12 @@ import (
 // couplings holds the support of every coupling block of one operator:
 // upper[i] of A[i,i+1] and lower[i] of A[i+1,i]. A device couples only the
 // orbitals at a block's boundary, so on gf_wire each coupling has nonzeros
-// in 32 of its 64 rows and 32 of its 64 columns, and a phonon operator whose
-// Φ has no inter-block coupling has empty supports. The supports are worked
-// out once per operator; the recursions run every product with a coupling
-// block over them (cmat.Span).
+// in one range of 32 of its 64 rows and one of 32 of its 64 columns, and a
+// phonon operator whose Φ has no inter-block coupling has empty supports.
+// The supports are worked out once per operator; the recursions run every
+// product with a coupling block over them (cmat.Span).
 type couplings struct {
 	upper, lower []cmat.Support
-	buf          []int // the index lists, 2·Bs per block
 }
 
 // couplingsPool recycles couplings, so a point solve in steady state draws
@@ -26,27 +25,22 @@ var couplingsPool = sync.Pool{New: func() any { return new(couplings) }}
 // the reference the bitwise tests compare the support path against.
 var forceFullSupports bool
 
-// supportOf is m's support, its index lists written into buf (len ≥
-// m.Rows + m.Cols), or the full support under forceFullSupports.
-func supportOf(m *cmat.Dense, buf []int) cmat.Support {
+// supportOf is m's support, or the full support under forceFullSupports.
+func supportOf(m *cmat.Dense) cmat.Support {
 	if forceFullSupports {
 		return cmat.Support{}
 	}
-	return m.SupportInto(buf)
+	return m.Support()
 }
 
 // couplingsOf works out the supports of a's coupling blocks. The caller
 // releases the result.
 func couplingsOf(a *cmat.BlockTri) *couplings {
 	c := couplingsPool.Get().(*couplings)
-	m, w := len(a.Upper), 2*a.Bs
-	if cap(c.buf) < 2*m*w {
-		c.buf = make([]int, 2*m*w)
-	}
 	c.upper, c.lower = c.upper[:0], c.lower[:0]
-	for i := 0; i < m; i++ {
-		c.upper = append(c.upper, supportOf(a.Upper[i], c.buf[2*i*w:(2*i+1)*w]))
-		c.lower = append(c.lower, supportOf(a.Lower[i], c.buf[(2*i+1)*w:(2*i+2)*w]))
+	for i := range a.Upper {
+		c.upper = append(c.upper, supportOf(a.Upper[i]))
+		c.lower = append(c.lower, supportOf(a.Lower[i]))
 	}
 	return c
 }

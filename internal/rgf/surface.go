@@ -34,10 +34,7 @@ var ErrNoConvergence = errors.New("rgf: surface Green's function did not converg
 // Sancho-Rubio decimation: g = (a00 − a01·g·a10)⁻¹.
 func SurfaceGF(a00, a01, a10 *cmat.Dense, tol float64) (*cmat.Dense, error) {
 	dst := cmat.NewDense(a00.Rows, a00.Cols)
-	buf := make([]int, 2*(a01.Rows+a01.Cols))
-	s01 := supportOf(a01, buf[:a01.Rows+a01.Cols])
-	s10 := supportOf(a10, buf[a01.Rows+a01.Cols:])
-	if err := surfaceGFInto(dst, a00, a01, a10, s01, s10, tol); err != nil {
+	if err := surfaceGFInto(dst, a00, a01, a10, supportOf(a01), supportOf(a10), tol); err != nil {
 		return nil, err
 	}
 	return dst, nil

@@ -6,8 +6,8 @@ import "fmt"
 // the ranges of the surrounding map parameters, compute, per array
 // dimension, the interval of touched elements and the number of accesses.
 // DaCe "automatically computes contiguous and strided ranges, but can only
-// over-approximate some irregular accesses" — indirections return an error
-// here and callers substitute a manual model (IndirectionModel).
+// over-approximate some irregular accesses" — an indirection takes a
+// manual model instead (IndirectionModel).
 
 // PropagatedDim is the propagation result for one subscript dimension.
 type PropagatedDim struct {
@@ -85,45 +85,10 @@ func propagate(e Expr, scope map[string]Range) (lo, hi, acc Expr, err error) {
 	return nil, nil, nil, fmt.Errorf("sdfg: cannot propagate expression %T", e)
 }
 
-// ErrIndirect marks subscripts that need a manual model.
-type ErrIndirect struct{ Table string }
-
-// Error describes which lookup table made the subscript data-dependent.
-func (e ErrIndirect) Error() string {
-	return fmt.Sprintf("sdfg: indirect access through %q requires a manual model", e.Table)
-}
-
 // IndirectionModel supplies the performance-engineer-provided propagation
 // for a data-dependent subscript, like the paper's approximation of
 // f(a, b) over an atom tile: [max(0, ta·sa − NB/2), min(NA, (ta+1)·sa + NB/2)).
 type IndirectionModel func(ind IndirectIndex, scope map[string]Range) (PropagatedDim, error)
-
-// PropagateAccess propagates a full access through a scope. Indirect
-// dimensions are resolved by model (which may be nil, in which case they
-// error out).
-func PropagateAccess(a Access, scope map[string]Range, model IndirectionModel) ([]PropagatedDim, error) {
-	out := make([]PropagatedDim, len(a.Index))
-	for d, ix := range a.Index {
-		switch v := ix.(type) {
-		case ExprIndex:
-			p, err := PropagateExpr(v.E, scope)
-			if err != nil {
-				return nil, fmt.Errorf("dim %d: %w", d, err)
-			}
-			out[d] = p
-		case IndirectIndex:
-			if model == nil {
-				return nil, ErrIndirect{v.Table}
-			}
-			p, err := model(v, scope)
-			if err != nil {
-				return nil, fmt.Errorf("dim %d: %w", d, err)
-			}
-			out[d] = p
-		}
-	}
-	return out, nil
-}
 
 // NeighborIndirectionModel returns the paper's manual model for the
 // neighbor indirection f(a, b): propagated over an atom-tile parameter

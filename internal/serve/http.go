@@ -95,7 +95,7 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 		jobs.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	j, err := a.s.SubmitFrom(*cfg, ck)
+	_, st, err := a.s.admit(*cfg, ck)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		jobs.WriteError(w, http.StatusTooManyRequests, "%v", err)
@@ -104,7 +104,7 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 	case err != nil:
 		jobs.WriteError(w, http.StatusBadRequest, "%v", err)
 	default:
-		jobs.WriteJSON(w, http.StatusAccepted, j.Status())
+		jobs.WriteJSON(w, http.StatusAccepted, st)
 	}
 }
 

@@ -246,14 +246,21 @@ func (s *Scheduler) Submit(cfg core.RunConfig) (*Job, error) {
 // documents their own tier validated (campaign.Request.Validate, the
 // benchmark's parsed documents).
 func (s *Scheduler) SubmitFrom(cfg core.RunConfig, ck *core.Checkpoint) (*Job, error) {
+	j, _, err := s.admit(cfg, ck)
+	return j, err
+}
+
+// admit is SubmitFrom, also returning the job's status at admission: taken
+// under s.mu, before a runner can pop the job, so its state is queued.
+func (s *Scheduler) admit(cfg core.RunConfig, ck *core.Checkpoint) (*Job, jobs.Status, error) {
 	if err := cfg.CheckSeed(ck); err != nil {
-		return nil, err
+		return nil, jobs.Status{}, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if len(s.pending) >= s.cfg.QueueDepth {
 		obsRejected.Inc()
-		return nil, ErrQueueFull
+		return nil, jobs.Status{}, ErrQueueFull
 	}
 	j, ok := s.store.Add(func(id string) *Job {
 		j := &Job{id: id, cfg: cfg, ck: ck}
@@ -261,15 +268,16 @@ func (s *Scheduler) SubmitFrom(cfg core.RunConfig, ck *core.Checkpoint) (*Job, e
 		return j
 	})
 	if !ok {
-		return nil, ErrClosed
+		return nil, jobs.Status{}, ErrClosed
 	}
 	itersName, stateName := j.metricNames()
 	j.obsIters = obs.GetCounter(itersName)
 	obs.RegisterGaugeFunc(stateName, func() int64 { return stateCode[j.Snapshot().State] })
 	s.pending = append(s.pending, j)
 	obsSubmitted.Inc()
+	st := j.Status()
 	s.cond.Signal()
-	return j, nil
+	return j, st, nil
 }
 
 // Get returns the job with the given id, if it is still in the store.
