@@ -1,7 +1,7 @@
 # Tier-1 gate: everything a PR must keep green.
-.PHONY: check fmt build vet cross test race race-ft race-flaky serve-test transport-test peer-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build bench bench-gate microbench
+.PHONY: check fmt build vet cross test race race-ft race-flaky serve-test transport-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build bench bench-gate microbench
 
-check: fmt build vet cross test race-ft race-flaky serve-test transport-test peer-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build
+check: fmt build vet cross test race-ft race-flaky serve-test transport-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build
 
 # gofmt -l prints nothing (and exits 0) on a clean tree; any output fails
 # the gate via the grep.
@@ -78,18 +78,10 @@ serve-test:
 
 # Transport conformance under the race detector: both the inproc and the
 # loopback-TCP fabrics through the full behavioural suite (ordering,
-# cancellation, deadline backstop, dead-peer → ErrRankDead, §4.1 byte
+# cancellation, deadline backstop, dead rank → ErrRankDead, §4.1 byte
 # accounting), plus the transport package's own tests.
 transport-test:
 	go test -race -count=1 ./internal/transport ./internal/comm
-
-# Multi-process acceptance drill: two qtsimd peer processes run a distributed
-# fault-tolerant job over TCP loopback, once cleanly and once with a peer
-# SIGKILLed mid-run, and must reproduce the single-process observables.
-# Matches both the energy-grid (TestPeerModeEndToEnd) and the spatial-split
-# (TestPeerModeEndToEndSpatial) drills.
-peer-test:
-	go test -count=1 -run TestPeerModeEndToEnd ./cmd/qtsimd
 
 # Spatial-split suite under the race detector: the Schur-complement
 # partitioned solver (per-segment elimination by the sequential recursion on

@@ -1,4 +1,4 @@
-// Command qtsimd is the simulation daemon, in one of three roles:
+// Command qtsimd is the simulation daemon, in one of two roles:
 //
 //	qtsimd -addr 127.0.0.1:8081 &                  # a worker: the job API
 //	qtsimd -addr 127.0.0.1:8082 &
@@ -12,9 +12,8 @@
 // serves repeats from a content-addressed cache, warm-starts near-miss bias
 // points and enforces per-tenant quotas; the fleet file is its whole
 // configuration. Both mount the campaign API, /metrics and /healthz
-// (docs/API.md) and drain on SIGINT/SIGTERM. With -peers the process hosts
-// one rank of a multi-process TCP run instead (peer.go). A flag the
-// selected role does not read exits 2.
+// (docs/API.md) and drain on SIGINT/SIGTERM. A flag the selected role does
+// not read exits 2.
 package main
 
 import (
@@ -41,10 +40,9 @@ import (
 
 // options is the parsed command line.
 type options struct {
-	role                                            string // "worker", "front" or "peer"
-	addr, fleet, peers, peerConfig, resultOut       string
+	role                                            string // "worker" or "front"
+	addr, fleet                                     string
 	maxConcurrent, queueDepth, workerBudget, retain int
-	peerRank, dieAfterIter                          int
 	drainTimeout                                    time.Duration
 }
 
@@ -52,13 +50,11 @@ type options struct {
 var roleFlags = map[string][]string{
 	"worker": {"addr", "max-concurrent", "queue-depth", "worker-budget", "retain", "drain-timeout"},
 	"front":  {"fleet", "drain-timeout"},
-	"peer":   {"peers", "peer-rank", "peer-config", "result-out", "die-after-iter"},
 }
 
-// parseArgs parses the command line and selects the role: -peers makes a
-// peer, -fleet a front, anything else a worker. A flag the role does not
-// read, or -fleet with -peers, is an error naming the flag; errors are
-// reported on out.
+// parseArgs parses the command line and selects the role: -fleet makes a
+// front, anything else a worker. A flag the role does not read is an error
+// naming the flag; errors are reported on out.
 func parseArgs(args []string, out io.Writer) (options, error) {
 	var o options
 	fs := flag.NewFlagSet("qtsimd", flag.ContinueOnError)
@@ -70,11 +66,6 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 	fs.IntVar(&o.retain, "retain", 64, "worker: finished jobs kept queryable before eviction")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "worker and front: graceful shutdown budget")
 	fs.StringVar(&o.fleet, "fleet", "", "run the front role from this fleet file (see examples/fleet.json) instead of a worker")
-	fs.StringVar(&o.peers, "peers", "", "comma-separated peer addresses (index = rank); runs ONE distributed job SPMD-style instead of serving")
-	fs.IntVar(&o.peerRank, "peer-rank", -1, "peer: rank this process hosts")
-	fs.StringVar(&o.peerConfig, "peer-config", "", "peer: run config JSON (must carry a \"dist\" grid matching the peer count)")
-	fs.StringVar(&o.resultOut, "result-out", "", "peer: write the run's result JSON here (default stdout)")
-	fs.IntVar(&o.dieAfterIter, "die-after-iter", 0, "peer fault drill: SIGKILL self after N completed Born iterations")
 	if err := fs.Parse(args); err != nil {
 		return o, err
 	}
@@ -82,13 +73,7 @@ func parseArgs(args []string, out io.Writer) (options, error) {
 	if o.fleet != "" {
 		o.role = "front"
 	}
-	if o.peers != "" {
-		o.role = "peer"
-	}
 	var err error
-	if o.peers != "" && o.fleet != "" {
-		err = errors.New("-fleet and -peers select different roles; give one")
-	}
 	fs.Visit(func(f *flag.Flag) {
 		if err == nil && !slices.Contains(roleFlags[o.role], f.Name) {
 			err = fmt.Errorf("-%s is not read by the %s role", f.Name, o.role)
@@ -113,14 +98,9 @@ func main() {
 	}
 
 	obs.Enable()
-	switch o.role {
-	case "peer":
-		if err := runPeer(o.peerRank, o.peers, o.peerConfig, o.resultOut, o.dieAfterIter); err != nil {
-			log.Fatalf("qtsimd: peer: %v", err)
-		}
-	case "front":
+	if o.role == "front" {
 		runFront(o)
-	default:
+	} else {
 		runWorker(o)
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestParseArgsRoles pins role selection and the contradictions qtsimd
-// rejects (exit 2): -fleet with -peers, and any flag the selected role
-// does not read. A rejection must name the offending flag.
+// TestParseArgsRoles pins role selection and what qtsimd rejects (exit 2):
+// any flag the selected role does not read, and a flag no role reads. A
+// rejection must name the offending flag.
 func TestParseArgsRoles(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -18,15 +18,10 @@ func TestParseArgsRoles(t *testing.T) {
 		{nil, "worker", ""},
 		{[]string{"-addr", ":0", "-max-concurrent", "4", "-queue-depth", "2", "-worker-budget", "2", "-retain", "8", "-drain-timeout", "1s"}, "worker", ""},
 		{[]string{"-fleet", "f.json", "-drain-timeout", "1s"}, "front", ""},
-		{[]string{"-peers", "a,b", "-peer-rank", "1", "-peer-config", "r.json", "-result-out", "o.json", "-die-after-iter", "1"}, "peer", ""},
-		{[]string{"-fleet", "f.json", "-peers", "a,b"}, "", "-fleet"},
 		{[]string{"-fleet", "f.json", "-addr", ":0"}, "", "-addr"},
 		{[]string{"-fleet", "f.json", "-max-concurrent", "4"}, "", "-max-concurrent"},
 		{[]string{"-fleet", "f.json", "-retain", "4"}, "", "-retain"},
-		{[]string{"-peer-config", "r.json"}, "", "-peer-config"},
-		{[]string{"-peer-rank", "0"}, "", "-peer-rank"},
-		{[]string{"-peers", "a,b", "-peer-rank", "0", "-addr", ":0"}, "", "-addr"},
-		{[]string{"-peers", "a,b", "-peer-rank", "0", "-drain-timeout", "1s"}, "", "-drain-timeout"},
+		{[]string{"-peers", "a,b"}, "", "-peers"},
 		{[]string{"-fleet", "f.json", "extra"}, "", "extra"},
 	} {
 		o, err := parseArgs(c.args, io.Discard)

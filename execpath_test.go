@@ -780,7 +780,7 @@ func loopsOver(n ast.Node, v string) []*ast.ForStmt {
 
 // pointSolves are the rgf point solves, each with the index of its
 // Scattering argument.
-var pointSolves = map[string]int{"SolveElectron": 3, "SolveElectronSpatial": 5, "SolvePhonon": 2}
+var pointSolves = map[string]int{"SolveElectron": 3, "SolveElectronSpatial": 4, "SolvePhonon": 2}
 
 // boundaryHomes are the internal/core functions allowed to run rgf point
 // solves: the GF phase and its spatial electron solver.

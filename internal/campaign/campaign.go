@@ -18,6 +18,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -72,13 +73,18 @@ type Request struct {
 }
 
 // DecodeRequest reads one request with the strict schema: an unknown
-// field is an error.
+// field, or anything but whitespace after the one request, is an error.
 func DecodeRequest(r io.Reader) (Request, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var req Request
-	err := dec.Decode(&req)
-	return req, err
+	if err := dec.Decode(&req); err != nil {
+		return req, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return req, errors.New("campaign: trailing content after the request")
+	}
+	return req, nil
 }
 
 // Warm reports the effective warm-start mode (default true).

@@ -171,7 +171,9 @@ func TestRequestValidate(t *testing.T) {
 
 // FuzzCampaignRequest feeds arbitrary bodies through the submit path's
 // strict decoder, Validate and Ladder: nothing may panic, and an accepted
-// request has 1 to MaxLadder points, strictly monotone when ranged.
+// request has 1 to MaxLadder points, strictly monotone when ranged. One
+// seed is examples/campaign.json followed by a second request, which must
+// be rejected.
 func FuzzCampaignRequest(f *testing.F) {
 	example, err := os.ReadFile("../../examples/campaign.json")
 	if err != nil {
@@ -181,8 +183,13 @@ func FuzzCampaignRequest(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	trailing := append(append([]byte{}, example...), ` {"kind":"te"} garbage`...)
+	if _, err := DecodeRequest(bytes.NewReader(trailing)); err == nil {
+		f.Fatal("a request followed by trailing content was accepted")
+	}
 	f.Add(example)
 	f.Add(iv)
+	f.Add(trailing)
 	f.Add([]byte(`{"kind":"te","config":{"version":2,"device":{"kind":"chain"}},"biases":[0.1,-0.2]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		req, err := DecodeRequest(bytes.NewReader(body))

@@ -37,8 +37,8 @@ const DefaultTimeout = 10 * time.Second
 //
 // The message plumbing is pluggable (internal/transport): the default
 // in-process transport hosts every rank as a goroutine of this process over
-// channel mailboxes, while NewClusterTCP hosts ONE rank per OS process and
-// carries the links over real sockets. All policy — deadlines, fault
+// channel mailboxes, while NewClusterTCPWith hosts ONE rank per OS process
+// and carries the links over real sockets. All policy — deadlines, fault
 // injection, cancellation, accounting — lives here, identically for both.
 //
 // Failures are first-class: a fault plan (InjectFaults) can kill a rank or
@@ -159,25 +159,19 @@ func NewClusterCtx(ctx context.Context, n int) *Cluster {
 	return newCluster(ctx, transport.NewInproc(n), "")
 }
 
-// NewClusterTCP creates one peer of a multi-process communicator: this
+// NewClusterTCPWith creates one peer of a multi-process communicator: this
 // process hosts exactly rank `rank`, and the other ranks are peer processes
-// reachable at peers[i] (host:port, index = rank). Links are dialed lazily
-// on first use; a peer process dying mid-exchange is detected by the
-// transport and surfaces to every pending operation as ErrRankDead, exactly
-// like an injected in-process rank death, so the failure-recovery paths
-// built on the in-process cluster work unchanged across processes.
+// reachable at peers[i] (host:port, index = rank). cfg configures the
+// transport (injected listener, dial timeout); tests bind ephemeral
+// loopback listeners up front this way to avoid port races. Links are
+// dialed lazily on first use; a peer process dying mid-exchange is detected
+// by the transport and surfaces to every pending operation as ErrRankDead,
+// exactly like an injected in-process rank death.
 //
 // The peer's byte gauges export under the cluster identity "tcp-r<rank>"
 // (comm.sent_bytes{cluster="tcp-r0",rank="0"}, ...), so two live clusters
 // in one process never clobber each other's series. Call Close when done:
 // it tears down the sockets and retires the gauges.
-func NewClusterTCP(ctx context.Context, rank int, peers []string) (*Cluster, error) {
-	return NewClusterTCPWith(ctx, rank, peers, transport.TCPConfig{})
-}
-
-// NewClusterTCPWith is NewClusterTCP with explicit transport configuration
-// (injected listener, dial timeout) — tests bind ephemeral loopback
-// listeners up front this way to avoid port races.
 func NewClusterTCPWith(ctx context.Context, rank int, peers []string, cfg transport.TCPConfig) (*Cluster, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -48,8 +48,6 @@ type AdaptConfig struct {
 	// Dist is the placement every round's Born loop runs under (the zero
 	// value is serial; its Resume field is overwritten per round). The GF
 	// energy ownership rebalances to the active point set each round.
-	// Multi-process peer clusters are rejected: the refinement decisions
-	// must be taken by exactly one controller.
 	Dist DistConfig
 }
 
@@ -92,9 +90,6 @@ type AdaptReport struct {
 // grid.
 func (s *Simulator) RunAdaptiveCtx(ctx context.Context, ac AdaptConfig) (*Result, int64, error) {
 	p := s.Dev.P
-	if ac.Dist.Cluster != nil && ac.Dist.Cluster.MultiProcess() {
-		return nil, 0, fmt.Errorf("core: adaptive refinement is not supported on multi-process clusters (the grid controller must be singular)")
-	}
 	cfg := egrid.Config{TolCurrent: ac.Tol, MinNE: ac.MinNE, MaxNE: ac.MaxNE, MaxRounds: ac.MaxRounds}
 
 	var ctrl *egrid.Controller

@@ -104,10 +104,11 @@ func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
 // born is the Born loop — the only one. Every way of running the physics
 // is this loop under a placement: pl's zero value is the shared-memory
 // serial run from Σ = Π = 0, and each field moves one choice (SSE phase
-// onto a TE×TA cluster, GF electron solves onto a spatial cluster, fabric,
-// seed, fault policy). A placement changes data movement, not values, with
-// three exceptions the two historical loops differed in and the
-// benchmark's golden trajectories pin, all hanging off pl.clustered():
+// onto a TE×TA cluster, GF electron solves onto a spatial cluster, seed,
+// fault policy); every collective runs on a fresh in-process cluster. A
+// placement changes data movement, not values, with three exceptions the
+// two historical loops differed in and the benchmark's golden trajectories
+// pin, all hanging off pl.clustered():
 //
 //   - a clustered placement mixes linearly (DistConfig.mixesLinearly);
 //   - only a clustered placement snapshots a restart checkpoint (a copy of
@@ -122,17 +123,12 @@ func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
 func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, error) {
 	te, ta, space := pl.TE, pl.TA, pl.Space // space < 2: no spatial split
 	// The spatial split needs an interior block per rank, the SSE grid two
-	// ranks and an energy point each, a persistent cluster the right size.
+	// ranks and an energy point each.
 	if space >= 2 && s.Dev.P.Bnum < 2*space-1 {
 		return nil, 0, fmt.Errorf("core: %d device blocks cannot be partitioned across %d spatial ranks", s.Dev.P.Bnum, space)
 	}
 	if te > 0 {
 		if err := s.checkGrid(te, ta); err != nil {
-			return nil, 0, err
-		}
-	}
-	if pl.Cluster != nil {
-		if err := pl.CheckRanks(pl.Cluster.Size()); err != nil {
 			return nil, 0, err
 		}
 	}
@@ -188,17 +184,13 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 			last.Unregister()
 		}
 	}
-	// open readies the cluster that carries one collective phase of
-	// iteration iter over n ranks: the caller's persistent fabric, or a
-	// fresh in-process one bound to ctx. The fault plan arms on the first
-	// collective of FaultIter — the spatial GF phase when there is one,
-	// else the SSE phase — and fires exactly once.
+	// open readies the fresh in-process cluster, bound to ctx, that carries
+	// one collective phase of iteration iter over n ranks. The fault plan
+	// arms on the first collective of FaultIter — the spatial GF phase when
+	// there is one, else the SSE phase — and fires exactly once.
 	open := func(iter, n int) *comm.Cluster {
-		cl := pl.Cluster
-		if cl == nil {
-			cl = comm.NewClusterCtx(ctx, n)
-			last = cl
-		}
+		cl := comm.NewClusterCtx(ctx, n)
+		last = cl
 		if pl.CommTimeout > 0 {
 			cl.SetTimeout(pl.CommTimeout)
 		}
@@ -210,11 +202,9 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 	}
 	// recoverFrom is the one answer to a failed phase, local or collective. A
 	// cancelled context is terminal — never a rank failure — and so is any
-	// error but a dead rank, and a dead rank past the recovery budget. Otherwise it backs
-	// off, shrinks the placement (regrid for in-process clusters; a dead peer
-	// process leaves a persistent cluster nothing to rebuild, so the run
-	// finishes fully local), rewinds to ck and returns the loop index to
-	// continue from.
+	// error but a dead rank, and a dead rank past the recovery budget.
+	// Otherwise it backs off, shrinks the placement over the survivors
+	// (regrid), rewinds to ck and returns the loop index to continue from.
 	recoverFrom := func(iter int, err error, regrid func()) (int, error) {
 		if cerr := ctx.Err(); cerr != nil {
 			unregister()
@@ -231,11 +221,7 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 		sp := obsSpanRecovery.Start()
 		defer sp.End()
 		time.Sleep(backoff * time.Duration(res.Recoveries))
-		if pl.Cluster != nil {
-			te, ta, space = 0, 0, 0
-		} else {
-			regrid()
-		}
+		regrid()
 		obsCkptRestores.Inc()
 		se = seedOf(ck)
 		prevL, prevG = nil, nil
@@ -255,14 +241,12 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 		}
 		t0 := time.Now()
 		var gfCluster *comm.Cluster
-		var before int64
 		if space >= 2 {
 			gfCluster = open(iter, space)
-			before = gfCluster.TotalBytes()
 		}
 		gl, gg, dl, dg, o, err := s.gfPhase(ctx, gfCluster, se)
 		if gfCluster != nil {
-			bytes += gfCluster.TotalBytes() - before
+			bytes += gfCluster.TotalBytes()
 		}
 		if err != nil {
 			iter, err = recoverFrom(iter, err, func() { space-- })
@@ -308,9 +292,8 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 				ws = s.newSSEWorkspace(te, ta)
 			}
 			cl := open(iter, te*ta)
-			before := cl.TotalBytes()
 			dist, err := s.distributedSSEOn(cl, ws, in)
-			bytes += cl.TotalBytes() - before
+			bytes += cl.TotalBytes()
 			if err != nil {
 				iter, err = recoverFrom(iter, err, func() { te, ta = s.deriveGrid(te*ta - 1) })
 				if err != nil {

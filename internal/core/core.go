@@ -579,16 +579,12 @@ func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfE
 // solveElectronOn returns the GF phase's electron-point solver for a
 // spatial cluster: the retarded solve of the point is partitioned across
 // the cluster's ranks (rgf.DistributedRetarded) — the device-dimension
-// split of OMEN's momentum/energy/space hierarchy — and the Keldysh closure
-// runs on the replicated diagonal. In-process exactly rank 0 closes each
-// point, while each process of a multi-process cluster closes every point
-// on its own replica, so every process accumulates the full observables
-// and tensors (bit-identical across peers) exactly once. The point's
-// boundary slot is filled on the calling goroutine before the ranks start
-// (each process fills its own), so the ranks only read it. The caller reads
-// the cluster's byte counters around the phase.
+// split of OMEN's momentum/energy/space hierarchy — and rank 0 runs the
+// Keldysh closure on the replicated diagonal, so each point's observables
+// and tensors are accumulated exactly once. The point's boundary slot is
+// filled on the calling goroutine before the ranks start, so the ranks only
+// read it. The caller reads the cluster's byte counters after the phase.
 func (s *Simulator) solveElectronOn(cluster *comm.Cluster) func(kz, e int, scat rgf.Scattering) (*rgf.ElectronResult, error) {
-	multi := cluster.MultiProcess()
 	return func(kz, e int, scat rgf.Scattering) (*rgf.ElectronResult, error) {
 		scat.Bound = s.electronBound(kz, e)
 		if err := scat.Bound.FillElectron(s.h[kz], s.s[kz], s.Dev.P.Energy(e), s.Opts.Eta); err != nil {
@@ -596,7 +592,7 @@ func (s *Simulator) solveElectronOn(cluster *comm.Cluster) func(kz, e int, scat 
 		}
 		var res *rgf.ElectronResult
 		err := cluster.Run(func(r *comm.Rank) error {
-			pt, err := rgf.SolveElectronSpatial(r, multi || r.ID == 0, s.h[kz], s.s[kz],
+			pt, err := rgf.SolveElectronSpatial(r, s.h[kz], s.s[kz],
 				s.Dev.P.Energy(e), scat, s.Opts.Contacts, s.Opts.Eta)
 			if pt != nil {
 				res = pt

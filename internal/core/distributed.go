@@ -230,11 +230,10 @@ func (sh *share) unpack(buf []complex128, gl, gg *tensor.GTensor, dl, dg *tensor
 }
 
 // sseWorkspace is the storage plan of the distributed SSE phase on one
-// TE×TA grid: one slot per rank, allocated by that rank on its first phase
-// (so a peer of a multi-process cluster holds only its own), and the
-// assembled result. DistributedSSE builds one per call; the Born loop
-// keeps one for a whole run and rebuilds it only when a recovery regrids,
-// so every later phase allocates nothing.
+// TE×TA grid: one slot per rank, allocated by that rank on its first
+// phase, and the assembled result. DistributedSSE builds one per call; the
+// Born loop keeps one for a whole run and rebuilds it only when a recovery
+// regrids, so every later phase allocates nothing.
 type sseWorkspace struct {
 	te, ta int
 	ranks  []*rankSlot
@@ -256,8 +255,7 @@ type rankSlot struct {
 	sigL, sigG *tensor.GTensor
 	piL, piG   *tensor.DTensor
 	// out1[d]/in1[d] are exchange 1's messages to/from rank d, out2/in2
-	// exchange 2's (or, on a multi-process cluster, the replicated
-	// exchange's, with one message to every peer).
+	// exchange 2's.
 	out1, in1, out2, in2 []share
 	send1, send2         [][]complex128
 	msgs                 [][]complex128 // exchange's staging of a send list
@@ -292,15 +290,15 @@ func (s *Simulator) newSSEWorkspace(te, ta int) *sseWorkspace {
 
 // slot returns rank id's storage, allocating it on the rank's first phase.
 // Each rank touches only its own entry, so concurrent ranks need no lock.
-func (ws *sseWorkspace) slot(s *Simulator, id int, replicated bool) *rankSlot {
+func (ws *sseWorkspace) slot(s *Simulator, id int) *rankSlot {
 	if ws.ranks[id] == nil {
-		ws.ranks[id] = s.newRankSlot(id, ws.te, ws.ta, replicated)
+		ws.ranks[id] = s.newRankSlot(id, ws.te, ws.ta)
 	}
 	return ws.ranks[id]
 }
 
 // newRankSlot allocates rank id's storage and plans its messages.
-func (s *Simulator) newRankSlot(id, te, ta int, replicated bool) *rankSlot {
+func (s *Simulator) newRankSlot(id, te, ta int) *rankSlot {
 	p := s.Dev.P
 	procs := te * ta
 	// tile returns rank r's SSE tile and its energy halo window.
@@ -325,7 +323,6 @@ func (s *Simulator) newRankSlot(id, te, ta int, replicated bool) *rankSlot {
 	myLo, myHi := s.gfChunk(procs, id)
 	myPts := s.phononPointsOwnedBy(id, procs)
 	tileAtoms := intersect(sl.aLo, sl.aHi, 0, p.NA)
-	allPts := s.phononPointsOwnedBy(0, 1) // every (qz, ω) point
 	for d := 0; d < procs; d++ {
 		// Exchange 1, GF layout → SSE layout: my GF energy chunk and my
 		// phonon points go to d restricted to d's energy and atom halo.
@@ -335,23 +332,14 @@ func (s *Simulator) newRankSlot(id, te, ta int, replicated bool) *rankSlot {
 		sl.out1 = append(sl.out1, newShare(myLo, myHi, dhLo, dhHi, s.atomHalo(daLo, daHi), myPts))
 		sl.in1 = append(sl.in1, newShare(dLo, dHi, hLo, hHi, halo, dPts))
 		// Exchange 2: Σ^≷ tiles to the energy owners, Π^≷ partials to the
-		// point owners — or, replicated, every rank's whole tile to all.
+		// point owners.
 		dAtoms := intersect(daLo, daHi, 0, p.NA)
-		if replicated {
-			sl.in2 = append(sl.in2, newShare(deLo, deHi, 0, p.NE, dAtoms, allPts))
-		} else {
-			sl.out2 = append(sl.out2, newShare(dLo, dHi, sl.eLo, sl.eHi, tileAtoms, dPts))
-			sl.in2 = append(sl.in2, newShare(myLo, myHi, deLo, deHi, dAtoms, myPts))
-		}
-	}
-	if replicated {
-		sl.out2 = []share{newShare(sl.eLo, sl.eHi, 0, p.NE, tileAtoms, allPts)}
+		sl.out2 = append(sl.out2, newShare(dLo, dHi, sl.eLo, sl.eHi, tileAtoms, dPts))
+		sl.in2 = append(sl.in2, newShare(myLo, myHi, deLo, deHi, dAtoms, myPts))
 	}
 	sl.send1, sl.send2, sl.msgs = make([][]complex128, procs), make([][]complex128, procs), make([][]complex128, procs)
 	for d := range sl.send1 {
 		sl.send1[d] = make([]complex128, 0, sl.out1[d].size(p))
-	}
-	for d := range sl.out2 {
 		sl.send2[d] = make([]complex128, 0, sl.out2[d].size(p))
 	}
 	return sl
@@ -383,14 +371,11 @@ func (s *Simulator) DistributedSSE(in sse.PhaseInput, te, ta int) (*DistributedR
 
 // distributedSSEOn is DistributedSSE on a caller-provided cluster, which
 // may carry a shorter deadline or an armed fault plan (the fault-tolerant
-// Born loop builds one per iteration), or host only one rank of a
-// multi-process TCP cluster, and into a caller-kept workspace of the
-// cluster's grid, whose result it returns: the Born loop passes the same
-// workspace every iteration, so the result is overwritten by the next call.
-//
-// MeasuredBytes reports the traffic of THIS call (the cluster's byte total
-// is snapshotted on entry), so persistent clusters reused across Born
-// iterations account identically to the historical per-iteration ones.
+// Born loop builds one per iteration), and into a caller-kept workspace of
+// the cluster's grid, whose result it returns: the Born loop passes the
+// same workspace every iteration, so the result is overwritten by the next
+// call. MeasuredBytes reports the traffic of this call alone (the cluster's
+// byte total is snapshotted on entry).
 func (s *Simulator) distributedSSEOn(cluster *comm.Cluster, ws *sseWorkspace, in sse.PhaseInput) (*DistributedResult, error) {
 	startBytes := cluster.TotalBytes()
 	out := ws.out
@@ -398,10 +383,9 @@ func (s *Simulator) distributedSSEOn(cluster *comm.Cluster, ws *sseWorkspace, in
 	// everywhere.
 	out.PiLess.Zero()
 	out.PiGtr.Zero()
-	replicated := cluster.MultiProcess()
 
 	err := cluster.Run(func(r *comm.Rank) error {
-		sl := ws.slot(s, r.ID, replicated)
+		sl := ws.slot(s, r.ID)
 
 		// --- Exchange 1: GF layout → SSE layout --------------------------
 		for d, sh := range sl.out1 {
@@ -428,29 +412,17 @@ func (s *Simulator) distributedSSEOn(cluster *comm.Cluster, ws *sseWorkspace, in
 
 		// --- Exchange 2: Σ tiles to energy owners, Π partials to point
 		// owners ------------------------------------------------------------
-		// Ranks in other OS processes cannot assemble into this process's
-		// shared tensors; there the exchange replicates instead — every rank
-		// sends its full tile everywhere and each process assembles the
-		// complete result locally, so the next (replicated) GF phase starts
-		// from identical inputs on every peer. That costs more traffic than
-		// the owner-directed exchange (ModelBytes still reports the §4.1
-		// prediction for the owner-directed pattern).
 		for d, sh := range sl.out2 {
 			sl.send2[d] = sh.pack(sl.send2[d][:0], sl.sigL, sl.sigG, sl.piL, sl.piG)
-		}
-		if replicated {
-			for d := range sl.send2 {
-				sl.send2[d] = sl.send2[0] // Send copies; sharing one payload is safe
-			}
 		}
 		recv, err = sl.exchange(r, sl.send2)
 		if err != nil {
 			return fmt.Errorf("rank %d exchange 2: %w", r.ID, err)
 		}
-		// Assemble the result. In-process, every rank writes only the
-		// regions it owns after exchange 2 (its GF energy chunk for Σ, its
-		// phonon points for Π), so the writes are disjoint; Σ tiles are
-		// disjoint across the grid and overwrite, Π partials accumulate.
+		// Assemble the result. Every rank writes only the regions it owns
+		// after exchange 2 (its GF energy chunk for Σ, its phonon points for
+		// Π), so the writes are disjoint; Σ tiles are disjoint across the
+		// grid and overwrite, Π partials accumulate.
 		for from, sh := range sl.in2 {
 			sh.unpack(recv[from], out.SigmaLess, out.SigmaGtr, out.PiLess, out.PiGtr, true)
 		}

@@ -11,9 +11,8 @@ type Plan struct {
 	Config RunConfig
 	// Place is what a document cannot carry: the seed checkpoint (Resume)
 	// that warm-starts the Born loop and, for adaptive runs, the grid
-	// controller (under a gate, of every outer step); a persistent
-	// multi-process Cluster; a clustered run's fault plan, checkpoint file
-	// and recovery budget. Its TE, TA, Space and CommTimeout are
+	// controller (under a gate, of every outer step); a clustered run's
+	// fault plan, checkpoint file and recovery budget. Its TE, TA, Space and CommTimeout are
 	// overwritten from Config.
 	Place DistConfig
 }
@@ -36,16 +35,14 @@ type Outcome struct {
 }
 
 // Execute is the one dispatch from a run document to the solver: every
-// frontend (qtsim, qtsimd jobs and peers, campaigns) calls it and nothing
-// else. The document's sections select orthogonal choices around the one
-// Born loop — grid policy (adapt), SSE placement (dist), GF placement
-// (space), outer loop (gate) — and the Plan adds seed, fabric and fault
-// policy. Every pair composes: the inner solve is the Born loop under the
+// frontend (qtsim, qtsimd jobs, campaigns) calls it and nothing else. The
+// document's sections select orthogonal choices around the one Born loop —
+// grid policy (adapt), SSE placement (dist), GF placement (space), outer
+// loop (gate) — and the Plan adds seed and fault policy. Every pair composes: the inner solve is the Born loop under the
 // placement, or the adaptive rounds under it, and the Gummel loop calls it
 // once per outer step, each from the plan's seed with the fault plan
-// re-armed. Execute rejects a seed that cannot seed the document
-// (RunConfig.CheckSeed) and, through RunAdaptiveCtx, an adaptive run on a
-// multi-process cluster; ARCHITECTURE.md § Execution paths has the table.
+// re-armed. Execute rejects only a seed that cannot seed the document
+// (RunConfig.CheckSeed); ARCHITECTURE.md § Execution paths has the table.
 func (s *Simulator) Execute(ctx context.Context, p Plan) (*Outcome, error) {
 	doc, _, err := p.Config.DistConfig()
 	if err != nil {

@@ -91,14 +91,12 @@ func TestExecutePlacementTable(t *testing.T) {
 	rows := []struct {
 		name      string
 		set       func(*RunConfig)
-		cluster   bool // one persistent in-process 2-rank cluster serves both axes
 		clustered bool // a rank can die
 	}{
 		{name: "serial", set: func(*RunConfig) {}},
 		{name: "dist 1x2", set: func(c *RunConfig) { c.Dist = "1x2" }, clustered: true},
 		{name: "space 2", set: func(c *RunConfig) { c.Space = 2 }, clustered: true},
-		{name: "dist+space on one cluster", set: func(c *RunConfig) { c.Dist, c.Space = "2x1", 2 },
-			cluster: true, clustered: true},
+		{name: "dist+space", set: func(c *RunConfig) { c.Dist, c.Space = "2x1", 2 }, clustered: true},
 		{name: "adaptive", set: adapt},
 		{name: "adaptive+dist", set: func(c *RunConfig) { adapt(c); c.Dist = "1x2" }, clustered: true},
 	}
@@ -133,9 +131,6 @@ func TestExecutePlacementTable(t *testing.T) {
 						want, wantOuter = reference(t, cfg, ck)
 					}
 					plan := Plan{Config: cfg, Place: DistConfig{Resume: ck}}
-					if row.cluster {
-						plan.Place.Cluster = comm.NewCluster(2)
-					}
 					if fault {
 						plan.Place.Fault = &comm.FaultPlan{Kill: true, KillRank: 1, KillAtOp: 1}
 						if !cfg.AdaptEnabled() {
@@ -183,8 +178,8 @@ func TestExecutePlacementTable(t *testing.T) {
 
 // TestExecuteRejectsWhatOnlyAPlanCanExpress pins Execute's own rows of the
 // placement table: the pairs no run document can state. What it rejects is
-// a seed that cannot seed the document or a cluster that cannot carry it;
-// a seed or a cluster under the Gummel loop runs.
+// a seed that cannot seed the document; a seed under the Gummel loop runs,
+// whatever the placement.
 func TestExecuteRejectsWhatOnlyAPlanCanExpress(t *testing.T) {
 	ctx := context.Background()
 	base := executeConfig()
@@ -208,17 +203,14 @@ func TestExecuteRejectsWhatOnlyAPlanCanExpress(t *testing.T) {
 	gated.Gate = &gate
 	gatedSpace := gated
 	gatedSpace.Space = 2
-	wide := base
-	wide.Dist = "2x2"
 	for name, tc := range map[string]struct {
 		plan Plan
 		want string
 	}{
 		"partial-grid seed for a uniform run":     {Plan{Config: base, Place: DistConfig{Resume: &partial}}, "energy points active"},
 		"partial-grid seed under the Gummel loop": {Plan{Config: gated, Place: DistConfig{Resume: &partial}}, "energy points active"},
-		"cluster too small for the grid":          {Plan{Config: wide, Place: DistConfig{Cluster: comm.NewCluster(2)}}, "cannot carry"},
 		"seed under the Gummel loop":              {Plan{Config: gated, Place: DistConfig{Resume: full}}, ""},
-		"seed and cluster under the Gummel loop":  {Plan{Config: gatedSpace, Place: DistConfig{Resume: full, Cluster: comm.NewCluster(2)}}, ""},
+		"seed under the Gummel loop, space 2":     {Plan{Config: gatedSpace, Place: DistConfig{Resume: full}}, ""},
 	} {
 		out, err := sim.Execute(ctx, tc.plan)
 		switch {

@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -15,10 +17,9 @@ import (
 // RunConfig is the one versioned description of a simulation run, shared by
 // every frontend: cmd/qtsim reads it from -config (no flag overrides a
 // field), and cmd/qtsimd accepts it as the body of a job submission, as a
-// worker or as the front, and as the -peer-config of a peer. It is the
-// single way to say "run this device under these solver settings", so a
-// config that produced a result locally can be POSTed to the service
-// unchanged.
+// worker or as the front. It is the single way to say "run this device
+// under these solver settings", so a config that produced a result locally
+// can be POSTed to the service unchanged.
 //
 // The schema is flat JSON with snake_case keys (see examples/run.json).
 // Unknown fields are rejected, so typos fail at parse time instead of
@@ -180,14 +181,18 @@ func DefaultRunConfig() RunConfig {
 }
 
 // ParseRunConfig decodes a RunConfig from JSON. Decoding is strict (unknown
-// fields are errors), a missing version is normalized to the current one,
-// and the result is validated.
+// fields, and anything but whitespace after the one document, are errors),
+// a missing version is normalized to the current one, and the result is
+// validated.
 func ParseRunConfig(data []byte) (*RunConfig, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var c RunConfig
 	if err := dec.Decode(&c); err != nil {
 		return nil, fmt.Errorf("core: parsing run config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, errors.New("core: parsing run config: trailing content after the JSON document")
 	}
 	if c.Version == 0 {
 		c.Version = RunConfigVersion

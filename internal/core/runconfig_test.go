@@ -319,7 +319,8 @@ func TestRunConfigBoundsDeviceSize(t *testing.T) {
 // document's canonical form is a fixed point — it marshals, re-parses and
 // canonicalizes to the same bytes, so the front tier's cache key is stable
 // across a worker round trip. Seeds are every checked-in run document,
-// with a campaign request's wrapped "config" seeded on its own too.
+// with a campaign request's wrapped "config" seeded on its own too, and
+// examples/run.json followed by a second document, which must be rejected.
 func FuzzParseRunConfig(f *testing.F) {
 	var paths []string
 	for _, glob := range []string{"../../examples/*.json", "../../bench/workloads/*.json", "../../bench/workloads/quick/*.json"} {
@@ -342,6 +343,15 @@ func FuzzParseRunConfig(f *testing.F) {
 			f.Add([]byte(doc.Config))
 		}
 	}
+	run, err := os.ReadFile("../../examples/run.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	trailing := append(run, ` {"ne": 3} garbage`...)
+	if _, err := ParseRunConfig(trailing); err == nil {
+		f.Fatal("a run document followed by trailing content was accepted")
+	}
+	f.Add(trailing)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		c, err := ParseRunConfig(body)
 		if err != nil {

@@ -2,14 +2,13 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"time"
 
 	"negfsim/internal/comm"
 )
 
 // DistConfig is the placement of a Born run: where its two phases execute,
-// on which fabric, from which seed, and what happens when a rank dies. The
+// from which seed, and what happens when a rank dies. The
 // zero value is the serial shared-memory run from Σ = Π = 0; the zero value
 // of every optional field keeps the documented default, so
 // DistConfig{TE: te, TA: ta} is the plain fault-tolerant TE×TA run.
@@ -21,11 +20,9 @@ type DistConfig struct {
 	// solve of the GF phase across a spatial cluster of that many ranks —
 	// the device-dimension split (rgf.DistributedRetarded). Requires
 	// Bnum ≥ 2·Space−1 so every rank owns at least one interior block.
-	// A persistent Cluster serves both phases, so when both axes are
-	// requested its size must equal TE·TA and Space alike. When a spatial
-	// rank dies, in-process runs shrink the spatial cluster by one rank
-	// (degrading to the local solver below 2) and multi-process runs finish
-	// fully local, always from the last checkpoint.
+	// When a spatial rank dies, the run shrinks the spatial cluster by one
+	// rank (degrading to the local solver below 2) and resumes from the
+	// last checkpoint.
 	Space int
 
 	// CommTimeout bounds every Send/Recv on the simulated cluster — the
@@ -56,18 +53,6 @@ type DistConfig struct {
 	// Resume, when non-nil, seeds the run with a checkpoint's self-energies
 	// instead of starting from Σ = Π = 0.
 	Resume *Checkpoint
-
-	// Cluster, when non-nil, is a caller-provided persistent communicator —
-	// typically one peer of a multi-process TCP cluster
-	// (comm.NewClusterTCP) — used for every Born iteration instead of the
-	// per-iteration in-process clusters. Its size must equal TE·TA. The
-	// caller owns its lifecycle (Close); the run never unregisters it.
-	// When a peer process dies mid-run, the survivors restore the last
-	// checkpoint and degrade to the local shared-memory SSE kernels — a
-	// multi-process grid cannot be re-derived over the survivors the way an
-	// in-process one can — so the run still completes with the same
-	// observables.
-	Cluster *comm.Cluster
 }
 
 // RunDistributedFTCtx runs the Born loop under a clustered placement (SSE
@@ -102,20 +87,6 @@ func (c DistConfig) clustered() bool { return c.TE > 0 || c.Space >= 2 }
 // benchmark-only PR that re-records it (CHANGES.md, stage (ii) of ROADMAP
 // item 5). RunConfig.MixerOverridden surfaces the rule to the frontends.
 func (c DistConfig) mixesLinearly() bool { return c.clustered() }
-
-// CheckRanks reports whether a persistent cluster of n ranks can carry the
-// placement: one cluster serves both phases, so n must equal TE·TA and
-// Space alike. Peer frontends call it before they bootstrap the TCP mesh;
-// the Born loop repeats it as the backstop.
-func (c DistConfig) CheckRanks(n int) error {
-	if c.TE > 0 && n != c.TE*c.TA {
-		return fmt.Errorf("core: cluster of %d ranks cannot carry a %d×%d grid", n, c.TE, c.TA)
-	}
-	if c.Space >= 2 && n != c.Space {
-		return fmt.Errorf("core: cluster of %d ranks cannot carry a %d-way spatial split", n, c.Space)
-	}
-	return nil
-}
 
 // deriveGrid picks the TE×TA decomposition for a surviving rank count: the
 // volume-minimizing feasible factorization (the §4.1 exhaustive search).

@@ -101,15 +101,6 @@ func TestSpatialSplitValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "cannot be partitioned") {
 		t.Fatalf("want partition-infeasible error, got %v", err)
 	}
-	// A persistent cluster must match the spatial rank count.
-	cl := comm.NewCluster(3)
-	defer cl.Close()
-	cfg := spatialConfig(2)
-	cfg.Cluster = cl
-	if _, _, err := miniSim(t, opts).RunDistributedFTCtx(context.Background(), cfg); err == nil ||
-		!strings.Contains(err.Error(), "spatial split") {
-		t.Fatalf("want cluster-size error, got %v", err)
-	}
 }
 
 func TestRunConfigSpatialValidationAndCanonical(t *testing.T) {

@@ -3,7 +3,9 @@ package front
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"time"
 )
@@ -28,13 +30,18 @@ type FleetConfig struct {
 	CacheMax int `json:"cache_max,omitempty"`
 }
 
-// ParseFleetConfig strictly decodes a FleetConfig from JSON bytes.
+// ParseFleetConfig strictly decodes a FleetConfig from JSON bytes: an
+// unknown field, or anything but whitespace after the one object, is an
+// error.
 func ParseFleetConfig(raw []byte) (FleetConfig, error) {
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	var fc FleetConfig
 	if err := dec.Decode(&fc); err != nil {
 		return FleetConfig{}, fmt.Errorf("parsing fleet config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return FleetConfig{}, errors.New("parsing fleet config: trailing content after the JSON object")
 	}
 	if fc.Listen == "" {
 		fc.Listen = ":8090"

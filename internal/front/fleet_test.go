@@ -11,13 +11,19 @@ import (
 // qtsimd -fleet starts from: nothing may panic, an accepted config names a
 // listen address and at least one worker, its runtime Config has positive
 // intervals and bounds after defaults, and it survives a marshal and
-// re-parse unchanged. The seed is examples/fleet.json.
+// re-parse unchanged. The seeds are examples/fleet.json and two configs
+// in one body, which must be rejected.
 func FuzzParseFleetConfig(f *testing.F) {
 	example, err := os.ReadFile("../../examples/fleet.json")
 	if err != nil {
 		f.Fatal(err)
 	}
+	trailing := []byte(`{"workers":["http://a:1"]} {"workers":["http://b:2"]} garbage`)
+	if fc, err := ParseFleetConfig(trailing); err == nil {
+		f.Fatalf("trailing content accepted as %+v", fc)
+	}
 	f.Add(example)
+	f.Add(trailing)
 	f.Add([]byte(`{"workers":["http://a:1"],"health_interval_ms":-1,"quota_burst":-3,"cache_max":-2}`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		fc, err := ParseFleetConfig(raw)

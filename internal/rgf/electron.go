@@ -138,21 +138,19 @@ func (r *ElectronResult) Release() {
 // the arena before the function exits. The result blocks are pooled too —
 // call (*ElectronResult).Release once their contents have been consumed.
 func SolveElectron(h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64) (*ElectronResult, error) {
-	return solveElectron(nil, true, h, s, energy, scat, c, eta, nil)
+	return solveElectron(nil, h, s, energy, scat, c, eta, nil)
 }
 
 // SolveElectronSpatial is SolveElectron with the retarded solve partitioned
 // across the ranks of a cluster (DistributedRetarded): every rank assembles
-// the identical operator and participates in the spatial exchange. Ranks
-// with closure=true then run the Keldysh sweep, currents and dissipation on
-// the replicated diagonal and return the full result; the others return
-// (nil, nil) once the collective solve is done. Exactly the closure ranks
-// get a result, so a caller accumulating observables must pick closure
-// ranks that cover each grid point exactly once per process. A Bound in
-// scat is shared by the ranks and must be filled (FillElectron) before they
-// start.
-func SolveElectronSpatial(r *comm.Rank, closure bool, h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64) (*ElectronResult, error) {
-	return solveElectron(r, closure, h, s, energy, scat, c, eta, nil)
+// the identical operator and participates in the spatial exchange. Rank 0
+// then runs the Keldysh sweep, currents and dissipation on the replicated
+// diagonal and returns the full result; the other ranks return (nil, nil)
+// once the collective solve is done, so each point's result exists exactly
+// once. A Bound in scat is shared by the ranks and must be filled
+// (FillElectron) before they start.
+func SolveElectronSpatial(r *comm.Rank, h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64) (*ElectronResult, error) {
+	return solveElectron(r, h, s, energy, scat, c, eta, nil)
 }
 
 // electronOperator assembles the pristine A = (E + iη)·S − H of an electron
@@ -166,7 +164,7 @@ func electronOperator(h, s *cmat.BlockTri, energy, eta float64) (*cmat.BlockTri,
 	return a, nil
 }
 
-func solveElectron(rank *comm.Rank, closure bool, h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64, trans *float64) (*ElectronResult, error) {
+func solveElectron(rank *comm.Rank, h, s *cmat.BlockTri, energy float64, scat Scattering, c Contacts, eta float64, trans *float64) (*ElectronResult, error) {
 	sp := obsSpanElectron.Start()
 	defer sp.End()
 	n := h.N
@@ -176,7 +174,7 @@ func solveElectron(rank *comm.Rank, closure bool, h, s *cmat.BlockTri, energy fl
 		return nil, err
 	}
 	defer cmat.PutBlockTri(a)
-	res, err := solveOpen(rank, closure, a, scat, FermiDirac(energy, c.MuL, c.KT), FermiDirac(energy, c.MuR, c.KT), trans)
+	res, err := solveOpen(rank, a, scat, FermiDirac(energy, c.MuL, c.KT), FermiDirac(energy, c.MuR, c.KT), trans)
 	if res == nil {
 		return nil, err
 	}
@@ -205,11 +203,11 @@ func solveElectron(rank *comm.Rank, closure bool, h, s *cmat.BlockTri, energy fl
 // Tr[Σ^<_c·G^> − Σ^>_c·G^<]; DissipationPerBlock is left to the caller.
 //
 // With rank nil the sweep builds G^R too. Otherwise G^R is the collective
-// DistributedRetarded's, after which closure ranks rebuild gL locally and
-// sweep the two Keldysh sets on the known diagonal, and the other ranks
-// return (nil, nil). A non-nil trans receives the Caroli transmission of
+// DistributedRetarded's, after which rank 0 rebuilds gL locally and sweeps
+// the two Keldysh sets on the known diagonal, and the other ranks return
+// (nil, nil). A non-nil trans receives the Caroli transmission of
 // the same retarded solve.
-func solveOpen(rank *comm.Rank, closure bool, a *cmat.BlockTri, scat Scattering, occL, occR float64, trans *float64) (*ElectronResult, error) {
+func solveOpen(rank *comm.Rank, a *cmat.BlockTri, scat Scattering, occL, occR float64, trans *float64) (*ElectronResult, error) {
 	n, bs := a.N, a.Bs
 	if rank != nil && scat.Bound != nil && scat.Bound.SigL == nil {
 		// Every rank would fill the one shared slot at once.
@@ -239,9 +237,9 @@ func solveOpen(rank *comm.Rank, closure bool, a *cmat.BlockTri, scat Scattering,
 
 	var diag []*cmat.Dense
 	if rank != nil {
-		// The collective solve replicates the diagonal on every rank; the
-		// closure ranks go on to the Keldysh sets on it.
-		if diag, err = DistributedRetarded(rank, a); err != nil || !closure {
+		// The collective solve replicates the diagonal on every rank; rank 0
+		// goes on to the Keldysh sets on it.
+		if diag, err = DistributedRetarded(rank, a); err != nil || rank.ID != 0 {
 			return nil, err
 		}
 	}

@@ -55,7 +55,7 @@ func SolvePhonon(phi *cmat.BlockTri, hw float64, scat PhononScattering, c Phonon
 	phi.ShiftIdentityInto(a, complex(hw*hw, eta))
 	// occ = −N makes the contact blocks Π^< = −i·N·Γ and Π^> = −i·(N+1)·Γ,
 	// so that Π^> − Π^< = −i·Γ = Π^R − Π^A holds.
-	res, err := solveOpen(nil, true, a, scat, -BoseEinstein(hw, c.KTL), -BoseEinstein(hw, c.KTR), nil)
+	res, err := solveOpen(nil, a, scat, -BoseEinstein(hw, c.KTL), -BoseEinstein(hw, c.KTR), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -180,7 +180,7 @@ func TestOneSweepBitwise(t *testing.T) {
 			scat.Bound = bound
 			var closure *ElectronResult
 			if err := comm.NewCluster(2).Run(func(r *comm.Rank) error {
-				res, err := SolveElectronSpatial(r, r.ID == 0, h, s, energy, scat, c, eta)
+				res, err := SolveElectronSpatial(r, h, s, energy, scat, c, eta)
 				if r.ID == 0 {
 					closure = res
 				}

@@ -35,6 +35,6 @@ func (r *Retarded) Transmission(gamL, gamR *cmat.Dense) float64 {
 // (TestPerfectChainUnitTransmission, TestChainWithBarrierAnalytic).
 func SolveElectronBallistic(h, s *cmat.BlockTri, energy float64, c Contacts, eta float64) (*ElectronResult, float64, error) {
 	var trans float64
-	res, err := solveElectron(nil, true, h, s, energy, Scattering{}, c, eta, &trans)
+	res, err := solveElectron(nil, h, s, energy, Scattering{}, c, eta, &trans)
 	return res, trans, err
 }

@@ -69,28 +69,42 @@ type submitEnvelope struct {
 	Checkpoint []byte `json:"checkpoint,omitempty"`
 }
 
+// decodeSubmission decodes a submit body: a submitEnvelope, or else a plain
+// RunConfig document. Both decodes are strict; an envelope followed by
+// anything but whitespace is an error. The checkpoint, when the envelope
+// carries one, is returned as LoadCheckpoint accepts it.
+func decodeSubmission(raw []byte) (*core.RunConfig, *core.Checkpoint, error) {
+	var env submitEnvelope
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&env); err != nil || env.Config == nil {
+		cfg, err := core.ParseRunConfig(raw)
+		return cfg, nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, nil, errors.New("serve: trailing content after the submission")
+	}
+	var ck *core.Checkpoint
+	if len(env.Checkpoint) > 0 {
+		var err error
+		if ck, err = core.LoadCheckpoint(bytes.NewReader(env.Checkpoint)); err != nil {
+			return nil, nil, err
+		}
+	}
+	cfg, err := core.ParseRunConfig(env.Config)
+	if err != nil {
+		return nil, nil, err
+	}
+	return cfg, ck, nil
+}
+
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
 	if err != nil {
 		jobs.WriteError(w, http.StatusBadRequest, "reading body: %v", err)
 		return
 	}
-	cfgRaw := raw
-	var ck *core.Checkpoint
-	var env submitEnvelope
-	envDec := json.NewDecoder(bytes.NewReader(raw))
-	envDec.DisallowUnknownFields()
-	if err := envDec.Decode(&env); err == nil && env.Config != nil {
-		cfgRaw = env.Config
-		if len(env.Checkpoint) > 0 {
-			ck, err = core.LoadCheckpoint(bytes.NewReader(env.Checkpoint))
-			if err != nil {
-				jobs.WriteError(w, http.StatusBadRequest, "%v", err)
-				return
-			}
-		}
-	}
-	cfg, err := core.ParseRunConfig(cfgRaw)
+	cfg, ck, err := decodeSubmission(raw)
 	if err != nil {
 		jobs.WriteError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -3,11 +3,13 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -400,4 +402,53 @@ func TestHTTPWarmStartEnvelope(t *testing.T) {
 	if resp, _ := postEnvelope(mkCfg(0.44), []byte("not a gob")); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("corrupt checkpoint: %d, want 400", resp.StatusCode)
 	}
+}
+
+// FuzzDecodeSubmission feeds arbitrary bodies through the submit handler's
+// decoder: nothing may panic, and an accepted body's config passes
+// Validate. Seeds are examples/run.json, an envelope carrying a checkpoint
+// of that device after one iteration, and the envelope followed by a
+// second document, which must be rejected.
+func FuzzDecodeSubmission(f *testing.F) {
+	raw, err := os.ReadFile("../../examples/run.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg, err := core.ParseRunConfig(raw)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg.MaxIter = 1
+	sim, err := cfg.NewSimulator()
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := sim.RunCtx(context.Background())
+	if err != nil {
+		f.Fatal(err)
+	}
+	var ck bytes.Buffer
+	if err := core.CheckpointOf(cfg.Device, res).Save(&ck); err != nil {
+		f.Fatal(err)
+	}
+	env, err := json.Marshal(submitEnvelope{Config: raw, Checkpoint: ck.Bytes()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	trailing := append(append([]byte{}, env...), ` {"ne": 3} garbage`...)
+	if _, _, err := decodeSubmission(trailing); err == nil {
+		f.Fatal("an envelope followed by trailing content was accepted")
+	}
+	f.Add(raw)
+	f.Add(env)
+	f.Add(trailing)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		cfg, _, err := decodeSubmission(body)
+		if err != nil {
+			return
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("accepted submission's config fails Validate: %v", err)
+		}
+	})
 }
