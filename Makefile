@@ -1,7 +1,7 @@
 # Tier-1 gate: everything a PR must keep green.
-.PHONY: check fmt build vet cross test race race-ft race-flaky serve-test transport-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build bench bench-gate microbench
+.PHONY: check fmt build vet cross test race race-ft race-flaky serve-test transport-test partition-test front-test device-test campaign-test adapt-test docs-lint examples bench-build bench bench-gate microbench
 
-check: fmt build vet cross test race-ft race-flaky serve-test transport-test partition-test front-test device-test campaign-test adapt-test docs-lint bench-build
+check: fmt build vet cross test race-ft race-flaky serve-test transport-test partition-test front-test device-test campaign-test adapt-test docs-lint examples bench-build
 
 # gofmt -l prints nothing (and exits 0) on a clean tree; any output fails
 # the gate via the grep.
@@ -133,12 +133,19 @@ adapt-test:
 
 # Docs lint: every relative markdown link in README, the root docs and
 # docs/ must resolve to an existing file and every `go run ./<dir>` to a
-# package directory, so renames can't silently rot the docs suite; and the
-# paper-ledger tables in EXPERIMENTS.md must equal `qtpaper` output byte
-# for byte, so a model or kernel change that moves a number fails here.
+# package directory, so renames can't silently rot the docs suite; every
+# backticked `pkg.Name` in README, ARCHITECTURE, DESIGN, EXPERIMENTS and
+# docs/ must name a declaration or method of internal/pkg, so deleted code
+# can't stay cited; and the paper-ledger tables in EXPERIMENTS.md must
+# equal `qtpaper` output byte for byte, so a model or kernel change that
+# moves a number fails here.
 docs-lint:
-	go test -count=1 -run TestDocLinks .
+	go test -count=1 -run 'TestDocLinks|TestDocSymbols' .
 	go test -count=1 -run Ledger ./cmd/qtpaper
+
+# Runs each examples/* program; any non-zero exit fails the gate.
+examples:
+	@for d in examples/*/; do echo "go run ./$$d"; go run ./$$d > /dev/null || exit 1; done
 
 # The benchmark is its own module (bench/), which `go build ./...` skips:
 # build it and run its unit tests here, so an API change that breaks

@@ -1,7 +1,5 @@
 package cmat
 
-import "fmt"
-
 // BlockTri is a block-tridiagonal matrix: the structure of the Hamiltonian
 // H(kz), overlap S(kz) and dynamical matrix Φ(qz) in the paper, divided into
 // bnum blocks of equal size (§2). Diag has length N; Upper and Lower have
@@ -73,20 +71,6 @@ func (b *BlockTri) Scale(alpha complex128) {
 	for i := range b.Upper {
 		b.Upper[i].ScaleInPlace(alpha)
 		b.Lower[i].ScaleInPlace(alpha)
-	}
-}
-
-// AXPY computes b += alpha·c block-wise. Shapes must match.
-func (b *BlockTri) AXPY(alpha complex128, c *BlockTri) {
-	if b.N != c.N || b.Bs != c.Bs {
-		panic(fmt.Sprintf("cmat: BlockTri.AXPY shape mismatch (%d,%d) vs (%d,%d)", b.N, b.Bs, c.N, c.Bs))
-	}
-	for i := range b.Diag {
-		b.Diag[i].AddScaledInPlace(alpha, c.Diag[i])
-	}
-	for i := range b.Upper {
-		b.Upper[i].AddScaledInPlace(alpha, c.Upper[i])
-		b.Lower[i].AddScaledInPlace(alpha, c.Lower[i])
 	}
 }
 

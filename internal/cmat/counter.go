@@ -22,11 +22,6 @@ type FlopCounter struct {
 // Counter is the package-global flop counter used by all kernels.
 var Counter FlopCounter
 
-// AddGEMM records the flops of an R×K by K×C matrix multiplication.
-func (c *FlopCounter) AddGEMM(r, k, cols int) {
-	c.flops.Add(uint64(8 * r * k * cols))
-}
-
 // AddFlops records an arbitrary number of real flops.
 func (c *FlopCounter) AddFlops(n uint64) { c.flops.Add(n) }
 

@@ -328,29 +328,6 @@ func (m *Dense) mulInto(out, n *Dense, accumulate bool) uint64 {
 	return uint64(8 * m.Rows * m.Cols * n.Cols)
 }
 
-// MulHerm returns m·n^H as a new matrix without materializing n^H.
-func (m *Dense) MulHerm(n *Dense) *Dense {
-	if m.Cols != n.Cols {
-		panic("cmat: MulHerm dimension mismatch")
-	}
-	out := NewDense(m.Rows, n.Rows)
-	R, K, C := m.Rows, m.Cols, n.Rows
-	for i := 0; i < R; i++ {
-		mrow := m.Data[i*K : (i+1)*K]
-		orow := out.Data[i*C : (i+1)*C]
-		for j := 0; j < C; j++ {
-			nrow := n.Data[j*K : (j+1)*K]
-			var s complex128
-			for k := 0; k < K; k++ {
-				s += mrow[k] * cmplx.Conj(nrow[k])
-			}
-			orow[j] = s
-		}
-	}
-	Counter.AddGEMM(R, K, C)
-	return out
-}
-
 // Submatrix copies rows [r0,r1) and columns [c0,c1) into a new matrix.
 func (m *Dense) Submatrix(r0, r1, c0, c1 int) *Dense {
 	if r0 < 0 || c0 < 0 || r1 > m.Rows || c1 > m.Cols || r0 > r1 || c0 > c1 {
@@ -394,44 +371,6 @@ func (m *Dense) String() string {
 		}
 	}
 	return s
-}
-
-// TransMul returns mᵀ·n without materializing the transpose. Shapes:
-// m is K×R, n is K×C, result is R×C. The loop order keeps the inner
-// traversal unit-stride on n and the output.
-func (m *Dense) TransMul(n *Dense) *Dense {
-	if m.Rows != n.Rows {
-		panic(fmt.Sprintf("cmat: TransMul dimension mismatch %d×%d ᵀ· %d×%d", m.Rows, m.Cols, n.Rows, n.Cols))
-	}
-	out := NewDense(m.Cols, n.Cols)
-	m.TransMulAddInto(out, n)
-	return out
-}
-
-// TransMulAddInto computes out += mᵀ·n.
-func (m *Dense) TransMulAddInto(out, n *Dense) {
-	if m.Rows != n.Rows {
-		panic(fmt.Sprintf("cmat: TransMul dimension mismatch %d×%d ᵀ· %d×%d", m.Rows, m.Cols, n.Rows, n.Cols))
-	}
-	if out.Rows != m.Cols || out.Cols != n.Cols {
-		panic("cmat: TransMulAddInto output shape mismatch")
-	}
-	K, R, C := m.Rows, m.Cols, n.Cols
-	for k := 0; k < K; k++ {
-		mrow := m.Data[k*R : (k+1)*R]
-		nrow := n.Data[k*C : (k+1)*C]
-		for i := 0; i < R; i++ {
-			a := mrow[i]
-			if a == 0 {
-				continue
-			}
-			orow := out.Data[i*C : (i+1)*C]
-			for j := 0; j < C; j++ {
-				orow[j] += a * nrow[j]
-			}
-		}
-	}
-	Counter.AddGEMM(R, K, C)
 }
 
 // TraceMul returns tr(m·n) in O(R·C) without forming the product.

@@ -119,17 +119,6 @@ func TestTransposeInvolution(t *testing.T) {
 	}
 }
 
-func TestMulHermMatchesExplicit(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	a := RandomDense(r, 5, 4)
-	b := RandomDense(r, 6, 4)
-	got := a.MulHerm(b)
-	want := a.Mul(b.ConjTranspose())
-	if !got.Equalish(want, 1e-12) {
-		t.Fatalf("MulHerm mismatch: max diff %g", got.MaxAbsDiff(want))
-	}
-}
-
 func TestAddSubScale(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	a := RandomDense(r, 4, 3)
@@ -258,17 +247,6 @@ func TestScaleConjugation(t *testing.T) {
 		t.Fatal("i·(-i)·A != A")
 	}
 	_ = cmplx.Abs // keep import alive under edits
-}
-
-func TestTransMulMatchesExplicit(t *testing.T) {
-	r := rand.New(rand.NewSource(31))
-	a := RandomDense(r, 6, 4)
-	b := RandomDense(r, 6, 5)
-	got := a.TransMul(b)
-	want := a.Transpose().Mul(b)
-	if !got.Equalish(want, 1e-12) {
-		t.Fatalf("TransMul mismatch: %g", got.MaxAbsDiff(want))
-	}
 }
 
 func TestTraceMulMatchesExplicit(t *testing.T) {

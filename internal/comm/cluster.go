@@ -515,15 +515,6 @@ func (r *Rank) Reduce(root int, data []complex128) ([]complex128, error) {
 	return acc, nil
 }
 
-// Allreduce sums contributions on rank 0 and broadcasts the result.
-func (r *Rank) Allreduce(data []complex128) ([]complex128, error) {
-	acc, err := r.Reduce(0, data)
-	if err != nil {
-		return nil, err
-	}
-	return r.Bcast(0, acc)
-}
-
 // Alltoallv exchanges variable-size buffers: send[i] goes to rank i, and
 // the returned slice holds what every rank sent to this one. This is the
 // collective the communication-avoiding decomposition maps onto (§4.1).

@@ -3,7 +3,6 @@ package comm
 import (
 	"errors"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"negfsim/internal/device"
@@ -172,9 +171,8 @@ func TestSelfSendUncounted(t *testing.T) {
 	}
 }
 
-func TestBcastReduceAllreduce(t *testing.T) {
+func TestBcastReduce(t *testing.T) {
 	c := NewCluster(4)
-	var sum atomic.Int64
 	err := c.Run(func(r *Rank) error {
 		// Bcast: everyone ends with root's data.
 		data := []complex128{complex(float64(r.ID), 0)}
@@ -193,19 +191,10 @@ func TestBcastReduceAllreduce(t *testing.T) {
 		if r.ID == 1 && red[0] != 6 {
 			t.Errorf("reduce sum %v, want 6", red[0])
 		}
-		// Allreduce: everyone has the sum.
-		all, err := r.Allreduce([]complex128{1})
-		if err != nil {
-			return err
-		}
-		sum.Add(int64(real(all[0])))
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sum.Load() != 16 { // each of 4 ranks sees 4
-		t.Fatalf("allreduce total %d, want 16", sum.Load())
 	}
 }
 

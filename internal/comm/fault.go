@@ -78,9 +78,6 @@ func (c *Cluster) SetTimeout(d time.Duration) {
 	}
 }
 
-// Timeout returns the cluster's per-operation deadline.
-func (c *Cluster) Timeout() time.Duration { return c.timeout }
-
 // DeadRank returns the id of the first rank that died, or -1 while every
 // rank is healthy.
 func (c *Cluster) DeadRank() int { return int(c.deadRank.Load()) }

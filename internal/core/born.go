@@ -23,6 +23,10 @@ var (
 	obsSpanRecovery = obs.GetTimer("core.recovery")
 )
 
+// retryBackoff is the pause before a recovery attempt, scaled linearly
+// with the attempt number.
+const retryBackoff = 10 * time.Millisecond
+
 // ErrDiverged is the terminal error of a Born loop whose iterate stopped
 // being a number: a non-finite residual of G^≷ or a non-finite contact
 // current. It is returned wrapped with the iteration (and the refinement
@@ -154,10 +158,6 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 	if maxRec == 0 {
 		maxRec = 2
 	}
-	backoff := pl.RetryBackoff
-	if backoff == 0 {
-		backoff = 10 * time.Millisecond
-	}
 
 	res := &Result{}
 	se := seedOf(pl.Resume)
@@ -220,7 +220,7 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 		obsRecoveries.Inc()
 		sp := obsSpanRecovery.Start()
 		defer sp.End()
-		time.Sleep(backoff * time.Duration(res.Recoveries))
+		time.Sleep(retryBackoff * time.Duration(res.Recoveries))
 		regrid()
 		obsCkptRestores.Inc()
 		se = seedOf(ck)

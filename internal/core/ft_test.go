@@ -18,7 +18,7 @@ import (
 // 2×2 grid with a short comm deadline so a genuinely hung failure path
 // would fail the test quickly instead of stalling it.
 func ftConfig() DistConfig {
-	return DistConfig{TE: 2, TA: 2, CommTimeout: 5 * time.Second, RetryBackoff: time.Millisecond}
+	return DistConfig{TE: 2, TA: 2, CommTimeout: 5 * time.Second}
 }
 
 func TestRunDistributedFTSurvivesRankDeath(t *testing.T) {

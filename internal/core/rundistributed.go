@@ -35,10 +35,6 @@ type DistConfig struct {
 	// giving up and returning the failure (default 2).
 	MaxRecoveries int
 
-	// RetryBackoff is the pause before a recovery attempt, scaled linearly
-	// with the attempt number (default 10ms).
-	RetryBackoff time.Duration
-
 	// Fault, when non-nil, is armed on the cluster of Born iteration
 	// FaultIter (0-based) and fires exactly once — the hook behind qtsim
 	// -inject-fault and the recovery tests.

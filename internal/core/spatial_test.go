@@ -15,7 +15,7 @@ import (
 // spatialConfig is the baseline spatial-split configuration: the GF phase
 // partitioned over `space` ranks, the SSE phase local.
 func spatialConfig(space int) DistConfig {
-	return DistConfig{Space: space, CommTimeout: 5 * time.Second, RetryBackoff: time.Millisecond}
+	return DistConfig{Space: space, CommTimeout: 5 * time.Second}
 }
 
 func TestSpatialRunMatchesSerial(t *testing.T) {

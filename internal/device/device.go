@@ -202,24 +202,6 @@ func (d *Device) checkBlockStructure() error {
 	return nil
 }
 
-// MaxNeighborBlockSpan returns the largest |block(a) − block(f(a,b))| over
-// all SSE bonds. SSE neighbor lists may span several RGF blocks; this is
-// reported so the communication model can account for halo exchange.
-func (d *Device) MaxNeighborBlockSpan() int {
-	span := 0
-	for a := range d.Neigh {
-		for _, f := range d.Neigh[a] {
-			if f < 0 {
-				continue
-			}
-			if s := abs(d.BlockOf(a) - d.BlockOf(f)); s > span {
-				span = s
-			}
-		}
-	}
-	return span
-}
-
 func abs(x int) int {
 	if x < 0 {
 		return -x

@@ -252,14 +252,6 @@ func TestEnergyGrid(t *testing.T) {
 	}
 }
 
-func TestMaxNeighborBlockSpan(t *testing.T) {
-	d, _ := New(Mini())
-	span := d.MaxNeighborBlockSpan()
-	if span < 0 || span > d.P.Bnum {
-		t.Fatalf("implausible neighbor block span %d", span)
-	}
-}
-
 func TestBlockSizes(t *testing.T) {
 	p := Mini()
 	if p.ElectronBlockSize() != p.AtomsPerBlock()*p.Norb {

@@ -230,18 +230,6 @@ func (g *Grid) ChunkBounds(parts, i int) (lo, hi int) {
 	return bound(i), bound(i + 1)
 }
 
-// SplitPoints distributes an ascending point list into parts contiguous
-// balanced sublists (the first n%parts get the extra point). It is the
-// list-valued view of the same decomposition ChunkBounds bounds.
-func SplitPoints(points []int, parts int) [][]int {
-	out := make([][]int, parts)
-	n := len(points)
-	for i := 0; i < parts; i++ {
-		out[i] = points[i*n/parts : (i+1)*n/parts]
-	}
-	return out
-}
-
 // State is the serializable form of a Grid, embedded in core checkpoints
 // so a converged adaptive grid travels with the Σ≷ it was solved on.
 type State struct {

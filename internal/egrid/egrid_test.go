@@ -160,30 +160,6 @@ func TestChunkBoundsBalanced(t *testing.T) {
 	}
 }
 
-// TestSplitPoints checks the list-valued split covers the input in order
-// with balanced sizes.
-func TestSplitPoints(t *testing.T) {
-	pts := []int{0, 3, 4, 9, 12, 15, 20}
-	chunks := SplitPoints(pts, 3)
-	var flat []int
-	for _, c := range chunks {
-		flat = append(flat, c...)
-	}
-	if len(flat) != len(pts) {
-		t.Fatalf("split lost points: %v", chunks)
-	}
-	for i := range flat {
-		if flat[i] != pts[i] {
-			t.Fatalf("split reordered points: %v", chunks)
-		}
-	}
-	for _, c := range chunks {
-		if len(c) < 2 || len(c) > 3 {
-			t.Errorf("unbalanced chunk %v", c)
-		}
-	}
-}
-
 // TestInterpolateValues checks linear fill between active neighbors.
 func TestInterpolateValues(t *testing.T) {
 	g, err := FromActive(8, 0, 8, []int{0, 4, 7})

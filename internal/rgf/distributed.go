@@ -83,7 +83,7 @@ func DistributedRetarded(r *comm.Rank, a *cmat.BlockTri) ([]*cmat.Dense, error) 
 				}
 			}
 		}
-		sol, err := solveReduced(a, seps, segs, contribs)
+		sol, err := solveReduced(a, seps, contribs)
 		if err != nil {
 			return nil, err
 		}

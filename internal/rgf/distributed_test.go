@@ -29,6 +29,26 @@ func maxDiagDiff(got, want []*cmat.Dense) float64 {
 	return worst
 }
 
+// evenSeps never places two separators side by side or one at a chain end,
+// for any size the solvers accept, so buildSegments' segments are all
+// non-empty and assembleReduced couples every pair of neighboring
+// separators through the segment between them.
+func TestEvenSepsNeverAdjacentOrAtEnds(t *testing.T) {
+	for segments := 2; segments <= 12; segments++ {
+		for n := 2*segments - 1; n <= 64; n++ {
+			seps := evenSeps(n, segments)
+			if len(seps) != segments-1 || seps[0] < 1 || seps[len(seps)-1] > n-2 {
+				t.Fatalf("n=%d segments=%d: separators %v reach a chain end", n, segments, seps)
+			}
+			for j := 1; j < len(seps); j++ {
+				if seps[j] < seps[j-1]+2 {
+					t.Fatalf("n=%d segments=%d: separators %v leave an empty segment", n, segments, seps)
+				}
+			}
+		}
+	}
+}
+
 // Minimum-size partitions: N = 2·segments−1 leaves every segment exactly
 // one block. Pinned to the sequential recursion at 1e-12.
 func TestPartitionedMinimumSizeSegments(t *testing.T) {
@@ -43,31 +63,6 @@ func TestPartitionedMinimumSizeSegments(t *testing.T) {
 		}
 		if d := maxDiagDiff(got, want); d > 1e-12 {
 			t.Errorf("segments=%d n=%d: max |Δ| = %g > 1e-12", segments, n, d)
-		}
-	}
-}
-
-// Adjacent separators couple directly through A (the s2 == s+1 branch) —
-// unreachable from the even spread, so exercised through explicit
-// placements, including separators at the chain ends.
-func TestPartitionedAtAdjacentSeparators(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	cases := [][]int{
-		{1, 2},       // adjacent pair mid-chain
-		{2, 3},       // adjacent pair, segments on both sides
-		{0, 1, 2},    // run of three from the left edge
-		{3, 4, 5},    // run ending at the right edge (n = 6)
-		{0, 2, 3, 5}, // mixed: edges, a gap and an adjacent pair
-	}
-	for _, seps := range cases {
-		a := randomSystem(rng, 6, 2, 2.5, 0.6)
-		want := sequentialDiag(t, a)
-		got, err := PartitionedRetardedAt(a, seps, 4)
-		if err != nil {
-			t.Fatalf("seps=%v: %v", seps, err)
-		}
-		if d := maxDiagDiff(got, want); d > 1e-12 {
-			t.Errorf("seps=%v: max |Δ| = %g > 1e-12", seps, d)
 		}
 	}
 }
@@ -99,16 +94,6 @@ func TestPartitionedWorkersExceedSegments(t *testing.T) {
 	}
 	if d := maxDiagDiff(got, want); d > 1e-12 {
 		t.Errorf("workers=16 segments=3: max |Δ| = %g > 1e-12", d)
-	}
-}
-
-func TestPartitionedAtRejectsBadSeparators(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	a := randomSystem(rng, 5, 2, 2.5, 0.6)
-	for _, seps := range [][]int{{}, {-1}, {5}, {2, 2}, {3, 1}} {
-		if _, err := PartitionedRetardedAt(a, seps, 1); err == nil {
-			t.Errorf("seps=%v: want error, got none", seps)
-		}
 	}
 }
 

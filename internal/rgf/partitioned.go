@@ -28,9 +28,11 @@ import (
 // reduced system carried over the wire, are the distributed solver in
 // distributed.go.
 
-// segment holds one interior run of blocks [lo, hi] (inclusive) between
-// separators; sepL/sepR are the adjacent separator block indices or −1.
+// segment k holds one interior run of blocks [lo, hi] (inclusive) between
+// separators seps[k−1] and seps[k]; sepL/sepR are those separator block
+// indices, or −1 at the chain's ends.
 type segment struct {
+	k          int
 	lo, hi     int
 	sepL, sepR int
 
@@ -135,50 +137,36 @@ func (sg *segment) schurContribution(a *cmat.BlockTri) (c [4]*cmat.Dense) {
 }
 
 // assembleReduced builds the Schur complement over the separators from the
-// segments' contributions (contribs[k] belongs to segs[k]): S[s,s] = A[s,s]
+// segments' contributions (contribs[k] belongs to segment k): S[s,s] = A[s,s]
 // minus the contributions of the segments on either side, and S[s,s']
-// between neighboring separators through the segment between them, or A
-// itself when they are adjacent.
-func assembleReduced(a *cmat.BlockTri, seps []int, segs []*segment, contribs [][4]*cmat.Dense) *cmat.BlockTri {
+// between neighboring separators through the segment between them.
+func assembleReduced(a *cmat.BlockTri, seps []int, contribs [][4]*cmat.Dense) *cmat.BlockTri {
 	k := len(seps)
 	red := &cmat.BlockTri{N: k, Bs: a.Bs,
 		Diag: make([]*cmat.Dense, k), Upper: make([]*cmat.Dense, k-1), Lower: make([]*cmat.Dense, k-1)}
-	idx := sepIndex(seps)
 	for j, s := range seps {
 		red.Diag[j] = a.Diag[s].Clone()
-		if j+1 < k && seps[j+1] == s+1 {
-			red.Upper[j], red.Lower[j] = a.Upper[s], a.Lower[s]
-		}
 	}
 	// Segments run left to right, so each separator loses its left
 	// neighbor's toR before its right neighbor's toL.
-	for i, sg := range segs {
-		c := contribs[i]
+	for i, c := range contribs {
 		if c[0] != nil {
-			red.Diag[idx[sg.sepL]].SubInPlace(c[0])
+			red.Diag[i-1].SubInPlace(c[0])
 		}
 		if c[1] != nil {
-			red.Diag[idx[sg.sepR]].SubInPlace(c[1])
+			red.Diag[i].SubInPlace(c[1])
 		}
 		if c[2] != nil {
-			red.Upper[idx[sg.sepL]], red.Lower[idx[sg.sepL]] = c[2], c[3]
+			red.Upper[i-1], red.Lower[i-1] = c[2], c[3]
 		}
 	}
 	return red
 }
 
-// sepIndex maps each separator block index to its position in seps.
-func sepIndex(seps []int) map[int]int {
-	idx := make(map[int]int, len(seps))
-	for j, s := range seps {
-		idx[s] = j
-	}
-	return idx
-}
-
 // evenSeps returns the even-spread separator placement splitting n blocks
-// into `segments` segments — the default layout PartitionedRetarded and the
-// distributed solver share. Requires n ≥ 2·segments−1 so every segment is
+// into `segments` segments — the layout PartitionedRetarded and the
+// distributed solver share. Requires n ≥ 2·segments−1, under which no two
+// separators are adjacent and none sits at a chain end, so every segment is
 // non-empty.
 func evenSeps(n, segments int) []int {
 	seps := make([]int, segments-1)
@@ -188,28 +176,22 @@ func evenSeps(n, segments int) []int {
 	return seps
 }
 
-// buildSegments slices [0, n) into the interior segments delimited by the
-// (strictly increasing) separator indices. Adjacent separators, or a
-// separator at either end of the chain, simply produce no segment on that
-// side.
+// buildSegments slices [0, n) into the len(seps)+1 interior segments
+// delimited by evenSeps' separators: segment k runs between seps[k−1] and
+// seps[k], the first from block 0 and the last to block n−1.
 func buildSegments(n int, seps []int) []*segment {
-	isSep := make([]bool, n)
-	for _, s := range seps {
-		isSep[s] = true
-	}
-	segs := make([]*segment, 0, len(seps)+1)
-	lo := 0
-	for b := 0; b <= n; b++ {
-		if b == n || isSep[b] {
-			if lo <= b-1 {
-				sg := &segment{lo: lo, hi: b - 1, sepL: lo - 1, sepR: b}
-				if sg.sepR >= n {
-					sg.sepR = -1
-				}
-				segs = append(segs, sg)
-			}
-			lo = b + 1
+	segs := make([]*segment, len(seps)+1)
+	for k := range segs {
+		sg := &segment{k: k, lo: 0, hi: n - 1, sepL: -1, sepR: -1}
+		if k > 0 {
+			sg.sepL = seps[k-1]
+			sg.lo = sg.sepL + 1
 		}
+		if k < len(seps) {
+			sg.sepR = seps[k]
+			sg.hi = sg.sepR - 1
+		}
+		segs[k] = sg
 	}
 	return segs
 }
@@ -227,8 +209,8 @@ type sepSolution struct {
 
 // solveReduced assembles the reduced separator system and solves it with the
 // sequential recursion.
-func solveReduced(a *cmat.BlockTri, seps []int, segs []*segment, contribs [][4]*cmat.Dense) (*sepSolution, error) {
-	ret, err := SolveRetarded(assembleReduced(a, seps, segs, contribs))
+func solveReduced(a *cmat.BlockTri, seps []int, contribs [][4]*cmat.Dense) (*sepSolution, error) {
+	ret, err := SolveRetarded(assembleReduced(a, seps, contribs))
 	if err != nil {
 		return nil, fmt.Errorf("rgf: reduced separator system: %w", err)
 	}
@@ -250,9 +232,8 @@ func recoverDiag(a *cmat.BlockTri, seps []int, sol *sepSolution, segs []*segment
 	for j, s := range seps {
 		out[s] = sol.diag[j]
 	}
-	idx := sepIndex(seps)
 	eachSegment(len(segs), workers, func(k int) error {
-		segs[k].recover(a, sol, idx, out)
+		segs[k].recover(a, sol, out)
 		return nil
 	})
 	return out
@@ -296,8 +277,8 @@ func retardedDiag(a *cmat.BlockTri) ([]*cmat.Dense, error) {
 // PartitionedRetarded computes the diagonal blocks of A⁻¹ by the
 // Schur-complement domain decomposition described above, with `segments`
 // independent segments processed by up to `workers` goroutines and the
-// separators spread evenly. With segments ≤ 1 it falls back to the
-// sequential recursion.
+// separators spread evenly (evenSeps). With segments ≤ 1 it falls back to
+// the sequential recursion.
 func PartitionedRetarded(a *cmat.BlockTri, segments, workers int) ([]*cmat.Dense, error) {
 	n := a.N
 	if segments <= 1 {
@@ -308,31 +289,10 @@ func PartitionedRetarded(a *cmat.BlockTri, segments, workers int) ([]*cmat.Dense
 	if n < 2*segments-1 {
 		return nil, fmt.Errorf("rgf: %d blocks cannot form %d segments", n, segments)
 	}
-	return PartitionedRetardedAt(a, evenSeps(n, segments), workers)
-}
-
-// PartitionedRetardedAt is PartitionedRetarded with caller-chosen separator
-// block indices (strictly increasing, within [0, N)). Adjacent separators
-// are legal — they couple directly through A instead of through a segment
-// interior — which is how callers place separators around known-dense
-// regions, and how tests reach that coupling branch (the even spread never
-// produces it).
-func PartitionedRetardedAt(a *cmat.BlockTri, seps []int, workers int) ([]*cmat.Dense, error) {
-	n := a.N
-	if len(seps) == 0 {
-		return nil, fmt.Errorf("rgf: partitioned solve needs at least one separator")
-	}
-	for j, s := range seps {
-		if s < 0 || s >= n {
-			return nil, fmt.Errorf("rgf: separator %d out of range [0,%d)", s, n)
-		}
-		if j > 0 && s <= seps[j-1] {
-			return nil, fmt.Errorf("rgf: separators must be strictly increasing, got %v", seps)
-		}
-	}
 	if workers < 1 {
 		workers = 1
 	}
+	seps := evenSeps(n, segments)
 	segs := buildSegments(n, seps)
 
 	// Phase 1: parallel interior elimination and Schur contributions.
@@ -347,7 +307,7 @@ func PartitionedRetardedAt(a *cmat.BlockTri, seps []int, workers int) ([]*cmat.D
 		return nil, err
 	}
 	// Phase 2: the reduced system; phase 3: parallel interior recovery.
-	sol, err := solveReduced(a, seps, segs, contribs)
+	sol, err := solveReduced(a, seps, contribs)
 	if err != nil {
 		return nil, err
 	}
@@ -356,7 +316,7 @@ func PartitionedRetardedAt(a *cmat.BlockTri, seps []int, workers int) ([]*cmat.D
 
 // recover applies G_II = M + M·A_IS·G_SS·A_SI·M for one segment, writing the
 // interior blocks into out.
-func (sg *segment) recover(a *cmat.BlockTri, sol *sepSolution, sepIdx map[int]int, out []*cmat.Dense) {
+func (sg *segment) recover(a *cmat.BlockTri, sol *sepSolution, out []*cmat.Dense) {
 	m := sg.hi - sg.lo + 1
 	hasL := sg.sepL >= 0
 	hasR := sg.sepR >= 0
@@ -374,15 +334,14 @@ func (sg *segment) recover(a *cmat.BlockTri, sol *sepSolution, sepIdx map[int]in
 	// Separator Green's function blocks.
 	var gLL, gRR, gLR, gRL *cmat.Dense
 	if hasL {
-		gLL = sol.diag[sepIdx[sg.sepL]]
+		gLL = sol.diag[sg.k-1]
 	}
 	if hasR {
-		gRR = sol.diag[sepIdx[sg.sepR]]
+		gRR = sol.diag[sg.k]
 	}
 	if hasL && hasR {
-		j := sepIdx[sg.sepL]
-		gLR = sol.up[j] // G[L, R]
-		gRL = sol.lo[j] // G[R, L]
+		gLR = sol.up[sg.k-1] // G[L, R]
+		gRL = sol.lo[sg.k-1] // G[R, L]
 	}
 	for i := 0; i < m; i++ {
 		g := sg.diag[i]

@@ -184,15 +184,3 @@ func bodyIndependent(ops []Op, scope Env, params []string) bool {
 	}
 	return true
 }
-
-// InterchangeMap swaps two parameters of a map — the loop-interchange
-// transformation, legal for any map since the iteration domain is a
-// Cartesian product and map semantics are order-free.
-func InterchangeMap(m *MapOp, i, j int) error {
-	if i < 0 || j < 0 || i >= len(m.Params) || j >= len(m.Params) {
-		return fmt.Errorf("sdfg: interchange positions (%d, %d) out of range for map %q", i, j, m.Name)
-	}
-	m.Params[i], m.Params[j] = m.Params[j], m.Params[i]
-	m.Ranges[i], m.Ranges[j] = m.Ranges[j], m.Ranges[i]
-	return nil
-}

@@ -1,7 +1,6 @@
 package sdfg
 
 import (
-	"math/rand"
 	"testing"
 )
 
@@ -119,26 +118,5 @@ func TestMovementSummaryTiledFallback(t *testing.T) {
 	if m.Reads["A"] != rt.Reads["A"] || m.Writes["C"] != rt.Writes["C"] {
 		t.Fatalf("tiled prediction A=%d C=%d, measured A=%d C=%d",
 			m.Reads["A"], m.Writes["C"], rt.Reads["A"], rt.Writes["C"])
-	}
-}
-
-func TestInterchangeMapPreserves(t *testing.T) {
-	rng := rand.New(rand.NewSource(51))
-	const mm, nn, kk = 4, 5, 3
-	a := randomComplex(rng, mm*kk)
-	b := randomComplex(rng, kk*nn)
-	want := runMatMul(t, BuildMatMul(), mm, nn, kk, a, b)
-	p := BuildMatMul()
-	gemm := p.FindMap("gemm")
-	if err := InterchangeMap(gemm, 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if gemm.Params[0] != "k" || gemm.Params[2] != "i" {
-		t.Fatalf("interchange did not swap: %v", gemm.Params)
-	}
-	got := runMatMul(t, p, mm, nn, kk, a, b)
-	complexSliceEqual(t, got, want, 1e-12, "interchanged matmul")
-	if err := InterchangeMap(gemm, 0, 9); err == nil {
-		t.Fatal("out-of-range interchange must fail")
 	}
 }

@@ -161,103 +161,6 @@ func FuseMaps(parent *[]Op, a, b *MapOp) (*MapOp, error) {
 	return fused, nil
 }
 
-// RedundancyRemoval applies the Fig. 10(b) transformation: if map parameter
-// p of map m appears ONLY in the output subscripts of its tasklets (never in
-// an input), every iteration along p computes identical values, so p is
-// removed from the map. Array dimensions of transient outputs indexed
-// exactly by p are dropped, and all reads of those arrays anywhere in the
-// program drop the corresponding subscript. Returns the arrays whose layout
-// changed.
-func RedundancyRemoval(prog *Program, m *MapOp, p string) ([]string, error) {
-	pi := slices.Index(m.Params, p)
-	if pi < 0 {
-		return nil, fmt.Errorf("sdfg: map %q has no parameter %q", m.Name, p)
-	}
-	type drop struct {
-		array string
-		dim   int
-	}
-	var drops []drop
-	for _, op := range m.Body {
-		t, ok := op.(*Tasklet)
-		if !ok {
-			return nil, fmt.Errorf("sdfg: RedundancyRemoval needs a flat tasklet body")
-		}
-		for _, in := range t.Inputs {
-			if accessUsesParam(in, p) {
-				return nil, fmt.Errorf("sdfg: parameter %q is not redundant: input %q depends on it", p, in.Array)
-			}
-		}
-		if t.WCR {
-			return nil, fmt.Errorf("sdfg: parameter %q feeds a sum-resolved output; removal would change the result", p)
-		}
-		found := false
-		for d, ix := range t.Output.Index {
-			e, ok := ix.(ExprIndex)
-			if !ok {
-				continue
-			}
-			if se, isSym := e.E.(symExpr); isSym && string(se) == p {
-				drops = append(drops, drop{t.Output.Array, d})
-				found = true
-			} else if ContainsSym(e.E, p) {
-				return nil, fmt.Errorf("sdfg: output subscript %s uses %q non-trivially", e.E, p)
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("sdfg: parameter %q unused by tasklet %q; use map-parameter cleanup instead", p, t.Name)
-		}
-	}
-	// Remove the parameter from the map.
-	m.Params = slices.Delete(m.Params, pi, pi+1)
-	m.Ranges = slices.Delete(m.Ranges, pi, pi+1)
-	// Shrink the affected arrays and rewrite every access program-wide.
-	changed := map[string]bool{}
-	for _, d := range drops {
-		arr := prog.Arrays[d.array]
-		if arr == nil {
-			return nil, fmt.Errorf("sdfg: unknown array %q", d.array)
-		}
-		arr.Shape = slices.Delete(arr.Shape, d.dim, d.dim+1)
-		changed[d.array] = true
-		rewriteAccesses(prog, d.array, d.dim)
-	}
-	names := make([]string, 0, len(changed))
-	for n := range changed {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-	return names, nil
-}
-
-// rewriteAccesses deletes subscript dim of every access to array throughout
-// the program.
-func rewriteAccesses(prog *Program, array string, dim int) {
-	var fixAccess func(a *Access)
-	fixAccess = func(a *Access) {
-		if a.Array == array {
-			a.Index = slices.Delete(a.Index, dim, dim+1)
-		}
-	}
-	var walk func(ops []Op)
-	walk = func(ops []Op) {
-		for _, op := range ops {
-			switch v := op.(type) {
-			case *MapOp:
-				walk(v.Body)
-			case *Tasklet:
-				for i := range v.Inputs {
-					fixAccess(&v.Inputs[i])
-				}
-				fixAccess(&v.Output)
-			}
-		}
-	}
-	for _, s := range prog.States {
-		walk(s.Ops)
-	}
-}
-
 // PermuteArray applies the Data-Layout transformation of Fig. 10(c): array
 // dimensions are reordered by perm (new dim i holds old dim perm[i]) and
 // every access in the program is rewritten to match. Values are unchanged —

@@ -237,89 +237,6 @@ func TestFuseMapsRejectsMismatch(t *testing.T) {
 	}
 }
 
-// --- redundancy removal ------------------------------------------------------
-
-func TestRedundancyRemoval(t *testing.T) {
-	// A map computing the same value for every r, written at output dim r:
-	// removal drops the parameter, shrinks the transient, and rewrites the
-	// downstream reader.
-	build := func() *Program {
-		p := NewProgram("red")
-		p.AddArray("A", Complex, false, Sym("N"))
-		p.AddArray("T", Complex, true, Sym("N"), Sym("R"))
-		p.AddArray("Out", Complex, false, Sym("N"), Sym("R"))
-		s := p.AddState("s")
-		s.Ops = []Op{
-			&MapOp{Name: "produce", Params: []string{"i", "r"},
-				Ranges: []Range{Span(Sym("N")), Span(Sym("R"))},
-				Body: []Op{&Tasklet{Name: "t1",
-					Inputs: []Access{At("A", Sym("i"))},
-					Output: At("T", Sym("i"), Sym("r")),
-					Fn:     func(in []complex128) complex128 { return 2 * in[0] }}}},
-			&MapOp{Name: "consume", Params: []string{"i", "r"},
-				Ranges: []Range{Span(Sym("N")), Span(Sym("R"))},
-				Body: []Op{&Tasklet{Name: "t2",
-					Inputs: []Access{At("T", Sym("i"), Sym("r"))},
-					Output: At("Out", Sym("i"), Sym("r")),
-					Fn:     func(in []complex128) complex128 { return in[0] + 1 }}}},
-		}
-		return p
-	}
-	run := func(p *Program, a []complex128) []complex128 {
-		rt, err := p.Bind(Env{"N": 4, "R": 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.SetComplex("A", a); err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return rt.Complex("Out")
-	}
-	rng := rand.New(rand.NewSource(5))
-	a := randomComplex(rng, 4)
-	want := run(build(), a)
-
-	p := build()
-	changed, err := RedundancyRemoval(p, p.FindMap("produce"), "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(changed) != 1 || changed[0] != "T" {
-		t.Fatalf("changed arrays %v, want [T]", changed)
-	}
-	if len(p.Arrays["T"].Shape) != 1 {
-		t.Fatalf("T should have lost a dimension, shape %v", p.Arrays["T"].Shape)
-	}
-	if got := p.FindMap("produce").Params; len(got) != 1 || got[0] != "i" {
-		t.Fatalf("produce params %v, want [i]", got)
-	}
-	got := run(p, a)
-	complexSliceEqual(t, got, want, 0, "redundancy-removed")
-
-	// Fewer producer executions: N instead of N·R.
-	rt, _ := p.Bind(Env{"N": 4, "R": 3})
-	if err := rt.SetComplex("A", a); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if rt.Reads["A"] != 4 {
-		t.Fatalf("A reads = %d after removal, want 4", rt.Reads["A"])
-	}
-}
-
-func TestRedundancyRemovalRejectsDependentInput(t *testing.T) {
-	p := BuildMatMul()
-	// In matmul, k feeds the inputs — removing it must be rejected.
-	if _, err := RedundancyRemoval(p, p.FindMap("gemm"), "k"); err == nil {
-		t.Fatal("k is not redundant in matmul")
-	}
-}
-
 // --- data layout -------------------------------------------------------------
 
 func TestPermuteArrayPreserves(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"strings"
 	"testing"
 	"time"
@@ -404,21 +403,24 @@ func TestHTTPWarmStartEnvelope(t *testing.T) {
 	}
 }
 
+// fuzzSubmissionDoc is a run document small enough that a one-iteration
+// checkpoint of it is well under a kilobyte, so the fuzzer's input
+// minimization stays fast on inputs derived from the envelope seed.
+const fuzzSubmissionDoc = `{"version": 1, "device": {"nkz": 1, "nqz": 1, "ne": 4, "nw": 1,
+  "na": 4, "nb": 1, "norb": 1, "n3d": 1, "bnum": 2, "rows": 2, "emin": -1, "emax": 1, "seed": 7},
+  "max_iter": 1, "tol": 1e-4, "mixing": 0.5, "kt": 0.025, "bias": 0.4}`
+
 // FuzzDecodeSubmission feeds arbitrary bodies through the submit handler's
 // decoder: nothing may panic, and an accepted body's config passes
-// Validate. Seeds are examples/run.json, an envelope carrying a checkpoint
-// of that device after one iteration, and the envelope followed by a
-// second document, which must be rejected.
+// Validate. Seeds are a tiny run document, an envelope carrying that
+// document and a checkpoint of its device after one iteration, and the
+// envelope followed by a second document, which must be rejected.
 func FuzzDecodeSubmission(f *testing.F) {
-	raw, err := os.ReadFile("../../examples/run.json")
-	if err != nil {
-		f.Fatal(err)
-	}
+	raw := []byte(fuzzSubmissionDoc)
 	cfg, err := core.ParseRunConfig(raw)
 	if err != nil {
 		f.Fatal(err)
 	}
-	cfg.MaxIter = 1
 	sim, err := cfg.NewSimulator()
 	if err != nil {
 		f.Fatal(err)

@@ -1,3 +1,12 @@
+// Package tensor provides the multi-dimensional complex tensors that carry
+// the Green's functions and self-energies of the simulation:
+//
+//   - G≷, Σ≷ : 5-D [Nkz, NE, NA, Norb, Norb]   (electrons)
+//   - D≷, Π≷ : 6-D [Nqz, Nω, NA, NB+1, N3D, N3D] (phonons)
+//
+// and AtomMajor, the data-layout transformation of Fig. 10(c) in the paper:
+// G≷ re-laid-out from (kz, E)-major to atom-major so that the Nkz·NE small
+// matrix multiplications fuse into one large GEMM.
 package tensor
 
 import (

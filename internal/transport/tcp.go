@@ -105,14 +105,10 @@ const (
 	maxFrameElems    = 1 << 28 // 4 GiB of payload; larger frames are protocol errors
 )
 
-// NewTCP builds the transport for the local rank over the given peer
-// addresses (index = rank) and starts listening on peers[rank]. Connections
-// to other peers are dialed lazily on first use of each link.
-func NewTCP(ctx context.Context, rank int, peers []string) (*TCP, error) {
-	return NewTCPWith(ctx, rank, peers, TCPConfig{})
-}
-
-// NewTCPWith is NewTCP with explicit configuration.
+// NewTCPWith builds the transport for the local rank over the given peer
+// addresses (index = rank) and starts listening on peers[rank] (or on
+// cfg.Listener). Connections to other peers are dialed lazily on first use
+// of each link.
 func NewTCPWith(ctx context.Context, rank int, peers []string, cfg TCPConfig) (*TCP, error) {
 	if rank < 0 || rank >= len(peers) {
 		return nil, fmt.Errorf("transport: rank %d outside peer list of %d", rank, len(peers))

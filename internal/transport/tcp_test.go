@@ -211,10 +211,10 @@ func TestTCPDialTimeoutHonored(t *testing.T) {
 }
 
 func TestTCPRejectsBadConfigs(t *testing.T) {
-	if _, err := NewTCP(context.Background(), 2, []string{"a", "b"}); err == nil {
+	if _, err := NewTCPWith(context.Background(), 2, []string{"a", "b"}, TCPConfig{}); err == nil {
 		t.Fatal("out-of-range rank must be rejected")
 	}
-	if _, err := NewTCP(context.Background(), 0, []string{"a"}); err == nil {
+	if _, err := NewTCPWith(context.Background(), 0, []string{"a"}, TCPConfig{}); err == nil {
 		t.Fatal("single-peer cluster must be rejected")
 	}
 }
