@@ -21,12 +21,15 @@ vet:
 # round explicitly, so they must hold there too; the span product's pin
 # matches 'Bitwise'), as do the rgf pins of one G^R/G^≷ sweep against
 # separate retarded and Keldysh solves and of the coupling-support path
-# against the same solves with every product run whole.
+# against the same solves with every product run whole, and the pin of the
+# in-place Anderson update, whose one-pass Gram accumulation must sum every
+# entry as the reference's separate dot products do.
 cross:
 	GOARCH=arm64 go vet ./internal/cmat
 	GOARCH=arm64 go build ./...
 	GOAMD64=v3 go test -count=1 -run 'Bitwise|Blocked|Naive|Inverse' ./internal/cmat
 	GOAMD64=v3 go test -count=1 -run 'OneSweepBitwise|CouplingSupportBitwise' ./internal/rgf
+	GOAMD64=v3 go test -count=1 -run 'AndersonRingMatchesReference' ./internal/core
 
 # Includes the doc-comment lint (doclint_test.go) over the exported API of
 # internal/obs, internal/comm and internal/core.

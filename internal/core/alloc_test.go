@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -99,6 +100,55 @@ func TestWarmDistributedPhaseAllocs(t *testing.T) {
 		if bound := ws.out.MeasuredBytes + 2*procs*(procs-1)*pageRound + slack; perPhase > bound {
 			t.Errorf("NE=%d NA=%d: a warm phase allocates %d B, want ≤ %d B (%d B sent)",
 				sh.ne, sh.na, perPhase, bound, ws.out.MeasuredBytes)
+		}
+	}
+}
+
+// TestBornSteadyIterationAllocs: once the Anderson ring is full, a further
+// Born iteration rewrites run-owned storage — G^≷, D^≷, the SSE phase's
+// output and scratch, the mixed self-energies and the mixer's history — and
+// allocates less than one Π^≷ tensor of the device. It is checked at two
+// energy-grid sizes, so a tensor-sized or per-energy allocation cannot come
+// back unnoticed. With Tol = 0 a run never converges, so a run of N+1
+// iterations is one of N plus one steady-state iteration; the collector is
+// off so that an arena refill after a collection does not count.
+func TestBornSteadyIterationAllocs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const history = 3
+	for _, ne := range []int{16, 24} {
+		p := device.Mini()
+		p.NE = ne
+		dev, err := device.New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := DefaultOptions()
+		opts.Tol = 0
+		opts.Mixer, opts.AndersonHistory = Anderson, history
+		s := New(dev, opts)
+		run := func(iters int) uint64 {
+			s.Opts.MaxIter = iters
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			res, err := s.RunCtx(context.Background())
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iterations != iters {
+				t.Fatalf("NE=%d: ran %d iterations, want %d", ne, res.Iterations, iters)
+			}
+			return m1.TotalAlloc - m0.TotalAlloc
+		}
+		// The ring holds history+1 pairs, full after as many updates; one
+		// warm run fills the boundary slots and the arena.
+		full := history + 2
+		run(full)
+		extra := int64(run(full+1)) - int64(run(full))
+		pi := int64(16 * volume(p.Nqz, p.Nw, p.NA, p.NB+1, p.N3D, p.N3D))
+		t.Logf("NE=%d: a steady-state iteration allocates %d B (Π≷ tensor %d B)", ne, extra, pi)
+		if extra >= pi {
+			t.Errorf("NE=%d: a steady-state Born iteration allocates %d B, want < %d B (one Π≷ tensor)", ne, extra, pi)
 		}
 	}
 }

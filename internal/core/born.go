@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"negfsim/internal/comm"
+	"negfsim/internal/device"
 	"negfsim/internal/obs"
 	"negfsim/internal/sse"
 	"negfsim/internal/tensor"
@@ -35,48 +36,86 @@ var ErrDiverged = errors.New("core: Born iteration diverged")
 
 // selfEnergy is the state the Born loop carries from one iteration to the
 // next: the mixed Σ^≷/Π^≷ and the retarded components derived from them.
-// The zero value is the ballistic start Σ = Π = 0.
+// The four ≷ tensors are views of one vector v, in the order Σ^<, Σ^>,
+// Π^<, Π^>, so a mixer updates them as one vector in place; the SSE
+// phase's output has the same layout. The zero value is the ballistic
+// start Σ = Π = 0.
 type selfEnergy struct {
+	v                []complex128
 	sigR, sigL, sigG *tensor.GTensor
 	piR, piL, piG    *tensor.DTensor
 }
 
-// seedOf returns loop state seeded with deep copies of a checkpoint's
-// Σ^≷/Π^≷ — the checkpoint stays pristine, so it can seed again — or the
-// ballistic start for a nil checkpoint.
+// newSelfEnergy returns Σ^≷ = Π^≷ = 0 on the grid p as views of one
+// vector. Each view's capacity ends where the next tensor begins.
+func newSelfEnergy(p device.Params) selfEnergy {
+	ng, nd := volume(p.Nkz, p.NE, p.NA, p.Norb, p.Norb), volume(p.Nqz, p.Nw, p.NA, p.NB+1, p.N3D, p.N3D)
+	v := make([]complex128, 2*ng+2*nd)
+	gv := func(lo int) *tensor.GTensor {
+		return &tensor.GTensor{Nkz: p.Nkz, NE: p.NE, NA: p.NA, Norb: p.Norb, Data: v[lo : lo+ng : lo+ng]}
+	}
+	dv := func(lo int) *tensor.DTensor {
+		return &tensor.DTensor{Nqz: p.Nqz, Nw: p.Nw, NA: p.NA, NB: p.NB, N3D: p.N3D, Data: v[lo : lo+nd : lo+nd]}
+	}
+	return selfEnergy{v: v, sigL: gv(0), sigG: gv(ng), piL: dv(2 * ng), piG: dv(2*ng + nd)}
+}
+
+// phase returns the ≷ tensors as an SSE phase output.
+func (se selfEnergy) phase() sse.PhaseOutput {
+	return sse.PhaseOutput{SigmaLess: se.sigL, SigmaGtr: se.sigG, PiLess: se.piL, PiGtr: se.piG}
+}
+
+// seedOf returns loop state seeded with copies of a checkpoint's Σ^≷/Π^≷
+// — the checkpoint stays pristine, so it can seed again — or the ballistic
+// start for a nil checkpoint. The checkpoint's tensors must be shaped by
+// its grid (Checkpoint.checkShapes).
 func seedOf(ck *Checkpoint) selfEnergy {
 	if ck == nil {
 		return selfEnergy{}
 	}
-	se := selfEnergy{sigL: ck.SigmaLess.Clone(), sigG: ck.SigmaGtr.Clone(), piL: ck.PiLess.Clone(), piG: ck.PiGtr.Clone()}
+	se := newSelfEnergy(ck.Params)
+	copy(se.sigL.Data, ck.SigmaLess.Data)
+	copy(se.sigG.Data, ck.SigmaGtr.Data)
+	copy(se.piL.Data, ck.PiLess.Data)
+	copy(se.piG.Data, ck.PiGtr.Data)
 	se.sigR = sse.Retarded(nil, se.sigL, se.sigG)
 	se.piR = sse.RetardedD(nil, se.piL, se.piG)
 	return se
 }
 
-// zeroSelfEnergy returns Σ^≷ = Π^≷ = 0 in tensors shaped like a phase
-// output.
-func zeroSelfEnergy(out sse.PhaseOutput) selfEnergy {
-	g, d := out.SigmaLess, out.PiLess
-	return selfEnergy{
-		sigL: tensor.NewGTensor(g.Nkz, g.NE, g.NA, g.Norb), sigG: tensor.NewGTensor(g.Nkz, g.NE, g.NA, g.Norb),
-		piL: tensor.NewDTensor(d.Nqz, d.Nw, d.NA, d.NB, d.N3D), piG: tensor.NewDTensor(d.Nqz, d.Nw, d.NA, d.NB, d.N3D),
+// copyFrom overwrites se's Σ^≷/Π^≷ with src's, allocating them on the grid
+// p on first use: the Born loop's run-owned copies of a distributed phase
+// output, whose storage the next phase reuses, and of its restart
+// snapshot.
+func (se *selfEnergy) copyFrom(p device.Params, src selfEnergy) {
+	if se.v == nil {
+		*se = newSelfEnergy(p)
 	}
+	copy(se.v, src.v)
 }
 
-// copyFrom overwrites se's Σ^≷/Π^≷ with the given tensors, allocating them
-// on first use: the Born loop's run-owned copies of a phase output, whose
-// storage the next phase may reuse, and of its restart snapshot.
-func (se *selfEnergy) copyFrom(sigL, sigG *tensor.GTensor, piL, piG *tensor.DTensor) {
-	if se.sigL == nil {
-		se.sigL, se.sigG = sigL.Clone(), sigG.Clone()
-		se.piL, se.piG = piL.Clone(), piG.Clone()
-		return
+// greens is one GF phase's output, G^≷ and D^≷, in storage a Born run
+// owns.
+type greens struct {
+	gl, gg *tensor.GTensor
+	dl, dg *tensor.DTensor
+}
+
+// readyGreens allocates g's G^≷ on first use and gives it other's D^≷,
+// allocating that when neither has one: the Born loop alternates two G^≷
+// pairs, one holding the previous iterate the residual compares against,
+// around the one D^≷ pair every GF phase rewrites.
+func (s *Simulator) readyGreens(g *greens, other greens) {
+	p := s.Dev.P
+	if g.gl == nil {
+		g.gl, g.gg = tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb), tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb)
 	}
-	copy(se.sigL.Data, sigL.Data)
-	copy(se.sigG.Data, sigG.Data)
-	copy(se.piL.Data, piL.Data)
-	copy(se.piG.Data, piG.Data)
+	if g.dl == nil {
+		g.dl, g.dg = other.dl, other.dg
+	}
+	if g.dl == nil {
+		g.dl, g.dg = tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D), tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
+	}
 }
 
 // checkpointOf wraps self-energies as a checkpoint of this simulator's
@@ -122,6 +161,12 @@ func (s *Simulator) RunCtx(ctx context.Context) (*Result, error) {
 //     degraded after a recovery) runs sse.DaCe, the variant the tiles
 //     compute, where the serial run honours Options.Variant.
 //
+// Everything an iteration rewrites — G^≷, D^≷, the SSE phase's output and
+// scratch, the mixed self-energies, the mixer's history — lives in storage
+// this call owns, allocated by the first iteration that needs it. It never
+// belongs to the Simulator, so a Result or Checkpoint of an earlier run is
+// never overwritten by a later one.
+//
 // The returned bytes are the exchange traffic of every collective the run
 // attempted, failed ones included.
 func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, error) {
@@ -139,6 +184,9 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 	if pl.Resume != nil {
 		if err := pl.Resume.CompatibleDevice(s.Dev); err != nil {
 			return nil, 0, err
+		}
+		if err := pl.Resume.checkShapes(); err != nil {
+			return nil, 0, fmt.Errorf("core: resume checkpoint: %w", err)
 		}
 	}
 	clustered := pl.clustered()
@@ -160,8 +208,15 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 	}
 
 	res := &Result{}
+	p := s.Dev.P
 	se := seedOf(pl.Resume)
 	var prevL, prevG *tensor.GTensor
+	// gf and gfPrev alternate as the GF phase's output (readyGreens);
+	// phase is the local SSE phase's output and scratch its preprocessed
+	// phonon tensors.
+	var gf, gfPrev greens
+	var phase selfEnergy
+	var scratch sse.PhaseScratch
 	var bytes int64
 	// ck is what a recovery rewinds to: the seed, then (clustered placements
 	// only) ckSnap, a copy of the mixed self-energies after iteration ckIter,
@@ -244,7 +299,9 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 		if space >= 2 {
 			gfCluster = open(iter, space)
 		}
-		gl, gg, dl, dg, o, err := s.gfPhase(ctx, gfCluster, se)
+		gf, gfPrev = gfPrev, gf
+		s.readyGreens(&gf, gfPrev)
+		o, err := s.gfPhase(ctx, gfCluster, se, gf)
 		if gfCluster != nil {
 			bytes += gfCluster.TotalBytes()
 		}
@@ -258,7 +315,7 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 		st.GF = time.Since(t0)
 		res.Timings.GF += st.GF
 		obsSpanGF.Observe(st.GF)
-		res.GLess, res.GGtr, res.DLess, res.DGtr = gl, gg, dl, dg
+		res.GLess, res.GGtr, res.DLess, res.DGtr = gf.gl, gf.gg, gf.dl, gf.dg
 		res.Obs = o
 		res.Iterations = iter + 1
 		if !finite(o.CurrentL) || !finite(o.CurrentR) || !finite(o.HeatL) {
@@ -266,8 +323,8 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 		}
 
 		if prevL != nil {
-			r := relChange(prevL, gl)
-			if rg := relChange(prevG, gg); rg > r {
+			r := relChange(prevL, gf.gl)
+			if rg := relChange(prevG, gf.gg); rg > r {
 				r = rg
 			}
 			if !finite(r) {
@@ -282,17 +339,17 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 				break
 			}
 		}
-		prevL, prevG = gl, gg
+		prevL, prevG = gf.gl, gf.gg
 
 		t1 := time.Now()
-		in := sse.PhaseInput{GLess: gl, GGtr: gg, DLess: dl, DGtr: dg}
-		var out sse.PhaseOutput
+		in := sse.PhaseInput{GLess: gf.gl, GGtr: gf.gg, DLess: gf.dl, DGtr: gf.dg}
+		var out selfEnergy
 		if te > 0 {
 			if ws == nil || ws.te != te || ws.ta != ta {
 				ws = s.newSSEWorkspace(te, ta)
 			}
 			cl := open(iter, te*ta)
-			dist, err := s.distributedSSEOn(cl, ws, in)
+			_, err := s.distributedSSEOn(cl, ws, in)
 			bytes += cl.TotalBytes()
 			if err != nil {
 				iter, err = recoverFrom(iter, err, func() { te, ta = s.deriveGrid(te*ta - 1) })
@@ -301,35 +358,36 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 				}
 				continue
 			}
-			out = sse.PhaseOutput{SigmaLess: dist.SigmaLess, SigmaGtr: dist.SigmaGtr, PiLess: dist.PiLess, PiGtr: dist.PiGtr}
+			out = ws.flat
 		} else {
-			out = s.Kernel.ComputePhaseParallel(in, localVariant, s.Opts.Workers)
+			if phase.v == nil {
+				phase = newSelfEnergy(p)
+			}
+			s.Kernel.ComputePhaseParallelInto(phase.phase(), &scratch, in, localVariant, s.Opts.Workers)
+			out = phase
 		}
 		st.SSE = time.Since(t1)
 		res.Timings.SSE += st.SSE
 		obsSpanSSE.Observe(st.SSE)
 		t2 := time.Now()
-		sse.AntiHermitize(out.SigmaLess)
-		sse.AntiHermitize(out.SigmaGtr)
+		sse.AntiHermitize(out.sigL)
+		sse.AntiHermitize(out.sigG)
 		// The loop owns se and mixes into it in place. Its first value is
-		// the first phase output: kept as is from the shared-memory kernels,
-		// which return fresh tensors, copied from the distributed
-		// workspace, whose result the next phase overwrites.
+		// the first phase output: the local phase's storage itself, which
+		// the next local phase then allocates anew, or a copy of the
+		// distributed workspace's, which the next phase overwrites.
 		switch {
 		case anderson != nil:
-			if se.sigL == nil {
-				se = zeroSelfEnergy(out)
+			if se.v == nil {
+				se = newSelfEnergy(p)
 			}
-			anderson.mix(se, out, s.Opts.Mixing)
-		case se.sigL == nil && te == 0:
-			se.sigL, se.sigG, se.piL, se.piG = out.SigmaLess, out.SigmaGtr, out.PiLess, out.PiGtr
-		case se.sigL == nil:
-			se.copyFrom(out.SigmaLess, out.SigmaGtr, out.PiLess, out.PiGtr)
+			anderson.update(se.v, out.v, s.Opts.Mixing)
+		case se.v == nil && te == 0:
+			se, phase = phase, selfEnergy{}
+		case se.v == nil:
+			se.copyFrom(p, out)
 		default:
-			mixInto(se.sigL.Data, out.SigmaLess.Data, s.Opts.Mixing)
-			mixInto(se.sigG.Data, out.SigmaGtr.Data, s.Opts.Mixing)
-			mixInto(se.piL.Data, out.PiLess.Data, s.Opts.Mixing)
-			mixInto(se.piG.Data, out.PiGtr.Data, s.Opts.Mixing)
+			mixInto(se.v, out.v, s.Opts.Mixing)
 		}
 		se.sigR = sse.Retarded(se.sigR, se.sigL, se.sigG)
 		se.piR = sse.RetardedD(se.piR, se.piL, se.piG)
@@ -339,7 +397,7 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 		res.PiLess, res.PiGtr = se.piL, se.piG
 
 		if clustered {
-			ckSnap.copyFrom(se.sigL, se.sigG, se.piL, se.piG)
+			ckSnap.copyFrom(p, se)
 			ck = s.checkpointOf(iter+1, ckSnap.sigL, ckSnap.sigG, ckSnap.piL, ckSnap.piG)
 			ckIter, ckResiduals = iter+1, len(res.Residuals)
 			obsCkptSaves.Inc()

@@ -93,7 +93,7 @@ func TestBoundaryCacheHitsMatchMisses(t *testing.T) {
 	opts := DefaultOptions()
 	warm := miniSim(t, opts)
 	spans := boundarySpans(t)
-	gl, gg, dl, dg, _, err := warm.gfPhase(ctx, nil, selfEnergy{})
+	gl, gg, dl, dg, _, err := warm.gfPhaseFresh(ctx, nil, selfEnergy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestBoundaryCacheHitsMatchMisses(t *testing.T) {
 	}
 
 	spans = boundarySpans(t)
-	hl, hg, hdl, hdg, ho, err := warm.gfPhase(ctx, nil, se)
+	hl, hg, hdl, hdg, ho, err := warm.gfPhaseFresh(ctx, nil, se)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestBoundaryCacheHitsMatchMisses(t *testing.T) {
 		t.Fatalf("second phase recomputed %d boundaries, want 0", n)
 	}
 	fresh := miniSim(t, opts)
-	ml, mg, mdl, mdg, mo, err := fresh.gfPhase(ctx, nil, se)
+	ml, mg, mdl, mdg, mo, err := fresh.gfPhaseFresh(ctx, nil, se)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestBoundaryCacheHitsMatchMisses(t *testing.T) {
 
 	warm.Opts.Eta *= 2
 	spans = boundarySpans(t)
-	if _, _, _, _, _, err := warm.gfPhase(ctx, nil, se); err != nil {
+	if _, _, _, _, _, err := warm.gfPhaseFresh(ctx, nil, se); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := spans(), gridPoints(warm); got != want {

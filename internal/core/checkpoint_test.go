@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -206,4 +207,51 @@ func FuzzLoadCheckpoint(f *testing.F) {
 			ck.EGrid.Grid()
 		}
 	})
+}
+
+// TestRunStorageOwnedByRun: the storage a Born run rewrites every
+// iteration belongs to that run, not to the Simulator. After a second,
+// different run on the same Simulator, the first run's Result tensors and
+// a checkpoint of them are bitwise what they were, under either mixer.
+func TestRunStorageOwnedByRun(t *testing.T) {
+	for _, mixer := range []MixerKind{Linear, Anderson} {
+		opts := DefaultOptions()
+		opts.MaxIter, opts.Tol, opts.Mixer = 4, 0, mixer
+		s := miniSim(t, opts)
+		first, err := s.RunCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tensors := func() [][]complex128 {
+			return [][]complex128{first.GLess.Data, first.GGtr.Data, first.DLess.Data, first.DGtr.Data,
+				first.SigmaLess.Data, first.SigmaGtr.Data, first.PiLess.Data, first.PiGtr.Data}
+		}
+		var before [][]complex128
+		for _, d := range tensors() {
+			before = append(before, append([]complex128(nil), d...))
+		}
+		save := func() []byte {
+			var buf bytes.Buffer
+			if err := CheckpointOf(device.WrapParams(s.Dev.P), first).Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		ck := save()
+
+		s.Opts.Mixing, s.Opts.MaxIter = 0.5, 5
+		second, err := s.RunCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second.SigmaLess.MaxAbsDiff(first.SigmaLess) == 0 || second.GLess.MaxAbsDiff(first.GLess) == 0 {
+			t.Fatalf("mixer %d: the second run reproduced the first; it shows nothing", mixer)
+		}
+		for i, d := range tensors() {
+			sameBits(t, fmt.Sprintf("mixer %d: first run's tensor %d", mixer, i), before[i], d)
+		}
+		if !bytes.Equal(ck, save()) {
+			t.Fatalf("mixer %d: a checkpoint of the first run changed after the second run", mixer)
+		}
+	}
 }

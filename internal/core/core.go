@@ -427,21 +427,20 @@ func (s *Simulator) extractPhonon(qz, w int, res *rgf.PhononResult, dl, dg *tens
 // (solveElectronOn), so the electron points run one at a time — each
 // already spreads its block elimination over every rank — and only the
 // phonon points, whose small systems are not worth the exchange latency,
-// use the pool. It returns fresh Green's function tensors and accumulated
-// contact observables; a failed point surfaces its error (including
-// comm.ErrRankDead from the cluster) wrapped with its grid coordinates.
+// use the pool. It writes the Green's functions into gf, overwriting every
+// element a solve produces; the slots of D^≷ no solve produces (cross-block
+// couplings, missing neighbours) are never written, so they keep the zeros
+// they were allocated with. It returns the accumulated contact observables;
+// a failed point surfaces its error (including comm.ErrRankDead from the
+// cluster) wrapped with its grid coordinates.
 //
 // Every point solve hands the point's boundary slot to rgf (Scattering.Bound),
 // so the Sancho-Rubio boundary self-energies of a point are computed by the
 // first phase that solves it and reused by every later one.
-func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfEnergy) (
-	gl, gg *tensor.GTensor, dl, dg *tensor.DTensor, o Observables, err error) {
+func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfEnergy, gf greens) (o Observables, err error) {
 	p := s.Dev.P
 	s.readyBoundaries()
-	gl = tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb)
-	gg = tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb)
-	dl = tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
-	dg = tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D)
+	gl, gg, dl, dg := gf.gl, gf.gg, gf.dl, gf.dg
 	o.CurrentPerEnergy = make([]float64, p.NE)
 
 	solveElectron := func(kz, e int, scat rgf.Scattering) (*rgf.ElectronResult, error) {
@@ -547,7 +546,7 @@ func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfE
 		sweep(nElectron, len(jobs), s.Opts.Workers)
 	}
 	if firstErr != nil {
-		return nil, nil, nil, nil, o, firstErr
+		return o, firstErr
 	}
 	eWeight := p.EStep() / float64(p.Nkz)
 	for idx, j := range jobs {
@@ -573,7 +572,7 @@ func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfE
 		interpolateInactiveG(gg, grid)
 		grid.InterpolateValues(o.CurrentPerEnergy)
 	}
-	return gl, gg, dl, dg, o, nil
+	return o, nil
 }
 
 // solveElectronOn returns the GF phase's electron-point solver for a
@@ -624,30 +623,6 @@ func mixInto(dst, fresh []complex128, mix float64) {
 	for i := range dst {
 		dst[i] = (1-c)*dst[i] + c*fresh[i]
 	}
-}
-
-// concatSelfEnergies flattens the four self-energy tensors into one vector
-// for the Anderson mixer, reusing dst's storage when it is large enough.
-func concatSelfEnergies(dst []complex128, sl, sg *tensor.GTensor, pl, pg *tensor.DTensor) []complex128 {
-	out := dst[:0]
-	if n := 2*len(sl.Data) + 2*len(pl.Data); cap(out) < n {
-		out = make([]complex128, 0, n)
-	}
-	out = append(out, sl.Data...)
-	out = append(out, sg.Data...)
-	out = append(out, pl.Data...)
-	out = append(out, pg.Data...)
-	return out
-}
-
-// scatterSelfEnergies is the inverse of concatSelfEnergies.
-func scatterSelfEnergies(v []complex128, sl, sg *tensor.GTensor, pl, pg *tensor.DTensor) {
-	n := len(sl.Data)
-	m := len(pl.Data)
-	copy(sl.Data, v[:n])
-	copy(sg.Data, v[n:2*n])
-	copy(pl.Data, v[2*n:2*n+m])
-	copy(pg.Data, v[2*n+m:])
 }
 
 // dissipationPerAtom evaluates Tr[Σ^<_S·G^> − Σ^>_S·G^<] per atom, summed

@@ -138,7 +138,7 @@ func TestHeatCurrentsFlowFromHotContact(t *testing.T) {
 func TestDistributedSSEMatchesSerial(t *testing.T) {
 	opts := DefaultOptions()
 	s := miniSim(t, opts)
-	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, selfEnergy{})
+	gl, gg, dl, dg, _, err := s.gfPhaseFresh(context.Background(), nil, selfEnergy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestDistributedSSEMatchesSerial(t *testing.T) {
 func TestDistributedSSEFlopsMatchSerial(t *testing.T) {
 	const daceFlops = 44305920
 	s := miniSim(t, DefaultOptions())
-	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, selfEnergy{})
+	gl, gg, dl, dg, _, err := s.gfPhaseFresh(context.Background(), nil, selfEnergy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestDistributedSSEFlopsMatchSerial(t *testing.T) {
 func TestDistributedSSETrafficNearModel(t *testing.T) {
 	opts := DefaultOptions()
 	s := miniSim(t, opts)
-	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, selfEnergy{})
+	gl, gg, dl, dg, _, err := s.gfPhaseFresh(context.Background(), nil, selfEnergy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestDistributedSSETrafficNearModel(t *testing.T) {
 
 func TestDistributedSSEErrors(t *testing.T) {
 	s := miniSim(t, DefaultOptions())
-	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, selfEnergy{})
+	gl, gg, dl, dg, _, err := s.gfPhaseFresh(context.Background(), nil, selfEnergy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestSearchTilesIntegration(t *testing.T) {
 	if best.TE*best.TA != 4 {
 		t.Fatalf("search returned %d×%d", best.TE, best.TA)
 	}
-	gl, gg, dl, dg, _, err := s.gfPhase(context.Background(), nil, selfEnergy{})
+	gl, gg, dl, dg, _, err := s.gfPhaseFresh(context.Background(), nil, selfEnergy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,14 +286,14 @@ func TestDivergedRunReturnsErrDiverged(t *testing.T) {
 func TestGFPhaseScheduleIndependent(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Workers = 1
-	_, _, _, _, want, err := miniSim(t, opts).gfPhase(context.Background(), nil, selfEnergy{})
+	_, _, _, _, want, err := miniSim(t, opts).gfPhaseFresh(context.Background(), nil, selfEnergy{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Workers = 4
 	s := miniSim(t, opts)
 	for rep := 0; rep < 20; rep++ {
-		_, _, _, _, got, err := s.gfPhase(context.Background(), nil, selfEnergy{})
+		_, _, _, _, got, err := s.gfPhaseFresh(context.Background(), nil, selfEnergy{})
 		if err != nil {
 			t.Fatal(err)
 		}

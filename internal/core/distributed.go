@@ -231,13 +231,15 @@ func (sh *share) unpack(buf []complex128, gl, gg *tensor.GTensor, dl, dg *tensor
 
 // sseWorkspace is the storage plan of the distributed SSE phase on one
 // TE×TA grid: one slot per rank, allocated by that rank on its first
-// phase, and the assembled result. DistributedSSE builds one per call; the
-// Born loop keeps one for a whole run and rebuilds it only when a recovery
-// regrids, so every later phase allocates nothing.
+// phase, and the assembled result, whose four tensors are the views of
+// flat. DistributedSSE builds one per call; the Born loop keeps one for a
+// whole run and rebuilds it only when a recovery regrids, so every later
+// phase allocates nothing.
 type sseWorkspace struct {
 	te, ta int
 	ranks  []*rankSlot
 	out    *DistributedResult
+	flat   selfEnergy
 }
 
 // rankSlot is one rank's storage: its tile, the halo copies of the inputs,
@@ -279,11 +281,9 @@ func (sl *rankSlot) exchange(r *comm.Rank, send [][]complex128) ([][]complex128,
 // newSSEWorkspace returns an empty workspace for a validated te×ta grid.
 func (s *Simulator) newSSEWorkspace(te, ta int) *sseWorkspace {
 	p := s.Dev.P
-	return &sseWorkspace{te: te, ta: ta, ranks: make([]*rankSlot, te*ta), out: &DistributedResult{
-		SigmaLess:  tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb),
-		SigmaGtr:   tensor.NewGTensor(p.Nkz, p.NE, p.NA, p.Norb),
-		PiLess:     tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D),
-		PiGtr:      tensor.NewDTensor(p.Nqz, p.Nw, p.NA, p.NB, p.N3D),
+	flat := newSelfEnergy(p)
+	return &sseWorkspace{te: te, ta: ta, ranks: make([]*rankSlot, te*ta), flat: flat, out: &DistributedResult{
+		SigmaLess: flat.sigL, SigmaGtr: flat.sigG, PiLess: flat.piL, PiGtr: flat.piG,
 		ModelBytes: comm.DaCeVolume(p, te, ta),
 	}}
 }

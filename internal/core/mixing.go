@@ -1,9 +1,6 @@
 package core
 
-import (
-	"negfsim/internal/cmat"
-	"negfsim/internal/sse"
-)
+import "negfsim/internal/cmat"
 
 // Self-consistency acceleration. The paper's Born loop iterates
 // Σ_{k+1} = g(Σ_k) with plain (optionally damped) updates; production NEGF
@@ -26,23 +23,32 @@ const (
 )
 
 // andersonState holds the iterate/residual history for Anderson mixing.
-// The history is a ring of history+1 slots; a slot, a residual-difference
-// column and the returned iterate are allocated the first time the history
-// reaches them and reused by every later update, as are the concatenated
-// self-energies of mix. A short run allocates only the slots it uses, and
-// once the ring is full no update allocates.
+// The history is a ring of history+1 iterate/residual slot pairs; a slot
+// is allocated the first time the history reaches it and reused by every
+// later update, so a short run allocates only the slots it uses and once
+// the ring is full no update allocates a vector. An update reads the
+// Born loop's contiguous Σ^≷/Π^≷ vector and the SSE phase's image of it
+// and writes the next iterate over the first in place. The residual
+// differences f_k − f_{k−j−1} are never stored whole: the one pass that
+// accumulates the normal equations forms them gramBlock indices at a time
+// in a scratch that stays in the first-level cache.
 type andersonState struct {
 	history int
 	// xs[i], fs[i] hold an iterate x_k and its residual f_k = g(x_k) − x_k;
 	// head is the slot of the newest pair and n the number of pairs held.
 	xs, fs  [][]complex128
 	head, n int
-	// px[j], pf[j] alias the pair j+1 steps older than the newest; df[j]
-	// is f_k − pf[j].
-	px, pf, df [][]complex128
-	out        []complex128
-	x, g       []complex128 // mix's concatenated input and image
+	// px[j], pf[j] alias the pair j+1 steps older than the newest;
+	// d[j·gramBlock+i] holds the residual difference f_k − pf[j] at the
+	// i-th index of the current block.
+	px, pf [][]complex128
+	d      []complex128
 }
+
+// gramBlock is the number of indices per step of the Gram pass: history ×
+// gramBlock residual differences (12 KiB at the default history) stay in
+// the first-level cache while every Gram entry sums over them.
+const gramBlock = 256
 
 func newAndersonState(history int) *andersonState {
 	if history < 1 {
@@ -50,7 +56,7 @@ func newAndersonState(history int) *andersonState {
 	}
 	return &andersonState{history: history,
 		xs: make([][]complex128, history+1), fs: make([][]complex128, history+1),
-		px: make([][]complex128, history), pf: make([][]complex128, history), df: make([][]complex128, history),
+		px: make([][]complex128, history), pf: make([][]complex128, history), d: make([]complex128, history*gramBlock),
 		head: history}
 }
 
@@ -62,18 +68,10 @@ func vec(v *[]complex128, n int) []complex128 {
 	return *v
 }
 
-// mix advances the self-energies one Anderson step in place: se ← the next
-// iterate from se and the SSE phase's image out of it.
-func (a *andersonState) mix(se selfEnergy, out sse.PhaseOutput, beta float64) {
-	a.x = concatSelfEnergies(a.x, se.sigL, se.sigG, se.piL, se.piG)
-	a.g = concatSelfEnergies(a.g, out.SigmaLess, out.SigmaGtr, out.PiLess, out.PiGtr)
-	scatterSelfEnergies(a.update(a.x, a.g, beta), se.sigL, se.sigG, se.piL, se.piG)
-}
-
-// update consumes the current iterate x and its fixed-point image g,
-// returning the next iterate, in storage the next update overwrites. With
-// an empty history it reduces to damped mixing with factor beta.
-func (a *andersonState) update(x, g []complex128, beta float64) []complex128 {
+// update consumes the current iterate x and its fixed-point image g and
+// overwrites x with the next iterate. With an empty history it reduces to
+// damped mixing with factor beta.
+func (a *andersonState) update(x, g []complex128, beta float64) {
 	n := len(x)
 	a.head = (a.head + 1) % len(a.xs)
 	a.n = min(a.n+1, len(a.xs))
@@ -83,46 +81,56 @@ func (a *andersonState) update(x, g []complex128, beta float64) []complex128 {
 	}
 	copy(vec(&a.xs[a.head], n), x)
 	m := a.n - 1 // history depth actually available
-	out := vec(&a.out, n)
 	bc := complex(beta, 0)
-	if m == 0 {
-		for i := range out {
-			out[i] = x[i] + bc*f[i]
+	damped := func() {
+		for i := range x {
+			x[i] = x[i] + bc*f[i]
 		}
-		return out
+	}
+	if m == 0 {
+		damped()
+		return
 	}
 	for j := 0; j < m; j++ {
 		prev := (a.head - 1 - j + len(a.xs)) % len(a.xs)
 		a.px[j], a.pf[j] = a.xs[prev], a.fs[prev]
 	}
 	// Solve min ‖f_k − Σ_j γ_j (f_k − f_{k−j-1})‖ via the normal equations
-	// of the residual-difference matrix (m is tiny, 2–4).
-	df := a.df[:m]
-	for j := range df {
-		col, prev := vec(&df[j], n), a.pf[j]
-		for i := range col {
-			col[i] = f[i] - prev[i]
-		}
-	}
+	// of the residual-difference matrix (m is tiny, 2–4). One pass over f
+	// and the history accumulates every entry of the Gram matrix and the
+	// right-hand side, block by block; each entry is still one serial sum
+	// in index order, carried from block to block, so it is bitwise the
+	// dot product of two whole difference columns.
 	gram := cmat.NewDense(m, m)
 	rhs := cmat.NewDense(m, 1)
-	for r := 0; r < m; r++ {
-		for c := 0; c < m; c++ {
-			gram.Set(r, c, dot(df[r], df[c]))
+	for lo := 0; lo < n; lo += gramBlock {
+		fb := f[lo:min(lo+gramBlock, n)]
+		col := func(j int) []complex128 { return a.d[j*gramBlock : j*gramBlock+len(fb)] }
+		for j := 0; j < m; j++ {
+			dj, pb := col(j), a.pf[j][lo:lo+len(fb)]
+			for i := range dj {
+				dj[i] = fb[i] - pb[i]
+			}
 		}
-		rhs.Set(r, 0, dot(df[r], f))
+		for r := 0; r < m; r++ {
+			dr := col(r)
+			for c := 0; c < m; c++ {
+				gram.Data[r*m+c] = dotFrom(gram.Data[r*m+c], dr, col(c))
+			}
+			rhs.Data[r] = dotFrom(rhs.Data[r], dr, fb)
+		}
+	}
+	for r := 0; r < m; r++ {
 		// Tikhonov regularization keeps near-collinear histories harmless.
 		gram.Set(r, r, gram.At(r, r)+complex(1e-12, 0))
 	}
 	gamma, err := cmat.Solve(gram, rhs)
 	if err != nil {
 		// Degenerate history: fall back to damped mixing.
-		for i := range out {
-			out[i] = x[i] + bc*f[i]
-		}
-		return out
+		damped()
+		return
 	}
-	for i := range out {
+	for i := range x {
 		// x̄ = x_k − Σ γ_j (x_k − x_{k−j−1}), f̄ analogous; next = x̄ + β·f̄.
 		xb := x[i]
 		fb := f[i]
@@ -131,13 +139,13 @@ func (a *andersonState) update(x, g []complex128, beta float64) []complex128 {
 			xb -= gj * (x[i] - a.px[j][i])
 			fb -= gj * (f[i] - a.pf[j][i])
 		}
-		out[i] = xb + bc*fb
+		x[i] = xb + bc*fb
 	}
-	return out
 }
 
-func dot(a, b []complex128) complex128 {
-	var s complex128
+// dotFrom returns s + Σ_i conj(a_i)·b_i, summed in index order.
+func dotFrom(s complex128, a, b []complex128) complex128 {
+	b = b[:len(a)]
 	for i := range a {
 		s += conj(a[i]) * b[i]
 	}

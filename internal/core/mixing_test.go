@@ -68,14 +68,13 @@ func TestAndersonStateFallbacks(t *testing.T) {
 	// Depth-0 history behaves like damped mixing.
 	a := newAndersonState(0)
 	x := []complex128{1, 2}
-	g := []complex128{3, 6}
-	out := a.update(x, g, 0.5)
-	if out[0] != 2 || out[1] != 4 {
-		t.Fatalf("first Anderson step should be damped mixing, got %v", out)
+	a.update(x, []complex128{3, 6}, 0.5)
+	if x[0] != 2 || x[1] != 4 {
+		t.Fatalf("first Anderson step should be damped mixing, got %v", x)
 	}
 	// Identical residuals (degenerate history) must not blow up.
-	out = a.update(out, []complex128{out[0] + 2, out[1] + 4}, 0.5)
-	for _, v := range out {
+	a.update(x, []complex128{x[0] + 2, x[1] + 4}, 0.5)
+	for _, v := range x {
 		if v != v { // NaN check
 			t.Fatal("NaN from degenerate Anderson history")
 		}
@@ -83,8 +82,9 @@ func TestAndersonStateFallbacks(t *testing.T) {
 }
 
 // refAnderson is the Anderson update as it was before the history became
-// a ring: it allocates every vector afresh each step. It is the reference
-// the in-place ring is pinned against.
+// a ring: it allocates every vector afresh each step, stores the residual
+// differences as columns and forms each Gram entry as a separate dot
+// product. It is the reference the in-place ring is pinned against.
 type refAnderson struct {
 	history int
 	xs, fs  [][]complex128
@@ -149,59 +149,81 @@ func (a *refAnderson) update(x, g []complex128, beta float64) []complex128 {
 	return out
 }
 
-// TestAndersonRingMatchesReference drives the ring-buffer Anderson state
-// and the allocating reference through the same 10-step random sequence
-// (each step's iterate is the last output) and requires bit-identical
-// iterates. Steps 4 and 5 take integer iterates with one large integer
-// residual, exactly, so at step 6 the two residual differences coincide,
-// the regularized Gram matrix is exactly singular and both take the damped
-// fallback.
+// dot is Σ_i conj(a_i)·b_i, summed in index order.
+func dot(a, b []complex128) complex128 {
+	var s complex128
+	for i := range a {
+		s += conj(a[i]) * b[i]
+	}
+	return s
+}
+
+// TestAndersonRingMatchesReference drives the in-place ring-buffer
+// Anderson update and the allocating reference through the same 10-step
+// random sequence (each step's iterate is the last output) and requires
+// bit-identical iterates, so the one-pass Gram accumulation sums every
+// entry as the reference's dot products do. Steps 4 and 5 take integer
+// iterates with one large integer residual, exactly, so at step 6 the two
+// residual differences coincide, the regularized Gram matrix is exactly
+// singular and both take the damped fallback. Each history runs at a
+// length within one Gram block and at one that spans three blocks, the
+// last partial, and is not a multiple of 4.
 func TestAndersonRingMatchesReference(t *testing.T) {
-	const n, beta = 40, 0.7
-	for _, history := range []int{1, 2, 3} {
-		rng := rand.New(rand.NewSource(int64(history)))
-		random := func(scale float64, integer bool) []complex128 {
-			v := make([]complex128, n)
-			for i := range v {
-				re, im := scale*rng.NormFloat64(), scale*rng.NormFloat64()
-				if integer {
-					re, im = math.Round(re), math.Round(im)
-				}
-				v[i] = complex(re, im)
-			}
-			return v
+	const beta = 0.7
+	for _, n := range []int{40, 2*gramBlock + 37} {
+		for _, history := range []int{1, 2, 3} {
+			andersonMatchesReference(t, n, history, beta)
 		}
-		ring, ref := newAndersonState(history), &refAnderson{history: history}
-		x := random(1, false)
-		big := random(1e6, true)
-		fell := false
-		for step := 1; step <= 10; step++ {
-			g := random(1, false)
-			if step == 4 || step == 5 {
-				x = random(8, true)
-				for i := range g {
-					g[i] = x[i] + big[i]
-				}
+	}
+}
+
+// andersonMatchesReference runs TestAndersonRingMatchesReference's sequence
+// at one vector length and history.
+func andersonMatchesReference(t *testing.T, n, history int, beta float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(history)))
+	random := func(scale float64, integer bool) []complex128 {
+		v := make([]complex128, n)
+		for i := range v {
+			re, im := scale*rng.NormFloat64(), scale*rng.NormFloat64()
+			if integer {
+				re, im = math.Round(re), math.Round(im)
 			}
-			want := ref.update(x, g, beta)
-			got := ring.update(x, g, beta)
+			v[i] = complex(re, im)
+		}
+		return v
+	}
+	ring, ref := newAndersonState(history), &refAnderson{history: history}
+	x := random(1, false)
+	big := random(1e6, true)
+	fell := false
+	for step := 1; step <= 10; step++ {
+		g := random(1, false)
+		if step == 4 || step == 5 {
+			x = random(8, true)
+			for i := range g {
+				g[i] = x[i] + big[i]
+			}
+		}
+		want := ref.update(x, g, beta)
+		got := append([]complex128(nil), x...)
+		ring.update(got, g, beta)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n %d, history %d, step %d: element %d = %v, reference %v", n, history, step, i, got[i], want[i])
+			}
+		}
+		if step == 6 && history >= 2 {
+			fell = true
 			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("history %d, step %d: element %d = %v, reference %v", history, step, i, got[i], want[i])
+				if want[i] != x[i]+complex(beta, 0)*(g[i]-x[i]) {
+					fell = false
 				}
 			}
-			if step == 6 && history >= 2 {
-				fell = true
-				for i := range want {
-					if want[i] != x[i]+complex(beta, 0)*(g[i]-x[i]) {
-						fell = false
-					}
-				}
-			}
-			x = append(x[:0], got...)
 		}
-		if history >= 2 && !fell {
-			t.Errorf("history %d: step 6 did not exercise the degenerate-Gram fallback", history)
-		}
+		x = append(x[:0], got...)
+	}
+	if history >= 2 && !fell {
+		t.Errorf("n %d, history %d: step 6 did not exercise the degenerate-Gram fallback", n, history)
 	}
 }

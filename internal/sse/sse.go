@@ -194,54 +194,107 @@ func (k *Kernel) ComputePhase(in PhaseInput, v Variant) PhaseOutput {
 // writes its disjoint atom slice of Σ^≷ and Π^≷ in place, so the result is
 // bitwise independent of workers; one tile covers every atom when workers ≤
 // 1 or NA < 2·workers. Reference and OMEN run serially: their loop nests
-// are Table 7's comparison rows, not tile slices.
+// are Table 7's comparison rows, not tile slices. Every call returns fresh
+// tensors; ComputePhaseParallelInto is the form for storage kept across
+// phases.
 func (k *Kernel) ComputePhaseParallel(in PhaseInput, v Variant, workers int) PhaseOutput {
-	p := k.Dev.P
+	var sc PhaseScratch
+	if v != DaCe {
+		return k.referencePhase(&sc, in, v)
+	}
+	out := PhaseOutput{k.newSigma(), k.newSigma(), k.newPi(), k.newPi()}
+	k.dacePhase(out, &sc, in, workers)
+	return out
+}
+
+// PhaseScratch is the SSE phase's storage for the two preprocessed phonon
+// tensors, kept by a caller that runs phase after phase. The zero value is
+// ready; the tensors are allocated by the first phase that uses them.
+type PhaseScratch struct{ preLess, preGtr *PreD }
+
+// ComputePhaseParallelInto is ComputePhaseParallel into caller-kept
+// storage: it overwrites every element of dst's four full-grid tensors and
+// keeps its preprocessed phonon tensors in sc, so a DaCe phase on warm
+// storage allocates no tensor. Reference and OMEN still compute fresh
+// tensors, which it copies into dst. The values are ComputePhaseParallel's
+// bit for bit.
+func (k *Kernel) ComputePhaseParallelInto(dst PhaseOutput, sc *PhaseScratch, in PhaseInput, v Variant, workers int) {
+	if v != DaCe {
+		out := k.referencePhase(sc, in, v)
+		copy(dst.SigmaLess.Data, out.SigmaLess.Data)
+		copy(dst.SigmaGtr.Data, out.SigmaGtr.Data)
+		copy(dst.PiLess.Data, out.PiLess.Data)
+		copy(dst.PiGtr.Data, out.PiGtr.Data)
+		return
+	}
+	// The tiles accumulate into their blocks.
+	dst.SigmaLess.Zero()
+	dst.SigmaGtr.Zero()
+	dst.PiLess.Zero()
+	dst.PiGtr.Zero()
+	k.dacePhase(dst, sc, in, workers)
+}
+
+// preprocess writes the PreD combinations of D^≷ into sc.
+func (k *Kernel) preprocess(sc *PhaseScratch, in PhaseInput) {
 	spp := obsSpanPreprocess.Start()
-	preLess := k.PreprocessD(in.DLess)
-	preGtr := k.PreprocessD(in.DGtr)
+	sc.preLess = k.PreprocessDInto(sc.preLess, in.DLess)
+	sc.preGtr = k.PreprocessDInto(sc.preGtr, in.DGtr)
 	spp.End()
-	var out PhaseOutput
+}
+
+// referencePhase runs the serial Reference or OMEN phase into fresh
+// tensors.
+func (k *Kernel) referencePhase(sc *PhaseScratch, in PhaseInput, v Variant) PhaseOutput {
+	var sigma func(*tensor.GTensor, *PreD) *tensor.GTensor
+	var pi func(gLess, gGtr *tensor.GTensor) (*tensor.DTensor, *tensor.DTensor)
 	switch v {
-	case Reference, OMEN:
-		sigma, pi := k.SigmaReference, k.PiReference
-		if v == OMEN {
-			sigma, pi = k.SigmaOMEN, k.PiOMEN
-		}
-		sps := obsSpanSigma.Start()
-		out.SigmaLess, out.SigmaGtr = sigma(in.GLess, preLess), sigma(in.GGtr, preGtr)
-		sps.End()
-		spq := obsSpanPi.Start()
-		out.PiLess, out.PiGtr = pi(in.GLess, in.GGtr)
-		spq.End()
-	case DaCe:
-		out = PhaseOutput{k.newSigma(), k.newSigma(), k.newPi(), k.newPi()}
-		if workers <= 1 || p.NA < 2*workers {
-			workers = 1
-		}
-		// Fig. 10(c)'s layout change, once per tensor for every tile, into
-		// arena storage that the next phase reuses.
-		amL, amG := arenaAtomMajor(in.GLess), arenaAtomMajor(in.GGtr)
-		defer cmat.PutAll(amL.Atom...)
-		defer cmat.PutAll(amG.Atom...)
-		tasks := make([]pool.Task, workers)
-		for w := range tasks {
-			aLo, aHi := w*p.NA/workers, (w+1)*p.NA/workers
-			tasks[w] = func() {
-				sps := obsSpanSigma.Start()
-				k.sigmaTile(out.SigmaLess, amL, preLess, 0, p.NE, aLo, aHi)
-				k.sigmaTile(out.SigmaGtr, amG, preGtr, 0, p.NE, aLo, aHi)
-				sps.End()
-				spq := obsSpanPi.Start()
-				k.piTile(out.PiLess, out.PiGtr, in.GLess, in.GGtr, 0, p.NE, aLo, aHi)
-				spq.End()
-			}
-		}
-		pool.Do(tasks...)
+	case Reference:
+		sigma, pi = k.SigmaReference, k.PiReference
+	case OMEN:
+		sigma, pi = k.SigmaOMEN, k.PiOMEN
 	default:
 		panic("sse: unknown variant")
 	}
+	k.preprocess(sc, in)
+	var out PhaseOutput
+	sps := obsSpanSigma.Start()
+	out.SigmaLess, out.SigmaGtr = sigma(in.GLess, sc.preLess), sigma(in.GGtr, sc.preGtr)
+	sps.End()
+	spq := obsSpanPi.Start()
+	out.PiLess, out.PiGtr = pi(in.GLess, in.GGtr)
+	spq.End()
 	return out
+}
+
+// dacePhase runs the DaCe tiles over `workers` atom tiles into out, whose
+// tensors must be zero.
+func (k *Kernel) dacePhase(out PhaseOutput, sc *PhaseScratch, in PhaseInput, workers int) {
+	p := k.Dev.P
+	k.preprocess(sc, in)
+	if workers <= 1 || p.NA < 2*workers {
+		workers = 1
+	}
+	// Fig. 10(c)'s layout change, once per tensor for every tile, into
+	// arena storage that the next phase reuses.
+	amL, amG := arenaAtomMajor(in.GLess), arenaAtomMajor(in.GGtr)
+	defer cmat.PutAll(amL.Atom...)
+	defer cmat.PutAll(amG.Atom...)
+	preLess, preGtr := sc.preLess, sc.preGtr
+	tasks := make([]pool.Task, workers)
+	for w := range tasks {
+		aLo, aHi := w*p.NA/workers, (w+1)*p.NA/workers
+		tasks[w] = func() {
+			sps := obsSpanSigma.Start()
+			k.sigmaTile(out.SigmaLess, amL, preLess, 0, p.NE, aLo, aHi)
+			k.sigmaTile(out.SigmaGtr, amG, preGtr, 0, p.NE, aLo, aHi)
+			sps.End()
+			spq := obsSpanPi.Start()
+			k.piTile(out.PiLess, out.PiGtr, in.GLess, in.GGtr, 0, p.NE, aLo, aHi)
+			spq.End()
+		}
+	}
+	pool.Do(tasks...)
 }
 
 // newSigma and newPi allocate zeroed full-grid Σ^≷ and Π^≷ tensors.

@@ -216,6 +216,23 @@ func TestComputePhaseVariantsAgree(t *testing.T) {
 			t.Fatalf("%v Π^> diff %g", v, d)
 		}
 	}
+	// The Into form, on storage and scratch reused across variants and
+	// filled with NaN beforehand, is bitwise the fresh phase.
+	dst := PhaseOutput{k.newSigma(), k.newSigma(), k.newPi(), k.newPi()}
+	var sc PhaseScratch
+	for _, v := range []Variant{Reference, OMEN, DaCe} {
+		for _, d := range [][]complex128{dst.SigmaLess.Data, dst.SigmaGtr.Data, dst.PiLess.Data, dst.PiGtr.Data} {
+			for i := range d {
+				d[i] = complex(math.NaN(), math.NaN())
+			}
+		}
+		k.ComputePhaseParallelInto(dst, &sc, in, v, 2)
+		want := k.ComputePhase(in, v)
+		if !sameBits(want.SigmaLess.Data, dst.SigmaLess.Data) || !sameBits(want.SigmaGtr.Data, dst.SigmaGtr.Data) ||
+			!sameBits(want.PiLess.Data, dst.PiLess.Data) || !sameBits(want.PiGtr.Data, dst.PiGtr.Data) {
+			t.Errorf("%v: ComputePhaseParallelInto on reused storage differs from ComputePhase", v)
+		}
+	}
 }
 
 func TestRetardedRelation(t *testing.T) {

@@ -103,6 +103,7 @@ const (
 	handshakeVersion = 1
 	ackMagic         = "NGFA"
 	maxFrameElems    = 1 << 28 // 4 GiB of payload; larger frames are protocol errors
+	frameChunk       = 512     // elements per encode/decode buffer
 )
 
 // NewTCPWith builds the transport for the local rank over the given peer
@@ -454,7 +455,7 @@ func (t *TCP) writeLoop(l *tcpLink, conn net.Conn) {
 	defer t.wg.Done()
 	defer t.writerWg.Done()
 	bw := bufio.NewWriterSize(conn, 256<<10)
-	var scratch [16 * 512]byte
+	var scratch [16 * frameChunk]byte
 	for {
 		var msg []complex128
 		select {
@@ -558,7 +559,7 @@ func shakeHands(conn net.Conn, from, to, size int) error {
 // readHandshake runs the acceptor's half: parse and validate the dialer's
 // identity against the local rank and cluster size, returning the claimed
 // rank.
-func readHandshake(conn net.Conn, localRank, size int) (from int, err error) {
+func readHandshake(conn io.Reader, localRank, size int) (from int, err error) {
 	var hs [20]byte
 	if _, err := io.ReadFull(conn, hs[:]); err != nil {
 		return -1, fmt.Errorf("handshake read: %w", err)
@@ -611,7 +612,11 @@ func writeFrame(w io.Writer, msg []complex128, scratch []byte) error {
 	return nil
 }
 
-// readFrame parses one frame: the element count header, then the payload.
+// readFrame parses one frame: the element count header, then the payload,
+// decoded frameChunk elements at a time. The message grows with the
+// payload that actually arrives, doubling up to the announced count, so a
+// truncated or lying header costs at most about twice the bytes received,
+// not the count it claims.
 func readFrame(r io.Reader) ([]complex128, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -621,23 +626,27 @@ func readFrame(r io.Reader) ([]complex128, error) {
 	if n > maxFrameElems {
 		return nil, fmt.Errorf("frame of %d elements exceeds the %d limit", n, maxFrameElems)
 	}
-	msg := make([]complex128, n)
-	var buf [16 * 512]byte
-	for off := 0; off < n; {
-		chunk := n - off
-		if chunk > 512 {
-			chunk = 512
-		}
+	msg := make([]complex128, 0, min(n, frameChunk))
+	var buf [16 * frameChunk]byte
+	for len(msg) < n {
+		chunk := min(n-len(msg), frameChunk)
 		b := buf[:16*chunk]
 		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, err
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, fmt.Errorf("frame of %d elements ends after %d: %w", n, len(msg), err)
+		}
+		if len(msg)+chunk > cap(msg) {
+			grown := make([]complex128, len(msg), min(n, 2*cap(msg)))
+			copy(grown, msg)
+			msg = grown
 		}
 		for i := 0; i < chunk; i++ {
 			re := math.Float64frombits(binary.LittleEndian.Uint64(b[16*i:]))
 			im := math.Float64frombits(binary.LittleEndian.Uint64(b[16*i+8:]))
-			msg[off+i] = complex(re, im)
+			msg = append(msg, complex(re, im))
 		}
-		off += chunk
 	}
 	return msg, nil
 }

@@ -4,8 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -275,4 +279,84 @@ func TestTCPManyRanksAllToAll(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestReadFrameLyingHeaderAllocatesLittle: a header that claims the largest
+// frame the limit allows, followed by EOF, is an error, and the reader
+// allocates for the payload that arrived (none), not the 4 GiB claimed.
+func TestReadFrameLyingHeaderAllocatesLittle(t *testing.T) {
+	var hdr [4]byte
+	binary.LittleEndian.PutUint32(hdr[:], maxFrameElems-1)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	msg, err := readFrame(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&m1)
+	if err == nil || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated frame: %d elements, error %v; want io.ErrUnexpectedEOF", len(msg), err)
+	}
+	if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a frame header with no payload allocated %d B, want < 1 MiB", got)
+	}
+}
+
+// FuzzReadFrame feeds arbitrary bytes to the frame decoder: nothing may
+// panic, and a frame it accepts re-encodes to exactly the bytes it
+// consumed.
+func FuzzReadFrame(f *testing.F) {
+	var scratch [16 * frameChunk]byte
+	var frame bytes.Buffer
+	msg := make([]complex128, frameChunk+3)
+	for i := range msg {
+		msg[i] = complex(float64(i)-0.5, float64(i)*7)
+	}
+	if err := writeFrame(&frame, msg, scratch[:]); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame.Bytes())
+	f.Add(frame.Bytes()[:frame.Len()-9])
+	limit := binary.LittleEndian.AppendUint32(nil, maxFrameElems)
+	f.Add(limit)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		r := bytes.NewReader(body)
+		got, err := readFrame(r)
+		if err != nil {
+			return
+		}
+		var again bytes.Buffer
+		if err := writeFrame(&again, got, scratch[:]); err != nil {
+			t.Fatal(err)
+		}
+		if consumed := body[:len(body)-r.Len()]; !bytes.Equal(again.Bytes(), consumed) {
+			t.Fatalf("accepted frame of %d elements re-encodes to %d bytes, %d consumed", len(got), again.Len(), len(consumed))
+		}
+	})
+}
+
+// FuzzReadHandshake feeds arbitrary bytes to the acceptor's half of the
+// handshake, for a local rank and cluster size drawn from the input:
+// nothing may panic, and an accepted handshake is exactly the 20 bytes a
+// dialer of the returned rank sends.
+func FuzzReadHandshake(f *testing.F) {
+	good := func(from, to, size uint32) []byte {
+		hs := []byte(handshakeMagic)
+		for _, v := range []uint32{handshakeVersion, from, to, size} {
+			hs = binary.LittleEndian.AppendUint32(hs, v)
+		}
+		return hs
+	}
+	f.Add(good(0, 1, 2), uint8(1), uint8(2))
+	f.Add(good(3, 1, 2), uint8(1), uint8(2))
+	f.Add(good(0, 1, 2)[:11], uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, body []byte, local, size uint8) {
+		from, err := readHandshake(bytes.NewReader(body), int(local), int(size))
+		if err != nil {
+			return
+		}
+		if from < 0 || from >= int(size) {
+			t.Fatalf("accepted rank %d of a %d-rank cluster", from, size)
+		}
+		if want := good(uint32(from), uint32(local), uint32(size)); !bytes.Equal(body[:len(want)], want) {
+			t.Fatalf("accepted handshake % x, a dialer sends % x", body[:len(want)], want)
+		}
+	})
 }
