@@ -91,11 +91,13 @@ transport-test:
 # a segment view, one shared reduced-system assembly) pinned against the
 # sequential recursion, the
 # distributed device-partitioned solve on in-process clusters with exact
-# byte accounting, and core's spatial GF phase including rank-death
-# recovery and the boundary slot every rank of a point reads. The TCP half
-# of the conformance pin runs under transport-test.
+# byte accounting, the support path's bitwise pin (whose spatial solves
+# share arena blocks across segment goroutines and cluster ranks), and
+# core's spatial GF phase including rank-death recovery and the boundary
+# slot every rank of a point reads. The TCP half of the conformance pin runs
+# under transport-test.
 partition-test:
-	go test -race -count=1 -run 'Partitioned|Distributed' ./internal/rgf
+	go test -race -count=1 -run 'Partitioned|Distributed|CouplingSupportBitwise' ./internal/rgf
 	go test -race -count=1 -run 'Spatial' ./internal/core
 
 # Front-tier suite under the race detector: content-address

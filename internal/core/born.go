@@ -217,6 +217,7 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 	var gf, gfPrev greens
 	var phase selfEnergy
 	var scratch sse.PhaseScratch
+	var gfs gfScratch // the GF phases' point list, terms and scattering slices
 	var bytes int64
 	// ck is what a recovery rewinds to: the seed, then (clustered placements
 	// only) ckSnap, a copy of the mixed self-energies after iteration ckIter,
@@ -301,7 +302,7 @@ func (s *Simulator) born(ctx context.Context, pl DistConfig) (*Result, int64, er
 		}
 		gf, gfPrev = gfPrev, gf
 		s.readyGreens(&gf, gfPrev)
-		o, err := s.gfPhase(ctx, gfCluster, se, gf)
+		o, err := s.gfPhase(ctx, gfCluster, se, gf, &gfs)
 		if gfCluster != nil {
 			bytes += gfCluster.TotalBytes()
 		}

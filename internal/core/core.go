@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -284,21 +285,47 @@ func (s *Simulator) phononBound(qz, w int) *rgf.Boundary {
 	return &s.bounds[p.Nkz*p.NE+qz*p.Nw+w]
 }
 
+// pointBlocks is one GF pool task's reused storage for a point's
+// per-RGF-block scattering matrices: three slices of block pointers, which
+// every point the task solves refills.
+type pointBlocks [3][]*cmat.Dense
+
+// slices returns the three slices at length n, allocating them on first use.
+func (b *pointBlocks) slices(n int) (r, less, gtr []*cmat.Dense) {
+	for i := range b {
+		if cap(b[i]) < n {
+			b[i] = make([]*cmat.Dense, n)
+		}
+		b[i] = b[i][:n]
+	}
+	return b[0], b[1], b[2]
+}
+
+// gfScratch is what a GF phase rewrites besides the Green's functions: the
+// point list, every point's contact terms, the pool tasks and each task's
+// scattering slices. A Born run owns one and hands it to every phase.
+type gfScratch struct {
+	jobs   []gfJob
+	terms  [][2]float64 // contact terms (left, right) per job
+	tasks  []pool.Task
+	blocks []pointBlocks // one per task
+}
+
+// gfJob is one grid point of a GF phase; e < 0 marks a phonon point.
+type gfJob struct{ kz, e, qz, w int }
+
 // scatteringBlocks assembles the per-RGF-block electron scattering matrices
 // for one (kz, E) point from the per-atom self-energy tensors (diagonal
-// atom blocks only, as in the paper).
-func (s *Simulator) scatteringBlocks(kz, e int, sigR, sigL, sigG *tensor.GTensor) rgf.Scattering {
+// atom blocks only, as in the paper), into the slices of buf.
+func (s *Simulator) scatteringBlocks(buf *pointBlocks, kz, e int, sigR, sigL, sigG *tensor.GTensor) rgf.Scattering {
 	p := s.Dev.P
 	if sigR == nil {
 		return rgf.Scattering{}
 	}
 	bs := p.ElectronBlockSize()
 	apb := p.AtomsPerBlock()
-	out := rgf.Scattering{
-		R:    make([]*cmat.Dense, p.Bnum),
-		Less: make([]*cmat.Dense, p.Bnum),
-		Gtr:  make([]*cmat.Dense, p.Bnum),
-	}
+	var out rgf.Scattering
+	out.R, out.Less, out.Gtr = buf.slices(p.Bnum)
 	var v cmat.Dense
 	for blk := 0; blk < p.Bnum; blk++ {
 		r := cmat.GetDense(bs, bs)
@@ -323,19 +350,16 @@ func (s *Simulator) scatteringBlocks(kz, e int, sigR, sigL, sigG *tensor.GTensor
 // matrices for one (qz, ω) point. Neighbor couplings within an RGF block
 // are kept; the few couplings that straddle block boundaries are dropped
 // (a truncation the block-tridiagonal Keldysh recursion requires; the full
-// couplings still travel through the SSE data path).
-func (s *Simulator) phononScatteringBlocks(qz, w int, piR, piL, piG *tensor.DTensor) rgf.PhononScattering {
+// couplings still travel through the SSE data path). The slices are buf's.
+func (s *Simulator) phononScatteringBlocks(buf *pointBlocks, qz, w int, piR, piL, piG *tensor.DTensor) rgf.PhononScattering {
 	p := s.Dev.P
 	if piR == nil {
 		return rgf.PhononScattering{}
 	}
 	bs := p.PhononBlockSize()
 	apb := p.AtomsPerBlock()
-	out := rgf.PhononScattering{
-		R:    make([]*cmat.Dense, p.Bnum),
-		Less: make([]*cmat.Dense, p.Bnum),
-		Gtr:  make([]*cmat.Dense, p.Bnum),
-	}
+	var out rgf.PhononScattering
+	out.R, out.Less, out.Gtr = buf.slices(p.Bnum)
 	for blk := 0; blk < p.Bnum; blk++ {
 		out.R[blk] = cmat.GetDense(bs, bs)
 		out.Less[blk] = cmat.GetDense(bs, bs)
@@ -436,8 +460,9 @@ func (s *Simulator) extractPhonon(qz, w int, res *rgf.PhononResult, dl, dg *tens
 //
 // Every point solve hands the point's boundary slot to rgf (Scattering.Bound),
 // so the Sancho-Rubio boundary self-energies of a point are computed by the
-// first phase that solves it and reused by every later one.
-func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfEnergy, gf greens) (o Observables, err error) {
+// first phase that solves it and reused by every later one. The point list,
+// the contact terms and the scattering slices live in the run's sc.
+func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfEnergy, gf greens, sc *gfScratch) (o Observables, err error) {
 	p := s.Dev.P
 	s.readyBoundaries()
 	gl, gg, dl, dg := gf.gl, gf.gg, gf.dl, gf.dg
@@ -459,19 +484,19 @@ func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfE
 	// numbers exactly.
 	grid := s.grid
 	activeE := grid.Active()
-	type job struct{ kz, e, qz, w int } // e < 0 marks a phonon job
 	nElectron := p.Nkz * len(activeE)
-	jobs := make([]job, 0, nElectron+p.Nqz*p.Nw)
+	jobs := sc.jobs[:0]
 	for kz := 0; kz < p.Nkz; kz++ {
 		for _, e := range activeE {
-			jobs = append(jobs, job{kz: kz, e: e})
+			jobs = append(jobs, gfJob{kz: kz, e: e})
 		}
 	}
 	for qz := 0; qz < p.Nqz; qz++ {
 		for w := 0; w < p.Nw; w++ {
-			jobs = append(jobs, job{kz: 0, e: -1, qz: qz, w: w})
+			jobs = append(jobs, gfJob{kz: 0, e: -1, qz: qz, w: w})
 		}
 	}
+	sc.jobs = jobs
 	var once sync.Once
 	var firstErr error
 	var failed atomic.Bool // set with firstErr; stops every sweep task
@@ -482,10 +507,15 @@ func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfE
 	// Every point leaves its contact terms (left, right) in its own slot;
 	// they are summed in job order after the sweep, so the observables do not
 	// depend on the order the pool completes the points in.
-	terms := make([][2]float64, len(jobs))
-	run := func(idx int) {
+	terms := slices.Grow(sc.terms[:0], len(jobs))[:len(jobs)]
+	clear(terms)
+	sc.terms = terms
+	// run solves job idx on pool task task, whose scattering slices it
+	// refills.
+	run := func(idx, task int) {
+		buf := &sc.blocks[task]
 		if j := jobs[idx]; j.e >= 0 {
-			scat := s.scatteringBlocks(j.kz, j.e, se.sigR, se.sigL, se.sigG)
+			scat := s.scatteringBlocks(buf, j.kz, j.e, se.sigR, se.sigL, se.sigG)
 			res, e := solveElectron(j.kz, j.e, scat)
 			scat.Release()
 			if e != nil {
@@ -496,7 +526,7 @@ func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfE
 			res.Release()
 			terms[idx] = [2]float64{res.CurrentL, res.CurrentR}
 		} else {
-			scat := s.phononScatteringBlocks(j.qz, j.w, se.piR, se.piL, se.piG)
+			scat := s.phononScatteringBlocks(buf, j.qz, j.w, se.piR, se.piL, se.piG)
 			scat.Bound = s.phononBound(j.qz, j.w)
 			hw := float64(p.PhononShift(j.w)) * p.EStep()
 			res, e := rgf.SolvePhonon(s.phi[j.qz], hw, scat,
@@ -517,9 +547,13 @@ func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfE
 		if workers > hi-lo {
 			workers = hi - lo
 		}
+		if len(sc.blocks) < workers {
+			sc.blocks = append(sc.blocks, make([]pointBlocks, workers-len(sc.blocks))...)
+		}
 		var next atomic.Int64
 		next.Store(int64(lo))
-		tasks := make([]pool.Task, workers)
+		tasks := slices.Grow(sc.tasks[:0], workers)[:workers]
+		sc.tasks = tasks
 		for i := range tasks {
 			tasks[i] = func() {
 				for {
@@ -533,7 +567,7 @@ func (s *Simulator) gfPhase(ctx context.Context, spatial *comm.Cluster, se selfE
 						fail(fmt.Errorf("core: GF phase cancelled: %w", cerr))
 						return
 					}
-					run(idx)
+					run(idx, i)
 				}
 			}
 		}

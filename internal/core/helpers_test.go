@@ -18,7 +18,7 @@ func (s *Simulator) gfPhaseFresh(ctx context.Context, spatial *comm.Cluster, se 
 	gl, gg *tensor.GTensor, dl, dg *tensor.DTensor, o Observables, err error) {
 	var gf greens
 	s.readyGreens(&gf, greens{})
-	if o, err = s.gfPhase(ctx, spatial, se, gf); err != nil {
+	if o, err = s.gfPhase(ctx, spatial, se, gf, &gfScratch{}); err != nil {
 		return nil, nil, nil, nil, o, err
 	}
 	return gf.gl, gf.gg, gf.dl, gf.dg, o, nil

@@ -6,7 +6,11 @@
 package rgf
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
+
+	"negfsim/internal/comm"
 )
 
 // TestAllocsSolveElectronSteadyState proves the arena pays off at the solver
@@ -102,5 +106,56 @@ func TestAllocsSolvePhononFilledBoundary(t *testing.T) {
 	run()
 	if avg := testing.AllocsPerRun(20, run); avg > filledBoundaryAllocs {
 		t.Fatalf("SolvePhonon with a filled Boundary allocates %.1f/run, want ≤ %d", avg, filledBoundaryAllocs)
+	}
+}
+
+// spatialSlackBytes is what one warm spatial point may allocate beyond the
+// copies Send makes of its messages: the cluster's rank goroutines, the
+// segment layout, the result and the block-pointer slices. The Mini device's
+// blocks are 16×16, so one dense block is 4 KiB; the spatial solve used to
+// allocate its strips, Schur terms and received blocks on the heap.
+const spatialSlackBytes = 6 << 10
+
+// TestAllocsSolveElectronSpatial pins the spatial point solve to the arena:
+// once warm, one SolveElectronSpatial point on a 2-rank in-process cluster
+// allocates no more than the cluster's counted wire bytes, which Send copies,
+// plus spatialSlackBytes. Like AllocsPerRun it runs on one P, so every rank
+// draws from the same arena shard, and with the collector off, so that an
+// arena refill after a collection does not count.
+func TestAllocsSolveElectronSpatial(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	d := miniDevice(t)
+	h, s := d.Hamiltonian(0), d.Overlap(0)
+	c := Contacts{MuL: 0.2, MuR: -0.2, KT: 0.025}
+	const energy, eta = 0.05, 1e-6
+	scat := Scattering{Bound: &Boundary{}}
+	if err := scat.Bound.FillElectron(h, s, energy, eta); err != nil {
+		t.Fatal(err)
+	}
+	cluster := comm.NewCluster(2)
+	defer cluster.Unregister()
+	run := func() {
+		if err := cluster.Run(func(r *comm.Rank) error {
+			res, err := SolveElectronSpatial(r, h, s, energy, scat, c, eta)
+			if res != nil {
+				res.Release()
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warms the arena and the ranks' timers
+	wire0 := cluster.TotalBytes()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	run()
+	runtime.ReadMemStats(&m1)
+	wire := uint64(cluster.TotalBytes() - wire0)
+	got := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("a warm spatial point allocates %d B, %d B of it on the wire", got, wire)
+	if got > wire+spatialSlackBytes {
+		t.Fatalf("a warm spatial point allocates %d B, want ≤ %d B wire + %d B", got, wire, spatialSlackBytes)
 	}
 }

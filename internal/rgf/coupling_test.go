@@ -3,9 +3,11 @@ package rgf
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"negfsim/internal/cmat"
+	"negfsim/internal/comm"
 )
 
 // boundaryOpenSystem is randomOpenSystem with couplings between r boundary
@@ -37,13 +39,16 @@ func withFullSupports(f func()) {
 
 // TestCouplingSupportBitwise pins the support path to the plain products
 // bit for bit: electron and phonon point solves (Sancho–Rubio boundaries
-// included), SurfaceGF and the partitioned retarded solve give the same
+// included), SurfaceGF and the spatial retarded solves give the same
 // Float64bits with the couplings' supports worked out as with them forced
 // full, for couplings on r ∈ {0, bs/4, bs/2, bs} boundary orbitals, with
 // nil and with non-nil Σ, at a block size below the blocked engine's
 // threshold (12, whose products run whole), one whose coupling products
 // run on the naive kernel and the rest compacted blocked (40) and gf_wire's
-// (64).
+// (64). The spatial solves run PartitionedRetarded over two segments of
+// n = 5 and three of n = 9, whose interior segment has two blocks and
+// builds both strip sides, and DistributedRetarded on 2 and 3 in-process
+// ranks, every rank's diagonal checked.
 func TestCouplingSupportBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	const n, energy, eta, hw = 5, 0.3, 0.05, 0.4
@@ -91,18 +96,42 @@ func TestCouplingSupportBitwise(t *testing.T) {
 				}
 				return []*cmat.Dense{g}
 			}
-			partitioned := func() []*cmat.Dense {
-				diag, err := PartitionedRetarded(a, 2, 2)
+			h9, s9 := boundaryOpenSystem(rng, 9, bs, r)
+			a9, err := electronOperator(h9, s9, energy, eta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			partitioned := func(a *cmat.BlockTri, segments int) []*cmat.Dense {
+				diag, err := PartitionedRetarded(a, segments, segments)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return diag
 			}
-			gotS, gotD := surface(), partitioned()
-			var wantS, wantD []*cmat.Dense
-			withFullSupports(func() { wantS, wantD = surface(), partitioned() })
-			sameBits(t, name+" SurfaceGF", gotS, wantS)
-			sameBits(t, name+" partitioned G^R", gotD, wantD)
+			// distributed concatenates every rank's replicated diagonal.
+			distributed := func(p int) []*cmat.Dense {
+				cl := comm.NewCluster(p)
+				defer cl.Unregister()
+				diags := make([][]*cmat.Dense, p)
+				if err := cl.Run(func(rk *comm.Rank) error {
+					var err error
+					diags[rk.ID], err = DistributedRetarded(rk, a9)
+					return err
+				}); err != nil {
+					t.Fatal(err)
+				}
+				return slices.Concat(diags...)
+			}
+			spatial := func() [][]*cmat.Dense {
+				return [][]*cmat.Dense{surface(), partitioned(a, 2), partitioned(a9, 3), distributed(2), distributed(3)}
+			}
+			got := spatial()
+			var want [][]*cmat.Dense
+			withFullSupports(func() { want = spatial() })
+			for i, what := range []string{"SurfaceGF", "partitioned G^R n=5 P=2", "partitioned G^R n=9 P=3",
+				"distributed G^R n=9 P=2", "distributed G^R n=9 P=3"} {
+				sameBits(t, name+" "+what, got[i], want[i])
+			}
 		}
 	}
 }

@@ -33,38 +33,58 @@ import (
 // DistributedRetarded computes the diagonal blocks of A⁻¹ across the ranks
 // of a cluster, each rank eliminating its own contiguous run of device
 // blocks. Every rank must pass an identical operator A; every rank returns
-// the full replicated diagonal. A cluster of size 1 degenerates to the
-// sequential solve. Requires A.N ≥ 2·Size−1 so every rank owns at least one
-// interior block.
+// the full replicated diagonal, in arena blocks of its own. A cluster of
+// size 1 degenerates to the sequential solve. Requires A.N ≥ 2·Size−1 so
+// every rank owns at least one interior block.
 func DistributedRetarded(r *comm.Rank, a *cmat.BlockTri) ([]*cmat.Dense, error) {
+	diag, gl, err := distributedRetarded(r, a)
+	cmat.PutAll(gl...)
+	return diag, err
+}
+
+// distributedRetarded is DistributedRetarded that also returns, on rank 0,
+// the pooled left-connected blocks of its segment. Segment 0 starts at
+// block 0, and its forward recursion runs the same blocks over the same
+// supports as the whole chain's, so they are bitwise the chain's
+// gL[0..hi₀], and the caller's forward recursion continues from them.
+// Other ranks, and a one-rank cluster, return none.
+func distributedRetarded(r *comm.Rank, a *cmat.BlockTri) (diag, gl []*cmat.Dense, err error) {
 	p := r.Size()
 	n, bs := a.N, a.Bs
 	if p <= 1 {
-		return retardedDiag(a)
+		diag, err = retardedDiag(a)
+		return diag, nil, err
 	}
 	if n < 2*p-1 {
-		return nil, fmt.Errorf("rgf: %d blocks cannot be partitioned across %d ranks", n, p)
+		return nil, nil, fmt.Errorf("rgf: %d blocks cannot be partitioned across %d ranks", n, p)
 	}
 	seps := evenSeps(n, p)
 	segs := buildSegments(n, seps)
 	sg := segs[r.ID]
 
 	// Phase 1: eliminate the local interior.
-	if err := sg.localInverse(a); err != nil {
-		return nil, err
+	if gl, err = sg.localInverse(a); err != nil {
+		return nil, nil, err
+	}
+	if r.ID != 0 {
+		cmat.PutAll(gl...)
+		gl = nil
 	}
 
 	// Phase 2a: gather Schur-complement contributions at rank 0. Segment k
 	// sends the slots it fills, concatenated; rank 0 knows which from the
-	// segment layout alone, so the wire format needs no headers.
+	// segment layout alone, so the wire format needs no headers. Send
+	// copies every message, so each payload goes back to the arena once it
+	// is sent.
 	own := sg.schurContribution(a)
+	var sol *sepSolution
 	if r.ID == 0 {
 		contribs := make([][4]*cmat.Dense, p)
 		contribs[0] = own
 		for k := 1; k < p; k++ {
 			buf, err := r.Recv(k)
 			if err != nil {
-				return nil, fmt.Errorf("rgf: gathering separator contributions from rank %d: %w", k, err)
+				return nil, nil, fmt.Errorf("rgf: gathering separator contributions from rank %d: %w", k, err)
 			}
 			has := segs[k].slots()
 			want := 0
@@ -74,89 +94,92 @@ func DistributedRetarded(r *comm.Rank, a *cmat.BlockTri) ([]*cmat.Dense, error) 
 				}
 			}
 			if len(buf) != want*bs*bs {
-				return nil, fmt.Errorf("rgf: rank %d sent %d values, want %d contribution blocks", k, len(buf), want)
+				return nil, nil, fmt.Errorf("rgf: rank %d sent %d values, want %d contribution blocks", k, len(buf), want)
 			}
 			for slot, ok := range has {
 				if ok {
-					contribs[k][slot] = cmat.DenseFromSlice(bs, bs, buf[:bs*bs])
+					unpackBlocks(buf, bs, contribs[k][slot:slot+1])
 					buf = buf[bs*bs:]
 				}
 			}
 		}
-		sol, err := solveReduced(a, seps, contribs)
+		if sol, err = solveReduced(a, seps, contribs); err != nil {
+			return nil, nil, err
+		}
+		wire := packBlocks(sol.diag, sol.up, sol.lo)
+		_, err = r.Bcast(0, wire.Data)
+		cmat.PutDense(wire)
 		if err != nil {
-			return nil, err
+			return nil, nil, fmt.Errorf("rgf: broadcasting separator solution: %w", err)
 		}
-		if _, err := r.Bcast(0, packSolution(sol, bs)); err != nil {
-			return nil, fmt.Errorf("rgf: broadcasting separator solution: %w", err)
+	} else {
+		wire := packBlocks(own[:])
+		err := r.Send(0, wire.Data)
+		cmat.PutDense(wire)
+		cmat.PutAll(own[:]...)
+		if err != nil {
+			return nil, nil, fmt.Errorf("rgf: sending separator contributions: %w", err)
 		}
-		return finishDistributed(r, a, seps, segs, sg, sol)
-	}
-	buf := make([]complex128, 0, 4*bs*bs)
-	for _, b := range own {
-		if b != nil {
-			buf = append(buf, b.Data...)
+		// Phase 2b: receive the packed separator solution.
+		buf, err := r.Bcast(0, nil)
+		if err != nil {
+			return nil, nil, fmt.Errorf("rgf: receiving separator solution: %w", err)
+		}
+		if sol, err = unpackSolution(buf, len(seps), bs); err != nil {
+			return nil, nil, err
 		}
 	}
-	if err := r.Send(0, buf); err != nil {
-		return nil, fmt.Errorf("rgf: sending separator contributions: %w", err)
-	}
-	// Phase 2b: receive the packed separator solution.
-	wire, err := r.Bcast(0, nil)
-	if err != nil {
-		return nil, fmt.Errorf("rgf: receiving separator solution: %w", err)
-	}
-	sol, err := unpackSolution(wire, len(seps), bs)
-	if err != nil {
-		return nil, err
-	}
-	return finishDistributed(r, a, seps, segs, sg, sol)
+	diag, err = finishDistributed(r, a, seps, segs, sg, sol)
+	return diag, gl, err
 }
 
-// packSolution flattens the separator solution as k diag blocks, then k−1
-// upper and k−1 lower off-diagonal blocks.
-func packSolution(sol *sepSolution, bs int) []complex128 {
-	k := len(sol.diag)
-	buf := make([]complex128, 0, (3*k-2)*bs*bs)
-	for _, d := range sol.diag {
-		buf = append(buf, d.Data...)
+// packBlocks copies the non-nil blocks of every list, in order, into one
+// pooled wire buffer; its Data is the payload.
+func packBlocks(lists ...[]*cmat.Dense) *cmat.Dense {
+	var bs, count int
+	for _, l := range lists {
+		for _, b := range l {
+			if b != nil {
+				bs = b.Rows
+				count++
+			}
+		}
 	}
-	for _, d := range sol.up {
-		buf = append(buf, d.Data...)
-	}
-	for _, d := range sol.lo {
-		buf = append(buf, d.Data...)
+	buf := cmat.GetDenseNoZero(count*bs, bs)
+	off := 0
+	for _, l := range lists {
+		for _, b := range l {
+			if b != nil {
+				off += copy(buf.Data[off:], b.Data)
+			}
+		}
 	}
 	return buf
 }
 
+// unpackBlocks fills every entry of the lists, in order, with an arena copy
+// of the next bs×bs block of buf.
+func unpackBlocks(buf []complex128, bs int, lists ...[]*cmat.Dense) {
+	for _, l := range lists {
+		for j := range l {
+			l[j] = cmat.GetDenseNoZero(bs, bs)
+			buf = buf[copy(l[j].Data, buf):]
+		}
+	}
+}
+
+// unpackSolution reads a separator solution packed as k diag blocks, then
+// k−1 upper and k−1 lower off-diagonal blocks.
 func unpackSolution(buf []complex128, k, bs int) (*sepSolution, error) {
 	if len(buf) != (3*k-2)*bs*bs {
 		return nil, fmt.Errorf("rgf: separator solution has %d values, want %d blocks of %d", len(buf), 3*k-2, bs*bs)
-	}
-	// Copy out of the wire buffer: received slices may be shared between
-	// in-process ranks, and result blocks must be safe to hand to the
-	// workspace arena when the caller releases them.
-	next := func() *cmat.Dense {
-		d := cmat.NewDense(bs, bs)
-		copy(d.Data, buf[:bs*bs])
-		buf = buf[bs*bs:]
-		return d
 	}
 	sol := &sepSolution{
 		diag: make([]*cmat.Dense, k),
 		up:   make([]*cmat.Dense, k-1),
 		lo:   make([]*cmat.Dense, k-1),
 	}
-	for j := range sol.diag {
-		sol.diag[j] = next()
-	}
-	for j := range sol.up {
-		sol.up[j] = next()
-	}
-	for j := range sol.lo {
-		sol.lo[j] = next()
-	}
+	unpackBlocks(buf, bs, sol.diag, sol.up, sol.lo)
 	return sol, nil
 }
 
@@ -168,14 +191,14 @@ func finishDistributed(r *comm.Rank, a *cmat.BlockTri, seps []int, segs []*segme
 	out := recoverDiag(a, seps, sol, []*segment{sg}, 1)
 	for k, src := range segs {
 		m := src.hi - src.lo + 1
+		var wire *cmat.Dense
 		var payload []complex128
 		if k == r.ID {
-			payload = make([]complex128, 0, m*bs*bs)
-			for i := src.lo; i <= src.hi; i++ {
-				payload = append(payload, out[i].Data...)
-			}
+			wire = packBlocks(out[src.lo : src.hi+1])
+			payload = wire.Data
 		}
 		got, err := r.Bcast(k, payload)
+		cmat.PutDense(wire)
 		if err != nil {
 			return nil, fmt.Errorf("rgf: allgather of segment %d interior: %w", k, err)
 		}
@@ -185,11 +208,7 @@ func finishDistributed(r *comm.Rank, a *cmat.BlockTri, seps []int, segs []*segme
 		if len(got) != m*bs*bs {
 			return nil, fmt.Errorf("rgf: segment %d interior has %d values, want %d blocks of %d", k, len(got), m, bs*bs)
 		}
-		for i := 0; i < m; i++ {
-			d := cmat.NewDense(bs, bs)
-			copy(d.Data, got[i*bs*bs:(i+1)*bs*bs])
-			out[src.lo+i] = d
-		}
+		unpackBlocks(got, bs, out[src.lo:src.hi+1])
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package rgf
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -178,5 +179,44 @@ func TestDistributedRetardedBytesMatchModel(t *testing.T) {
 		if got := cluster.TotalBytes(); got != want {
 			t.Errorf("p=%d n=%d bs=%d: measured %d bytes, model %d", tc.p, tc.n, tc.bs, got, want)
 		}
+	}
+}
+
+// Rank 0's segment starts at block 0, so the left-connected blocks
+// distributedRetarded hands it are bitwise the whole chain's leading
+// gL[0..hi₀], from which solveOpen continues the forward recursion; the
+// other ranks get none.
+func TestDistributedSegmentGLIsChainPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	const n = 9
+	h, s := boundaryOpenSystem(rng, n, 40, 10)
+	a, err := electronOperator(h, s, 0.3, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup := couplingsOf(a)
+	defer sup.release()
+	want, err := forwardGL(a, sup, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{2, 3} {
+		var gl []*cmat.Dense
+		cl := comm.NewCluster(p)
+		if err := cl.Run(func(rk *comm.Rank) error {
+			_, g, err := distributedRetarded(rk, a)
+			if rk.ID == 0 {
+				gl = g
+			} else if g != nil {
+				t.Errorf("p=%d: rank %d got %d gL blocks, want none", p, rk.ID, len(g))
+			}
+			return err
+		}); err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if hi0 := evenSeps(n, p)[0] - 1; len(gl) != hi0+1 {
+			t.Fatalf("p=%d: rank 0 got %d gL blocks, want %d", p, len(gl), hi0+1)
+		}
+		sameBits(t, fmt.Sprintf("p=%d rank 0 gL", p), gl, want[:len(gl)])
 	}
 }

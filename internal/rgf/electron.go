@@ -203,10 +203,10 @@ func solveElectron(rank *comm.Rank, h, s *cmat.BlockTri, energy float64, scat Sc
 // Tr[Σ^<_c·G^> − Σ^>_c·G^<]; DissipationPerBlock is left to the caller.
 //
 // With rank nil the sweep builds G^R too. Otherwise G^R is the collective
-// DistributedRetarded's, after which rank 0 rebuilds gL locally and sweeps
-// the two Keldysh sets on the known diagonal, and the other ranks return
-// (nil, nil). A non-nil trans receives the Caroli transmission of
-// the same retarded solve.
+// DistributedRetarded's, after which rank 0 completes gL from its
+// segment's leading blocks and sweeps the two Keldysh sets on the known
+// diagonal, and the other ranks return (nil, nil). A non-nil trans
+// receives the Caroli transmission of the same retarded solve.
 func solveOpen(rank *comm.Rank, a *cmat.BlockTri, scat Scattering, occL, occR float64, trans *float64) (*ElectronResult, error) {
 	n, bs := a.N, a.Bs
 	if rank != nil && scat.Bound != nil && scat.Bound.SigL == nil {
@@ -235,15 +235,18 @@ func solveOpen(rank *comm.Rank, a *cmat.BlockTri, scat Scattering, occL, occR fl
 		}
 	}
 
-	var diag []*cmat.Dense
+	var diag, gl []*cmat.Dense
 	if rank != nil {
 		// The collective solve replicates the diagonal on every rank; rank 0
-		// goes on to the Keldysh sets on it.
-		if diag, err = DistributedRetarded(rank, a); err != nil || rank.ID != 0 {
+		// goes on to the Keldysh sets on it, continuing the forward
+		// recursion from its segment's gL. The other ranks return the
+		// diagonal to the arena.
+		if diag, gl, err = distributedRetarded(rank, a); err != nil || rank.ID != 0 {
+			cmat.PutAll(diag...)
 			return nil, err
 		}
 	}
-	ret, err := newRetarded(a, diag)
+	ret, err := newRetarded(a, diag, gl)
 	if err != nil {
 		return nil, err
 	}

@@ -13,8 +13,9 @@ import (
 // chain is split at separator blocks into independent segments:
 //
 //  1. every segment eliminates its interior in parallel (the sequential
-//     solver on the segment, plus one reversed forward pass), producing its
-//     Schur-complement contribution to the separators;
+//     solver on the segment, plus one reversed forward pass where it has a
+//     right separator), producing its Schur-complement contribution to the
+//     separators;
 //  2. the reduced block-tridiagonal system over the separators is solved
 //     with the ordinary RGF;
 //  3. every segment recovers its interior diagonal Green's function blocks
@@ -30,7 +31,10 @@ import (
 
 // segment k holds one interior run of blocks [lo, hi] (inclusive) between
 // separators seps[k−1] and seps[k]; sepL/sepR are those separator block
-// indices, or −1 at the chain's ends.
+// indices, or −1 at the chain's ends. A segment builds only the border
+// strips its separators read: the first column and row with a left
+// separator, the last ones with a right separator. M[0,0] and M[m−1,m−1]
+// are the diagonal's own blocks.
 type segment struct {
 	k          int
 	lo, hi     int
@@ -41,69 +45,119 @@ type segment struct {
 	rowFirst, rowLast []*cmat.Dense // M[0,i], M[m−1,i]
 }
 
-// localInverse eliminates the segment's interior, filling the diagonal and
-// border strips of M = B⁻¹ for the segment's own blocks B. It is the
-// sequential solver on a zero-copy view of the segment — M's diagonal and the
-// left-connected gL are SolveRetarded's — plus one forward pass over the
-// reversed view (Diag reversed, Upper and Lower swapped), whose left-connected
-// blocks are the right-connected gR[i] = (B[i,i] − B[i,i+1]·gR[i+1]·B[i+1,i])⁻¹.
-func (sg *segment) localInverse(a *cmat.BlockTri) error {
+// localInverse eliminates the segment's interior, filling the diagonal of
+// M = B⁻¹ for the segment's own blocks B and the border strips its
+// separators need. It is the sequential solver on a zero-copy view of the
+// segment — M's diagonal and the left-connected gL are SolveRetarded's — and,
+// with a right separator, one forward pass over the reversed view (Diag
+// reversed, Upper and Lower swapped), whose left-connected blocks are the
+// right-connected gR[i] = (B[i,i] − B[i,i+1]·gR[i+1]·B[i+1,i])⁻¹. On the
+// reversed chain the last column and row are the first ones, so both sides
+// run borderStrips. It returns gL, pooled, for the caller to release or
+// hand on.
+func (sg *segment) localInverse(a *cmat.BlockTri) ([]*cmat.Dense, error) {
 	m := sg.hi - sg.lo + 1
 	view := &cmat.BlockTri{N: m, Bs: a.Bs,
 		Diag: a.Diag[sg.lo : sg.hi+1], Upper: a.Upper[sg.lo:sg.hi], Lower: a.Lower[sg.lo:sg.hi]}
 	ret, err := SolveRetarded(view)
 	if err != nil {
-		return fmt.Errorf("rgf: segment [%d,%d]: %w", sg.lo, sg.hi, err)
+		return nil, fmt.Errorf("rgf: segment [%d,%d]: %w", sg.lo, sg.hi, err)
 	}
-	defer ret.releaseGL()
+	sg.diag = ret.Diag
+	gL := ret.gL
+	if sg.sepL >= 0 {
+		sg.colFirst, sg.rowFirst = borderStrips(view, ret.sup, gL, sg.diag)
+	}
+	ret.sup.release()
+	if sg.sepR < 0 {
+		return gL, nil
+	}
 	rev := &cmat.BlockTri{N: m, Bs: a.Bs,
 		Diag: slices.Clone(view.Diag), Upper: slices.Clone(view.Lower), Lower: slices.Clone(view.Upper)}
 	slices.Reverse(rev.Diag)
 	slices.Reverse(rev.Upper)
 	slices.Reverse(rev.Lower)
 	revSup := couplingsOf(rev)
-	gR, err := forwardGL(rev, revSup)
-	revSup.release()
+	defer revSup.release()
+	gR, err := forwardGL(rev, revSup, nil)
 	if err != nil {
-		ret.Release()
-		return fmt.Errorf("rgf: segment [%d,%d] reversed: %w", sg.lo, sg.hi, err)
+		cmat.PutAll(gL...)
+		return nil, fmt.Errorf("rgf: segment [%d,%d] reversed: %w", sg.lo, sg.hi, err)
 	}
-	defer cmat.PutAll(gR...)
-	slices.Reverse(gR)
-	sg.diag = ret.Diag
-	gL, up, lo := ret.gL, view.Upper, view.Lower
+	// The diagonal is reversed for the pass and restored after it; the
+	// strips come out in reversed order.
+	slices.Reverse(sg.diag)
+	sg.colLast, sg.rowLast = borderStrips(rev, revSup, gR, sg.diag)
+	slices.Reverse(sg.diag)
+	slices.Reverse(sg.colLast)
+	slices.Reverse(sg.rowLast)
+	cmat.PutAll(gR...)
+	return gL, nil
+}
 
-	// Border strips by running products:
-	//   M[i,0]   = M[i,i]·R_i,  R_i = (−A[i,i−1]·gL[i−1])·R_{i−1}
-	//   M[0,i]   = L_i·M[i,i],  L_i = L_{i−1}·(−gL[i−1]·A[i−1,i])
-	//   M[i,m−1] = M[i,i]·Q_i,  Q_i = (−A[i,i+1]·gR[i+1])·Q_{i+1}
-	//   M[m−1,i] = K_i·M[i,i],  K_i = K_{i+1}·(−gR[i+1]·A[i+1,i])
-	bs := a.Bs
-	sg.colFirst = make([]*cmat.Dense, m)
-	sg.rowFirst = make([]*cmat.Dense, m)
-	sg.colLast = make([]*cmat.Dense, m)
-	sg.rowLast = make([]*cmat.Dense, m)
-	r := cmat.Identity(bs)
-	l := cmat.Identity(bs)
-	for i := 0; i < m; i++ {
-		if i > 0 {
-			r = lo[i-1].Mul(gL[i-1]).Scale(-1).Mul(r)
-			l = l.Mul(gL[i-1].Mul(up[i-1]).Scale(-1))
+// borderStrips returns the first column M[i,0] and the first row M[0,i] of
+// M = a⁻¹ from M's diagonal and a's left-connected blocks gL, by running
+// products from R_0 = L_0 = I:
+//
+//	M[i,0] = M[i,i]·R_i,  R_i = (−A[i,i−1]·gL[i−1])·R_{i−1}
+//	M[0,i] = L_i·M[i,i],  L_i = L_{i−1}·(−gL[i−1]·A[i−1,i])
+//
+// so M[0,0] is diag[0] itself and R_1, L_1 are the first factors. R_i has
+// A[i,i−1]'s rows and L_i A[i−1,i]'s columns, so every product with a
+// coupling, R or L runs over the supports sup. The other strip blocks come
+// from the arena.
+func borderStrips(a *cmat.BlockTri, sup *couplings, gL, diag []*cmat.Dense) (col, row []*cmat.Dense) {
+	m, bs := a.N, a.Bs
+	col, row = make([]*cmat.Dense, m), make([]*cmat.Dense, m)
+	col[0], row[0] = diag[0], diag[0]
+	r, l := cmat.GetDenseNoZero(bs, bs), cmat.GetDenseNoZero(bs, bs)
+	t, next := cmat.GetDenseNoZero(bs, bs), cmat.GetDenseNoZero(bs, bs)
+	for i := 1; i < m; i++ {
+		lo, up := sup.lower[i-1], sup.upper[i-1]
+		a.Lower[i-1].MulSpanInto(t, gL[i-1], cmat.Span{Rows: lo.Rows, Inner: lo.Cols})
+		t.ScaleInPlace(-1)
+		if i == 1 {
+			r, t = t, r
+		} else {
+			t.MulSpanInto(next, r, cmat.Span{Rows: lo.Rows, Inner: sup.lower[i-2].Rows})
+			r, next = next, r
 		}
-		sg.colFirst[i] = sg.diag[i].Mul(r)
-		sg.rowFirst[i] = l.Mul(sg.diag[i])
-	}
-	q := cmat.Identity(bs)
-	k := cmat.Identity(bs)
-	for i := m - 1; i >= 0; i-- {
-		if i < m-1 {
-			q = up[i].Mul(gR[i+1]).Scale(-1).Mul(q)
-			k = k.Mul(gR[i+1].Mul(lo[i]).Scale(-1))
+		gL[i-1].MulSpanInto(t, a.Upper[i-1], cmat.Span{Inner: up.Rows, Cols: up.Cols})
+		t.ScaleInPlace(-1)
+		if i == 1 {
+			l, t = t, l
+		} else {
+			l.MulSpanInto(next, t, cmat.Span{Inner: sup.upper[i-2].Cols, Cols: up.Cols})
+			l, next = next, l
 		}
-		sg.colLast[i] = sg.diag[i].Mul(q)
-		sg.rowLast[i] = k.Mul(sg.diag[i])
+		col[i], row[i] = cmat.GetDenseNoZero(bs, bs), cmat.GetDenseNoZero(bs, bs)
+		diag[i].MulSpanInto(col[i], r, cmat.Span{Inner: lo.Rows})
+		l.MulSpanInto(row[i], diag[i], cmat.Span{Inner: up.Cols})
 	}
-	return nil
+	cmat.PutAll(r, l, t, next)
+	return col, row
+}
+
+// edge is the coupling between a segment's end block e and one of its
+// separators s: to = A[e,s] and from = A[s,e], with their supports.
+type edge struct {
+	to, from   *cmat.Dense
+	sTo, sFrom cmat.Support
+}
+
+// edges returns the segment's edges to its left separator (from its first
+// block) and to its right one (from its last block); a side without a
+// separator gets the zero edge.
+func (sg *segment) edges(a *cmat.BlockTri) (l, r edge) {
+	if sg.sepL >= 0 {
+		l = edge{to: a.Lower[sg.sepL], from: a.Upper[sg.sepL]}
+		l.sTo, l.sFrom = supportOf(l.to), supportOf(l.from)
+	}
+	if sg.sepR >= 0 {
+		r = edge{to: a.Upper[sg.sepR-1], from: a.Lower[sg.sepR-1]}
+		r.sTo, r.sFrom = supportOf(r.to), supportOf(r.from)
+	}
+	return l, r
 }
 
 // slots reports which of the four Schur-contribution slots [toL, toR, up, lo]
@@ -115,23 +169,34 @@ func (sg *segment) slots() [4]bool {
 }
 
 // schurContribution computes the segment's additions to the reduced system
-// in slot order: toL/toR fold into the diagonal of the left/right separator,
-// up/lo are the couplings between them through this interior. Slots the
-// segment does not fill are nil.
+// in slot order, into arena blocks: toL/toR fold into the diagonal of the
+// left/right separator, up/lo are the couplings between them through this
+// interior. Slots the segment does not fill are nil.
 func (sg *segment) schurContribution(a *cmat.BlockTri) (c [4]*cmat.Dense) {
 	m := sg.hi - sg.lo + 1
 	has := sg.slots()
+	l, r := sg.edges(a)
+	// sandwich is x.from·d·y.to, each product over the couplings' supports.
+	sandwich := func(x edge, d *cmat.Dense, y edge) *cmat.Dense {
+		t, out := cmat.GetDenseNoZero(a.Bs, a.Bs), cmat.GetDenseNoZero(a.Bs, a.Bs)
+		x.from.MulSpanInto(t, d, cmat.Span{Rows: x.sFrom.Rows, Inner: x.sFrom.Cols})
+		t.MulSpanInto(out, y.to, cmat.Span{Rows: x.sFrom.Rows, Inner: y.sTo.Rows, Cols: y.sTo.Cols})
+		cmat.PutDense(t)
+		return out
+	}
 	if has[0] {
-		c[0] = a.Upper[sg.sepL].Mul(sg.diag[0]).Mul(a.Lower[sg.sepL])
+		c[0] = sandwich(l, sg.diag[0], l)
 	}
 	if has[1] {
-		c[1] = a.Lower[sg.sepR-1].Mul(sg.diag[m-1]).Mul(a.Upper[sg.sepR-1])
+		c[1] = sandwich(r, sg.diag[m-1], r)
 	}
 	if has[2] {
 		// S[L,R] = −A[L,first]·M[first,last]·A[last,R] and the mirrored
 		// S[R,L] through the same segment.
-		c[2] = a.Upper[sg.sepL].Mul(sg.colLast[0]).Mul(a.Upper[sg.sepR-1]).Scale(-1)
-		c[3] = a.Lower[sg.sepR-1].Mul(sg.colFirst[m-1]).Mul(a.Lower[sg.sepL]).Scale(-1)
+		c[2] = sandwich(l, sg.colLast[0], r)
+		c[2].ScaleInPlace(-1)
+		c[3] = sandwich(r, sg.colFirst[m-1], l)
+		c[3].ScaleInPlace(-1)
 	}
 	return c
 }
@@ -139,13 +204,16 @@ func (sg *segment) schurContribution(a *cmat.BlockTri) (c [4]*cmat.Dense) {
 // assembleReduced builds the Schur complement over the separators from the
 // segments' contributions (contribs[k] belongs to segment k): S[s,s] = A[s,s]
 // minus the contributions of the segments on either side, and S[s,s']
-// between neighboring separators through the segment between them.
+// between neighboring separators through the segment between them. It
+// consumes the contributions: the diagonal ones go back to the arena, the
+// couplings become the reduced system's blocks.
 func assembleReduced(a *cmat.BlockTri, seps []int, contribs [][4]*cmat.Dense) *cmat.BlockTri {
 	k := len(seps)
 	red := &cmat.BlockTri{N: k, Bs: a.Bs,
 		Diag: make([]*cmat.Dense, k), Upper: make([]*cmat.Dense, k-1), Lower: make([]*cmat.Dense, k-1)}
 	for j, s := range seps {
-		red.Diag[j] = a.Diag[s].Clone()
+		red.Diag[j] = cmat.GetDenseNoZero(a.Bs, a.Bs)
+		red.Diag[j].CopyFrom(a.Diag[s])
 	}
 	// Segments run left to right, so each separator loses its left
 	// neighbor's toR before its right neighbor's toL.
@@ -159,6 +227,7 @@ func assembleReduced(a *cmat.BlockTri, seps []int, contribs [][4]*cmat.Dense) *c
 		if c[2] != nil {
 			red.Upper[i-1], red.Lower[i-1] = c[2], c[3]
 		}
+		cmat.PutAll(c[0], c[1])
 	}
 	return red
 }
@@ -207,10 +276,12 @@ type sepSolution struct {
 	lo   []*cmat.Dense // G[s_{j+1}, s_j]
 }
 
-// solveReduced assembles the reduced separator system and solves it with the
-// sequential recursion.
+// solveReduced assembles the reduced separator system from contribs, which
+// it consumes, and solves it with the sequential recursion.
 func solveReduced(a *cmat.BlockTri, seps []int, contribs [][4]*cmat.Dense) (*sepSolution, error) {
-	ret, err := SolveRetarded(assembleReduced(a, seps, contribs))
+	red := assembleReduced(a, seps, contribs)
+	defer cmat.PutBlockTri(red)
+	ret, err := SolveRetarded(red)
 	if err != nil {
 		return nil, fmt.Errorf("rgf: reduced separator system: %w", err)
 	}
@@ -226,7 +297,8 @@ func solveReduced(a *cmat.BlockTri, seps []int, contribs [][4]*cmat.Dense) (*sep
 
 // recoverDiag places the separator solution into a fresh n-block diagonal
 // and recovers the interiors of segs into it on up to workers goroutines.
-// The segments' own M diagonals become the interior blocks in place.
+// The segments' own M diagonals become the interior blocks in place, and the
+// separator couplings of sol go back to the arena.
 func recoverDiag(a *cmat.BlockTri, seps []int, sol *sepSolution, segs []*segment, workers int) []*cmat.Dense {
 	out := make([]*cmat.Dense, a.N)
 	for j, s := range seps {
@@ -236,6 +308,8 @@ func recoverDiag(a *cmat.BlockTri, seps []int, sol *sepSolution, segs []*segment
 		segs[k].recover(a, sol, out)
 		return nil
 	})
+	cmat.PutAll(sol.up...)
+	cmat.PutAll(sol.lo...)
 	return out
 }
 
@@ -278,7 +352,7 @@ func retardedDiag(a *cmat.BlockTri) ([]*cmat.Dense, error) {
 // Schur-complement domain decomposition described above, with `segments`
 // independent segments processed by up to `workers` goroutines and the
 // separators spread evenly (evenSeps). With segments ≤ 1 it falls back to
-// the sequential recursion.
+// the sequential recursion. The blocks come from the workspace arena.
 func PartitionedRetarded(a *cmat.BlockTri, segments, workers int) ([]*cmat.Dense, error) {
 	n := a.N
 	if segments <= 1 {
@@ -298,9 +372,11 @@ func PartitionedRetarded(a *cmat.BlockTri, segments, workers int) ([]*cmat.Dense
 	// Phase 1: parallel interior elimination and Schur contributions.
 	contribs := make([][4]*cmat.Dense, len(segs))
 	if err := eachSegment(len(segs), workers, func(k int) error {
-		if err := segs[k].localInverse(a); err != nil {
+		gL, err := segs[k].localInverse(a)
+		if err != nil {
 			return err
 		}
+		cmat.PutAll(gL...)
 		contribs[k] = segs[k].schurContribution(a)
 		return nil
 	}); err != nil {
@@ -315,57 +391,56 @@ func PartitionedRetarded(a *cmat.BlockTri, segments, workers int) ([]*cmat.Dense
 }
 
 // recover applies G_II = M + M·A_IS·G_SS·A_SI·M for one segment, writing the
-// interior blocks into out.
+// interior blocks into out, and returns the border strips, whose last
+// reader it is, to the arena. Per block i the factors are
+// u_L = M[i,0]·A[first,L], u_R = M[i,m−1]·A[last,R], v_L = A[L,first]·M[0,i]
+// and v_R = A[R,last]·M[m−1,i], and G[i,i] gains u_S·G[S,S']·v_S' for every
+// pair of the segment's separators S, S'. u inherits its edge's columns and v
+// its rows, so every product runs over the edges' supports. All four
+// factors are formed before G[i,i] changes, since a strip's end block is
+// M[i,i] itself.
 func (sg *segment) recover(a *cmat.BlockTri, sol *sepSolution, out []*cmat.Dense) {
-	m := sg.hi - sg.lo + 1
-	hasL := sg.sepL >= 0
-	hasR := sg.sepR >= 0
-	// Couplings: A[first, L] = Lower[L], A[L, first] = Upper[L];
-	//            A[last, R] = Upper[R−1], A[R, last] = Lower[R−1].
-	var yl, xl, xr, yr *cmat.Dense
-	if hasL {
-		yl = a.Lower[sg.sepL] // A[first, L]
-		xl = a.Upper[sg.sepL] // A[L, first]
-	}
-	if hasR {
-		xr = a.Upper[sg.sepR-1] // A[last, R]
-		yr = a.Lower[sg.sepR-1] // A[R, last]
-	}
-	// Separator Green's function blocks.
-	var gLL, gRR, gLR, gRL *cmat.Dense
-	if hasL {
-		gLL = sol.diag[sg.k-1]
-	}
-	if hasR {
-		gRR = sol.diag[sg.k]
-	}
-	if hasL && hasR {
-		gLR = sol.up[sg.k-1] // G[L, R]
-		gRL = sol.lo[sg.k-1] // G[R, L]
-	}
+	m, bs := sg.hi-sg.lo+1, a.Bs
+	hasL, hasR := sg.sepL >= 0, sg.sepR >= 0
+	l, r := sg.edges(a)
+	uL, vL := cmat.GetDenseNoZero(bs, bs), cmat.GetDenseNoZero(bs, bs)
+	uR, vR := cmat.GetDenseNoZero(bs, bs), cmat.GetDenseNoZero(bs, bs)
+	t, p := cmat.GetDenseNoZero(bs, bs), cmat.GetDenseNoZero(bs, bs)
 	for i := 0; i < m; i++ {
 		g := sg.diag[i]
-		// Left factor pieces: u_L = M[i,0]·A[first,L], u_R = M[i,m−1]·A[last,R];
-		// right pieces: v_L = A[L,first]·M[0,i], v_R = A[R,last]·M[m−1,i].
-		var uL, uR, vL, vR *cmat.Dense
-		if hasL {
-			uL = sg.colFirst[i].Mul(yl)
-			vL = xl.Mul(sg.rowFirst[i])
-		}
-		if hasR {
-			uR = sg.colLast[i].Mul(xr)
-			vR = yr.Mul(sg.rowLast[i])
+		// add is g += (u·gs)·v, u of edge eu and v of edge ev.
+		add := func(u *cmat.Dense, eu edge, gs, v *cmat.Dense, ev edge) {
+			u.MulSpanInto(t, gs, cmat.Span{Inner: eu.sTo.Cols})
+			t.MulSpanInto(p, v, cmat.Span{Inner: ev.sFrom.Rows})
+			g.AddInPlace(p)
 		}
 		if hasL {
-			g.AddInPlace(uL.Mul(gLL).Mul(vL))
+			sg.colFirst[i].MulSpanInto(uL, l.to, cmat.Span{Inner: l.sTo.Rows, Cols: l.sTo.Cols})
+			l.from.MulSpanInto(vL, sg.rowFirst[i], cmat.Span{Rows: l.sFrom.Rows, Inner: l.sFrom.Cols})
 		}
 		if hasR {
-			g.AddInPlace(uR.Mul(gRR).Mul(vR))
+			sg.colLast[i].MulSpanInto(uR, r.to, cmat.Span{Inner: r.sTo.Rows, Cols: r.sTo.Cols})
+			r.from.MulSpanInto(vR, sg.rowLast[i], cmat.Span{Rows: r.sFrom.Rows, Inner: r.sFrom.Cols})
+		}
+		if hasL {
+			add(uL, l, sol.diag[sg.k-1], vL, l) // G[L,L]
+		}
+		if hasR {
+			add(uR, r, sol.diag[sg.k], vR, r) // G[R,R]
 		}
 		if hasL && hasR {
-			g.AddInPlace(uL.Mul(gLR).Mul(vR))
-			g.AddInPlace(uR.Mul(gRL).Mul(vL))
+			add(uL, l, sol.up[sg.k-1], vR, r) // G[L,R]
+			add(uR, r, sol.lo[sg.k-1], vL, l) // G[R,L]
 		}
 		out[sg.lo+i] = g
 	}
+	cmat.PutAll(uL, vL, uR, vR, t, p)
+	for _, strip := range [][]*cmat.Dense{sg.colFirst, sg.rowFirst, sg.colLast, sg.rowLast} {
+		for i, b := range strip {
+			if b != sg.diag[i] {
+				cmat.PutDense(b)
+			}
+		}
+	}
+	sg.colFirst, sg.rowFirst, sg.colLast, sg.rowLast = nil, nil, nil, nil
 }

@@ -2,6 +2,7 @@ package rgf
 
 import (
 	"fmt"
+	"slices"
 
 	"negfsim/internal/cmat"
 )
@@ -27,7 +28,7 @@ type Retarded struct {
 // intermediate blocks come from the workspace arena; call Release (or keep
 // the blocks and let the GC take them) when done.
 func SolveRetarded(a *cmat.BlockTri) (*Retarded, error) {
-	r, err := newRetarded(a, nil)
+	r, err := newRetarded(a, nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -37,10 +38,11 @@ func SolveRetarded(a *cmat.BlockTri) (*Retarded, error) {
 
 // newRetarded works out a's coupling supports and runs the forward
 // recursion on a. diag, when non-nil, is a G^R diagonal computed elsewhere
-// (the spatial solver's), which sweep keeps.
-func newRetarded(a *cmat.BlockTri, diag []*cmat.Dense) (Retarded, error) {
+// (the spatial solver's), which sweep keeps; gl, when non-empty, is the
+// pooled leading run gL[0..len(gl)−1] of the recursion, which it continues.
+func newRetarded(a *cmat.BlockTri, diag, gl []*cmat.Dense) (Retarded, error) {
 	sup := couplingsOf(a)
-	gl, err := forwardGL(a, sup)
+	gl, err := forwardGL(a, sup, gl)
 	if err != nil {
 		sup.release()
 		return Retarded{}, err
@@ -51,25 +53,28 @@ func newRetarded(a *cmat.BlockTri, diag []*cmat.Dense) (Retarded, error) {
 // forwardGL runs only the forward recursion, returning the left-connected
 // g^L blocks (all pooled): gL[0] = A[0,0]⁻¹ and
 // gL[i] = (A[i,i] − A[i,i−1]·gL[i−1]·A[i−1,i])⁻¹, whose two products run
-// over the couplings' supports sup.
-func forwardGL(a *cmat.BlockTri, sup *couplings) ([]*cmat.Dense, error) {
+// over the couplings' supports sup. It starts after the blocks gl already
+// holds (none: from block 0) and takes them over.
+func forwardGL(a *cmat.BlockTri, sup *couplings, gl []*cmat.Dense) ([]*cmat.Dense, error) {
 	n, bs := a.N, a.Bs
-	gl := make([]*cmat.Dense, 0, n)
-	g := cmat.GetDenseNoZero(bs, bs)
-	if err := cmat.InverseInto(g, a.Diag[0]); err != nil {
-		cmat.PutDense(g)
-		return nil, fmt.Errorf("rgf: forward block 0: %w", err)
+	gl = slices.Grow(gl, n-len(gl))
+	if len(gl) == 0 {
+		g := cmat.GetDenseNoZero(bs, bs)
+		if err := cmat.InverseInto(g, a.Diag[0]); err != nil {
+			cmat.PutDense(g)
+			return nil, fmt.Errorf("rgf: forward block 0: %w", err)
+		}
+		gl = append(gl, g)
 	}
-	gl = append(gl, g)
 	t1 := cmat.GetDenseNoZero(bs, bs)
 	t2 := cmat.GetDenseNoZero(bs, bs)
-	for i := 1; i < n; i++ {
+	for i := len(gl); i < n; i++ {
 		lo, up := sup.lower[i-1], sup.upper[i-1]
 		a.Lower[i-1].MulSpanInto(t1, gl[i-1], cmat.Span{Rows: lo.Rows, Inner: lo.Cols})
 		t1.MulSpanInto(t2, a.Upper[i-1], cmat.Span{Rows: lo.Rows, Inner: up.Rows, Cols: up.Cols})
 		t2.ScaleInPlace(-1)
 		t2.AddInPlace(a.Diag[i])
-		g = cmat.GetDenseNoZero(bs, bs)
+		g := cmat.GetDenseNoZero(bs, bs)
 		if err := cmat.InverseInto(g, t2); err != nil {
 			cmat.PutAll(g, t1, t2)
 			cmat.PutAll(gl...)
@@ -105,14 +110,27 @@ func (r *Retarded) releaseGL() {
 }
 
 // OffDiagLower returns G^R[n+1, n] = −G^R[n+1,n+1]·A[n+1,n]·gL[n], the
-// sub-diagonal block of the retarded Green's function.
+// sub-diagonal block of the retarded Green's function, in an arena block.
 func (r *Retarded) OffDiagLower(n int) *cmat.Dense {
-	return r.Diag[n+1].Mul(r.a.Lower[n]).Mul(r.gL[n]).Scale(-1)
+	lo := r.sup.lower[n]
+	t, out := cmat.GetDenseNoZero(r.a.Bs, r.a.Bs), cmat.GetDenseNoZero(r.a.Bs, r.a.Bs)
+	r.Diag[n+1].MulSpanInto(t, r.a.Lower[n], cmat.Span{Inner: lo.Rows, Cols: lo.Cols})
+	t.MulSpanInto(out, r.gL[n], cmat.Span{Inner: lo.Cols})
+	out.ScaleInPlace(-1)
+	cmat.PutDense(t)
+	return out
 }
 
-// OffDiagUpper returns G^R[n, n+1] = −gL[n]·A[n,n+1]·G^R[n+1,n+1].
+// OffDiagUpper returns G^R[n, n+1] = −gL[n]·A[n,n+1]·G^R[n+1,n+1], in an
+// arena block.
 func (r *Retarded) OffDiagUpper(n int) *cmat.Dense {
-	return r.gL[n].Mul(r.a.Upper[n]).Mul(r.Diag[n+1]).Scale(-1)
+	up := r.sup.upper[n]
+	t, out := cmat.GetDenseNoZero(r.a.Bs, r.a.Bs), cmat.GetDenseNoZero(r.a.Bs, r.a.Bs)
+	r.gL[n].MulSpanInto(t, r.a.Upper[n], cmat.Span{Inner: up.Rows, Cols: up.Cols})
+	t.MulSpanInto(out, r.Diag[n+1], cmat.Span{Inner: up.Cols})
+	out.ScaleInPlace(-1)
+	cmat.PutDense(t)
+	return out
 }
 
 // SolveKeldysh computes the diagonal blocks of G^≷ = G^R·Σ^≷·G^A on the

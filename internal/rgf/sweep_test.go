@@ -65,7 +65,7 @@ func twoPassPoint(t *testing.T, a *cmat.BlockTri, scat Scattering, occL, occR fl
 		ret, err = SolveRetarded(a)
 	} else {
 		var r Retarded
-		r, err = newRetarded(a, diag(a))
+		r, err = newRetarded(a, diag(a), nil)
 		ret = &r
 	}
 	if err != nil {
@@ -137,7 +137,7 @@ func TestOneSweepBitwise(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			one, err := newRetarded(a, nil)
+			one, err := newRetarded(a, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
